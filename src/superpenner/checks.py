@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .decorated import DecoratedState, states_equal_mod_sign, superflip
 from .fatgraph import (NonGenericFlipError, boundary_cycles, find_isomorphisms,
-                       flip_quadrilateral, topology)
+                       flip_quadrilateral, propagate_isomorphism, topology)
 from .grassmann import FLOAT, RATIONAL, GrassmannAlgebra
 from .spin import (OrientationState, brute_force_spin_classes,
                    enumerate_spin_classes, reflect,
@@ -77,14 +77,18 @@ def aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
     transports the final state, applies the reflections aligning the
     orientation representative (negating the reflected mu-invariants), and
     compares modulo the global odd sign.  False when no such isomorphism
-    exists or the spin classes disagree.
+    exists or the spin classes disagree.  When touched_edges covers every
+    edge, every isomorphism is tried.
     """
     gi, gf = initial.graph, final.graph
     fixed = [h for e in range(gi.num_edges) if e not in touched_edges
              for h in gi.edges[e]]
-    isos = [phi for phi in find_isomorphisms(gf, gi)
-            if all(phi[h] == h for h in fixed)]
+    # the wanted map fixes an untouched half-edge, and that determines it
+    isos = ([propagate_isomorphism(gf, gi, fixed[0], fixed[0])] if fixed
+            else find_isomorphisms(gf, gi))
     for phi in isos:
+        if phi is None or any(phi[h] != h for h in fixed):
+            continue
         moved = transport_state(final, phi, gi)
         refl = reflection_vertices_between(moved.orientation, initial.orientation)
         if refl is None:

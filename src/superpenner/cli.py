@@ -46,6 +46,12 @@ _SUITE_DEFAULT_CASES = {
 }
 
 
+def _positive_int(text):
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="superpenner",
@@ -79,7 +85,7 @@ def build_parser():
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--mode", choices=(RATIONAL, FLOAT), default=None)
     p_check.add_argument("--tol", type=float, default=None)
-    p_check.add_argument("--cases", type=int, default=None)
+    p_check.add_argument("--cases", type=_positive_int, default=None)
     p_check.add_argument("--output")
     return parser
 
@@ -94,7 +100,7 @@ def _emit(lines, output):
 
 
 class _LoadError(Exception):
-    """Wraps any failure while reading or parsing the input file."""
+    """Bad input: an unreadable or unparsable file, or a malformed setting."""
 
 
 def _load(path, mode=RATIONAL):
@@ -176,8 +182,11 @@ def cmd_check(args):
     tol = args.tol
     if tol is None:
         env = os.environ.get("SUPERPENNER_TOL")
-        tol = float(env) if env else _SUITE_DEFAULT_TOL[args.suite]
-    cases = args.cases or _SUITE_DEFAULT_CASES[args.suite]
+        try:
+            tol = float(env) if env else _SUITE_DEFAULT_TOL[args.suite]
+        except ValueError:
+            raise _LoadError("SUPERPENNER_TOL must be a number, got %r" % env) from None
+    cases = args.cases if args.cases is not None else _SUITE_DEFAULT_CASES[args.suite]
     state = _load(args.input)
     result = SUITES[args.suite](state.graph, seed=args.seed, mode=mode,
                                 tol=tol, cases=cases)

@@ -36,12 +36,11 @@ class DecoratedState:
     def __init__(self, graph, orientation, algebra, lam, mu):
         if orientation.graph != graph:
             raise SpinError("orientation lives on a different graph")
-        g, s, e, v = topology(graph)
+        e, v = graph.num_edges, graph.num_vertices
         if sorted(lam) != list(range(e)):
             raise ValueError("need a lambda-length for each of the %d edges" % e)
         if sorted(mu) != list(range(v)):
             raise ValueError("need a mu-invariant for each of the %d vertices" % v)
-        assert e == 6 * g - 6 + 3 * s and v == 4 * g - 4 + 2 * s
         for ei, x in lam.items():
             if x.algebra != algebra:
                 raise GrassmannError("lambda-length of edge %d uses a foreign algebra" % ei)
@@ -85,17 +84,15 @@ def superflip(state, e):
     and 1 + chi must exist (square bodies) unless both quadrilateral
     mu-invariants vanish, in which case the flip is purely classical.
     """
-    graph = state.graph
-    q = flip_quadrilateral(graph, e)
     new_orientation, record = flip_orientation(state.orientation, e)
 
     mu = dict(state.mu)
     for v in record.reflections_applied:
         mu[v] = -mu[v]
-    theta = mu[q.tail_vertex]   # the (a,b)-vertex
-    sigma = mu[q.head_vertex]   # the (c,d)-vertex
+    theta = mu[record.tail_vertex]   # the (a,b)-vertex
+    sigma = mu[record.head_vertex]   # the (c,d)-vertex
 
-    la, lb, lc, ld, le = (state.lam[i] for i in (q.a, q.b, q.c, q.d, e))
+    la, lb, lc, ld, le = (state.lam[i] for i in (record.a, record.b, record.c, record.d, e))
     ac = la * lc
     bd = lb * ld
     if theta.is_zero() and sigma.is_zero():
@@ -112,8 +109,8 @@ def superflip(state, e):
 
     lam = dict(state.lam)
     lam[e] = f
-    mu[q.tail_vertex] = nu       # now the (b,c)-vertex
-    mu[q.head_vertex] = mu_new   # now the (a,d)-vertex
+    mu[record.tail_vertex] = nu       # now the (b,c)-vertex
+    mu[record.head_vertex] = mu_new   # now the (a,d)-vertex
     new_state = DecoratedState(new_orientation.graph, new_orientation,
                                state.algebra, lam, mu)
     return new_state, record

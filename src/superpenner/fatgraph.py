@@ -15,7 +15,7 @@ by the opposite diagonal of its quadrilateral, keeping ids stable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class FatGraphError(ValueError):
@@ -50,25 +50,26 @@ class FatGraph:
         if vertex_names is None:
             vertex_names = tuple("v%d" % i for i in range(len(self.vertices)))
         self.vertex_names = tuple(vertex_names)
-        self._validate()
         n = 2 * len(self.edges)
+        # out-of-range ids leave holes that _validate reports
         sigma = [None] * n
         vertex_of = [None] * n
         for vi, triple in enumerate(self.vertices):
             for k, h in enumerate(triple):
-                sigma[h] = triple[(k + 1) % 3]
-                vertex_of[h] = vi
+                if 0 <= h < n:
+                    sigma[h] = triple[(k + 1) % len(triple)]
+                    vertex_of[h] = vi
         alpha = [None] * n
         edge_of = [None] * n
         for ei, (t, h) in enumerate(self.edges):
-            alpha[t] = h
-            alpha[h] = t
-            edge_of[t] = ei
-            edge_of[h] = ei
+            if 0 <= t < n and 0 <= h < n:
+                alpha[t], alpha[h] = h, t
+                edge_of[t] = edge_of[h] = ei
         self._sigma = tuple(sigma)
         self._alpha = tuple(alpha)
         self._edge_of = tuple(edge_of)
         self._vertex_of = tuple(vertex_of)
+        self._validate()
 
     def _validate(self):
         if len(self.vertex_names) != len(self.vertices):
@@ -77,12 +78,11 @@ class FatGraph:
             if len(triple) != 3 or len(set(triple)) != 3:
                 raise FatGraphError("non-trivalent vertex %r" % (triple,))
         n = 2 * len(self.edges)
-        seen_v = [h for triple in self.vertices for h in triple]
-        seen_e = [h for pair in self.edges for h in pair]
-        if sorted(seen_v) != list(range(n)):
+        # 3V slots filled without holes means each half-edge exactly once
+        if 3 * len(self.vertices) != n or None in self._vertex_of:
             raise FatGraphError("vertex half-edges are not exactly 0..%d "
                                 "(dangling or duplicated half-edge)" % (n - 1))
-        if sorted(seen_e) != list(range(n)):
+        if None in self._edge_of:
             raise FatGraphError("edge half-edges are not exactly 0..%d "
                                 "(dangling or duplicated half-edge)" % (n - 1))
         for t, h in self.edges:
@@ -91,27 +91,16 @@ class FatGraph:
         if not self.edges:
             raise FatGraphError("empty fatgraph")
         # connectivity under the group generated by sigma and alpha
-        reach = {0}
-        queue = deque([0])
-        vertex_idx = {}
-        for vi, triple in enumerate(self.vertices):
-            for h in triple:
-                vertex_idx[h] = vi
-        edge_mate = {}
-        for t, h in self.edges:
-            edge_mate[t] = h
-            edge_mate[h] = t
-        succ = {}
-        for triple in self.vertices:
-            for k, h in enumerate(triple):
-                succ[h] = triple[(k + 1) % 3]
-        while queue:
-            h = queue.popleft()
-            for nxt in (succ[h], edge_mate[h]):
-                if nxt not in reach:
-                    reach.add(nxt)
-                    queue.append(nxt)
-        if len(reach) != n:
+        reach = [False] * n
+        reach[0] = True
+        stack = [0]
+        while stack:
+            h = stack.pop()
+            for nxt in (self._sigma[h], self._alpha[h]):
+                if not reach[nxt]:
+                    reach[nxt] = True
+                    stack.append(nxt)
+        if not all(reach):
             raise FatGraphError("disconnected fatgraph")
         # negative Euler characteristic: 2 - 2g - s = V - E < 0
         if len(self.vertices) >= len(self.edges):
@@ -177,7 +166,7 @@ class FlipRecord:
     Labels follow the quadrilateral convention: a and b are the edges
     after the flipped edge's tail half-edge in cyclic order at the tail
     vertex, c and d likewise at the head vertex.  The flipped edge keeps
-    its id, so the relabeling map is the identity on edge ids.
+    its id, and so does every other edge.
     """
 
     flipped_edge: int
@@ -185,11 +174,9 @@ class FlipRecord:
     b: int
     c: int
     d: int
-    e: int
     tail_vertex: int
     head_vertex: int
     reflections_applied: tuple = ()
-    relabeling: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -251,9 +238,8 @@ def whitehead_flip(graph, e):
     vertices[q.head_vertex] = (q.head_half, q.hd, q.ha)
     flipped = FatGraph(vertices, graph.edges, graph.vertex_names)
     record = FlipRecord(
-        flipped_edge=e, a=q.a, b=q.b, c=q.c, d=q.d, e=e,
-        tail_vertex=q.tail_vertex, head_vertex=q.head_vertex,
-        relabeling={i: i for i in range(graph.num_edges)})
+        flipped_edge=e, a=q.a, b=q.b, c=q.c, d=q.d,
+        tail_vertex=q.tail_vertex, head_vertex=q.head_vertex)
     return flipped, record
 
 
@@ -301,35 +287,40 @@ def topology(graph):
     return g, s, e, v
 
 
-def find_isomorphisms(graph1, graph2):
-    """All half-edge bijections carrying (sigma, alpha) of graph1 to graph2.
+def propagate_isomorphism(graph1, graph2, source, target):
+    """The half-edge isomorphism from graph1 to graph2 sending source to target.
 
-    Propagates from the image of half-edge 0; connectivity makes each
-    candidate image determine at most one isomorphism.
+    Propagates along sigma and alpha from source; connectivity makes the
+    image of one half-edge determine the whole map.  None when that map
+    is inconsistent or not a bijection.
     """
     n = graph1.num_half_edges
     if n != graph2.num_half_edges:
+        return None
+    phi = [None] * n
+    phi[source] = target
+    queue = deque([source])
+    while queue:
+        h = queue.popleft()
+        for img, nxt in ((graph2.sigma(phi[h]), graph1.sigma(h)),
+                         (graph2.alpha(phi[h]), graph1.alpha(h))):
+            if phi[nxt] is None:
+                phi[nxt] = img
+                queue.append(nxt)
+            elif phi[nxt] != img:
+                return None
+    if None in phi or len(set(phi)) != n:
+        return None
+    return tuple(phi)
+
+
+def find_isomorphisms(graph1, graph2):
+    """All half-edge bijections carrying (sigma, alpha) of graph1 to graph2."""
+    if graph1.num_half_edges != graph2.num_half_edges:
         return []
-    isos = []
-    for target in range(n):
-        phi = [None] * n
-        phi[0] = target
-        queue = deque([0])
-        ok = True
-        while queue and ok:
-            h = queue.popleft()
-            for img, nxt in ((graph2.sigma(phi[h]), graph1.sigma(h)),
-                             (graph2.alpha(phi[h]), graph1.alpha(h))):
-                if phi[nxt] is None:
-                    phi[nxt] = img
-                    queue.append(nxt)
-                elif phi[nxt] != img:
-                    ok = False
-                    break
-        if not ok or None in phi or len(set(phi)) != n:
-            continue
-        isos.append(tuple(phi))
-    return isos
+    isos = (propagate_isomorphism(graph1, graph2, 0, target)
+            for target in range(graph1.num_half_edges))
+    return [phi for phi in isos if phi is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,6 @@ class GrassmannAlgebra:
             raise GrassmannError("float scalar %r in rational mode" % (value,))
         return Fraction(value)
 
-    def _zero_scalar(self):
-        return 0.0 if self.mode == FLOAT else Fraction(0)
-
     # -- element constructors --------------------------------------------
 
     def element(self, terms):
@@ -144,7 +141,9 @@ class GrassmannElement:
     @property
     def body(self):
         """Coefficient of the empty monomial."""
-        return self.terms.get(0, self.algebra._zero_scalar())
+        if 0 in self.terms:
+            return self.terms[0]
+        return 0.0 if self.algebra.mode == FLOAT else Fraction(0)
 
     @property
     def soul(self):
@@ -404,7 +403,7 @@ def render_element(x):
 
 
 _NUMBER_RE = re.compile(r"\d+/\d+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
-_MONO_RE = re.compile(r"t(\d+)(?:\s*\^\s*t(\d+))*")
+_GEN_RE = re.compile(r"t(\d+)")
 
 
 def parse_element(algebra, text):
@@ -416,7 +415,7 @@ def parse_element(algebra, text):
     s = text.strip()
     if not s:
         raise GrassmannError("empty element text")
-    result = algebra.zero()
+    terms = {}
     pos = 0
     n = len(s)
     while pos < n:
@@ -432,10 +431,12 @@ def parse_element(algebra, text):
         m = _NUMBER_RE.match(s, pos)
         if m:
             num = m.group(0)
-            if algebra.mode == FLOAT:
-                coeff = float(num)
-            else:
-                coeff = Fraction(num)
+            try:
+                coeff = float(num) if algebra.mode == FLOAT else Fraction(num)
+            except ValueError as exc:  # a fraction in float mode
+                raise GrassmannError(str(exc)) from None
+            except ZeroDivisionError:
+                raise GrassmannError("zero denominator in %r" % (num,)) from None
             pos = m.end()
             while pos < n and s[pos] in " \t":
                 pos += 1
@@ -448,11 +449,11 @@ def parse_element(algebra, text):
         indices = []
         if pos < n and s[pos] == "t":
             while True:
-                mt = re.match(r"t(\d+)", s[pos:])
+                mt = _GEN_RE.match(s, pos)
                 if not mt:
                     raise GrassmannError("bad monomial at %r" % (s[pos:],))
                 indices.append(int(mt.group(1)))
-                pos += mt.end()
+                pos = mt.end()
                 while pos < n and s[pos] in " \t":
                     pos += 1
                 if pos < n and s[pos] == "^":
@@ -466,5 +467,6 @@ def parse_element(algebra, text):
         if coeff is None:
             coeff = algebra.coerce_scalar(1)
         term = algebra.monomial(indices, coeff) if indices else algebra.scalar(coeff)
-        result = result + term * sign
-    return result
+        for mask, c in term.terms.items():
+            terms[mask] = terms.get(mask, 0) + sign * c
+    return algebra.element(terms)

@@ -15,9 +15,9 @@ search is kept alongside as an independent oracle.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 
-from .fatgraph import (FlipRecord, boundary_cycles, flip_quadrilateral,
-                       whitehead_flip)
+from .fatgraph import boundary_cycles, whitehead_flip
 
 
 class SpinError(ValueError):
@@ -88,27 +88,39 @@ def star_matrix(graph):
 
 
 def _rref(rows):
-    """Reduced row echelon form over GF(2); pivots at lowest set bits."""
-    basis = []  # list of (pivot_bit, row), pivot_bit increasing
-    for row in rows:
-        for pivot, r in basis:
+    """Reduced row echelon form over GF(2); pivots at lowest set bits.
+
+    Returns (pivot_bit, row, comb) triples sorted by pivot, where bit i of
+    comb is set when input row i was combined into row.
+    """
+    basis = []
+    for i, row in enumerate(rows):
+        comb = 1 << i
+        for pivot, r, c in basis:
             if row >> pivot & 1:
                 row ^= r
+                comb ^= c
         if row:
             pivot = (row & -row).bit_length() - 1
-            basis = [(p, r ^ row if r >> pivot & 1 else r) for p, r in basis]
-            basis.append((pivot, row))
+            basis = [(p, r ^ row, c ^ comb) if r >> pivot & 1 else (p, r, c)
+                     for p, r, c in basis]
+            basis.append((pivot, row, comb))
     basis.sort()
     return basis
 
 
-def _canonical_mask(mask, basis):
-    # zeroing all pivot bits yields the lexicographically smallest coset
-    # element for the edge-id order with + before -
-    for pivot, row in basis:
+def _reduce(mask, basis):
+    """Clear every pivot bit of mask: (remainder, comb of the rows used).
+
+    The remainder is the lexicographically smallest coset element for the
+    edge-id order with + before -.
+    """
+    comb = 0
+    for pivot, row, c in basis:
         if mask >> pivot & 1:
             mask ^= row
-    return mask
+            comb ^= c
+    return mask, comb
 
 
 def reflect(state, v):
@@ -122,11 +134,7 @@ def reflect(state, v):
 
 def same_spin_class(state1, state2):
     """True iff the two orientations differ by fatgraph reflections."""
-    if state1.graph != state2.graph:
-        raise SpinError("orientation states live on different graphs")
-    diff = _signs_to_mask(state1.signs) ^ _signs_to_mask(state2.signs)
-    basis = _rref(star_matrix(state1.graph))
-    return _canonical_mask(diff, basis) == 0
+    return reflection_vertices_between(state1, state2) is not None
 
 
 def reflection_vertices_between(state1, state2):
@@ -139,24 +147,8 @@ def reflection_vertices_between(state1, state2):
         raise SpinError("orientation states live on different graphs")
     graph = state1.graph
     target = _signs_to_mask(state1.signs) ^ _signs_to_mask(state2.signs)
-    rows = star_matrix(graph)
-    # track combinations: reduce target by rows, remembering which were used
-    basis = []  # (pivot, row, vertex_set_mask)
-    for v, row in enumerate(rows):
-        comb = 1 << v
-        for pivot, r, c in basis:
-            if row >> pivot & 1:
-                row ^= r
-                comb ^= c
-        if row:
-            basis.append(((row & -row).bit_length() - 1, row, comb))
-            basis.sort()
-    comb = 0
-    for pivot, row, c in basis:
-        if target >> pivot & 1:
-            target ^= row
-            comb ^= c
-    if target:
+    rest, comb = _reduce(target, _rref(star_matrix(graph)))
+    if rest:
         return None
     return tuple(v for v in range(graph.num_vertices) if comb >> v & 1)
 
@@ -164,7 +156,7 @@ def reflection_vertices_between(state1, state2):
 def canonical_representative(state):
     """Lexicographically smallest orientation in the spin class."""
     basis = _rref(star_matrix(state.graph))
-    mask = _canonical_mask(_signs_to_mask(state.signs), basis)
+    mask, _ = _reduce(_signs_to_mask(state.signs), basis)
     return OrientationState(state.graph, _mask_to_signs(mask, state.graph.num_edges))
 
 
@@ -175,11 +167,17 @@ def spin_class_count(graph):
 
 
 def enumerate_spin_classes(graph):
-    """One canonical representative per spin class, lexicographically sorted."""
-    basis = _rref(star_matrix(graph))
-    reps = {_canonical_mask(m, basis) for m in range(1 << graph.num_edges)}
-    states = [OrientationState(graph, _mask_to_signs(m, graph.num_edges))
-              for m in reps]
+    """One canonical representative per spin class, lexicographically sorted.
+
+    The canonical representatives are exactly the masks with every pivot
+    bit clear, one for each of the 2^(E - rank) subsets of free edges.
+    """
+    pivots = {pivot for pivot, _, _ in _rref(star_matrix(graph))}
+    masks = [0]
+    for i in range(graph.num_edges):
+        if i not in pivots:
+            masks += [m | 1 << i for m in masks]
+    states = [OrientationState(graph, _mask_to_signs(m, graph.num_edges)) for m in masks]
     states.sort(key=_lex_key)  # + sorts before -
     return tuple(states)
 
@@ -245,19 +243,14 @@ def flip_orientation(state, e):
     (b,c)-vertex to the (a,d)-vertex, which is its new reference (+1).
     """
     graph = state.graph
-    q = flip_quadrilateral(graph, e)
+    flipped, record = whitehead_flip(graph, e)
     signs = list(state.signs)
     reflections = ()
     if signs[e] == 1:
-        reflections = (q.tail_vertex,)
-        mask = _signs_to_mask(signs) ^ reflection_mask(graph, q.tail_vertex)
+        reflections = (record.tail_vertex,)
+        mask = _signs_to_mask(signs) ^ reflection_mask(graph, record.tail_vertex)
         signs = list(_mask_to_signs(mask, graph.num_edges))
-    flipped, record = whitehead_flip(graph, e)
-    signs[q.b] = -signs[q.b]
+    signs[record.b] = -signs[record.b]
     signs[e] = 1
-    record = FlipRecord(
-        flipped_edge=record.flipped_edge, a=record.a, b=record.b,
-        c=record.c, d=record.d, e=record.e,
-        tail_vertex=record.tail_vertex, head_vertex=record.head_vertex,
-        reflections_applied=reflections, relabeling=record.relabeling)
+    record = replace(record, reflections_applied=reflections)
     return OrientationState(flipped, signs), record

@@ -1,0 +1,115 @@
+import random
+
+import pytest
+
+from superpenner.catalog import GRAPHS
+from superpenner.checks import (aligned_equal_mod_sign, generic_edges, pentagon_pairs,
+                                random_decorated_state)
+from superpenner.decorated import DecoratedState, superflip
+from superpenner.fatgraph import find_isomorphisms, propagate_isomorphism
+from superpenner.grassmann import FLOAT, RATIONAL
+from superpenner.spin import (OrientationState, enumerate_spin_classes, reflect,
+                              reflection_vertices_between, same_spin_class)
+
+
+def involution_and_pentagon_sequences(graph, rng, mode):
+    """(initial, final, touched) for every flip involution and pentagon
+    sequence on graph; both return the triangulation."""
+    out = []
+    for e in generic_edges(graph):
+        state = random_decorated_state(graph, rng, mode=mode, square_friendly_edge=e)
+        once, _ = superflip(state, e)
+        twice, _ = superflip(once, e)
+        out.append((state, twice, {e}))
+    for e1, e2 in pentagon_pairs(graph):
+        state = random_decorated_state(graph, rng, mode=mode, odd=mode == FLOAT)
+        current = state
+        for e in (e1, e2, e1, e2, e1):
+            current, _ = superflip(current, e)
+        out.append((state, current, {e1, e2}))
+    return out
+
+
+def with_lam(state, e, value):
+    lam = dict(state.lam)
+    lam[e] = value
+    return DecoratedState(state.graph, state.orientation, state.algebra, lam, state.mu)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_propagated_isomorphism_matches_filtered_search(name):
+    graph = GRAPHS[name]()
+    sequences = involution_and_pentagon_sequences(graph, random.Random(name), RATIONAL)
+    # the torus and theta graphs have no generic flip
+    assert sequences or name in ("torus_1_1", "theta_0_3")
+    for initial, final, touched in sequences:
+        gi, gf = initial.graph, final.graph
+        fixed = [h for e in range(gi.num_edges) if e not in touched for h in gi.edges[e]]
+        filtered = [phi for phi in find_isomorphisms(gf, gi)
+                    if all(phi[h] == h for h in fixed)]
+        assert filtered == [propagate_isomorphism(gf, gi, fixed[0], fixed[0])]
+        assert aligned_equal_mod_sign(initial, final, touched)
+
+
+def test_propagation_rejects_mismatched_graphs():
+    a, b = GRAPHS["torus_1_1"](), GRAPHS["theta_0_3"]()
+    assert find_isomorphisms(a, b) == []
+    assert all(propagate_isomorphism(a, b, 0, t) is None for t in range(6))
+    assert propagate_isomorphism(a, GRAPHS["sphere_0_4"](), 0, 0) is None
+
+
+@pytest.mark.parametrize("mode", (RATIONAL, FLOAT))
+def test_aligned_comparison_detects_one_perturbed_lambda(mode):
+    graph = GRAPHS["genus1_1_2"]()
+    for initial, final, touched in involution_and_pentagon_sequences(
+            graph, random.Random(7), mode):
+        tol = 1e-9 if mode == FLOAT else None
+        assert aligned_equal_mod_sign(initial, final, touched, tol=tol)
+        for e in range(graph.num_edges):
+            bumped = with_lam(final, e, final.lam[e] + final.algebra.scalar(1) / 1000)
+            assert not aligned_equal_mod_sign(initial, bumped, touched, tol=tol)
+
+
+def test_aligned_comparison_detects_another_spin_class():
+    graph = GRAPHS["sphere_0_5"]()
+    initial, final, touched = involution_and_pentagon_sequences(
+        graph, random.Random(3), RATIONAL)[0]
+    moved = 0
+    for e in range(graph.num_edges):
+        signs = list(final.orientation.signs)
+        signs[e] = -signs[e]
+        other = OrientationState(final.graph, signs)
+        if same_spin_class(other, final.orientation):
+            continue
+        moved += 1
+        changed = DecoratedState(final.graph, other, final.algebra, final.lam, final.mu)
+        assert not aligned_equal_mod_sign(initial, changed, touched)
+    assert moved
+
+
+def test_aligned_comparison_with_every_edge_touched():
+    graph = GRAPHS["sphere_0_4"]()
+    everything = set(range(graph.num_edges))
+    for initial, final, _ in involution_and_pentagon_sequences(
+            graph, random.Random(11), RATIONAL):
+        assert aligned_equal_mod_sign(initial, final, everything)
+        bumped = with_lam(final, 0, final.lam[0] + final.algebra.scalar(1))
+        assert not aligned_equal_mod_sign(initial, bumped, everything)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_reflection_vertices_between_none_across_classes(name):
+    graph = GRAPHS[name]()
+    reps = enumerate_spin_classes(graph)
+    for i, x in enumerate(reps):
+        for j, y in enumerate(reps):
+            # a member of y's class that is not its canonical representative
+            mate = reflect(y, j % graph.num_vertices)
+            verts = reflection_vertices_between(x, mate)
+            if i != j:
+                assert verts is None
+                continue
+            moved = x
+            for v in verts:
+                moved = reflect(moved, v)
+            assert moved == mate

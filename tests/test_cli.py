@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from superpenner import cli
 from superpenner.checks import CheckResult
 from superpenner.decorated import superflip
@@ -173,3 +175,41 @@ def test_env_var_overrides_default_tolerance(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "involution", str(DATA / "sphere4.fg"),
                        "--mode", "float", "--cases", "5", "--tol", "1e-8")
     assert "tol=1e-08" in out.splitlines()[0]
+
+
+def test_check_rejects_non_positive_cases(capsys):
+    for cases in ("0", "-5", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "ptolemy", str(DATA / "sphere4.fg"), "--cases", cases])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--cases: must be a positive integer" in out.err
+
+
+def test_explicit_cases_count_is_used(capsys):
+    code, out, _ = run(capsys, "check", "ptolemy", str(DATA / "sphere4.fg"),
+                       "--cases", "1")
+    assert code == 0
+    assert "cases=1" in out.splitlines()[0]
+    assert "pass (1 cases)" in out
+
+
+def test_malformed_tolerance_env_var_is_bad_input(capsys, monkeypatch):
+    monkeypatch.setenv("SUPERPENNER_TOL", "abc")
+    code, out, err = run(capsys, "check", "involution", str(DATA / "sphere4.fg"),
+                         "--cases", "1")
+    assert code == 2
+    assert out == ""
+    assert "SUPERPENNER_TOL" in err
+
+
+def test_zero_denominator_is_bad_input(capsys, tmp_path):
+    bad = tmp_path / "zero.fg"
+    bad.write_text((DATA / "torus.fg").read_text() + "lambda 0: 1/0\n")
+    for mode, reason in (("rational", "zero denominator in '1/0'"),
+                         ("float", "could not convert string to float: '1/0'")):
+        code, out, err = run(capsys, "flip", str(bad), "--edges", "1", "--mode", mode)
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 7: bad lambda value: %s\n" % reason

@@ -137,7 +137,7 @@ def test_flip_preserves_topology():
         flipped, record = whitehead_flip(g, e)
         assert topology(flipped) == topology(g)
         assert record.flipped_edge == e
-        assert len({record.a, record.b, record.c, record.d, record.e}) == 5
+        assert len({record.a, record.b, record.c, record.d, record.flipped_edge}) == 5
 
 
 def test_flip_rejects_torus_edges():

@@ -173,6 +173,24 @@ def test_parse_rejects_garbage():
             A4.parse(bad)
 
 
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(GrassmannError, match="zero denominator"):
+        A4.parse("1 + 1/0*t0^t1")
+    # float mode reads decimals only
+    with pytest.raises(GrassmannError, match="could not convert"):
+        F4.parse("1 + 1/0*t0^t1")
+
+
+def test_parse_dense_element_roundtrip():
+    # every one of the 2^11 monomials, with distinct signed coefficients
+    for mode, coeff in ((RATIONAL, lambda m: Fraction((-1) ** m * (m + 1), m % 7 + 1)),
+                        (FLOAT, lambda m: (-1) ** m * (m + 1) / 7.0)):
+        alg = GrassmannAlgebra(11, mode)
+        x = alg.element({m: coeff(m) for m in range(1 << 11)})
+        assert len(x.terms) == 1 << 11
+        assert alg.parse(str(x)) == x
+
+
 # -- structure ---------------------------------------------------------------
 
 def test_parity_queries():
