@@ -12,6 +12,7 @@ from .grassmann import (
     GrassmannElement,
     GrassmannError,
     ginv,
+    ginvsqrt,
     glog,
     gmul,
     gsqrt,
@@ -55,6 +56,7 @@ __all__ = [
     "GrassmannElement",
     "GrassmannError",
     "ginv",
+    "ginvsqrt",
     "glog",
     "gmul",
     "gsqrt",

@@ -5,12 +5,14 @@ Reports are plain text, one record per line, deterministic for a fixed
 (input, seed, mode).  Exit codes: 0 success, 1 property-check failure,
 2 input parse failure, 3 precondition violation (e.g. non-generic flip).
 
-The default check tolerance can be overridden with SUPERPENNER_TOL.
+The default check tolerance can be overridden with SUPERPENNER_TOL; a
+tolerance that is not finite and positive is bad input.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -179,13 +181,16 @@ def cmd_shear(args):
 
 def cmd_check(args):
     mode = args.mode or _SUITE_DEFAULT_MODE[args.suite]
-    tol = args.tol
+    tol, source = args.tol, "--tol"
     if tol is None:
         env = os.environ.get("SUPERPENNER_TOL")
+        source = "SUPERPENNER_TOL"
         try:
             tol = float(env) if env else _SUITE_DEFAULT_TOL[args.suite]
         except ValueError:
             raise _LoadError("SUPERPENNER_TOL must be a number, got %r" % env) from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise _LoadError("%s must be finite and positive, got %r" % (source, tol))
     cases = args.cases if args.cases is not None else _SUITE_DEFAULT_CASES[args.suite]
     state = _load(args.input)
     result = SUITES[args.suite](state.graph, seed=args.seed, mode=mode,

@@ -23,7 +23,8 @@ relabeling of the underlying graph).
 
 from __future__ import annotations
 
-from .grassmann import RATIONAL, GrassmannAlgebra, GrassmannError, ginv, glog, gsqrt
+from .grassmann import (RATIONAL, GrassmannAlgebra, GrassmannError, ginv, ginvsqrt,
+                        glog, gsqrt)
 from .fatgraph import boundary_cycles, flip_quadrilateral, topology
 from .spin import OrientationState, SpinError, flip_orientation
 
@@ -101,8 +102,8 @@ def superflip(state, e):
     else:
         chi = ac * ginv(bd)
         sqrt_chi = gsqrt(chi)
-        inv_sqrt_1chi = ginv(gsqrt(1 + chi))
-        correction = sigma * theta * sqrt_chi * ginv(1 + chi)
+        inv_sqrt_1chi = ginvsqrt(1 + chi)
+        correction = sigma * theta * sqrt_chi * (inv_sqrt_1chi * inv_sqrt_1chi)
         f = ginv(le) * (ac + bd) * (1 + correction)
         nu = (sigma - theta * sqrt_chi) * inv_sqrt_1chi
         mu_new = (theta + sigma * sqrt_chi) * inv_sqrt_1chi

@@ -3,9 +3,16 @@
 Elements live in the real algebra on N anticommuting generators t0..t(N-1).
 Coefficients are exact rationals or 64-bit floats, chosen once per algebra.
 Monomials are generator subsets stored as bitmasks; an element is a sparse
-map from bitmasks to nonzero coefficients.  The inverse, square root and
-logarithm are computed by power series in the soul, which terminate exactly
-because the soul is nilpotent -- no tolerance-based truncation anywhere.
+map from bitmasks to nonzero coefficients.  The inverse, square root,
+inverse square root and logarithm are computed by power series in the
+soul, which terminate exactly because the soul is nilpotent -- no
+tolerance-based truncation anywhere.
+
+Sign rule: for disjoint S and T, e_S * e_T = (-1)**k e_{S | T}, where k
+counts the pairs i in S, j in T with i > j.  Bit i of the mask P(T) is the
+parity of the bits of T below i (for i at or above T.bit_length() it is
+the parity of all of T), so k is odd exactly when (S & P(T)).bit_count()
+is odd: one popcount per term pair.
 """
 
 from __future__ import annotations
@@ -22,19 +29,36 @@ class GrassmannError(ValueError):
     """Domain error: parity, invertibility, scalar mode, algebra mismatch."""
 
 
-def _popcount_above(mask, j):
-    # number of set bits in mask strictly above position j
-    return (mask >> (j + 1)).bit_count()
+def _sort_sign(indices):
+    """(mask, sign) with t_i1 ^ t_i2 ^ ... = sign * e_mask.
+
+    sign is -1 for an odd number of inversions among the indices, and 0
+    when an index repeats.
+    """
+    mask = 0
+    sign = 1
+    for i in indices:
+        bit = 1 << i
+        if mask & bit:
+            sign = 0
+        elif (mask >> i).bit_count() & 1:
+            sign = -sign
+        mask |= bit
+    return mask, sign
 
 
-def _mul_sign(s, t):
-    """Sign of e_S * e_T: (-1)**#{(i,j) : i in S, j in T, i > j}."""
-    count = 0
+def _below_parity(t):
+    """P(t): bit i is the parity of the bits of t below i.
+
+    Every bit from t.bit_length() up is the parity of t, so P(t) is a
+    negative int when t has odd weight.
+    """
+    p = 0
     while t:
-        j = (t & -t).bit_length() - 1
-        count += _popcount_above(s, j)
-        t &= t - 1
-    return -1 if count & 1 else 1
+        low = t & -t
+        p ^= -(low << 1)   # flips every bit above the lowest set bit of t
+        t ^= low
+    return p
 
 
 class GrassmannAlgebra:
@@ -70,7 +94,10 @@ class GrassmannAlgebra:
     def coerce_scalar(self, value):
         """Convert value to this algebra's coefficient type."""
         if self.mode == FLOAT:
-            return float(value)
+            value = float(value)
+            if not math.isfinite(value):
+                raise GrassmannError("non-finite scalar %r" % (value,))
+            return value
         if isinstance(value, float):
             # refuse silent binary-float noise in exact mode
             raise GrassmannError("float scalar %r in rational mode" % (value,))
@@ -109,15 +136,9 @@ class GrassmannAlgebra:
 
     def monomial(self, indices, coeff=1):
         """coeff * t_{i1}^t_{i2}^... for distinct indices in any order."""
-        mask = 0
-        sign = 1
-        for i in indices:
-            bit = 1 << i
-            if mask & bit:
-                return self.zero()
-            if _popcount_above(mask, i) & 1:
-                sign = -sign
-            mask |= bit
+        mask, sign = _sort_sign(indices)
+        if not sign:
+            return self.zero()
         return self.element({mask: sign * self.coerce_scalar(coeff)})
 
     def parse(self, text):
@@ -256,54 +277,97 @@ class GrassmannElement:
 def gmul(x, y):
     """Product in the Grassmann algebra.
 
-    e_S * e_T = 0 when S and T intersect, else sign(S,T) * e_{S union T}.
+    e_S * e_T = 0 when S and T intersect, else sign(S,T) * e_{S union T},
+    with the sign read off one popcount (see the module docstring).
     """
     x._check_compatible(y)
+    right = [(t, ct, _below_parity(t)) for t, ct in y.terms.items()]
     terms = {}
+    get = terms.get
     for s, cs in x.terms.items():
-        for t, ct in y.terms.items():
+        for t, ct, p in right:
             if s & t:
                 continue
-            c = cs * ct * _mul_sign(s, t)
             m = s | t
-            total = terms.get(m, 0) + c
-            if total == 0:
-                terms.pop(m, None)
+            if (s & p).bit_count() & 1:
+                terms[m] = get(m, 0) - cs * ct
             else:
-                terms[m] = total
-    return GrassmannElement(x.algebra, terms)
+                terms[m] = get(m, 0) + cs * ct
+    return GrassmannElement(x.algebra, {m: c for m, c in terms.items() if c})
 
 
-def _soul_powers(x):
-    """Yield (k, soul**k) for k = 1, 2, ... until the power vanishes."""
-    s = x.soul
-    power = s
-    k = 1
-    while not power.is_zero():
-        yield k, power
-        power = gmul(power, s)
+def _series(x, coefficients):
+    """sum_k c_k u**k, u = soul/body, for an even x; coefficients yields c_0, c_1, ...
+
+    Dividing the soul by the body keeps the powers of u as large as the
+    relative soul, whatever the size of the body, so float powers do not
+    overflow while their coefficients underflow.  An even soul has no term
+    below degree 2, so u**k vanishes once 2k exceeds the number of
+    generators; the powers stop there or at the first zero power.
+    """
+    alg = x.algebra
+    b = x.body
+    u = GrassmannElement(alg, {m: c / b for m, c in x.terms.items() if m})
+    terms = {0: alg.coerce_scalar(next(coefficients))}
+    power = u
+    last = alg.num_generators // 2
+    for k in range(1, last + 1):
+        if not power.terms:
+            break
+        c = alg.coerce_scalar(next(coefficients))
+        for m, v in power.terms.items():
+            terms[m] = terms.get(m, 0) + c * v
+        if k < last:
+            power = gmul(power, u)
+    return GrassmannElement(alg, {m: c for m, c in terms.items() if c})
+
+
+def _binomial(root, alpha):
+    """Yield root * C(alpha, k) for k = 0, 1, ...: the coefficients of
+    b**alpha (1 + u)**alpha, given root = b**alpha."""
+    c = root
+    k = 0
+    while True:
+        yield c
+        c = c * (alpha - k) / (k + 1)
         k += 1
+
+
+def _check_even(x, what):
+    if not x.is_even():
+        raise GrassmannError("%s requires even parity, got %s" % (what, x))
+
+
+def _body_root(x, what):
+    """sqrt(body) of an even x with positive body.
+
+    In rational mode the body must be the square of a rational.
+    """
+    _check_even(x, what)
+    b = x.body
+    if b <= 0:
+        raise GrassmannError("%s requires positive body, got %s" % (what, b))
+    if x.algebra.mode == FLOAT:
+        return math.sqrt(b)
+    p, q = b.numerator, b.denominator
+    rp, rq = math.isqrt(p), math.isqrt(q)
+    if rp * rp != p or rq * rq != q:
+        raise GrassmannError("body %s is not a square of a rational; "
+                             "use float mode" % (b,))
+    return Fraction(rp, rq)
 
 
 def ginv(x):
     """Multiplicative inverse of an even element with nonzero body.
 
-    Geometric series (1/b) * sum_k (-s/b)**k, exact by nilpotency.
+    Binomial series (1/b) * sum_k (-s/b)**k, exact by nilpotency.
     """
-    if not x.is_even():
-        raise GrassmannError("inverse requires even parity, got %s" % (x,))
+    _check_even(x, "inverse")
     b = x.body
     if b == 0:
         raise GrassmannError("zero body: %s is not invertible" % (x,))
-    alg = x.algebra
-    inv_b = (1.0 / b) if alg.mode == FLOAT else Fraction(1) / b
-    result = alg.scalar(inv_b)
-    sign = 1
-    for k, power in _soul_powers(x):
-        sign = -sign
-        coeff = sign * inv_b ** (k + 1)
-        result = result + power * coeff
-    return result
+    return _series(x, _binomial(1 / b, -1))
+
 
 def gsqrt(x):
     """Square root with positive body of an even element.
@@ -312,31 +376,27 @@ def gsqrt(x):
     the body must be the square of a rational, otherwise an error is
     raised (switch the algebra to float mode for generic bodies).
     """
-    if not x.is_even():
-        raise GrassmannError("square root requires even parity, got %s" % (x,))
-    b = x.body
-    if b <= 0:
-        raise GrassmannError("square root requires positive body, got %s" % (b,))
-    alg = x.algebra
-    if alg.mode == RATIONAL:
-        p, q = b.numerator, b.denominator
-        rp, rq = math.isqrt(p), math.isqrt(q)
-        if rp * rp != p or rq * rq != q:
-            raise GrassmannError("body %s is not a square of a rational; "
-                                 "use float mode" % (b,))
-        sqrt_b = Fraction(rp, rq)
-        half = Fraction(1, 2)
-        inv_b = Fraction(1) / b
-    else:
-        sqrt_b = math.sqrt(b)
-        half = 0.5
-        inv_b = 1.0 / b
-    result = alg.scalar(sqrt_b)
-    binom = 1  # running C(1/2, k)
-    for k, power in _soul_powers(x):
-        binom = binom * (half - (k - 1)) / k
-        result = result + power * (sqrt_b * binom * inv_b ** k)
-    return result
+    root = _body_root(x, "square root")
+    return _series(x, _binomial(root, Fraction(1, 2)))
+
+
+def ginvsqrt(x):
+    """Inverse square root, x**(-1/2) with positive body, of an even element.
+
+    Binomial series (1/sqrt(b)) * sum_k C(-1/2, k) (s/b)**k; the same
+    parity, body and rational-square rules as gsqrt.
+    """
+    root = _body_root(x, "inverse square root")
+    return _series(x, _binomial(1 / root, Fraction(-1, 2)))
+
+
+def _log_coefficients(log_b):
+    """Yield log(b), then (-1)**(k+1) / k for k = 1, 2, ..."""
+    yield log_b
+    k = 0
+    while True:
+        k += 1
+        yield Fraction((-1) ** (k + 1), k)
 
 
 def glog(x):
@@ -346,31 +406,16 @@ def glog(x):
     exact when the body equals 1 (log 1 = 0); any other body requires
     float mode.
     """
-    if not x.is_even():
-        raise GrassmannError("logarithm requires even parity, got %s" % (x,))
+    _check_even(x, "logarithm")
     b = x.body
     if b <= 0:
         raise GrassmannError("logarithm requires positive body, got %s" % (b,))
-    alg = x.algebra
-    if alg.mode == RATIONAL:
-        if b != 1:
-            raise GrassmannError("log of body %s is irrational; use float mode "
-                                 "(rational mode needs body 1)" % (b,))
-        log_b = Fraction(0)
-        inv_b = Fraction(1)
-    else:
-        log_b = math.log(b)
-        inv_b = 1.0 / b
-    result = alg.scalar(log_b)
-    sign = -1
-    for k, power in _soul_powers(x):
-        sign = -sign
-        if alg.mode == RATIONAL:
-            coeff = Fraction(sign, k) * inv_b ** k
-        else:
-            coeff = sign * inv_b ** k / k
-        result = result + power * coeff
-    return result
+    if x.algebra.mode == FLOAT:
+        return _series(x, _log_coefficients(math.log(b)))
+    if b != 1:
+        raise GrassmannError("log of body %s is irrational; use float mode "
+                             "(rational mode needs body 1)" % (b,))
+    return _series(x, _log_coefficients(Fraction(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +451,31 @@ _NUMBER_RE = re.compile(r"\d+/\d+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _GEN_RE = re.compile(r"t(\d+)")
 
 
+def _parse_number(algebra, num):
+    """A coefficient literal, read once into the algebra's scalar type."""
+    try:
+        if algebra.mode == RATIONAL:
+            return Fraction(num)
+        value = float(Fraction(num)) if "/" in num else float(num)
+    except ZeroDivisionError:
+        raise GrassmannError("zero denominator in %r" % (num,)) from None
+    if not math.isfinite(value):
+        raise GrassmannError("non-finite coefficient %r" % (num,))
+    return value
+
+
 def parse_element(algebra, text):
     """Parse the textual element format back into an element.
 
     Accepts what render_element produces, plus bare monomials with an
-    implicit coefficient 1, e.g. "t0" or "2*t0^t1 - t2".
+    implicit coefficient 1, e.g. "t0" or "2*t0^t1 - t2".  Float mode
+    reads a/b as the float nearest to the fraction.
     """
     s = text.strip()
     if not s:
         raise GrassmannError("empty element text")
+    one = 1.0 if algebra.mode == FLOAT else Fraction(1)
+    limit = 1 << algebra.num_generators
     terms = {}
     pos = 0
     n = len(s)
@@ -430,13 +491,7 @@ def parse_element(algebra, text):
         coeff = None
         m = _NUMBER_RE.match(s, pos)
         if m:
-            num = m.group(0)
-            try:
-                coeff = float(num) if algebra.mode == FLOAT else Fraction(num)
-            except ValueError as exc:  # a fraction in float mode
-                raise GrassmannError(str(exc)) from None
-            except ZeroDivisionError:
-                raise GrassmannError("zero denominator in %r" % (num,)) from None
+            coeff = _parse_number(algebra, m.group(0))
             pos = m.end()
             while pos < n and s[pos] in " \t":
                 pos += 1
@@ -464,9 +519,15 @@ def parse_element(algebra, text):
                     break
         if coeff is None and not indices:
             raise GrassmannError("expected term at position %d of %r" % (pos, text))
-        if coeff is None:
-            coeff = algebra.coerce_scalar(1)
-        term = algebra.monomial(indices, coeff) if indices else algebra.scalar(coeff)
-        for mask, c in term.terms.items():
-            terms[mask] = terms.get(mask, 0) + sign * c
-    return algebra.element(terms)
+        mask, order_sign = _sort_sign(indices)
+        if mask >= limit:
+            raise GrassmannError("monomial %d outside algebra on %d generators"
+                                 % (mask, algebra.num_generators))
+        sign *= order_sign
+        if sign:
+            c = one if coeff is None else coeff
+            terms[mask] = terms.get(mask, 0) + (c if sign > 0 else -c)
+    terms = {m: c for m, c in terms.items() if c}
+    if algebra.mode == FLOAT and not all(map(math.isfinite, terms.values())):
+        raise GrassmannError("coefficient sum overflows in %r" % (text,))
+    return GrassmannElement(algebra, terms)

@@ -208,8 +208,52 @@ def test_zero_denominator_is_bad_input(capsys, tmp_path):
     bad = tmp_path / "zero.fg"
     bad.write_text((DATA / "torus.fg").read_text() + "lambda 0: 1/0\n")
     for mode, reason in (("rational", "zero denominator in '1/0'"),
-                         ("float", "could not convert string to float: '1/0'")):
+                         ("float", "zero denominator in '1/0'")):
         code, out, err = run(capsys, "flip", str(bad), "--edges", "1", "--mode", mode)
         assert code == 2
         assert out == ""
         assert err == "error: line 7: bad lambda value: %s\n" % reason
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_check_rejects_non_finite_or_non_positive_tol(capsys, tol):
+    code, out, err = run(capsys, "check", "involution", str(DATA / "sphere4.fg"),
+                         "--mode", "float", "--cases", "1", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --tol must be finite and positive")
+
+
+def test_non_finite_tolerance_env_var_is_bad_input(capsys, monkeypatch):
+    monkeypatch.setenv("SUPERPENNER_TOL", "nan")
+    code, out, err = run(capsys, "check", "involution", str(DATA / "sphere4.fg"),
+                         "--mode", "float", "--cases", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: SUPERPENNER_TOL must be finite and positive, got nan\n"
+
+
+def test_rational_flip_output_reloads_in_float_mode(capsys, tmp_path):
+    code, out, _ = run(capsys, "flip", str(DATA / "sphere4_345.fg"),
+                       "--edges", "0", "--mode", "rational")
+    assert code == 0
+    assert "mu v0: -3/5*t0 + 4/5*t1" in out
+    state = load_state(out, mode="float")
+    alg = state.algebra
+    assert state.mu[0] == alg.parse("-0.6*t0 + 0.8*t1")
+    assert state.lam[0] == alg.parse("25 - 12*t0^t1")
+    doc = tmp_path / "ninths.fg"
+    doc.write_text((DATA / "sphere4.fg").read_text() + "lambda 0: 9/16\n")
+    code, out, _ = run(capsys, "flip", str(doc), "--edges", "0,0", "--mode", "float")
+    assert code == 0
+    assert abs(load_state(out, mode="float").lam[0].body - 0.5625) < 1e-12
+
+
+@pytest.mark.parametrize("value", ["1e999", "1 + 1e400*t0^t1"])
+def test_non_finite_coefficient_is_bad_input(capsys, tmp_path, value):
+    bad = tmp_path / "huge.fg"
+    bad.write_text((DATA / "torus.fg").read_text() + "lambda 0: %s\n" % value)
+    code, out, err = run(capsys, "flip", str(bad), "--edges", "1", "--mode", "float")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 7: bad lambda value: non-finite coefficient")

@@ -64,6 +64,34 @@ def test_super_ptolemy_worked_example():
     rhs = ((state.lam[q.a] * state.lam[q.c] + state.lam[q.b] * state.lam[q.d])
            * (1 + gmul(sigma, theta) * gsqrt(chi) * ginv(1 + chi)))
     assert gmul(state.lam[0], flipped.lam[0]) == rhs
+    assert_matches_two_root_form(state, 0, flipped, record)
+
+
+def assert_matches_two_root_form(state, e, flipped, record):
+    """The flip equals the formulas with 1/sqrt(1 + chi) = ginv(gsqrt(1 + chi))."""
+    mu = dict(state.mu)
+    for v in record.reflections_applied:
+        mu[v] = -mu[v]
+    theta, sigma = mu[record.tail_vertex], mu[record.head_vertex]
+    la, lb, lc, ld = (state.lam[i] for i in (record.a, record.b, record.c, record.d))
+    ac, bd = la * lc, lb * ld
+    chi = ac * ginv(bd)
+    sqrt_chi = gsqrt(chi)
+    inv_sqrt_1chi = ginv(gsqrt(1 + chi))
+    f = ginv(state.lam[e]) * (ac + bd) * (1 + sigma * theta * sqrt_chi * ginv(1 + chi))
+    assert flipped.lam[e] == f
+    assert flipped.mu[record.tail_vertex] == (sigma - theta * sqrt_chi) * inv_sqrt_1chi
+    assert flipped.mu[record.head_vertex] == (theta + sigma * sqrt_chi) * inv_sqrt_1chi
+
+
+def test_superflip_matches_two_root_form_on_random_states():
+    rng = random.Random(26)
+    for g in (four_punctured_sphere(), genus2_one_puncture()):
+        for _ in range(10):
+            e = rng.choice(generic_edges(g))
+            state = random_decorated_state(g, rng, mode=RATIONAL, square_friendly_edge=e)
+            flipped, record = superflip(state, e)
+            assert_matches_two_root_form(state, e, flipped, record)
 
 
 def test_auto_reflection_negates_theta():
