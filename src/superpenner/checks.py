@@ -19,8 +19,8 @@ from .fatgraph import (NonGenericFlipError, boundary_cycles, find_isomorphisms,
                        flip_quadrilateral, propagate_isomorphism, topology)
 from .grassmann import FLOAT, RATIONAL, GrassmannAlgebra
 from .spin import (OrientationState, brute_force_spin_classes,
-                   enumerate_spin_classes, reflect,
-                   reflection_vertices_between, spin_class_count)
+                   enumerate_spin_classes, reflection_vertices_between,
+                   spin_class_count)
 
 
 class CheckSetupError(ValueError):
@@ -74,8 +74,9 @@ def aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
 
     Finds the isomorphism from the final graph to the initial one that is
     the identity on all half-edges of edges outside touched_edges,
-    transports the final state, applies the reflections aligning the
-    orientation representative (negating the reflected mu-invariants), and
+    transports the final state, takes the initial orientation
+    representative in place of the transported one (negating the
+    mu-invariants at the reflections that carry one onto the other), and
     compares modulo the global odd sign.  False when no such isomorphism
     exists or the spin classes disagree.  When touched_edges covers every
     edge, every isomorphism is tried.
@@ -93,12 +94,10 @@ def aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
         refl = reflection_vertices_between(moved.orientation, initial.orientation)
         if refl is None:
             continue
-        orientation = moved.orientation
         mu = dict(moved.mu)
         for v in refl:
-            orientation = reflect(orientation, v)
             mu[v] = -mu[v]
-        candidate = DecoratedState(gi, orientation, moved.algebra, moved.lam, mu)
+        candidate = DecoratedState(gi, initial.orientation, moved.algebra, moved.lam, mu)
         if states_equal_mod_sign(candidate, initial, tol=tol):
             return True
     return False

@@ -361,16 +361,21 @@ def scan_document(text):
 
 
 def parse_fatgraph(text):
-    """Parse the graph sections of a fatgraph document.
+    """Parse the graph sections of a fatgraph document."""
+    return graph_from_records(scan_document(text))[0]
+
+
+def graph_from_records(records):
+    """(graph, {file edge id: dense edge id}) from scan_document records.
 
     Half-edge tokens and edge ids may be arbitrary non-negative integers;
     both are normalized to dense 0-based ranges (edges by increasing file
-    id, vertices in order of appearance).  Decoration lines are ignored.
+    id, vertices in order of appearance).  Decoration records are ignored.
     """
     raw_vertices = []
     names = []
     raw_edges = []
-    for kind, key, rest, lineno in scan_document(text):
+    for kind, key, rest, lineno in records:
         if kind == "vertex":
             if key in names:
                 raise FatGraphError("line %d: duplicate vertex %r" % (lineno, key))
@@ -410,13 +415,8 @@ def parse_fatgraph(text):
             raise FatGraphError("dangling half-edge %s (in a vertex line but "
                                 "no edge line)" % exc.args[0]) from None
     edges = [tuple(dense[h] for h in pair) for _, pair in raw_edges]
-    return FatGraph(vertices, edges, names)
-
-
-def edge_id_map(text):
-    """Map from file edge ids to the dense ids used by parse_fatgraph."""
-    ids = sorted(int(key) for kind, key, _, _ in scan_document(text) if kind == "edge")
-    return {eid: i for i, eid in enumerate(ids)}
+    id_map = {eid: i for i, (eid, _) in enumerate(raw_edges)}
+    return FatGraph(vertices, edges, names), id_map
 
 
 def render_fatgraph(graph):

@@ -10,7 +10,8 @@ The text format is line-based (# starts a comment):
     mu <vertex_name>: <value>      # optional odd element, default t<index>
 
 Edge ids in orient/lambda lines are the file's edge ids (normalized to a
-dense 0-based range by the parser); mu lines use vertex names.  Element
+dense 0-based range by the parser); mu lines use vertex names.  Each edge
+or vertex takes at most one line of each decoration kind.  Element
 values use the Grassmann text grammar, e.g. "3/4", "2.5", "t0", or
 "1 + 2*t0^t1"; a plain scalar is the common case for lambda.
 """
@@ -18,7 +19,7 @@ values use the Grassmann text grammar, e.g. "3/4", "2.5", "t0", or
 from __future__ import annotations
 
 from .decorated import DecoratedState
-from .fatgraph import FatGraphError, edge_id_map, parse_fatgraph, render_fatgraph, scan_document
+from .fatgraph import FatGraphError, graph_from_records, render_fatgraph, scan_document
 from .grassmann import RATIONAL, GrassmannAlgebra, GrassmannError
 from .spin import OrientationState
 
@@ -27,10 +28,11 @@ def load_state(text, mode=RATIONAL):
     """Parse a full document into a DecoratedState.
 
     The algebra has one generator per vertex in the given scalar mode.
-    Missing decoration sections fall back to their defaults.
+    Missing decoration sections fall back to their defaults; a second line
+    for the same edge or vertex is an error.
     """
-    graph = parse_fatgraph(text)
-    id_map = edge_id_map(text)
+    records = scan_document(text)
+    graph, id_map = graph_from_records(records)
     name_index = {name: i for i, name in enumerate(graph.vertex_names)}
     algebra = GrassmannAlgebra(graph.num_vertices, mode)
 
@@ -38,27 +40,32 @@ def load_state(text, mode=RATIONAL):
     lam = {e: algebra.one() for e in range(graph.num_edges)}
     mu = {v: algebra.gen(v) for v in range(graph.num_vertices)}
 
-    for kind, key, rest, lineno in scan_document(text):
-        if kind == "orient":
-            e = _edge_key(key, id_map, lineno)
-            if rest not in ("+", "-"):
-                raise FatGraphError("line %d: orient value must be + or -, got %r"
-                                    % (lineno, rest))
-            signs[e] = 1 if rest == "+" else -1
-        elif kind == "lambda":
-            e = _edge_key(key, id_map, lineno)
-            try:
-                lam[e] = algebra.parse(rest)
-            except GrassmannError as exc:
-                raise FatGraphError("line %d: bad lambda value: %s" % (lineno, exc)) from None
+    seen = set()
+    for kind, key, rest, lineno in records:
+        if kind in ("orient", "lambda"):
+            target = _edge_key(key, id_map, lineno)
         elif kind == "mu":
             if key not in name_index:
                 raise FatGraphError("line %d: unknown vertex %r in mu line"
                                     % (lineno, key))
+            target = name_index[key]
+        else:
+            continue
+        if (kind, target) in seen:
+            raise FatGraphError("line %d: duplicate %s %s" % (lineno, kind, key))
+        seen.add((kind, target))
+        if kind == "orient":
+            if rest not in ("+", "-"):
+                raise FatGraphError("line %d: orient value must be + or -, got %r"
+                                    % (lineno, rest))
+            signs[target] = 1 if rest == "+" else -1
+        else:
             try:
-                mu[name_index[key]] = algebra.parse(rest)
+                value = algebra.parse(rest)
             except GrassmannError as exc:
-                raise FatGraphError("line %d: bad mu value: %s" % (lineno, exc)) from None
+                raise FatGraphError("line %d: bad %s value: %s"
+                                    % (lineno, kind, exc)) from None
+            (lam if kind == "lambda" else mu)[target] = value
     orientation = OrientationState(graph, signs)
     return DecoratedState(graph, orientation, algebra, lam, mu)
 

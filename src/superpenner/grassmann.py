@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 RATIONAL = "rational"
@@ -29,15 +30,19 @@ class GrassmannError(ValueError):
     """Domain error: parity, invertibility, scalar mode, algebra mismatch."""
 
 
-def _sort_sign(indices):
+def _sort_sign(indices, num_generators):
     """(mask, sign) with t_i1 ^ t_i2 ^ ... = sign * e_mask.
 
     sign is -1 for an odd number of inversions among the indices, and 0
-    when an index repeats.
+    when an index repeats.  Each index is range-checked before it is
+    shifted, so a huge index never builds a huge mask.
     """
     mask = 0
     sign = 1
     for i in indices:
+        if not 0 <= i < num_generators:
+            raise GrassmannError("no generator t%d in algebra on %d generators"
+                                 % (i, num_generators))
         bit = 1 << i
         if mask & bit:
             sign = 0
@@ -129,14 +134,11 @@ class GrassmannAlgebra:
 
     def gen(self, i):
         """The i-th generator t<i>."""
-        if not 0 <= i < self.num_generators:
-            raise GrassmannError("no generator t%d in algebra on %d generators"
-                                 % (i, self.num_generators))
-        return self.element({1 << i: 1})
+        return self.monomial([i])
 
     def monomial(self, indices, coeff=1):
         """coeff * t_{i1}^t_{i2}^... for distinct indices in any order."""
-        mask, sign = _sort_sign(indices)
+        mask, sign = _sort_sign(indices, self.num_generators)
         if not sign:
             return self.zero()
         return self.element({mask: sign * self.coerce_scalar(coeff)})
@@ -447,18 +449,36 @@ def render_element(x):
     return " ".join(parts)
 
 
-_NUMBER_RE = re.compile(r"\d+/\d+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+# one term: a sign run (required before every term but the first), then a
+# coefficient, a monomial, or both joined by '*'
+_TERM_RE = re.compile(r"""
+    (?P<signs>[ \t]*[-+][-+ \t]*)?
+    (?P<coeff>\d+/\d+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)?
+    (?P<star>[ \t]*\*[ \t]*)?
+    (?P<mono>t\d+(?:[ \t]*\^[ \t]*t\d+)*)?
+    """, re.VERBOSE)
 _GEN_RE = re.compile(r"t(\d+)")
 
 
 def _parse_number(algebra, num):
-    """A coefficient literal, read once into the algebra's scalar type."""
+    """A coefficient literal, read once into the algebra's scalar type.
+
+    Exponents and digit runs are held to the interpreter's limit on
+    integer digit strings, so no literal stalls the parser.
+    """
+    limit = sys.get_int_max_str_digits()
+    exponent = num.lower().partition("e")[2]
+    if exponent and 0 < limit < abs(float(exponent)):
+        raise GrassmannError("exponent of %r is beyond %d" % (num, limit))
     try:
         if algebra.mode == RATIONAL:
             return Fraction(num)
         value = float(Fraction(num)) if "/" in num else float(num)
     except ZeroDivisionError:
         raise GrassmannError("zero denominator in %r" % (num,)) from None
+    except ValueError:  # a digit run longer than the interpreter converts
+        raise GrassmannError("numeral of %d characters has a digit run longer than %d"
+                             % (len(num), limit)) from None
     if not math.isfinite(value):
         raise GrassmannError("non-finite coefficient %r" % (num,))
     return value
@@ -468,65 +488,33 @@ def parse_element(algebra, text):
     """Parse the textual element format back into an element.
 
     Accepts what render_element produces, plus bare monomials with an
-    implicit coefficient 1, e.g. "t0" or "2*t0^t1 - t2".  Float mode
-    reads a/b as the float nearest to the fraction.
+    implicit coefficient 1, e.g. "t0" or "2*t0^t1 - t2".  Terms are
+    joined by '+' or '-'; '*' joins a coefficient to its monomial.  Float
+    mode reads a/b as the float nearest to the fraction.
     """
     s = text.strip()
     if not s:
         raise GrassmannError("empty element text")
     one = 1.0 if algebra.mode == FLOAT else Fraction(1)
-    limit = 1 << algebra.num_generators
     terms = {}
     pos = 0
-    n = len(s)
-    while pos < n:
-        # sign / separator
-        sign = 1
-        while pos < n and s[pos] in "+- \t":
-            if s[pos] == "-":
-                sign = -sign
-            pos += 1
-        if pos >= n:
-            raise GrassmannError("dangling sign in %r" % (text,))
-        coeff = None
-        m = _NUMBER_RE.match(s, pos)
-        if m:
-            coeff = _parse_number(algebra, m.group(0))
-            pos = m.end()
-            while pos < n and s[pos] in " \t":
-                pos += 1
-            if pos < n and s[pos] == "*":
-                pos += 1
-                while pos < n and s[pos] in " \t":
-                    pos += 1
-            elif pos < n and s[pos] == "t":
-                raise GrassmannError("missing '*' before monomial in %r" % (text,))
-        indices = []
-        if pos < n and s[pos] == "t":
-            while True:
-                mt = _GEN_RE.match(s, pos)
-                if not mt:
-                    raise GrassmannError("bad monomial at %r" % (s[pos:],))
-                indices.append(int(mt.group(1)))
-                pos = mt.end()
-                while pos < n and s[pos] in " \t":
-                    pos += 1
-                if pos < n and s[pos] == "^":
-                    pos += 1
-                    while pos < n and s[pos] in " \t":
-                        pos += 1
-                else:
-                    break
-        if coeff is None and not indices:
-            raise GrassmannError("expected term at position %d of %r" % (pos, text))
-        mask, order_sign = _sort_sign(indices)
-        if mask >= limit:
-            raise GrassmannError("monomial %d outside algebra on %d generators"
-                                 % (mask, algebra.num_generators))
-        sign *= order_sign
+    while pos < len(s):
+        term = _TERM_RE.match(s, pos)
+        signs, num, star, mono = term.groups()
+        if (pos and not signs) or not (num or mono) or bool(num and mono) != bool(star):
+            raise GrassmannError("expected term at position %d of %r" % (pos, s))
+        c = one if num is None else _parse_number(algebra, num)
+        try:
+            indices = list(map(int, _GEN_RE.findall(mono or "")))
+        except ValueError:  # an index longer than the interpreter converts
+            raise GrassmannError("generator index with more than %d digits"
+                                 % sys.get_int_max_str_digits()) from None
+        mask, sign = _sort_sign(indices, algebra.num_generators)
+        if signs and signs.count("-") & 1:
+            sign = -sign
         if sign:
-            c = one if coeff is None else coeff
             terms[mask] = terms.get(mask, 0) + (c if sign > 0 else -c)
+        pos = term.end()
     terms = {m: c for m, c in terms.items() if c}
     if algebra.mode == FLOAT and not all(map(math.isfinite, terms.values())):
         raise GrassmannError("coefficient sum overflows in %r" % (text,))

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -257,3 +258,19 @@ def test_non_finite_coefficient_is_bad_input(capsys, tmp_path, value):
     assert code == 2
     assert out == ""
     assert err.startswith("error: line 7: bad lambda value: non-finite coefficient")
+
+
+@pytest.mark.parametrize("line", ["mu A: t20000", "mu A: t" + "1" * 5000,
+                                  "lambda 0: 1e10000000", "lambda 0: " + "1" * 5000,
+                                  "lambda 0: 1 2"],
+                         ids=["index", "long-index", "exponent", "long-numeral",
+                              "juxtaposed"])
+def test_oversized_or_juxtaposed_values_are_bad_input(capsys, tmp_path, line):
+    bad = tmp_path / "bad.fg"
+    bad.write_text((DATA / "torus.fg").read_text() + line + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "info", str(bad))
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 7: bad %s value: " % line.split()[0])

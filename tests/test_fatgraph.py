@@ -3,9 +3,10 @@ import pytest
 from superpenner.catalog import (four_punctured_sphere, genus1_two_punctures,
                                  genus2_one_puncture, punctured_torus, theta_graph)
 from superpenner.fatgraph import (FatGraph, FatGraphError, NonGenericFlipError,
-                                  boundary_cycles, edge_id_map, find_isomorphisms,
-                                  flip_quadrilateral, parse_fatgraph,
-                                  render_fatgraph, topology, whitehead_flip)
+                                  boundary_cycles, find_isomorphisms,
+                                  flip_quadrilateral, graph_from_records,
+                                  parse_fatgraph, render_fatgraph, scan_document,
+                                  topology, whitehead_flip)
 
 TORUS_FILE = """\
 fatgraph v1
@@ -88,7 +89,7 @@ edge 12: 40 41
     assert g.edges == ((2, 3), (0, 1), (4, 5))
     assert topology(g) == (1, 1, 3, 2)
     assert find_isomorphisms(g, punctured_torus())
-    assert edge_id_map(sparse) == {3: 0, 7: 1, 12: 2}
+    assert graph_from_records(scan_document(sparse))[1] == {3: 0, 7: 1, 12: 2}
 
 
 def test_render_parse_roundtrip():

@@ -89,3 +89,11 @@ orient 2: -
     # file ids sort as 2 < 5 < 9 -> dense 0, 1, 2
     assert state.lam[2].body == 7
     assert state.orientation.signs == (-1, 1, 1)
+
+
+@pytest.mark.parametrize("line", ["orient 1: -", "lambda 1: 2", "lambda 01: 2", "mu A: t1"])
+def test_duplicate_decoration_lines_rejected(line):
+    text = ((DATA / "torus.fg").read_text() + "orient 1: +\nlambda 1: 3\nmu A: t0\n"
+            + line + "\n")
+    with pytest.raises(FatGraphError, match="line 10: duplicate %s " % line.split()[0]):
+        load_state(text)

@@ -309,6 +309,83 @@ def test_gsqrt_of_square(y):
     assert gsqrt(x) == y
 
 
+# -- text grammar ----------------------------------------------------------------
+
+F6 = GrassmannAlgebra(6, FLOAT)
+SPACE = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([A6, F6]).flatmap(lambda alg: elements(alg, max_terms=8)))
+def test_parse_inverts_render(x):
+    assert x.algebra.parse(str(x)) == x
+
+
+@st.composite
+def spelled_elements(draw):
+    """(algebra, text, element): free spacing around signs, '*' and '^',
+    sign runs, bare monomials and implicit coefficients; the element is
+    built term by term with GrassmannAlgebra.monomial."""
+    alg = draw(st.sampled_from([A6, F6]))
+    terms = draw(st.lists(st.tuples(
+        st.lists(st.sampled_from("+-"), max_size=3),
+        st.none() | st.integers(min_value=0, max_value=99).map(lambda k: Fraction(k, 4)),
+        st.lists(st.integers(min_value=0, max_value=5), max_size=3)),
+        min_size=1, max_size=5))
+    text = draw(SPACE)
+    expected = alg.zero()
+    for k, (signs, coeff, indices) in enumerate(terms):
+        if k and not signs:
+            signs = ["+"]
+        if coeff is None and not indices:
+            coeff = Fraction(1)
+        text += "".join(draw(SPACE) + sign + draw(SPACE) for sign in signs)
+        if coeff is not None:
+            text += draw(st.sampled_from([str(coeff), repr(float(coeff))]))
+            if indices:
+                text += draw(SPACE) + "*" + draw(SPACE)
+        text += "".join((draw(SPACE) + "^" + draw(SPACE) if j else "") + "t%d" % i
+                        for j, i in enumerate(indices))
+        sign = -1 if signs.count("-") % 2 else 1
+        expected = expected + alg.monomial(indices, sign * (1 if coeff is None else coeff))
+    return alg, text + draw(SPACE), expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(spelled_elements())
+def test_parse_accepts_spacing_and_sign_variants(case):
+    alg, text, expected = case
+    assert alg.parse(text) == expected
+
+
+@pytest.mark.parametrize("text", ["1 2", "t0 t1", "t0t1", "3/4 1/4", "2t0", "2*", "1 + 2*"])
+def test_parse_rejects_terms_without_an_operator(text):
+    for alg in (A4, F4):
+        with pytest.raises(GrassmannError, match="expected term at position"):
+            alg.parse(text)
+
+
+@settings(max_examples=500)
+@given(st.sampled_from([A6, F6]), st.text(alphabet="t0123456789+-*^/.eE \t", max_size=40))
+def test_parse_accepts_or_raises_grassmann_error(alg, text):
+    # default deadline: a slow exponent or index path fails here instead of stalling
+    try:
+        x = alg.parse(text)
+    except GrassmannError:
+        return
+    assert alg.parse(str(x)) == x
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1e-10000000", "2 + 1" + "0" * 5000,
+                                  "t20000", "t999999999", "t" + "1" * 5000],
+                         ids=["exponent", "negative-exponent", "long-numeral",
+                              "index", "large-index", "long-index"])
+def test_parse_bounds_numerals_and_indices(text):
+    for alg in (A4, F4):
+        with pytest.raises(GrassmannError):
+            alg.parse(text)
+
+
 # -- kernel oracles --------------------------------------------------------------
 # Per-bit sign product and the per-function series loops, kept here as the
 # reference that gmul and the shared series evaluator must match exactly.
