@@ -23,8 +23,7 @@ relabeling of the underlying graph).
 
 from __future__ import annotations
 
-from .grassmann import (RATIONAL, GrassmannAlgebra, GrassmannError, ginv, ginvsqrt,
-                        glog, gsqrt)
+from .grassmann import RATIONAL, GrassmannAlgebra, GrassmannError, chi_roots, ginv, glog
 from .fatgraph import boundary_cycles, flip_quadrilateral, topology
 from .spin import OrientationState, SpinError, flip_orientation
 
@@ -84,6 +83,8 @@ def superflip(state, e):
     the formulas are applied.  In rational mode the square roots of chi
     and 1 + chi must exist (square bodies) unless both quadrilateral
     mu-invariants vanish, in which case the flip is purely classical.
+    r = 1/sqrt(1 + chi), sqrt(chi) r and sqrt(chi) r**2 come from one chain
+    of powers of chi (chi_roots).
     """
     new_orientation, record = flip_orientation(state.orientation, e)
 
@@ -100,13 +101,10 @@ def superflip(state, e):
         f = ginv(le) * (ac + bd)
         nu = mu_new = state.algebra.zero()
     else:
-        chi = ac * ginv(bd)
-        sqrt_chi = gsqrt(chi)
-        inv_sqrt_1chi = ginvsqrt(1 + chi)
-        correction = sigma * theta * sqrt_chi * (inv_sqrt_1chi * inv_sqrt_1chi)
-        f = ginv(le) * (ac + bd) * (1 + correction)
-        nu = (sigma - theta * sqrt_chi) * inv_sqrt_1chi
-        mu_new = (theta + sigma * sqrt_chi) * inv_sqrt_1chi
+        r, sqrt_chi_r, sqrt_chi_r2 = chi_roots(ac * ginv(bd))
+        f = ginv(le) * (ac + bd) * (1 + sigma * theta * sqrt_chi_r2)
+        nu = sigma * r - theta * sqrt_chi_r
+        mu_new = theta * r + sigma * sqrt_chi_r
 
     lam = dict(state.lam)
     lam[e] = f

@@ -29,7 +29,8 @@ def load_state(text, mode=RATIONAL):
 
     The algebra has one generator per vertex in the given scalar mode.
     Missing decoration sections fall back to their defaults; a second line
-    for the same edge or vertex is an error.
+    for the same edge or vertex is an error, and so is a lambda that is
+    not even with positive body or a mu that is not odd.
     """
     records = scan_document(text)
     graph, id_map = graph_from_records(records)
@@ -65,6 +66,12 @@ def load_state(text, mode=RATIONAL):
             except GrassmannError as exc:
                 raise FatGraphError("line %d: bad %s value: %s"
                                     % (lineno, kind, exc)) from None
+            if kind == "lambda" and not (value.is_even() and value.body > 0):
+                raise FatGraphError("line %d: lambda %s must be even with positive "
+                                    "body, got %s" % (lineno, key, value))
+            if kind == "mu" and not value.is_odd():
+                raise FatGraphError("line %d: mu %s must be odd, got %s"
+                                    % (lineno, key, value))
             (lam if kind == "lambda" else mu)[target] = value
     orientation = OrientationState(graph, signs)
     return DecoratedState(graph, orientation, algebra, lam, mu)

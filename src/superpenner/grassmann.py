@@ -13,6 +13,21 @@ counts the pairs i in S, j in T with i > j.  Bit i of the mask P(T) is the
 parity of the bits of T below i (for i at or above T.bit_length() it is
 the parity of all of T), so k is odd exactly when (S & P(T)).bit_count()
 is odd: one popcount per term pair.
+
+Product paths: gmul takes each left term s on one of two paths.  When s
+can meet no more monomials than the right operand y has terms, that is
+1 << (n - |s|) <= len(y.terms), it walks the cached disjoint row of s --
+the monomials disjoint from s, as two int tuples split by the sign of
+e_s * e_t -- and looks each one up in y.  Otherwise it scans y and skips
+the terms that meet s.  On dense operands most pairs overlap (about 91 %
+in the flips of dense V = 6 and 8 states), and the row path never visits
+them.  A row is built only when it is no longer than y, so sparse
+products, such as one-term scalars on 128 generators, build none.  Each
+monomial of the product still receives its contributions in left-term
+order on both paths, so rational results do not depend on the path.
+Rows are kept per (n, s) for the life of the process; all 2**n rows on n
+generators hold 3**n entries, 81 KiB at n = 8 and 657 KiB at n = 10
+(tracemalloc, CPython 3.11).
 """
 
 from __future__ import annotations
@@ -21,6 +36,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -276,17 +292,63 @@ class GrassmannElement:
 # core operations
 
 
+# num_generators -> {s: (plus, minus)}: the monomials t disjoint from s,
+# split by the sign of e_s * e_t.  Rows share one int object per monomial.
+_DISJOINT_ROWS = {}
+_ROW_MONOMIALS = {}
+
+
+def _disjoint_row(n, s):
+    free = ((1 << n) - 1) & ~s
+    plus, minus = [], []
+    shared = _ROW_MONOMIALS.setdefault
+    t = free
+    while True:   # every submask of free, largest first
+        (minus if (s & _below_parity(t)).bit_count() & 1 else plus).append(shared(t, t))
+        if not t:
+            break
+        t = (t - 1) & free
+    return tuple(plus), tuple(minus)
+
+
 def gmul(x, y):
     """Product in the Grassmann algebra.
 
     e_S * e_T = 0 when S and T intersect, else sign(S,T) * e_{S union T},
-    with the sign read off one popcount (see the module docstring).
+    with the sign read off one popcount (see the module docstring).  A
+    left term that can meet no more monomials than y has terms looks its
+    partners up in y through its cached disjoint row; any other left term
+    scans y.
     """
     x._check_compatible(y)
-    right = [(t, ct, _below_parity(t)) for t, ct in y.terms.items()]
+    n = x.algebra.num_generators
+    yterms = y.terms
+    yget = yterms.get
+    # 1 << (n - s.bit_count()) <= len(y.terms) exactly when s has this weight
+    row_weight = n + 1 - len(yterms).bit_length()
+    rows = _DISJOINT_ROWS.setdefault(n, {})
+    right = None
     terms = {}
     get = terms.get
     for s, cs in x.terms.items():
+        if s.bit_count() >= row_weight:
+            row = rows.get(s)
+            if row is None:
+                row = rows[s] = _disjoint_row(n, s)
+            plus, minus = row
+            for t in plus:
+                ct = yget(t)
+                if ct is not None:
+                    m = s | t
+                    terms[m] = get(m, 0) + cs * ct
+            for t in minus:
+                ct = yget(t)
+                if ct is not None:
+                    m = s | t
+                    terms[m] = get(m, 0) - cs * ct
+            continue
+        if right is None:
+            right = [(t, ct, _below_parity(t)) for t, ct in yterms.items()]
         for t, ct, p in right:
             if s & t:
                 continue
@@ -298,30 +360,34 @@ def gmul(x, y):
     return GrassmannElement(x.algebra, {m: c for m, c in terms.items() if c})
 
 
-def _series(x, coefficients):
-    """sum_k c_k u**k, u = soul/body, for an even x; coefficients yields c_0, c_1, ...
+def _series(x, *coefficients):
+    """[sum_k c_k u**k for each sequence], u = soul/body, for an even x.
 
-    Dividing the soul by the body keeps the powers of u as large as the
-    relative soul, whatever the size of the body, so float powers do not
-    overflow while their coefficients underflow.  An even soul has no term
-    below degree 2, so u**k vanishes once 2k exceeds the number of
-    generators; the powers stop there or at the first zero power.
+    Each of coefficients yields c_0, c_1, ...; all sums share one chain of
+    powers of u.  Dividing the soul by the body keeps the powers of u as
+    large as the relative soul, whatever the size of the body, so float
+    powers do not overflow while their coefficients underflow.  An even
+    soul has no term below degree 2, so u**k vanishes once 2k exceeds the
+    number of generators; the powers stop there or at the first zero power.
     """
     alg = x.algebra
     b = x.body
     u = GrassmannElement(alg, {m: c / b for m, c in x.terms.items() if m})
-    terms = {0: alg.coerce_scalar(next(coefficients))}
+    sequences = [iter(cs) for cs in coefficients]
+    sums = [{0: alg.coerce_scalar(next(cs))} for cs in sequences]
     power = u
     last = alg.num_generators // 2
     for k in range(1, last + 1):
         if not power.terms:
             break
-        c = alg.coerce_scalar(next(coefficients))
-        for m, v in power.terms.items():
-            terms[m] = terms.get(m, 0) + c * v
+        for cs, terms in zip(sequences, sums):
+            c = alg.coerce_scalar(next(cs))
+            for m, v in power.terms.items():
+                terms[m] = terms.get(m, 0) + c * v
         if k < last:
             power = gmul(power, u)
-    return GrassmannElement(alg, {m: c for m, c in terms.items() if c})
+    return [GrassmannElement(alg, {m: c for m, c in terms.items() if c})
+            for terms in sums]
 
 
 def _binomial(root, alpha):
@@ -346,10 +412,13 @@ def _body_root(x, what):
     In rational mode the body must be the square of a rational.
     """
     _check_even(x, what)
-    b = x.body
+    return _scalar_root(x.body, x.algebra.mode, what)
+
+
+def _scalar_root(b, mode, what):
     if b <= 0:
         raise GrassmannError("%s requires positive body, got %s" % (what, b))
-    if x.algebra.mode == FLOAT:
+    if mode == FLOAT:
         return math.sqrt(b)
     p, q = b.numerator, b.denominator
     rp, rq = math.isqrt(p), math.isqrt(q)
@@ -368,7 +437,7 @@ def ginv(x):
     b = x.body
     if b == 0:
         raise GrassmannError("zero body: %s is not invertible" % (x,))
-    return _series(x, _binomial(1 / b, -1))
+    return _series(x, _binomial(1 / b, -1))[0]
 
 
 def gsqrt(x):
@@ -379,7 +448,7 @@ def gsqrt(x):
     raised (switch the algebra to float mode for generic bodies).
     """
     root = _body_root(x, "square root")
-    return _series(x, _binomial(root, Fraction(1, 2)))
+    return _series(x, _binomial(root, Fraction(1, 2)))[0]
 
 
 def ginvsqrt(x):
@@ -389,7 +458,33 @@ def ginvsqrt(x):
     parity, body and rational-square rules as gsqrt.
     """
     root = _body_root(x, "inverse square root")
-    return _series(x, _binomial(1 / root, Fraction(-1, 2)))
+    return _series(x, _binomial(1 / root, Fraction(-1, 2)))[0]
+
+
+def _convolve(a, b):
+    """Coefficients of the product of two power series, to the length of a."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def chi_roots(chi):
+    """(r, sqrt(chi) r, sqrt(chi) r**2) with r = (1 + chi)**(-1/2), from one chain.
+
+    With b the body of chi and u = soul/b, r is
+    (1 + b)**(-1/2) sum_k C(-1/2, k) (b/(1 + b))**k u**k, sqrt(chi) is
+    sqrt(b) sum_k C(1/2, k) u**k, and the products are convolutions of
+    the coefficient lists, so all three share the powers of u.  The rules
+    and messages of gsqrt(chi) and ginvsqrt(1 + chi) apply.
+    """
+    alg = chi.algebra
+    root = _body_root(chi, "square root")
+    b = chi.body
+    inv_root = 1 / _scalar_root(1 + b, alg.mode, "inverse square root")
+    count = alg.num_generators // 2 + 1
+    q = b / (1 + b)
+    r = [c * q ** k
+         for k, c in enumerate(islice(_binomial(inv_root, Fraction(-1, 2)), count))]
+    sqrt_chi_r = _convolve(list(islice(_binomial(root, Fraction(1, 2)), count)), r)
+    return _series(chi, r, sqrt_chi_r, _convolve(sqrt_chi_r, r))
 
 
 def _log_coefficients(log_b):
@@ -413,11 +508,11 @@ def glog(x):
     if b <= 0:
         raise GrassmannError("logarithm requires positive body, got %s" % (b,))
     if x.algebra.mode == FLOAT:
-        return _series(x, _log_coefficients(math.log(b)))
+        return _series(x, _log_coefficients(math.log(b)))[0]
     if b != 1:
         raise GrassmannError("log of body %s is irrational; use float mode "
                              "(rational mode needs body 1)" % (b,))
-    return _series(x, _log_coefficients(Fraction(0)))
+    return _series(x, _log_coefficients(Fraction(0)))[0]
 
 
 # ---------------------------------------------------------------------------

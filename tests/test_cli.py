@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from superpenner.decorated import superflip
 from superpenner.fileio import load_state
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -274,3 +278,42 @@ def test_oversized_or_juxtaposed_values_are_bad_input(capsys, tmp_path, line):
     assert code == 2
     assert out == ""
     assert err.startswith("error: line 7: bad %s value: " % line.split()[0])
+
+
+SPARSE_TORUS = """fatgraph v1
+vertex A: 0 2 4
+vertex B: 1 3 5
+edge 10: 0 1
+edge 20: 2 3
+edge 30: 4 5
+"""
+
+
+@pytest.mark.parametrize("line,message", [
+    ("lambda 20: -2", "lambda 20 must be even with positive body, got -2"),
+    ("lambda 30: 0", "lambda 30 must be even with positive body, got 0"),
+    ("lambda 10: 1 + t0", "lambda 10 must be even with positive body, got 1 + 1*t0"),
+    ("mu B: 1 + t0", "mu B must be odd, got 1 + 1*t0"),
+    ("mu A: t0^t1", "mu A must be odd, got 1*t0^t1"),
+], ids=["negative-lambda", "zero-lambda", "mixed-lambda", "mixed-mu", "even-mu"])
+def test_decoration_out_of_domain_is_bad_input_with_line(capsys, tmp_path, line, message):
+    bad = tmp_path / "domain.fg"
+    bad.write_text(SPARSE_TORUS + "\n" + line + "\n")
+    code, out, err = run(capsys, "info", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 8: %s\n" % message
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    good = subprocess.run([sys.executable, "-m", "superpenner", "info", str(DATA / "torus.fg")],
+                          capture_output=True, text=True, env=env)
+    assert good.returncode == 0
+    assert good.stdout.splitlines()[0] == "g=1 s=1 E=3 V=2 even=3 odd=2"
+    bad = tmp_path / "bad.fg"
+    bad.write_text((DATA / "torus.fg").read_text() + "lambda 1: -2\n")
+    failed = subprocess.run([sys.executable, "-m", "superpenner", "info", str(bad)],
+                            capture_output=True, text=True, env=env)
+    assert failed.returncode == 2
+    assert failed.stderr == "error: line 7: lambda 1 must be even with positive body, got -2\n"

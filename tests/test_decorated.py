@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from superpenner.catalog import (four_punctured_sphere, genus2_one_puncture,
+from superpenner.catalog import (five_punctured_sphere, four_punctured_sphere,
+                                 genus1_two_punctures, genus2_one_puncture,
                                  punctured_torus)
 from superpenner.checks import (aligned_equal_mod_sign, generic_edges,
                                 random_decorated_state)
@@ -13,7 +14,7 @@ from superpenner.decorated import (DecoratedState, check_puncture_relation,
                                    superflip)
 from superpenner.fatgraph import flip_quadrilateral
 from superpenner.grassmann import (FLOAT, RATIONAL, GrassmannAlgebra,
-                                   GrassmannError, ginv, gmul, gsqrt)
+                                   GrassmannError, chi_roots, ginv, gmul, gsqrt)
 from superpenner.spin import OrientationState
 
 
@@ -68,7 +69,8 @@ def test_super_ptolemy_worked_example():
 
 
 def assert_matches_two_root_form(state, e, flipped, record):
-    """The flip equals the formulas with 1/sqrt(1 + chi) = ginv(gsqrt(1 + chi))."""
+    """The flip and the one-chain roots of chi equal the formulas with
+    1/sqrt(1 + chi) = ginv(gsqrt(1 + chi))."""
     mu = dict(state.mu)
     for v in record.reflections_applied:
         mu[v] = -mu[v]
@@ -78,6 +80,10 @@ def assert_matches_two_root_form(state, e, flipped, record):
     chi = ac * ginv(bd)
     sqrt_chi = gsqrt(chi)
     inv_sqrt_1chi = ginv(gsqrt(1 + chi))
+    r, sqrt_chi_r, sqrt_chi_r2 = chi_roots(chi)
+    assert r == inv_sqrt_1chi
+    assert sqrt_chi_r == sqrt_chi * inv_sqrt_1chi
+    assert sqrt_chi_r2 == sqrt_chi * ginv(1 + chi)
     f = ginv(state.lam[e]) * (ac + bd) * (1 + sigma * theta * sqrt_chi * ginv(1 + chi))
     assert flipped.lam[e] == f
     assert flipped.mu[record.tail_vertex] == (sigma - theta * sqrt_chi) * inv_sqrt_1chi
@@ -86,7 +92,8 @@ def assert_matches_two_root_form(state, e, flipped, record):
 
 def test_superflip_matches_two_root_form_on_random_states():
     rng = random.Random(26)
-    for g in (four_punctured_sphere(), genus2_one_puncture()):
+    for g in (four_punctured_sphere(), genus1_two_punctures(), genus2_one_puncture(),
+              five_punctured_sphere()):
         for _ in range(10):
             e = rng.choice(generic_edges(g))
             state = random_decorated_state(g, rng, mode=RATIONAL, square_friendly_edge=e)

@@ -1,11 +1,13 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from superpenner.grassmann import (FLOAT, RATIONAL, GrassmannAlgebra,
-                                   GrassmannElement, GrassmannError, ginv,
+from superpenner.grassmann import (_DISJOINT_ROWS, FLOAT, RATIONAL, GrassmannAlgebra,
+                                   GrassmannElement, GrassmannError, _binomial,
+                                   _log_coefficients, _series, chi_roots, ginv,
                                    ginvsqrt, glog, gmul, gsqrt)
 
 
@@ -472,6 +474,46 @@ def test_gmul_matches_per_bit_sign_reference(pair):
     assert gmul(y, x) == reference_gmul(y, x)
 
 
+@st.composite
+def dense_elements(draw, n):
+    """A rational element on n generators with at least half of the 2**n
+    monomials, of both parities when n >= 1."""
+    rng = draw(st.randoms(use_true_random=False))
+    size = draw(st.integers(min_value=(1 << n) - (1 << n) // 2, max_value=1 << n))
+    masks = rng.sample(range(1 << n), size)
+    assume(n == 0 or len({m.bit_count() & 1 for m in masks}) == 2)
+    alg = GrassmannAlgebra(n, RATIONAL)
+    return alg.element({m: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                        for m in masks})
+
+
+@st.composite
+def dense_operands(draw):
+    """(x, y, z): x and y dense, z sparse, on the same n <= 9 generators."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    return (draw(dense_elements(n)), draw(dense_elements(n)),
+            sparse_elements(draw, n, False, 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_operands())
+def test_gmul_matches_reference_on_dense_operands(operands):
+    # dense right operands send most left terms through their disjoint
+    # rows, sparse ones send them through the scan
+    x, y, z = operands
+    for left, right in ((x, y), (y, x), (x, z), (z, x)):
+        assert gmul(left, right) == reference_gmul(left, right)
+
+
+def test_scalar_product_in_large_algebra_builds_no_row():
+    alg = GrassmannAlgebra(128, RATIONAL)
+    rows = sum(map(len, _DISJOINT_ROWS.values()))
+    start = time.perf_counter()
+    assert gmul(alg.scalar(3), alg.scalar(Fraction(1, 2))) == alg.scalar(Fraction(3, 2))
+    assert time.perf_counter() - start < 1
+    assert sum(map(len, _DISJOINT_ROWS.values())) == rows
+
+
 @settings(max_examples=100, deadline=None)
 @given(even_with_square_body())
 def test_series_match_reference_series(case):
@@ -502,3 +544,50 @@ def test_ginvsqrt_rules_follow_gsqrt():
     with pytest.raises(GrassmannError, match="even parity"):
         ginvsqrt(A4.one() + A4.gen(0))
     assert ginvsqrt(F4.scalar(2.0)).body == pytest.approx(1 / math.sqrt(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(even_with_square_body())
+def test_series_of_several_sequences_match_single_calls(case):
+    x, root = case
+    count = x.algebra.num_generators // 2 + 1
+    makers = [lambda: _binomial(1 / x.body, -1),
+              lambda: _binomial(root, Fraction(1, 2)),
+              lambda: _log_coefficients(Fraction(0)),
+              lambda: [Fraction(k * k - 3, k + 1) for k in range(count)]]
+    together = _series(x, *(make() for make in makers))
+    assert together == [_series(x, make())[0] for make in makers]
+
+
+@st.composite
+def chis(draw):
+    """An even chi whose body b makes both b and 1 + b rational squares."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    soul = sparse_elements(draw, n, True, 8).soul
+    p, q = draw(st.sampled_from([(3, 4), (4, 3), (5, 12), (12, 5), (8, 15), (15, 8)]))
+    return soul + Fraction(p * p, q * q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chis())
+def test_chi_roots_match_root_products(chi):
+    r, sqrt_chi_r, sqrt_chi_r2 = chi_roots(chi)
+    assert r == ginv(gsqrt(1 + chi))
+    assert sqrt_chi_r == gsqrt(chi) * r
+    assert sqrt_chi_r2 == gsqrt(chi) * r * r
+
+
+def test_chi_roots_follow_the_root_rules():
+    with pytest.raises(GrassmannError, match="square"):
+        chi_roots(A4.scalar(2))                       # chi body not a square
+    with pytest.raises(GrassmannError, match="square"):
+        chi_roots(A4.one() + A4.monomial([0, 1]))     # 1 + chi body 2
+    with pytest.raises(GrassmannError, match="positive"):
+        chi_roots(A4.scalar(-1))
+    with pytest.raises(GrassmannError, match="even parity"):
+        chi_roots(A4.one() + A4.gen(0))
+    chi = F4.scalar(2.0) + F4.monomial([0, 1], 0.5) + F4.monomial([2, 3], -0.25)
+    r, sqrt_chi_r, sqrt_chi_r2 = chi_roots(chi)
+    assert r.isclose(ginv(gsqrt(1 + chi)), 1e-14)
+    assert sqrt_chi_r.isclose(gsqrt(chi) * r, 1e-14)
+    assert sqrt_chi_r2.isclose(gsqrt(chi) * r * r, 1e-14)
