@@ -28,6 +28,17 @@ from .fatgraph import boundary_cycles, flip_quadrilateral, topology
 from .spin import OrientationState, SpinError, flip_orientation
 
 
+def _check_lambda(ei, x):
+    if not x.is_even() or not x.body > 0:
+        raise ValueError("lambda-length of edge %d must be even with "
+                         "positive body, got %s" % (ei, x))
+
+
+def _check_mu(vi, x):
+    if not x.is_odd():
+        raise ValueError("mu-invariant of vertex %d must be odd, got %s" % (vi, x))
+
+
 class DecoratedState:
     """Immutable decorated fatgraph: orientation + lambda-lengths + mu-invariants."""
 
@@ -44,20 +55,36 @@ class DecoratedState:
         for ei, x in lam.items():
             if x.algebra != algebra:
                 raise GrassmannError("lambda-length of edge %d uses a foreign algebra" % ei)
-            if not x.is_even() or not x.body > 0:
-                raise ValueError("lambda-length of edge %d must be even with "
-                                 "positive body, got %s" % (ei, x))
+            _check_lambda(ei, x)
         for vi, x in mu.items():
             if x.algebra != algebra:
                 raise GrassmannError("mu-invariant of vertex %d uses a foreign algebra" % vi)
-            if not x.is_odd():
-                raise ValueError("mu-invariant of vertex %d must be odd, got %s"
-                                 % (vi, x))
+            _check_mu(vi, x)
         self.graph = graph
         self.orientation = orientation
         self.algebra = algebra
         self.lam = dict(lam)
         self.mu = dict(mu)
+
+    def _after_flip(self, orientation, e, f, mu, changed):
+        """This state's lambda-lengths with f on edge e, and mu, on orientation.
+
+        Only f and the mu-invariants of the vertices in changed are
+        checked; every other entry was checked when self was built (a
+        reflection only negates a mu-invariant), so a flip does no work
+        per edge or vertex beyond copying the two maps.
+        """
+        _check_lambda(e, f)
+        for vi in changed:
+            _check_mu(vi, mu[vi])
+        state = object.__new__(DecoratedState)
+        state.graph = orientation.graph
+        state.orientation = orientation
+        state.algebra = self.algebra
+        state.lam = dict(self.lam)
+        state.lam[e] = f
+        state.mu = mu
+        return state
 
     def __repr__(self):
         g, s, e, v = topology(self.graph)
@@ -106,12 +133,10 @@ def superflip(state, e):
         nu = sigma * r - theta * sqrt_chi_r
         mu_new = theta * r + sigma * sqrt_chi_r
 
-    lam = dict(state.lam)
-    lam[e] = f
     mu[record.tail_vertex] = nu       # now the (b,c)-vertex
     mu[record.head_vertex] = mu_new   # now the (a,d)-vertex
-    new_state = DecoratedState(new_orientation.graph, new_orientation,
-                               state.algebra, lam, mu)
+    new_state = state._after_flip(new_orientation, e, f, mu,
+                                  (record.tail_vertex, record.head_vertex))
     return new_state, record
 
 

@@ -14,20 +14,37 @@ parity of the bits of T below i (for i at or above T.bit_length() it is
 the parity of all of T), so k is odd exactly when (S & P(T)).bit_count()
 is odd: one popcount per term pair.
 
-Product paths: gmul takes each left term s on one of two paths.  When s
-can meet no more monomials than the right operand y has terms, that is
-1 << (n - |s|) <= len(y.terms), it walks the cached disjoint row of s --
-the monomials disjoint from s, as two int tuples split by the sign of
-e_s * e_t -- and looks each one up in y.  Otherwise it scans y and skips
-the terms that meet s.  On dense operands most pairs overlap (about 91 %
-in the flips of dense V = 6 and 8 states), and the row path never visits
-them.  A row is built only when it is no longer than y, so sparse
-products, such as one-term scalars on 128 generators, build none.  Each
-monomial of the product still receives its contributions in left-term
-order on both paths, so rational results do not depend on the path.
-Rows are kept per (n, s) for the life of the process; all 2**n rows on n
-generators hold 3**n entries, 81 KiB at n = 8 and 657 KiB at n = 10
-(tracemalloc, CPython 3.11).
+Product paths: gmul takes one of two paths for a whole product.  The scan
+visits all len(x) * len(y) pairs of terms, skips those that meet and signs
+the rest with one popcount.  The dense path walks weight classes, one per
+(n, a, b), cached for the life of the process.  Class (a, b) lists every
+monomial m of weight a + b, in increasing order, with its k = C(a + b, a)
+submasks s of weight a, as two operator.itemgetters: one over a dense left
+vector X with X[s] = x_s (0 where x has no term), one over a right vector
+Y with Y[t] = y_t and Y[t + 2**n] = -y_t, so that the index carries the
+sign of e_s * e_t for t = m ^ s.  A product uses the classes (a, b) where x
+has a term of weight a and y one of weight b.  Each class gathers, multiplies
+and sums its runs of k pairs in C, and the classes of one output weight are
+added elementwise.  Souls and powers of souls have no low-weight terms, so
+they skip those classes.  The classes of a product, grouped by output
+weight, are kept per pair of weight sets; this plan names classes and
+holds no pairs.
+
+Dispatch: a product takes the dense path when the algebra is float,
+2**n < len(x) * len(y), and 2**n plus the pairs of the used classes is at
+most len(x) * len(y), so that it touches no more entries than the scan
+would visit.  Rational products always scan: a Fraction multiply costs the
+same on both paths, and the dense path also multiplies absent entries.
+One-term scalars therefore never build a class, however many generators
+the algebra has.  The two paths add a monomial's contributions in
+different orders, so float results differ in round-off only.  A float
+product with a non-finite coefficient (an overflow) raises GrassmannError.
+
+Memory: each disjoint pair on n generators sits in exactly one class, and
+all indices share one int object each, so the classes on n generators hold
+3**n pairs at most: 133 KiB at n = 8 and 1030 KiB at n = 10 with every
+class built, 43 KiB and 312 KiB for the even-by-even classes (tracemalloc,
+CPython 3.11).
 """
 
 from __future__ import annotations
@@ -36,7 +53,8 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, compress, islice
+from operator import add, itemgetter, mul
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -292,63 +310,129 @@ class GrassmannElement:
 # core operations
 
 
-# num_generators -> {s: (plus, minus)}: the monomials t disjoint from s,
-# split by the sign of e_s * e_t.  Rows share one int object per monomial.
-_DISJOINT_ROWS = {}
-_ROW_MONOMIALS = {}
+# (n, a, b) -> (k, left, right): the weight class of every disjoint pair
+# (s, t) on n generators with |s| = a and |t| = b, as itemgetters over the
+# dense vectors of _dense_terms (see the module docstring).
+_CLASSES = {}
+# n -> tuple(range(2**(n+1) + 1)): the one int object of each index
+_INDICES = {}
+# (n, left weights, right weights) -> the plan of _dense_plan
+_PLANS = {}
+# (n, w) -> the monomials of weight w, in increasing order
+_WEIGHT_MONOMIALS = {}
 
 
-def _disjoint_row(n, s):
-    free = ((1 << n) - 1) & ~s
-    plus, minus = [], []
-    shared = _ROW_MONOMIALS.setdefault
-    t = free
-    while True:   # every submask of free, largest first
-        (minus if (s & _below_parity(t)).bit_count() & 1 else plus).append(shared(t, t))
-        if not t:
-            break
-        t = (t - 1) & free
-    return tuple(plus), tuple(minus)
+def _weight_monomials(n, w):
+    monomials = _WEIGHT_MONOMIALS.get((n, w))
+    if monomials is None:
+        monomials = _WEIGHT_MONOMIALS[n, w] = tuple(
+            m for m in _indices(n)[:1 << n] if m.bit_count() == w)
+    return monomials
 
 
-def gmul(x, y):
-    """Product in the Grassmann algebra.
+def _indices(n):
+    indices = _INDICES.get(n)
+    if indices is None:
+        indices = _INDICES[n] = tuple(range((2 << n) + 1))
+    return indices
 
-    e_S * e_T = 0 when S and T intersect, else sign(S,T) * e_{S union T},
-    with the sign read off one popcount (see the module docstring).  A
-    left term that can meet no more monomials than y has terms looks its
-    partners up in y through its cached disjoint row; any other left term
-    scans y.
+
+def _weight_class(n, a, b):
+    """Build and keep class (a, b) on n generators.
+
+    For each monomial m of weight a + b, in increasing order, it lists the
+    k = C(a + b, a) submasks s of weight a, with t = m ^ s: the left
+    getter reads X[s], the right getter Y[t] or, when e_s * e_t = -e_m,
+    Y[t + 2**n].
     """
-    x._check_compatible(y)
+    indices = _indices(n)
+    full = 1 << n
+    left, right = [], []
+    for m in _weight_monomials(n, a + b):
+        for chosen in combinations([1 << i for i in range(n) if m >> i & 1], a):
+            s = sum(chosen)
+            t = m ^ s
+            left.append(indices[s])
+            right.append(indices[t + full if (s & _below_parity(t)).bit_count() & 1 else t])
+    if len(left) == 1:   # a one-key itemgetter returns a scalar, not a tuple
+        left.append(indices[full])
+        right.append(indices[2 * full])
+    entry = _CLASSES[n, a, b] = (math.comb(a + b, a), itemgetter(*left), itemgetter(*right))
+    return entry
+
+
+def _plan(n, classes):
+    """(entries, groups) for a product over the given classes.
+
+    entries is 2**n plus the pairs in the classes.  groups holds, for each
+    output weight w in increasing order, the monomials of weight w and the
+    keys (n, a, b) of the classes with a + b = w.
+    """
+    by_weight = {}
+    for a, b in classes:
+        by_weight.setdefault(a + b, []).append((n, a, b))
+    entries = (1 << n) + sum(math.comb(n, a + b) * math.comb(a + b, a) for a, b in classes)
+    return entries, tuple((_weight_monomials(n, w), tuple(by_weight[w]))
+                          for w in sorted(by_weight))
+
+
+def _dense_plan(n, xterms, yterms):
+    """The plan of a product on the dense path, or None for the scan.
+
+    None unless the dense vectors and the used classes together hold no
+    more entries than the scan would visit, len(xterms) * len(yterms).
+    Plans are kept per pair of weight sets; they name classes but hold
+    no pairs, and a class is built only when a product first uses it.
+    """
+    pairs = len(xterms) * len(yterms)
+    if pairs <= 1 << n:
+        return None
+    key = n, frozenset(map(int.bit_count, xterms)), frozenset(map(int.bit_count, yterms))
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _PLANS[key] = _plan(n, [(a, b) for a in sorted(key[1])
+                                       for b in sorted(key[2]) if a + b <= n])
+    return plan if plan[0] <= pairs else None
+
+
+def _dense_terms(x, y, plan):
+    """The nonzero terms of x * y, summed class by class.
+
+    left holds x densely and right holds y and -y, so each class gathers
+    its pairs and their signs with two itemgetters and sums every run of
+    k products in C; the classes of one output weight are added
+    elementwise.  Exact in rational mode too; only gmul restricts the
+    path to float algebras.
+    """
     n = x.algebra.num_generators
-    yterms = y.terms
-    yget = yterms.get
-    # 1 << (n - s.bit_count()) <= len(y.terms) exactly when s has this weight
-    row_weight = n + 1 - len(yterms).bit_length()
-    rows = _DISJOINT_ROWS.setdefault(n, {})
-    right = None
+    full = 1 << n
+    zero = 0.0 if x.algebra.mode == FLOAT else 0
+    left = [zero] * (full + 1)
+    for s, c in x.terms.items():
+        left[s] = c
+    right = [zero] * (2 * full + 1)
+    for t, c in y.terms.items():
+        right[t] = c
+        right[t + full] = -c
+    terms = {}
+    for monomials, keys in plan[1]:
+        total = None
+        for key in keys:
+            k, gx, gy = _CLASSES.get(key) or _weight_class(*key)
+            products = map(mul, gx(left), gy(right))
+            part = map(sum, zip(*[products] * k)) if k > 1 else products
+            total = part if total is None else map(add, total, part)
+        values = list(total)   # a padding pair only appends a 0, which filter drops
+        terms.update(zip(compress(monomials, values), filter(None, values)))
+    return terms
+
+
+def _scan_terms(x, y):
+    """The nonzero terms of x * y, visiting every pair of terms."""
+    right = [(t, ct, _below_parity(t)) for t, ct in y.terms.items()]
     terms = {}
     get = terms.get
     for s, cs in x.terms.items():
-        if s.bit_count() >= row_weight:
-            row = rows.get(s)
-            if row is None:
-                row = rows[s] = _disjoint_row(n, s)
-            plus, minus = row
-            for t in plus:
-                ct = yget(t)
-                if ct is not None:
-                    m = s | t
-                    terms[m] = get(m, 0) + cs * ct
-            for t in minus:
-                ct = yget(t)
-                if ct is not None:
-                    m = s | t
-                    terms[m] = get(m, 0) - cs * ct
-            continue
-        if right is None:
-            right = [(t, ct, _below_parity(t)) for t, ct in yterms.items()]
         for t, ct, p in right:
             if s & t:
                 continue
@@ -357,7 +441,28 @@ def gmul(x, y):
                 terms[m] = get(m, 0) - cs * ct
             else:
                 terms[m] = get(m, 0) + cs * ct
-    return GrassmannElement(x.algebra, {m: c for m, c in terms.items() if c})
+    return {m: c for m, c in terms.items() if c}
+
+
+def gmul(x, y):
+    """Product in the Grassmann algebra.
+
+    e_S * e_T = 0 when S and T intersect, else sign(S,T) * e_{S union T},
+    with the sign read off one popcount (see the module docstring).  A
+    float product whose weight classes hold no more entries than the scan
+    would visit is summed class by class; any other product scans every
+    pair.  A float product with a non-finite coefficient is an error.
+    """
+    x._check_compatible(y)
+    alg = x.algebra
+    if alg.mode != FLOAT:
+        return GrassmannElement(alg, _scan_terms(x, y))
+    plan = _dense_plan(alg.num_generators, x.terms, y.terms)
+    terms = _scan_terms(x, y) if plan is None else _dense_terms(x, y, plan)
+    if not all(map(math.isfinite, terms.values())):
+        raise GrassmannError("float overflow in product of %d by %d terms"
+                             % (len(x.terms), len(y.terms)))
+    return GrassmannElement(alg, terms)
 
 
 def _series(x, *coefficients):

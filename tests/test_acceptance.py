@@ -12,9 +12,8 @@ from fractions import Fraction
 from superpenner.catalog import (five_punctured_sphere, four_punctured_sphere,
                                  genus1_two_punctures, genus2_one_puncture,
                                  punctured_torus, theta_graph)
-from superpenner.checks import (boundary_correspondence, check_involution,
-                                check_pentagon, check_ptolemy, generic_edges,
-                                pentagon_pairs, random_decorated_state)
+from superpenner.checks import (check_involution, check_pentagon, check_ptolemy,
+                                generic_edges, pentagon_pairs, random_decorated_state)
 from superpenner.decorated import check_puncture_relation
 from superpenner.fatgraph import topology
 from superpenner.grassmann import (FLOAT, RATIONAL, GrassmannAlgebra, ginv,
@@ -22,6 +21,8 @@ from superpenner.grassmann import (FLOAT, RATIONAL, GrassmannAlgebra, ginv,
 from superpenner.spin import (OrientationState, brute_force_spin_classes,
                               classify_punctures, enumerate_spin_classes,
                               flip_orientation, reflect, spin_class_count)
+
+from helpers import boundary_correspondence
 
 SMALL_GRAPHS = [
     ("(0,3)", theta_graph(), 4),

@@ -264,6 +264,16 @@ def test_non_finite_coefficient_is_bad_input(capsys, tmp_path, value):
     assert err.startswith("error: line 7: bad lambda value: non-finite coefficient")
 
 
+def test_float_overflow_in_a_flip_is_named(capsys, tmp_path):
+    big = tmp_path / "big.fg"
+    big.write_text((DATA / "sphere4.fg").read_text()
+                   + "".join("lambda %d: 1e200\n" % e for e in range(4)))
+    code, out, err = run(capsys, "flip", str(big), "--edges", "0")
+    assert code == 3
+    assert "nan" not in out and "inf" not in out
+    assert err.startswith("error: float overflow in product")
+
+
 @pytest.mark.parametrize("line", ["mu A: t20000", "mu A: t" + "1" * 5000,
                                   "lambda 0: 1e10000000", "lambda 0: " + "1" * 5000,
                                   "lambda 0: 1 2"],

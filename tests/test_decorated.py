@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from superpenner.catalog import (five_punctured_sphere, four_punctured_sphere,
+from superpenner.catalog import (GRAPHS, five_punctured_sphere, four_punctured_sphere,
                                  genus1_two_punctures, genus2_one_puncture,
                                  punctured_torus)
 from superpenner.checks import (aligned_equal_mod_sign, generic_edges,
@@ -12,8 +12,8 @@ from superpenner.decorated import (DecoratedState, check_puncture_relation,
                                    classical_limit, default_state,
                                    shear_coordinates, states_equal_mod_sign,
                                    superflip)
-from superpenner.fatgraph import flip_quadrilateral
-from superpenner.grassmann import (FLOAT, RATIONAL, GrassmannAlgebra,
+from superpenner.fatgraph import FatGraph, flip_quadrilateral
+from superpenner.grassmann import (FLOAT, RATIONAL, GrassmannAlgebra, GrassmannElement,
                                    GrassmannError, chi_roots, ginv, gmul, gsqrt)
 from superpenner.spin import OrientationState
 
@@ -271,3 +271,33 @@ def test_decorated_state_validates_counts_and_parity():
     del short[0]
     with pytest.raises(ValueError):
         DecoratedState(g, OrientationState.all_plus(g), alg, short, mu)
+
+
+def prism(n):
+    """The prism over an n-cycle: 2n vertices, 3n edges, no loops."""
+    vertices = [(3 * v, 3 * v + 1, 3 * v + 2) for v in range(2 * n)]
+    edges = [(3 * (ring + i), 3 * (ring + (i + 1) % n) + 1)
+             for ring in (0, n) for i in range(n)]
+    edges += [(3 * i + 2, 3 * (n + i) + 2) for i in range(n)]
+    return FatGraph(vertices, edges)
+
+
+def test_superflip_parity_checks_do_not_grow_with_the_graph(monkeypatch):
+    calls = []
+    for name in ("is_even", "is_odd"):
+        original = getattr(GrassmannElement, name)
+        monkeypatch.setattr(GrassmannElement, name,
+                            lambda self, original=original: calls.append(1) or original(self))
+    per_flip = {}   # (graph, odd mu) -> parity checks in each flip
+    cases = [(name, make(), odd) for name, make in GRAPHS.items() for odd in (True, False)]
+    cases.append(("prism_16", prism(16), False))
+    for name, graph, odd in cases:
+        state = random_decorated_state(graph, random.Random(5), FLOAT, odd=odd)
+        for e in generic_edges(graph):
+            calls.clear()
+            superflip(state, e)
+            per_flip.setdefault((name, odd), set()).add(len(calls))
+    assert ("prism_16", False) in per_flip
+    for kind in (True, False):
+        counts = set().union(*(c for (_, odd), c in per_flip.items() if odd == kind))
+        assert len(counts) == 1, (kind, per_flip)

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from superpenner.grassmann import (_DISJOINT_ROWS, FLOAT, RATIONAL, GrassmannAlgebra,
+from superpenner.grassmann import (_CLASSES, _INDICES, FLOAT, RATIONAL, GrassmannAlgebra,
                                    GrassmannElement, GrassmannError, _binomial,
-                                   _log_coefficients, _series, chi_roots, ginv,
-                                   ginvsqrt, glog, gmul, gsqrt)
+                                   _dense_plan, _dense_terms, _log_coefficients, _plan,
+                                   _series, chi_roots, ginv, ginvsqrt, glog, gmul, gsqrt)
 
 
 A4 = GrassmannAlgebra(4, RATIONAL)
@@ -498,20 +498,102 @@ def dense_operands(draw):
 @settings(max_examples=40, deadline=None)
 @given(dense_operands())
 def test_gmul_matches_reference_on_dense_operands(operands):
-    # dense right operands send most left terms through their disjoint
-    # rows, sparse ones send them through the scan
+    # rational products always scan, however dense their operands
     x, y, z = operands
     for left, right in ((x, y), (y, x), (x, z), (z, x)):
         assert gmul(left, right) == reference_gmul(left, right)
 
 
-def test_scalar_product_in_large_algebra_builds_no_row():
-    alg = GrassmannAlgebra(128, RATIONAL)
-    rows = sum(map(len, _DISJOINT_ROWS.values()))
-    start = time.perf_counter()
-    assert gmul(alg.scalar(3), alg.scalar(Fraction(1, 2))) == alg.scalar(Fraction(3, 2))
-    assert time.perf_counter() - start < 1
-    assert sum(map(len, _DISJOINT_ROWS.values())) == rows
+@st.composite
+def shaped_elements(draw, n):
+    """A rational element on n generators in a shape that flips multiply:
+    full in one parity, an even soul, a power of one, mixed or sparse."""
+    rng = draw(st.randoms(use_true_random=False))
+    shape = draw(st.sampled_from(["even", "odd", "soul", "soul power", "mixed", "sparse"]))
+    alg = GrassmannAlgebra(n, RATIONAL)
+
+    def coeff():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+    if shape in ("even", "odd"):
+        parity = shape == "odd"
+        return alg.element({m: coeff() for m in range(1 << n) if m.bit_count() & 1 == parity})
+    if shape == "mixed":
+        return alg.element({m: coeff() for m in range(1 << n) if rng.random() < 0.7})
+    if shape == "sparse":
+        return alg.element({rng.randrange(1 << n): coeff() for _ in range(rng.randint(0, 6))})
+    soul = alg.element({m: coeff() for m in range(1, 1 << n) if m.bit_count() % 2 == 0})
+    if shape == "soul":
+        return soul
+    power = soul
+    for _ in range(rng.randint(1, 3)):
+        power = gmul(power, soul)
+    return power
+
+
+def every_class(x, y):
+    """All weight classes (a, b) of x * y, whether or not gmul would take them."""
+    n = x.algebra.num_generators
+    return [(a, b) for a in sorted({s.bit_count() for s in x.terms})
+            for b in sorted({t.bit_count() for t in y.terms}) if a + b <= n]
+
+
+shaped_pairs = st.integers(min_value=0, max_value=9).flatmap(
+    lambda n: st.tuples(shaped_elements(n), shaped_elements(n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(shaped_pairs)
+def test_dense_path_matches_reference_exactly(pair):
+    # the dense path run in rational mode: every class, exact sums
+    x, y = pair
+    for left, right in ((x, y), (y, x)):
+        plan = _plan(left.algebra.num_generators, every_class(left, right))
+        dense = GrassmannElement(left.algebra, _dense_terms(left, right, plan))
+        assert dense == reference_gmul(left, right)
+
+
+def as_float(x):
+    alg = GrassmannAlgebra(x.algebra.num_generators, FLOAT)
+    return alg.element({m: float(c) for m, c in x.terms.items()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(shaped_pairs)
+def test_float_gmul_matches_reference(pair):
+    # an odd x times itself cancels exactly, leaving round-off on both
+    # sides, so the scale never drops below the largest pair product
+    x, y = map(as_float, pair)
+    largest_pair = max(map(abs, x.terms.values()), default=0.0) * max(
+        map(abs, y.terms.values()), default=0.0)
+    for left, right in ((x, y), (y, x)):
+        got, want = gmul(left, right), reference_gmul(left, right)
+        scale = max([largest_pair, *map(abs, want.terms.values())])
+        for m in set(got.terms) | set(want.terms):
+            assert abs(got.terms.get(m, 0.0) - want.terms.get(m, 0.0)) <= 1e-12 * scale
+
+
+def test_float_overflow_is_an_error_on_both_paths():
+    F8 = GrassmannAlgebra(8, FLOAT)
+    big = F8.scalar(1e200)
+    assert _dense_plan(8, big.terms, big.terms) is None
+    with pytest.raises(GrassmannError, match="float overflow in product"):
+        gmul(big, big)
+    dense = F8.element({m: 1e200 for m in range(256) if m.bit_count() % 2 == 0})
+    assert _dense_plan(8, dense.terms, dense.terms) is not None
+    with pytest.raises(GrassmannError, match="float overflow in product"):
+        gmul(dense, dense)
+
+
+def test_scalar_product_in_large_algebra_builds_no_class():
+    for mode in (RATIONAL, FLOAT):
+        alg = GrassmannAlgebra(128, mode)
+        classes = len(_CLASSES)
+        start = time.perf_counter()
+        assert gmul(alg.scalar(3), alg.scalar(Fraction(1, 2))) == alg.scalar(Fraction(3, 2))
+        assert time.perf_counter() - start < 1
+        assert len(_CLASSES) == classes
+        assert 128 not in _INDICES
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,13 +4,14 @@ import pytest
 
 from superpenner.catalog import (four_punctured_sphere, genus1_two_punctures,
                                  genus2_one_puncture, punctured_torus, theta_graph)
-from superpenner.checks import boundary_correspondence
 from superpenner.fatgraph import FatGraph, topology
 from superpenner.spin import (OrientationState, SpinError,
                               brute_force_spin_classes, canonical_representative,
                               classify_punctures, enumerate_spin_classes,
                               flip_orientation, reflect, same_spin_class,
                               reflection_vertices_between, spin_class_count)
+
+from helpers import boundary_correspondence
 
 
 def all_orientations(graph):
