@@ -11,6 +11,7 @@ from .grassmann import (
     GrassmannAlgebra,
     GrassmannElement,
     GrassmannError,
+    gdiv,
     ginv,
     ginvsqrt,
     glog,
@@ -55,6 +56,7 @@ __all__ = [
     "GrassmannAlgebra",
     "GrassmannElement",
     "GrassmannError",
+    "gdiv",
     "ginv",
     "ginvsqrt",
     "glog",

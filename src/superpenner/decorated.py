@@ -14,6 +14,14 @@ chi = ac/bd:
     nu = (sigma - theta sqrt(chi)) / sqrt(1 + chi)     at the (b,c)-vertex
     mu = (theta + sigma sqrt(chi)) / sqrt(1 + chi)     at the (a,d)-vertex
 
+Evaluation: with p = ac + bd, r = 1/sqrt(1 + chi) and sqrt(chi) r come
+from one chain of powers of chi (grassmann.chi_roots), and chi = ac / bd
+and f are quotients (grassmann.gdiv).  Since p = bd (1 + chi), p r**2 =
+bd, so f = (p + sigma theta sqrt(chi) bd) / e.  Even elements are central,
+so (sigma r)(theta sqrt(chi) r) = sigma theta sqrt(chi) r**2: the two terms
+of nu give f = (p + p (sigma r)(theta sqrt(chi) r)) / e in two more
+products.
+
 The formulas apply in the arrow configuration where e points from the
 (c,d)-vertex to the (a,b)-vertex; the auto-reflection that produces it
 also negates the mu-invariant at the reflected vertex, which is what makes
@@ -23,7 +31,7 @@ relabeling of the underlying graph).
 
 from __future__ import annotations
 
-from .grassmann import RATIONAL, GrassmannAlgebra, GrassmannError, chi_roots, ginv, glog
+from .grassmann import RATIONAL, GrassmannAlgebra, GrassmannError, chi_roots, gdiv, glog
 from .fatgraph import boundary_cycles, flip_quadrilateral, topology
 from .spin import OrientationState, SpinError, flip_orientation
 
@@ -110,8 +118,8 @@ def superflip(state, e):
     the formulas are applied.  In rational mode the square roots of chi
     and 1 + chi must exist (square bodies) unless both quadrilateral
     mu-invariants vanish, in which case the flip is purely classical.
-    r = 1/sqrt(1 + chi), sqrt(chi) r and sqrt(chi) r**2 come from one chain
-    of powers of chi (chi_roots).
+    The flip evaluates the formulas through the identities in the module
+    docstring, with one quotient for chi and one for f.
     """
     new_orientation, record = flip_orientation(state.orientation, e)
 
@@ -124,13 +132,16 @@ def superflip(state, e):
     la, lb, lc, ld, le = (state.lam[i] for i in (record.a, record.b, record.c, record.d, e))
     ac = la * lc
     bd = lb * ld
+    p = ac + bd
     if theta.is_zero() and sigma.is_zero():
-        f = ginv(le) * (ac + bd)
+        f = gdiv(p, le)
         nu = mu_new = state.algebra.zero()
     else:
-        r, sqrt_chi_r, sqrt_chi_r2 = chi_roots(ac * ginv(bd))
-        f = ginv(le) * (ac + bd) * (1 + sigma * theta * sqrt_chi_r2)
-        nu = sigma * r - theta * sqrt_chi_r
+        r, sqrt_chi_r = chi_roots(gdiv(ac, bd))
+        sr = sigma * r
+        tsr = theta * sqrt_chi_r
+        f = gdiv(p + p * (sr * tsr), le)
+        nu = sr - tsr
         mu_new = theta * r + sigma * sqrt_chi_r
 
     mu[record.tail_vertex] = nu       # now the (b,c)-vertex
@@ -149,8 +160,7 @@ def shear_coordinates(state):
     out = {}
     for e in range(state.graph.num_edges):
         q = flip_quadrilateral(state.graph, e, require_generic=False)
-        ratio = state.lam[q.a] * state.lam[q.c] * ginv(state.lam[q.b] * state.lam[q.d])
-        out[e] = glog(ratio)
+        out[e] = glog(gdiv(state.lam[q.a] * state.lam[q.c], state.lam[q.b] * state.lam[q.d]))
     return out
 
 

@@ -40,6 +40,20 @@ the algebra has.  The two paths add a monomial's contributions in
 different orders, so float results differ in round-off only.  A float
 product with a non-finite coefficient (an overflow) raises GrassmannError.
 
+Quotients: gdiv(x, y), for an even y with body b != 0, solves q y = x as
+q = (x - q soul(y)) / b.  soul(y) has no term below weight 2, so the terms
+of q of weight w need only those of lower weight.  On the dense path the
+weights a that q can have (those of x plus sums of soul weights of y) run
+in increasing order; weight w gathers the classes (a, c) with a + c = w
+and c a soul weight of y from the dense left vector, which by then holds
+every quotient of lower weight, and writes its own quotients into it.
+That is about one product's pairs, against the powers of the series
+inverse plus one product for x * ginv(y).  A float quotient takes the
+dense path under the product's rule, with its plan built from these
+classes and the scan's count raised by len(y)**2, the pairs of the first
+power that the series of ginv(y) would make.  Any other quotient
+(rational, sparse, or by a one-term scalar) is gmul(x, ginv(y)).
+
 Memory: each disjoint pair on n generators sits in exactly one class, and
 all indices share one int object each, so the classes on n generators hold
 3**n pairs at most: 133 KiB at n = 8 and 1030 KiB at n = 10 with every
@@ -53,8 +67,8 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import combinations, compress, islice
-from operator import add, itemgetter, mul
+from itertools import combinations, compress, islice, repeat
+from operator import add, itemgetter, mul, sub, truediv
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -267,8 +281,7 @@ class GrassmannElement:
         return self._check_compatible(other) * self
 
     def __truediv__(self, other):
-        other = self._check_compatible(other)
-        return gmul(self, ginv(other))
+        return gdiv(self, other)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -361,14 +374,15 @@ def _weight_class(n, a, b):
     return entry
 
 
-def _plan(n, classes):
+def _plan(n, classes, weights=()):
     """(entries, groups) for a product over the given classes.
 
     entries is 2**n plus the pairs in the classes.  groups holds, for each
-    output weight w in increasing order, the monomials of weight w and the
-    keys (n, a, b) of the classes with a + b = w.
+    output weight w in increasing order (those of the classes and those in
+    weights), the monomials of weight w and the keys (n, a, b) of the
+    classes with a + b = w.
     """
-    by_weight = {}
+    by_weight = {w: [] for w in weights}
     for a, b in classes:
         by_weight.setdefault(a + b, []).append((n, a, b))
     entries = (1 << n) + sum(math.comb(n, a + b) * math.comb(a + b, a) for a, b in classes)
@@ -376,23 +390,67 @@ def _plan(n, classes):
                           for w in sorted(by_weight))
 
 
-def _dense_plan(n, xterms, yterms):
-    """The plan of a product on the dense path, or None for the scan.
+def _quotient_weights(n, weights, souls):
+    """The weights x / y can have: those of x plus sums of soul weights of y, up to n."""
+    reached = set(weights)
+    frontier = reached
+    while frontier:
+        frontier = {a + c for a in frontier for c in souls if a + c <= n} - reached
+        reached |= frontier
+    return sorted(reached)
 
-    None unless the dense vectors and the used classes together hold no
-    more entries than the scan would visit, len(xterms) * len(yterms).
-    Plans are kept per pair of weight sets; they name classes but hold
-    no pairs, and a class is built only when a product first uses it.
+
+def _dense_plan(n, xterms, yterms, quotient=False):
+    """The plan of x * y, or with quotient of x / y, on the dense path.
+
+    None when len(xterms) * len(yterms) <= 2**n, or when the dense
+    vectors and the used classes together hold more entries than a scan
+    of x * y would visit, len(xterms) * len(yterms), plus for a quotient
+    len(yterms)**2 for the square of the soul in the series of ginv(y).
+    A quotient uses the classes (a, c) with a a weight that x / y can
+    have and c a soul weight of y, and has a group for every such weight,
+    classes or none.  Plans are kept per pair of weight sets;
+    they name classes but hold no pairs, and a class is built only when a
+    product first uses it.
     """
     pairs = len(xterms) * len(yterms)
     if pairs <= 1 << n:
         return None
-    key = n, frozenset(map(int.bit_count, xterms)), frozenset(map(int.bit_count, yterms))
+    if quotient:   # gmul(x, ginv(y)) also squares the soul of y
+        pairs += len(yterms) ** 2
+    key = (n, frozenset(map(int.bit_count, xterms)), frozenset(map(int.bit_count, yterms)),
+           quotient)
     plan = _PLANS.get(key)
     if plan is None:
-        plan = _PLANS[key] = _plan(n, [(a, b) for a in sorted(key[1])
-                                       for b in sorted(key[2]) if a + b <= n])
+        left, right = sorted(key[1]), sorted(key[2])
+        if quotient:
+            right = [c for c in right if c]
+            left = _quotient_weights(n, left, right)
+        plan = _PLANS[key] = _plan(n, [(a, b) for a in left for b in right if a + b <= n],
+                                   left if quotient else ())
     return plan if plan[0] <= pairs else None
+
+
+def _right_vector(y, zero):
+    """[y_t at t, -y_t at t + 2**n, zero elsewhere], 2**(n+1) + 1 long."""
+    full = 1 << y.algebra.num_generators
+    right = [zero] * (2 * full + 1)
+    for t, c in y.terms.items():
+        right[t] = c
+        right[t + full] = -c
+    return right
+
+
+def _class_sums(keys, left, right):
+    """For each monomial of one output weight, the sum of its signed pairs
+    over the classes keys, as an iterator; a padding pair appends a 0."""
+    total = None
+    for key in keys:
+        k, gx, gy = _CLASSES.get(key) or _weight_class(*key)
+        products = map(mul, gx(left), gy(right))
+        part = map(sum, zip(*[products] * k)) if k > 1 else products
+        total = part if total is None else map(add, total, part)
+    return total
 
 
 def _dense_terms(x, y, plan):
@@ -404,25 +462,41 @@ def _dense_terms(x, y, plan):
     elementwise.  Exact in rational mode too; only gmul restricts the
     path to float algebras.
     """
-    n = x.algebra.num_generators
-    full = 1 << n
     zero = 0.0 if x.algebra.mode == FLOAT else 0
-    left = [zero] * (full + 1)
+    left = [zero] * ((1 << x.algebra.num_generators) + 1)
     for s, c in x.terms.items():
         left[s] = c
-    right = [zero] * (2 * full + 1)
-    for t, c in y.terms.items():
-        right[t] = c
-        right[t + full] = -c
+    right = _right_vector(y, zero)
     terms = {}
     for monomials, keys in plan[1]:
-        total = None
-        for key in keys:
-            k, gx, gy = _CLASSES.get(key) or _weight_class(*key)
-            products = map(mul, gx(left), gy(right))
-            part = map(sum, zip(*[products] * k)) if k > 1 else products
-            total = part if total is None else map(add, total, part)
-        values = list(total)   # a padding pair only appends a 0, which filter drops
+        values = list(_class_sums(keys, left, right))   # filter drops a padding 0
+        terms.update(zip(compress(monomials, values), filter(None, values)))
+    return terms
+
+
+def _quotient_terms(x, y, plan):
+    """The nonzero terms of q = x / y, one weight at a time.
+
+    q = (x - q soul(y)) / b with b the body of y.  soul(y) has no term of
+    weight 0, so the terms of q of weight w need only those of lower
+    weight: the groups run in increasing weight, and each writes its
+    quotients into the dense left vector before the next one gathers.
+    Exact in rational mode too; only gdiv restricts the path to float
+    algebras.
+    """
+    zero = 0.0 if x.algebra.mode == FLOAT else 0
+    b = y.body
+    left = [zero] * ((1 << x.algebra.num_generators) + 1)
+    right = _right_vector(y, zero)
+    get = x.terms.get
+    terms = {}
+    for monomials, keys in plan[1]:
+        values = map(get, monomials, repeat(zero))
+        if keys:
+            values = map(sub, values, _class_sums(keys, left, right))
+        values = list(map(truediv, values, repeat(b)))
+        for m, v in zip(monomials, values):
+            left[m] = v
         terms.update(zip(compress(monomials, values), filter(None, values)))
     return terms
 
@@ -533,16 +607,44 @@ def _scalar_root(b, mode, what):
     return Fraction(rp, rq)
 
 
+def _invertible_body(x):
+    """The body of an even x with nonzero body."""
+    _check_even(x, "inverse")
+    b = x.body
+    if b == 0:
+        raise GrassmannError("zero body: %s is not invertible" % (x,))
+    return b
+
+
 def ginv(x):
     """Multiplicative inverse of an even element with nonzero body.
 
     Binomial series (1/b) * sum_k (-s/b)**k, exact by nilpotency.
     """
-    _check_even(x, "inverse")
-    b = x.body
-    if b == 0:
-        raise GrassmannError("zero body: %s is not invertible" % (x,))
-    return _series(x, _binomial(1 / b, -1))[0]
+    return _series(x, _binomial(1 / _invertible_body(x), -1))[0]
+
+
+def gdiv(x, y):
+    """Quotient x / y = x * y**-1 for an even y with nonzero body.
+
+    A float quotient that the dense path serves (see the module
+    docstring) is solved weight by weight from q y = x; any other is
+    gmul(x, ginv(y)), with ginv's rules and messages.  A float quotient
+    with a non-finite coefficient is an error.
+    """
+    y = x._check_compatible(y)
+    alg = x.algebra
+    plan = None
+    if alg.mode == FLOAT:
+        plan = _dense_plan(alg.num_generators, x.terms, y.terms, quotient=True)
+    if plan is None:
+        return gmul(x, ginv(y))
+    _invertible_body(y)
+    terms = _quotient_terms(x, y, plan)
+    if not all(map(math.isfinite, terms.values())):
+        raise GrassmannError("float overflow in quotient of %d by %d terms"
+                             % (len(x.terms), len(y.terms)))
+    return GrassmannElement(alg, terms)
 
 
 def gsqrt(x):
@@ -572,13 +674,13 @@ def _convolve(a, b):
 
 
 def chi_roots(chi):
-    """(r, sqrt(chi) r, sqrt(chi) r**2) with r = (1 + chi)**(-1/2), from one chain.
+    """(r, sqrt(chi) r) with r = (1 + chi)**(-1/2), from one chain.
 
     With b the body of chi and u = soul/b, r is
     (1 + b)**(-1/2) sum_k C(-1/2, k) (b/(1 + b))**k u**k, sqrt(chi) is
-    sqrt(b) sum_k C(1/2, k) u**k, and the products are convolutions of
-    the coefficient lists, so all three share the powers of u.  The rules
-    and messages of gsqrt(chi) and ginvsqrt(1 + chi) apply.
+    sqrt(b) sum_k C(1/2, k) u**k, and their product is the convolution of
+    the coefficient lists, so both share the powers of u.  The rules and
+    messages of gsqrt(chi) and ginvsqrt(1 + chi) apply.
     """
     alg = chi.algebra
     root = _body_root(chi, "square root")
@@ -588,8 +690,7 @@ def chi_roots(chi):
     q = b / (1 + b)
     r = [c * q ** k
          for k, c in enumerate(islice(_binomial(inv_root, Fraction(-1, 2)), count))]
-    sqrt_chi_r = _convolve(list(islice(_binomial(root, Fraction(1, 2)), count)), r)
-    return _series(chi, r, sqrt_chi_r, _convolve(sqrt_chi_r, r))
+    return _series(chi, r, _convolve(list(islice(_binomial(root, Fraction(1, 2)), count)), r))
 
 
 def _log_coefficients(log_b):

@@ -166,13 +166,25 @@ def spin_class_count(graph):
     return 1 << (graph.num_edges - rank)
 
 
+# enumerate_spin_classes refuses more classes than 2**this
+MAX_ENUMERATED_CLASSES_LOG2 = 20
+
+
 def enumerate_spin_classes(graph):
     """One canonical representative per spin class, lexicographically sorted.
 
     The canonical representatives are exactly the masks with every pivot
     bit clear, one for each of the 2^(E - rank) subsets of free edges.
+    More than 2^MAX_ENUMERATED_CLASSES_LOG2 classes is a SpinError, raised
+    before any representative is built.
     """
     pivots = {pivot for pivot, _, _ in _rref(star_matrix(graph))}
+    free = graph.num_edges - len(pivots)
+    if free > MAX_ENUMERATED_CLASSES_LOG2:
+        raise SpinError("2^%d = %d spin classes (2^(E-V+1) with E=%d, V=%d) exceed the "
+                        "enumeration limit of 2^%d"
+                        % (free, 1 << free, graph.num_edges, graph.num_vertices,
+                           MAX_ENUMERATED_CLASSES_LOG2))
     masks = [0]
     for i in range(graph.num_edges):
         if i not in pivots:

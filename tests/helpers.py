@@ -1,6 +1,6 @@
 """Helpers shared by the test modules."""
 
-from superpenner.fatgraph import boundary_cycles
+from superpenner.fatgraph import FatGraph, boundary_cycles
 
 
 def boundary_correspondence(graph1, graph2, skip_halves=()):
@@ -25,3 +25,12 @@ def boundary_correspondence(graph1, graph2, skip_halves=()):
     if len(set(mapping.values())) != len(cycles1):
         return None
     return mapping
+
+
+def prism(n):
+    """The prism over an n-cycle: 2n vertices, 3n edges, no loops."""
+    vertices = [(3 * v, 3 * v + 1, 3 * v + 2) for v in range(2 * n)]
+    edges = [(3 * (ring + i), 3 * (ring + (i + 1) % n) + 1)
+             for ring in (0, n) for i in range(n)]
+    edges += [(3 * i + 2, 3 * (n + i) + 2) for i in range(n)]
+    return FatGraph(vertices, edges)

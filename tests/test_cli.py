@@ -8,8 +8,10 @@ import pytest
 
 from superpenner import cli
 from superpenner.checks import CheckResult
-from superpenner.decorated import superflip
-from superpenner.fileio import load_state
+from superpenner.decorated import default_state, superflip
+from superpenner.fileio import load_state, render_state
+
+from helpers import prism
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -51,6 +53,17 @@ def test_reports_are_deterministic(capsys):
     _, first, _ = run(capsys, "spin", "enumerate", str(DATA / "sphere4.fg"))
     _, second, _ = run(capsys, "spin", "enumerate", str(DATA / "sphere4.fg"))
     assert first == second
+
+
+def test_spin_enumerate_refuses_2_to_the_33_classes(capsys, tmp_path):
+    doc = tmp_path / "prism32.fg"
+    doc.write_text(render_state(default_state(prism(32))), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spin", "enumerate", str(doc))
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert out == ""
+    assert "2^33 = 8589934592 spin classes (2^(E-V+1) with E=96, V=64)" in err
 
 
 def test_flip_output_reloads(capsys, tmp_path):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from superpenner import decorated, grassmann
 from superpenner.catalog import (GRAPHS, five_punctured_sphere, four_punctured_sphere,
                                  genus1_two_punctures, genus2_one_puncture,
                                  punctured_torus)
@@ -12,10 +13,12 @@ from superpenner.decorated import (DecoratedState, check_puncture_relation,
                                    classical_limit, default_state,
                                    shear_coordinates, states_equal_mod_sign,
                                    superflip)
-from superpenner.fatgraph import FatGraph, flip_quadrilateral
+from superpenner.fatgraph import flip_quadrilateral
 from superpenner.grassmann import (FLOAT, RATIONAL, GrassmannAlgebra, GrassmannElement,
                                    GrassmannError, chi_roots, ginv, gmul, gsqrt)
 from superpenner.spin import OrientationState
+
+from helpers import prism
 
 
 def ptolemy_example_state():
@@ -80,10 +83,10 @@ def assert_matches_two_root_form(state, e, flipped, record):
     chi = ac * ginv(bd)
     sqrt_chi = gsqrt(chi)
     inv_sqrt_1chi = ginv(gsqrt(1 + chi))
-    r, sqrt_chi_r, sqrt_chi_r2 = chi_roots(chi)
+    r, sqrt_chi_r = chi_roots(chi)
     assert r == inv_sqrt_1chi
     assert sqrt_chi_r == sqrt_chi * inv_sqrt_1chi
-    assert sqrt_chi_r2 == sqrt_chi * ginv(1 + chi)
+    # the flip builds f from (sigma r)(theta sqrt(chi) r); pin it to sqrt(chi)/(1 + chi)
     f = ginv(state.lam[e]) * (ac + bd) * (1 + sigma * theta * sqrt_chi * ginv(1 + chi))
     assert flipped.lam[e] == f
     assert flipped.mu[record.tail_vertex] == (sigma - theta * sqrt_chi) * inv_sqrt_1chi
@@ -273,15 +276,6 @@ def test_decorated_state_validates_counts_and_parity():
         DecoratedState(g, OrientationState.all_plus(g), alg, short, mu)
 
 
-def prism(n):
-    """The prism over an n-cycle: 2n vertices, 3n edges, no loops."""
-    vertices = [(3 * v, 3 * v + 1, 3 * v + 2) for v in range(2 * n)]
-    edges = [(3 * (ring + i), 3 * (ring + (i + 1) % n) + 1)
-             for ring in (0, n) for i in range(n)]
-    edges += [(3 * i + 2, 3 * (n + i) + 2) for i in range(n)]
-    return FatGraph(vertices, edges)
-
-
 def test_superflip_parity_checks_do_not_grow_with_the_graph(monkeypatch):
     calls = []
     for name in ("is_even", "is_odd"):
@@ -301,3 +295,34 @@ def test_superflip_parity_checks_do_not_grow_with_the_graph(monkeypatch):
     for kind in (True, False):
         counts = set().union(*(c for (_, odd), c in per_flip.items() if odd == kind))
         assert len(counts) == 1, (kind, per_flip)
+
+
+def dense_float_state(graph, rng):
+    """Every lambda-length full in the even monomials, every mu full in the odd."""
+    alg = GrassmannAlgebra(graph.num_vertices, FLOAT)
+    full = 1 << graph.num_vertices
+
+    def full_element(parity, body):
+        return alg.element({m: body if m == 0 else rng.uniform(-1.0, 1.0)
+                            for m in range(full) if m.bit_count() & 1 == parity})
+
+    lam = {e: full_element(0, rng.uniform(0.5, 4.0)) for e in range(graph.num_edges)}
+    mu = {v: full_element(1, 0.0) for v in range(graph.num_vertices)}
+    signs = [rng.choice((1, -1)) for _ in range(graph.num_edges)]
+    return DecoratedState(graph, OrientationState(graph, signs), alg, lam, mu)
+
+
+def test_dense_superflip_makes_at_most_13_products(monkeypatch):
+    # every product and quotient of a flip, including those a series makes
+    calls = []
+    gmul_, gdiv_ = grassmann.gmul, decorated.gdiv
+    monkeypatch.setattr(grassmann, "gmul", lambda x, y: calls.append(1) or gmul_(x, y))
+    monkeypatch.setattr(decorated, "gdiv", lambda x, y: calls.append(1) or gdiv_(x, y))
+    graph = prism(4)
+    assert graph.num_vertices == 8
+    state = dense_float_state(graph, random.Random(13))
+    for e in generic_edges(graph):
+        calls.clear()
+        flipped, _ = superflip(state, e)
+        assert len(calls) <= 13, (e, len(calls))
+        assert all(len(x.terms) == 128 for x in (flipped.lam[e], *flipped.mu.values()))

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from superpenner.grassmann import (_CLASSES, _INDICES, FLOAT, RATIONAL, GrassmannAlgebra,
                                    GrassmannElement, GrassmannError, _binomial,
                                    _dense_plan, _dense_terms, _log_coefficients, _plan,
-                                   _series, chi_roots, ginv, ginvsqrt, glog, gmul, gsqrt)
+                                   _quotient_terms, _quotient_weights, _series, chi_roots,
+                                   gdiv, ginv, ginvsqrt, glog, gmul, gsqrt)
 
 
 A4 = GrassmannAlgebra(4, RATIONAL)
@@ -596,6 +597,110 @@ def test_scalar_product_in_large_algebra_builds_no_class():
         assert 128 not in _INDICES
 
 
+@st.composite
+def divisors(draw, n):
+    """An even rational element with nonzero body on n generators: a
+    scalar, or a body plus a soul that is full, sparse, or full in its
+    high weights only."""
+    rng = draw(st.randoms(use_true_random=False))
+    shape = draw(st.sampled_from(["scalar", "full", "sparse", "high"]))
+    alg = GrassmannAlgebra(n, RATIONAL)
+
+    def coeff():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+    souls = [m for m in range(1, 1 << n) if m.bit_count() % 2 == 0]
+    if shape == "sparse":
+        souls = rng.sample(souls, min(len(souls), rng.randint(1, 4)))
+    elif shape == "high":
+        souls = [m for m in souls if m.bit_count() >= max(2, n - 3)]
+    elif shape == "scalar":
+        souls = []
+    return alg.element({0: coeff(), **{m: coeff() for m in souls}})
+
+
+quotient_pairs = st.integers(min_value=0, max_value=9).flatmap(
+    lambda n: st.tuples(shaped_elements(n), divisors(n)))
+
+
+def quotient_plan(x, y):
+    """The plan of x / y over every quotient class, whatever gdiv would take."""
+    n = x.algebra.num_generators
+    souls = sorted({t.bit_count() for t in y.terms} - {0})
+    weights = _quotient_weights(n, {s.bit_count() for s in x.terms}, souls)
+    return _plan(n, [(a, c) for a in weights for c in souls if a + c <= n], weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quotient_pairs)
+def test_dense_quotient_matches_series_inverse_exactly(pair):
+    # the dense quotient run in rational mode: every class, exact sums
+    x, y = pair
+    quotient = GrassmannElement(x.algebra, _quotient_terms(x, y, quotient_plan(x, y)))
+    assert quotient == gmul(x, ginv(y))
+    assert gdiv(x, y) == quotient   # rational gdiv takes the series
+
+
+@settings(max_examples=60, deadline=None)
+@given(quotient_pairs)
+def test_float_gdiv_matches_reference(pair):
+    # the same relative bound as the float product; the recursion divides
+    # by the body, so the scale covers |q| |soul(y)| / |b| and |x| / |b|
+    x, y = pair
+    want = as_float(gmul(x, ginv(y)))
+    fx, fy = as_float(x), as_float(y)
+    got = gdiv(fx, fy)
+    b = abs(fy.body)
+    largest = max(map(abs, want.terms.values()), default=0.0)
+    scale = max(largest, largest * max(map(abs, fy.soul.terms.values()), default=0.0) / b,
+                max(map(abs, fx.terms.values()), default=0.0) / b)
+    for m in set(got.terms) | set(want.terms):
+        assert abs(got.terms.get(m, 0.0) - want.terms.get(m, 0.0)) <= 1e-12 * scale
+
+
+def test_float_gdiv_takes_the_dense_path_on_dense_operands():
+    F8 = GrassmannAlgebra(8, FLOAT)
+    x = F8.element({m: 1.0 + m / 256 for m in range(256) if m.bit_count() % 2 == 0})
+    y = F8.element({m: 2.0 if m == 0 else 0.5 - m / 512 for m in range(256)
+                    if m.bit_count() % 2 == 0})
+    assert _dense_plan(8, x.terms, y.terms, quotient=True) is not None
+    q = gdiv(x, y)
+    assert q == x / y
+    assert (q * y).isclose(x, 1e-12)
+
+
+def test_float_quotient_overflow_is_an_error_on_both_paths():
+    F8 = GrassmannAlgebra(8, FLOAT)
+    big, tiny = F8.scalar(1e300), F8.scalar(1e-10)
+    assert _dense_plan(8, big.terms, tiny.terms, quotient=True) is None
+    with pytest.raises(GrassmannError, match="float overflow in"):
+        gdiv(big, tiny)
+    dense = F8.element({m: 1e300 for m in range(256) if m.bit_count() % 2 == 0})
+    small = F8.element({m: 1e-10 for m in range(256) if m.bit_count() % 2 == 0})
+    assert _dense_plan(8, dense.terms, small.terms, quotient=True) is not None
+    with pytest.raises(GrassmannError, match="float overflow in quotient"):
+        gdiv(dense, small)
+
+
+def test_gdiv_keeps_the_inverse_messages_on_both_paths():
+    F8 = GrassmannAlgebra(8, FLOAT)
+    dense = F8.element({m: 1.0 for m in range(256)})
+    even_soul = F8.element({m: 1.0 for m in range(1, 256) if m.bit_count() % 2 == 0})
+    odd = F8.element({m: 1.0 for m in range(256) if m.bit_count() % 2 == 1})
+    for x in (A4.one(), F4.one(), dense):
+        alg = x.algebra
+        zero_body = even_soul if x is dense else alg.monomial([0, 1])
+        odd_y = odd if x is dense else alg.gen(1)
+        dense_path = _dense_plan(alg.num_generators, x.terms, odd_y.terms, quotient=True)
+        assert (x is dense) == (dense_path is not None)
+        with pytest.raises(GrassmannError, match="zero body: .* is not invertible"):
+            gdiv(x, zero_body)
+        with pytest.raises(GrassmannError, match="inverse requires even parity"):
+            gdiv(x, odd_y)
+        with pytest.raises(GrassmannError, match="zero body"):
+            gdiv(x, alg.zero())
+
+
 @settings(max_examples=100, deadline=None)
 @given(even_with_square_body())
 def test_series_match_reference_series(case):
@@ -653,10 +758,14 @@ def chis(draw):
 @settings(max_examples=100, deadline=None)
 @given(chis())
 def test_chi_roots_match_root_products(chi):
-    r, sqrt_chi_r, sqrt_chi_r2 = chi_roots(chi)
+    r, sqrt_chi_r = chi_roots(chi)
     assert r == ginv(gsqrt(1 + chi))
     assert sqrt_chi_r == gsqrt(chi) * r
-    assert sqrt_chi_r2 == gsqrt(chi) * r * r
+    # superflip's f: (sigma r)(theta sqrt(chi) r) = sigma theta sqrt(chi) / (1 + chi)
+    alg = chi.algebra
+    sigma = sum((alg.gen(i) * (i + 1) for i in range(0, alg.num_generators, 2)), alg.zero())
+    theta = sum((alg.gen(i) * (i - 2) for i in range(1, alg.num_generators, 2)), alg.zero())
+    assert (sigma * r) * (theta * sqrt_chi_r) == sigma * theta * gsqrt(chi) * ginv(1 + chi)
 
 
 def test_chi_roots_follow_the_root_rules():
@@ -669,7 +778,6 @@ def test_chi_roots_follow_the_root_rules():
     with pytest.raises(GrassmannError, match="even parity"):
         chi_roots(A4.one() + A4.gen(0))
     chi = F4.scalar(2.0) + F4.monomial([0, 1], 0.5) + F4.monomial([2, 3], -0.25)
-    r, sqrt_chi_r, sqrt_chi_r2 = chi_roots(chi)
+    r, sqrt_chi_r = chi_roots(chi)
     assert r.isclose(ginv(gsqrt(1 + chi)), 1e-14)
     assert sqrt_chi_r.isclose(gsqrt(chi) * r, 1e-14)
-    assert sqrt_chi_r2.isclose(gsqrt(chi) * r * r, 1e-14)

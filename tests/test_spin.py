@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import pytest
 
 from superpenner.catalog import (four_punctured_sphere, genus1_two_punctures,
                                  genus2_one_puncture, punctured_torus, theta_graph)
+from superpenner import spin
 from superpenner.fatgraph import FatGraph, topology
 from superpenner.spin import (OrientationState, SpinError,
                               brute_force_spin_classes, canonical_representative,
@@ -11,7 +13,7 @@ from superpenner.spin import (OrientationState, SpinError,
                               flip_orientation, reflect, same_spin_class,
                               reflection_vertices_between, spin_class_count)
 
-from helpers import boundary_correspondence
+from helpers import boundary_correspondence, prism
 
 
 def all_orientations(graph):
@@ -177,3 +179,21 @@ def test_flip_class_count_invariant():
     flipped, _ = flip_orientation(OrientationState.all_plus(g), 0)
     assert spin_class_count(flipped.graph) == spin_class_count(g)
     assert len(enumerate_spin_classes(flipped.graph)) == len(enumerate_spin_classes(g))
+
+
+def test_enumeration_refuses_too_many_classes_before_building_any(monkeypatch):
+    graph = prism(32)   # E = 96, V = 64: 2^33 classes
+    assert spin_class_count(graph) == 1 << 33
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpinError, match=r"2\^33 = 8589934592 spin classes "
+                                            r"\(2\^\(E-V\+1\) with E=96, V=64\)"):
+            enumerate_spin_classes(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    monkeypatch.setattr(spin, "MAX_ENUMERATED_CLASSES_LOG2", 5)
+    assert len(enumerate_spin_classes(prism(4))) == 1 << 5
+    with pytest.raises(SpinError, match=r"2\^6 = 64 spin classes"):
+        enumerate_spin_classes(prism(5))
