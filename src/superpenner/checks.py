@@ -305,7 +305,7 @@ def check_pentagon(graph, seed=0, mode=FLOAT, tol=1e-9, cases=100):
                        "mode=%s pairs=%d failures=%d" % (mode, len(pairs), failures))
 
 
-def check_spincount(graph, seed=0, mode=RATIONAL, tol=None, cases=None):
+def check_spincount(graph, seed=0, mode=RATIONAL, tol=1e-9, cases=1):
     """Spin class count: orbit enumeration vs GF(2) rank vs 2^(2g+s-1)."""
     g, s, _, _ = topology(graph)
     fast = enumerate_spin_classes(graph)

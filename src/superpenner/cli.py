@@ -12,6 +12,7 @@ tolerance that is not finite and positive is bad input.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -27,26 +28,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
-
-_SUITE_DEFAULT_MODE = {
-    "ptolemy": RATIONAL,
-    "involution": RATIONAL,
-    "pentagon": FLOAT,
-    "spincount": RATIONAL,
-}
-_SUITE_DEFAULT_TOL = {
-    "ptolemy": 1e-12,
-    "involution": 1e-9,
-    "pentagon": 1e-9,
-    "spincount": 1e-9,
-}
-_SUITE_DEFAULT_CASES = {
-    "ptolemy": 1000,
-    "involution": 500,
-    "pentagon": 100,
-    "spincount": 1,
-}
-
 
 def _positive_int(text):
     if not text.isdecimal() or int(text) == 0:
@@ -180,21 +161,22 @@ def cmd_shear(args):
 
 
 def cmd_check(args):
-    mode = args.mode or _SUITE_DEFAULT_MODE[args.suite]
+    suite = SUITES[args.suite]
+    defaults = {name: p.default for name, p in inspect.signature(suite).parameters.items()}
+    mode = args.mode or defaults["mode"]
     tol, source = args.tol, "--tol"
     if tol is None:
         env = os.environ.get("SUPERPENNER_TOL")
         source = "SUPERPENNER_TOL"
         try:
-            tol = float(env) if env else _SUITE_DEFAULT_TOL[args.suite]
+            tol = float(env) if env else defaults["tol"]
         except ValueError:
             raise _LoadError("SUPERPENNER_TOL must be a number, got %r" % env) from None
     if not (math.isfinite(tol) and tol > 0):
         raise _LoadError("%s must be finite and positive, got %r" % (source, tol))
-    cases = args.cases if args.cases is not None else _SUITE_DEFAULT_CASES[args.suite]
+    cases = args.cases if args.cases is not None else defaults["cases"]
     state = _load(args.input)
-    result = SUITES[args.suite](state.graph, seed=args.seed, mode=mode,
-                                tol=tol, cases=cases)
+    result = suite(state.graph, seed=args.seed, mode=mode, tol=tol, cases=cases)
     config = ("suite=%s seed=%d mode=%s tol=%s cases=%d"
               % (args.suite, args.seed, mode, repr(tol), cases))
     _emit([config, result.report()], args.output)

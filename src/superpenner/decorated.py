@@ -14,13 +14,13 @@ chi = ac/bd:
     nu = (sigma - theta sqrt(chi)) / sqrt(1 + chi)     at the (b,c)-vertex
     mu = (theta + sigma sqrt(chi)) / sqrt(1 + chi)     at the (a,d)-vertex
 
-Evaluation: with p = ac + bd, r = 1/sqrt(1 + chi) and sqrt(chi) r come
-from one chain of powers of chi (grassmann.chi_roots), and chi = ac / bd
-and f are quotients (grassmann.gdiv).  Since p = bd (1 + chi), p r**2 =
-bd, so f = (p + sigma theta sqrt(chi) bd) / e.  Even elements are central,
-so (sigma r)(theta sqrt(chi) r) = sigma theta sqrt(chi) r**2: the two terms
-of nu give f = (p + p (sigma r)(theta sqrt(chi) r)) / e in two more
-products.
+Evaluation: chi = ac / bd and f are quotients (grassmann.gdiv), and
+sqrt(chi) and r = 1/sqrt(1 + chi) are powers (grassmann.gsqrt and
+grassmann.ginvsqrt); all four are one weight-by-weight solve.  With
+p = ac + bd, p = bd (1 + chi), so p r**2 = bd and
+f = (p + sigma (theta sqrt(chi)) bd) / e, while nu = (sigma - theta sqrt(chi)) r
+and mu = (theta + sigma sqrt(chi)) r.  A flip of dense elements makes
+eight products, two quotients and two roots.
 
 The formulas apply in the arrow configuration where e points from the
 (c,d)-vertex to the (a,b)-vertex; the auto-reflection that produces it
@@ -31,7 +31,7 @@ relabeling of the underlying graph).
 
 from __future__ import annotations
 
-from .grassmann import RATIONAL, GrassmannAlgebra, GrassmannError, chi_roots, gdiv, glog
+from .grassmann import RATIONAL, GrassmannAlgebra, GrassmannError, gdiv, ginvsqrt, glog, gsqrt
 from .fatgraph import boundary_cycles, flip_quadrilateral, topology
 from .spin import OrientationState, SpinError, flip_orientation
 
@@ -119,7 +119,7 @@ def superflip(state, e):
     and 1 + chi must exist (square bodies) unless both quadrilateral
     mu-invariants vanish, in which case the flip is purely classical.
     The flip evaluates the formulas through the identities in the module
-    docstring, with one quotient for chi and one for f.
+    docstring: quotients for chi and f, then roots of chi and 1 + chi.
     """
     new_orientation, record = flip_orientation(state.orientation, e)
 
@@ -137,12 +137,13 @@ def superflip(state, e):
         f = gdiv(p, le)
         nu = mu_new = state.algebra.zero()
     else:
-        r, sqrt_chi_r = chi_roots(gdiv(ac, bd))
-        sr = sigma * r
-        tsr = theta * sqrt_chi_r
-        f = gdiv(p + p * (sr * tsr), le)
-        nu = sr - tsr
-        mu_new = theta * r + sigma * sqrt_chi_r
+        chi = gdiv(ac, bd)
+        sqrt_chi = gsqrt(chi)
+        r = ginvsqrt(1 + chi)
+        theta_root = theta * sqrt_chi
+        f = gdiv(p + sigma * theta_root * bd, le)
+        nu = (sigma - theta_root) * r
+        mu_new = (theta + sigma * sqrt_chi) * r
 
     mu[record.tail_vertex] = nu       # now the (b,c)-vertex
     mu[record.head_vertex] = mu_new   # now the (a,d)-vertex

@@ -3,10 +3,10 @@
 Elements live in the real algebra on N anticommuting generators t0..t(N-1).
 Coefficients are exact rationals or 64-bit floats, chosen once per algebra.
 Monomials are generator subsets stored as bitmasks; an element is a sparse
-map from bitmasks to nonzero coefficients.  The inverse, square root,
-inverse square root and logarithm are computed by power series in the
-soul, which terminate exactly because the soul is nilpotent -- no
-tolerance-based truncation anywhere.
+map from bitmasks to nonzero coefficients.  Quotients, the inverse,
+square root, inverse square root and logarithm are one weight-by-weight
+solve, exact because the soul is nilpotent -- no tolerance-based
+truncation anywhere.
 
 Sign rule: for disjoint S and T, e_S * e_T = (-1)**k e_{S | T}, where k
 counts the pairs i in S, j in T with i > j.  Bit i of the mask P(T) is the
@@ -40,19 +40,38 @@ the algebra has.  The two paths add a monomial's contributions in
 different orders, so float results differ in round-off only.  A float
 product with a non-finite coefficient (an overflow) raises GrassmannError.
 
-Quotients: gdiv(x, y), for an even y with body b != 0, solves q y = x as
-q = (x - q soul(y)) / b.  soul(y) has no term below weight 2, so the terms
-of q of weight w need only those of lower weight.  On the dense path the
-weights a that q can have (those of x plus sums of soul weights of y) run
-in increasing order; weight w gathers the classes (a, c) with a + c = w
-and c a soul weight of y from the dense left vector, which by then holds
-every quotient of lower weight, and writes its own quotients into it.
-That is about one product's pairs, against the powers of the series
-inverse plus one product for x * ginv(y).  A float quotient takes the
-dense path under the product's rule, with its plan built from these
-classes and the scan's count raised by len(y)**2, the pairs of the first
-power that the series of ginv(y) would make.  Any other quotient
-(rational, sparse, or by a one-term scalar) is gmul(x, ginv(y)).
+Solves: quotients, powers and logarithms by an even y with body b are one
+recurrence (J. C. P. Miller's power-series formula, Knuth, TAOCP Vol. 2,
+section 4.7, lifted to the weight grading).  D(e_m) = |m| e_m is a
+derivation, and even elements are central, so z = x / y solves z y = x,
+z = y**alpha solves y Dz = alpha z Dy and z = log y solves y Dz = Dy.
+Each gives, over s | t = m with t in soul(y) and e the sign of e_s * e_t,
+
+    z_m = (start_m - sum factor(|s|, |t|) e z_s y_t) / divisor(|m|)
+
+with (start, factor, divisor):
+
+    x / y        (x_m,                      1,                   b)
+    y**alpha     (b**alpha at m = 0,        |s| - alpha |t|,     b |m|, 1 at m = 0)
+    log y        (log b at 0, |m| y_m,      |s|,                 b |m|, 1 at m = 0)
+
+soul(y) has no term of weight 0, so the terms of z of weight w need only
+those of lower weight, and the solve runs in increasing weight.  On the
+dense path the weights z can have (those of start plus sums of soul
+weights of y) run in increasing order; weight w gathers the classes
+(a, c) with a + c = w and c a soul weight of y, each times its factor,
+from the dense left vector, which by then holds every term of lower
+weight, and writes its own terms into it.  That is about one product's
+pairs.  The scan keeps pending sums per weight, finishes the lowest
+weight first and pushes each finished term's pairs with the soul upward,
+so its cost is the pairs of z with the soul, whatever n is.
+
+Dispatch: a solve takes the dense path when the algebra is float,
+2**n < len(start) * len(y) + len(y)**2 (the pairs of start and of a
+solution about as long as y with y), and its plan holds at most that many
+entries.  The len(y)**2 counts before the 2**n test: otherwise a power,
+whose start is one term, would always scan.  Any other solve (rational,
+sparse, or by a one-term scalar) scans.
 
 Memory: each disjoint pair on n generators sits in exactly one class, and
 all indices share one int object each, so the classes on n generators hold
@@ -67,7 +86,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import combinations, compress, islice, repeat
+from itertools import combinations, compress, repeat
 from operator import add, itemgetter, mul, sub, truediv
 
 RATIONAL = "rational"
@@ -379,19 +398,19 @@ def _plan(n, classes, weights=()):
 
     entries is 2**n plus the pairs in the classes.  groups holds, for each
     output weight w in increasing order (those of the classes and those in
-    weights), the monomials of weight w and the keys (n, a, b) of the
+    weights), w, the monomials of weight w and the keys (n, a, b) of the
     classes with a + b = w.
     """
     by_weight = {w: [] for w in weights}
     for a, b in classes:
         by_weight.setdefault(a + b, []).append((n, a, b))
     entries = (1 << n) + sum(math.comb(n, a + b) * math.comb(a + b, a) for a, b in classes)
-    return entries, tuple((_weight_monomials(n, w), tuple(by_weight[w]))
+    return entries, tuple((w, _weight_monomials(n, w), tuple(by_weight[w]))
                           for w in sorted(by_weight))
 
 
-def _quotient_weights(n, weights, souls):
-    """The weights x / y can have: those of x plus sums of soul weights of y, up to n."""
+def _solve_weights(n, weights, souls):
+    """The weights of a solution: those of its start plus sums of soul weights, up to n."""
     reached = set(weights)
     frontier = reached
     while frontier:
@@ -400,34 +419,33 @@ def _quotient_weights(n, weights, souls):
     return sorted(reached)
 
 
-def _dense_plan(n, xterms, yterms, quotient=False):
-    """The plan of x * y, or with quotient of x / y, on the dense path.
+def _dense_plan(n, xterms, yterms, solve=False):
+    """The plan of x * y, or with solve=True of the solve by y from start x, on the dense path.
 
-    None when len(xterms) * len(yterms) <= 2**n, or when the dense
-    vectors and the used classes together hold more entries than a scan
-    of x * y would visit, len(xterms) * len(yterms), plus for a quotient
-    len(yterms)**2 for the square of the soul in the series of ginv(y).
-    A quotient uses the classes (a, c) with a a weight that x / y can
-    have and c a soul weight of y, and has a group for every such weight,
-    classes or none.  Plans are kept per pair of weight sets;
-    they name classes but hold no pairs, and a class is built only when a
-    product first uses it.
+    None when the scan's count, len(xterms) * len(yterms) plus for a
+    solve len(yterms)**2, is at most 2**n, or when the dense vectors and
+    the used classes together hold more entries than that count.  A solve
+    uses the classes (a, c) with a a weight that its solution can have
+    and c a soul weight of y, and has a group for every such weight,
+    classes or none.  Plans are kept per pair of weight sets; they name
+    classes but hold no pairs, and a class is built only when a product
+    first uses it.
     """
     pairs = len(xterms) * len(yterms)
+    if solve:   # the solution is about as long as y, so its pairs with the soul
+        pairs += len(yterms) ** 2
     if pairs <= 1 << n:
         return None
-    if quotient:   # gmul(x, ginv(y)) also squares the soul of y
-        pairs += len(yterms) ** 2
     key = (n, frozenset(map(int.bit_count, xterms)), frozenset(map(int.bit_count, yterms)),
-           quotient)
+           solve)
     plan = _PLANS.get(key)
     if plan is None:
         left, right = sorted(key[1]), sorted(key[2])
-        if quotient:
+        if solve:
             right = [c for c in right if c]
-            left = _quotient_weights(n, left, right)
+            left = _solve_weights(n, left, right)
         plan = _PLANS[key] = _plan(n, [(a, b) for a in left for b in right if a + b <= n],
-                                   left if quotient else ())
+                                   left if solve else ())
     return plan if plan[0] <= pairs else None
 
 
@@ -441,14 +459,17 @@ def _right_vector(y, zero):
     return right
 
 
-def _class_sums(keys, left, right):
+def _class_sums(keys, left, right, factor=None):
     """For each monomial of one output weight, the sum of its signed pairs
-    over the classes keys, as an iterator; a padding pair appends a 0."""
+    over the classes keys, each class's sum times factor(a, b) when
+    factor is given, as an iterator; a padding pair appends a 0."""
     total = None
     for key in keys:
         k, gx, gy = _CLASSES.get(key) or _weight_class(*key)
         products = map(mul, gx(left), gy(right))
         part = map(sum, zip(*[products] * k)) if k > 1 else products
+        if factor is not None:
+            part = map(mul, part, repeat(factor(key[1], key[2])))
         total = part if total is None else map(add, total, part)
     return total
 
@@ -468,35 +489,8 @@ def _dense_terms(x, y, plan):
         left[s] = c
     right = _right_vector(y, zero)
     terms = {}
-    for monomials, keys in plan[1]:
+    for _, monomials, keys in plan[1]:
         values = list(_class_sums(keys, left, right))   # filter drops a padding 0
-        terms.update(zip(compress(monomials, values), filter(None, values)))
-    return terms
-
-
-def _quotient_terms(x, y, plan):
-    """The nonzero terms of q = x / y, one weight at a time.
-
-    q = (x - q soul(y)) / b with b the body of y.  soul(y) has no term of
-    weight 0, so the terms of q of weight w need only those of lower
-    weight: the groups run in increasing weight, and each writes its
-    quotients into the dense left vector before the next one gathers.
-    Exact in rational mode too; only gdiv restricts the path to float
-    algebras.
-    """
-    zero = 0.0 if x.algebra.mode == FLOAT else 0
-    b = y.body
-    left = [zero] * ((1 << x.algebra.num_generators) + 1)
-    right = _right_vector(y, zero)
-    get = x.terms.get
-    terms = {}
-    for monomials, keys in plan[1]:
-        values = map(get, monomials, repeat(zero))
-        if keys:
-            values = map(sub, values, _class_sums(keys, left, right))
-        values = list(map(truediv, values, repeat(b)))
-        for m, v in zip(monomials, values):
-            left[m] = v
         terms.update(zip(compress(monomials, values), filter(None, values)))
     return terms
 
@@ -539,50 +533,125 @@ def gmul(x, y):
     return GrassmannElement(alg, terms)
 
 
-def _series(x, *coefficients):
-    """[sum_k c_k u**k for each sequence], u = soul/body, for an even x.
+def _dense_solve_terms(y, start, factor, divisor, plan):
+    """The nonzero terms of the solve by y from start (see the module
+    docstring), one weight at a time on the dense path.
 
-    Each of coefficients yields c_0, c_1, ...; all sums share one chain of
-    powers of u.  Dividing the soul by the body keeps the powers of u as
-    large as the relative soul, whatever the size of the body, so float
-    powers do not overflow while their coefficients underflow.  An even
-    soul has no term below degree 2, so u**k vanishes once 2k exceeds the
-    number of generators; the powers stop there or at the first zero power.
+    soul(y) has no term of weight 0, so the terms of weight w need only
+    those of lower weight: the groups run in increasing weight, and each
+    writes its terms into the dense left vector before the next one
+    gathers.  Exact in rational mode too; only _solve restricts the path
+    to float algebras.
     """
-    alg = x.algebra
-    b = x.body
-    u = GrassmannElement(alg, {m: c / b for m, c in x.terms.items() if m})
-    sequences = [iter(cs) for cs in coefficients]
-    sums = [{0: alg.coerce_scalar(next(cs))} for cs in sequences]
-    power = u
-    last = alg.num_generators // 2
-    for k in range(1, last + 1):
-        if not power.terms:
-            break
-        for cs, terms in zip(sequences, sums):
-            c = alg.coerce_scalar(next(cs))
-            for m, v in power.terms.items():
-                terms[m] = terms.get(m, 0) + c * v
-        if k < last:
-            power = gmul(power, u)
-    return [GrassmannElement(alg, {m: c for m, c in terms.items() if c})
-            for terms in sums]
+    zero = 0.0 if y.algebra.mode == FLOAT else 0
+    left = [zero] * ((1 << y.algebra.num_generators) + 1)
+    right = _right_vector(y, zero)
+    get = start.get
+    terms = {}
+    for w, monomials, keys in plan[1]:
+        values = map(get, monomials, repeat(zero))
+        if keys:
+            values = map(sub, values, _class_sums(keys, left, right, factor))
+        values = list(map(truediv, values, repeat(divisor(w))))
+        for m, v in zip(monomials, values):
+            left[m] = v
+        terms.update(zip(compress(monomials, values), filter(None, values)))
+    return terms
 
 
-def _binomial(root, alpha):
-    """Yield root * C(alpha, k) for k = 0, 1, ...: the coefficients of
-    b**alpha (1 + u)**alpha, given root = b**alpha."""
-    c = root
-    k = 0
-    while True:
-        yield c
-        c = c * (alpha - k) / (k + 1)
-        k += 1
+def _scan_solve_terms(y, start, factor, divisor):
+    """The nonzero terms of the solve by y from start, scanning.
+
+    Pending sums are kept per weight; the lowest weight is finished
+    first, and each of its terms subtracts its pairs with the soul of y
+    from the sums of higher weight, so the work is the pairs of the
+    solution with the soul, whatever the number of generators.
+    """
+    souls = [(t, c, _below_parity(t), t.bit_count()) for t, c in y.terms.items() if t]
+    pending = {}
+    for m, c in start.items():
+        pending.setdefault(m.bit_count(), {})[m] = c
+    terms = {}
+    while pending:
+        w = min(pending)
+        d = divisor(w)
+        row = [(t, c if factor is None else factor(w, tw) * c, p, w + tw)
+               for t, c, p, tw in souls]
+        for s, total in pending.pop(w).items():
+            v = total / d
+            if not v:
+                continue
+            terms[s] = v
+            for t, c, p, mw in row:
+                if s & t:
+                    continue
+                sums = pending.setdefault(mw, {})
+                m = s | t
+                if (s & p).bit_count() & 1:
+                    sums[m] = sums.get(m, 0) + v * c
+                else:
+                    sums[m] = sums.get(m, 0) - v * c
+    return terms
+
+
+def _solve(y, start, factor, divisor, what):
+    """The element z with z_m = (start_m - sum factor(|s|, |t|) e z_s y_t)
+    / divisor(|m|), over s | t = m with t in soul(y), in increasing weight.
+
+    A float solve that the dense path serves (see the module docstring)
+    gathers weight classes; any other scans.  A float solve with a
+    non-finite coefficient is an error.
+    """
+    alg = y.algebra
+    if alg.mode != FLOAT:
+        return GrassmannElement(alg, _scan_solve_terms(y, start, factor, divisor))
+    plan = _dense_plan(alg.num_generators, start, y.terms, solve=True)
+    if plan is None:
+        terms = _scan_solve_terms(y, start, factor, divisor)
+    else:
+        terms = _dense_solve_terms(y, start, factor, divisor, plan)
+    if not all(map(math.isfinite, terms.values())):
+        raise GrassmannError("float overflow in %s of %d by %d terms"
+                             % (what, len(start), len(y.terms)))
+    return GrassmannElement(alg, terms)
 
 
 def _check_even(x, what):
     if not x.is_even():
         raise GrassmannError("%s requires even parity, got %s" % (what, x))
+
+
+def gdiv(x, y):
+    """Quotient x / y = x * y**-1 for an even y with nonzero body.
+
+    The solve of q y = x: q_m = (x_m - sum e q_s y_t) / b, with b the
+    body of y.  A float quotient with a non-finite coefficient is an
+    error.
+    """
+    y = x._check_compatible(y)
+    _check_even(y, "inverse")
+    b = y.body
+    if b == 0:
+        raise GrassmannError("zero body: %s is not invertible" % (y,))
+    return _solve(y, x.terms, None, lambda w: b, "quotient")
+
+
+def ginv(x):
+    """Multiplicative inverse of an even element with nonzero body: gdiv(1, x)."""
+    return gdiv(x.algebra.one(), x)
+
+
+def _power(x, alpha, root, what):
+    """x**alpha, given root = b**alpha for the body b of an even x.
+
+    The solve of x Dz = alpha z Dx, with D(e_m) = |m| e_m: z_0 = root and
+    z_m = -sum (|s| - alpha |t|) e z_s x_t / (b |m|).
+    """
+    alg = x.algebra
+    alpha = alg.coerce_scalar(alpha)
+    b = x.body
+    return _solve(x, {0: root}, lambda a, c: a - alpha * c,
+                  lambda w: b * w if w else 1, what)
 
 
 def _body_root(x, what):
@@ -591,13 +660,10 @@ def _body_root(x, what):
     In rational mode the body must be the square of a rational.
     """
     _check_even(x, what)
-    return _scalar_root(x.body, x.algebra.mode, what)
-
-
-def _scalar_root(b, mode, what):
+    b = x.body
     if b <= 0:
         raise GrassmannError("%s requires positive body, got %s" % (what, b))
-    if mode == FLOAT:
+    if x.algebra.mode == FLOAT:
         return math.sqrt(b)
     p, q = b.numerator, b.denominator
     rp, rq = math.isqrt(p), math.isqrt(q)
@@ -607,105 +673,31 @@ def _scalar_root(b, mode, what):
     return Fraction(rp, rq)
 
 
-def _invertible_body(x):
-    """The body of an even x with nonzero body."""
-    _check_even(x, "inverse")
-    b = x.body
-    if b == 0:
-        raise GrassmannError("zero body: %s is not invertible" % (x,))
-    return b
-
-
-def ginv(x):
-    """Multiplicative inverse of an even element with nonzero body.
-
-    Binomial series (1/b) * sum_k (-s/b)**k, exact by nilpotency.
-    """
-    return _series(x, _binomial(1 / _invertible_body(x), -1))[0]
-
-
-def gdiv(x, y):
-    """Quotient x / y = x * y**-1 for an even y with nonzero body.
-
-    A float quotient that the dense path serves (see the module
-    docstring) is solved weight by weight from q y = x; any other is
-    gmul(x, ginv(y)), with ginv's rules and messages.  A float quotient
-    with a non-finite coefficient is an error.
-    """
-    y = x._check_compatible(y)
-    alg = x.algebra
-    plan = None
-    if alg.mode == FLOAT:
-        plan = _dense_plan(alg.num_generators, x.terms, y.terms, quotient=True)
-    if plan is None:
-        return gmul(x, ginv(y))
-    _invertible_body(y)
-    terms = _quotient_terms(x, y, plan)
-    if not all(map(math.isfinite, terms.values())):
-        raise GrassmannError("float overflow in quotient of %d by %d terms"
-                             % (len(x.terms), len(y.terms)))
-    return GrassmannElement(alg, terms)
-
-
 def gsqrt(x):
     """Square root with positive body of an even element.
 
-    Binomial series sqrt(b) * sum_k C(1/2, k) (s/b)**k.  In rational mode
-    the body must be the square of a rational, otherwise an error is
-    raised (switch the algebra to float mode for generic bodies).
+    The power x**(1/2), solved weight by weight from its body root.  In
+    rational mode the body must be the square of a rational, otherwise an
+    error is raised (switch the algebra to float mode for generic bodies).
     """
-    root = _body_root(x, "square root")
-    return _series(x, _binomial(root, Fraction(1, 2)))[0]
+    return _power(x, Fraction(1, 2), _body_root(x, "square root"), "square root")
 
 
 def ginvsqrt(x):
     """Inverse square root, x**(-1/2) with positive body, of an even element.
 
-    Binomial series (1/sqrt(b)) * sum_k C(-1/2, k) (s/b)**k; the same
-    parity, body and rational-square rules as gsqrt.
+    The same solve as gsqrt with alpha = -1/2; the same parity, body and
+    rational-square rules as gsqrt.
     """
     root = _body_root(x, "inverse square root")
-    return _series(x, _binomial(1 / root, Fraction(-1, 2)))[0]
-
-
-def _convolve(a, b):
-    """Coefficients of the product of two power series, to the length of a."""
-    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
-
-
-def chi_roots(chi):
-    """(r, sqrt(chi) r) with r = (1 + chi)**(-1/2), from one chain.
-
-    With b the body of chi and u = soul/b, r is
-    (1 + b)**(-1/2) sum_k C(-1/2, k) (b/(1 + b))**k u**k, sqrt(chi) is
-    sqrt(b) sum_k C(1/2, k) u**k, and their product is the convolution of
-    the coefficient lists, so both share the powers of u.  The rules and
-    messages of gsqrt(chi) and ginvsqrt(1 + chi) apply.
-    """
-    alg = chi.algebra
-    root = _body_root(chi, "square root")
-    b = chi.body
-    inv_root = 1 / _scalar_root(1 + b, alg.mode, "inverse square root")
-    count = alg.num_generators // 2 + 1
-    q = b / (1 + b)
-    r = [c * q ** k
-         for k, c in enumerate(islice(_binomial(inv_root, Fraction(-1, 2)), count))]
-    return _series(chi, r, _convolve(list(islice(_binomial(root, Fraction(1, 2)), count)), r))
-
-
-def _log_coefficients(log_b):
-    """Yield log(b), then (-1)**(k+1) / k for k = 1, 2, ..."""
-    yield log_b
-    k = 0
-    while True:
-        k += 1
-        yield Fraction((-1) ** (k + 1), k)
+    return _power(x, Fraction(-1, 2), 1 / root, "inverse square root")
 
 
 def glog(x):
     """Logarithm of an even element with positive body.
 
-    log(b) + sum_{k>=1} (-1)**(k+1) (s/b)**k / k.  Rational mode is only
+    The solve of x DL = Dx: L_0 = log(b) and
+    L_m = (|m| x_m - sum |s| e L_s x_t) / (b |m|).  Rational mode is only
     exact when the body equals 1 (log 1 = 0); any other body requires
     float mode.
     """
@@ -714,11 +706,15 @@ def glog(x):
     if b <= 0:
         raise GrassmannError("logarithm requires positive body, got %s" % (b,))
     if x.algebra.mode == FLOAT:
-        return _series(x, _log_coefficients(math.log(b)))[0]
-    if b != 1:
+        log_b = math.log(b)
+    elif b != 1:
         raise GrassmannError("log of body %s is irrational; use float mode "
                              "(rational mode needs body 1)" % (b,))
-    return _series(x, _log_coefficients(Fraction(0)))[0]
+    else:
+        log_b = Fraction(0)
+    start = {m: m.bit_count() * c for m, c in x.terms.items() if m}
+    start[0] = log_b
+    return _solve(x, start, lambda a, c: a, lambda w: b * w if w else 1, "logarithm")
 
 
 # ---------------------------------------------------------------------------

@@ -197,30 +197,31 @@ def enumerate_spin_classes(graph):
 def brute_force_spin_classes(graph):
     """Independent oracle: orbit partition of all 2^E orientations.
 
-    Explores reflection moves directly (no linear algebra) and returns the
-    lexicographically smallest member of each orbit, sorted.
+    Explores reflection moves directly (no linear algebra).  Orientations
+    are visited in lexicographic order (edge 0 first, + before -): the
+    i-th is the mask with the E bits of i reversed, so the first member
+    met in each orbit is its lexicographically smallest, and the
+    representatives come out sorted.
     """
     num_edges = graph.num_edges
     moves = star_matrix(graph)
     seen = set()
     reps = []
-    for start in range(1 << num_edges):
+    for i in range(1 << num_edges):
+        start = int(format(i, "0%db" % num_edges)[::-1], 2)
         if start in seen:
             continue
-        orbit = {start}
+        reps.append(start)
+        seen.add(start)
         queue = deque([start])
         while queue:
             m = queue.popleft()
             for move in moves:
                 nxt = m ^ move
-                if nxt not in orbit:
-                    orbit.add(nxt)
+                if nxt not in seen:
+                    seen.add(nxt)
                     queue.append(nxt)
-        seen |= orbit
-        reps.append(min(orbit, key=lambda m: [m >> i & 1 for i in range(num_edges)]))
-    states = [OrientationState(graph, _mask_to_signs(m, num_edges)) for m in reps]
-    states.sort(key=_lex_key)
-    return tuple(states)
+    return tuple(OrientationState(graph, _mask_to_signs(m, num_edges)) for m in reps)
 
 
 def classify_punctures(state):

@@ -158,7 +158,7 @@ def test_check_pentagon_without_configuration_is_precondition(capsys):
 
 
 def test_check_failure_exit_code(capsys, monkeypatch):
-    def failing_suite(graph, seed=0, mode="rational", tol=None, cases=None):
+    def failing_suite(graph, seed=0, mode="rational", tol=1e-12, cases=1000):
         return CheckResult("ptolemy", False, 1, "forced failure")
     monkeypatch.setitem(cli.SUITES, "ptolemy", failing_suite)
     code, out, _ = run(capsys, "check", "ptolemy", str(DATA / "sphere4.fg"))

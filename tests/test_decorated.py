@@ -15,7 +15,7 @@ from superpenner.decorated import (DecoratedState, check_puncture_relation,
                                    superflip)
 from superpenner.fatgraph import flip_quadrilateral
 from superpenner.grassmann import (FLOAT, RATIONAL, GrassmannAlgebra, GrassmannElement,
-                                   GrassmannError, chi_roots, ginv, gmul, gsqrt)
+                                   GrassmannError, ginv, gmul, gsqrt)
 from superpenner.spin import OrientationState
 
 from helpers import prism
@@ -72,8 +72,7 @@ def test_super_ptolemy_worked_example():
 
 
 def assert_matches_two_root_form(state, e, flipped, record):
-    """The flip and the one-chain roots of chi equal the formulas with
-    1/sqrt(1 + chi) = ginv(gsqrt(1 + chi))."""
+    """The flip equals the formulas with 1/sqrt(1 + chi) = ginv(gsqrt(1 + chi))."""
     mu = dict(state.mu)
     for v in record.reflections_applied:
         mu[v] = -mu[v]
@@ -83,10 +82,7 @@ def assert_matches_two_root_form(state, e, flipped, record):
     chi = ac * ginv(bd)
     sqrt_chi = gsqrt(chi)
     inv_sqrt_1chi = ginv(gsqrt(1 + chi))
-    r, sqrt_chi_r = chi_roots(chi)
-    assert r == inv_sqrt_1chi
-    assert sqrt_chi_r == sqrt_chi * inv_sqrt_1chi
-    # the flip builds f from (sigma r)(theta sqrt(chi) r); pin it to sqrt(chi)/(1 + chi)
+    # the flip builds f from sigma (theta sqrt(chi)) bd; pin it to sqrt(chi)/(1 + chi)
     f = ginv(state.lam[e]) * (ac + bd) * (1 + sigma * theta * sqrt_chi * ginv(1 + chi))
     assert flipped.lam[e] == f
     assert flipped.mu[record.tail_vertex] == (sigma - theta * sqrt_chi) * inv_sqrt_1chi
@@ -312,17 +308,41 @@ def dense_float_state(graph, rng):
     return DecoratedState(graph, OrientationState(graph, signs), alg, lam, mu)
 
 
-def test_dense_superflip_makes_at_most_13_products(monkeypatch):
-    # every product and quotient of a flip, including those a series makes
+def test_dense_superflip_makes_at_most_12_operations(monkeypatch):
+    # every product, quotient and root of a flip
     calls = []
-    gmul_, gdiv_ = grassmann.gmul, decorated.gdiv
+    gmul_ = grassmann.gmul
     monkeypatch.setattr(grassmann, "gmul", lambda x, y: calls.append(1) or gmul_(x, y))
-    monkeypatch.setattr(decorated, "gdiv", lambda x, y: calls.append(1) or gdiv_(x, y))
+    for name in ("gdiv", "gsqrt", "ginvsqrt"):
+        original = getattr(decorated, name)
+        monkeypatch.setattr(decorated, name,
+                            lambda *args, original=original: calls.append(1) or original(*args))
     graph = prism(4)
     assert graph.num_vertices == 8
     state = dense_float_state(graph, random.Random(13))
     for e in generic_edges(graph):
         calls.clear()
         flipped, _ = superflip(state, e)
-        assert len(calls) <= 13, (e, len(calls))
+        assert len(calls) <= 12, (e, len(calls))
         assert all(len(x.terms) == 128 for x in (flipped.lam[e], *flipped.mu.values()))
+
+
+def test_solves_take_the_dense_path_only_when_dense(monkeypatch):
+    dense = []
+    solve_terms = grassmann._dense_solve_terms
+    monkeypatch.setattr(grassmann, "_dense_solve_terms",
+                        lambda *args: dense.append(1) or solve_terms(*args))
+    alg = GrassmannAlgebra(8, FLOAT)
+    rng = random.Random(8)
+    y = alg.element({m: 2.0 if m == 0 else rng.uniform(-0.5, 0.5)
+                     for m in range(256) if m.bit_count() % 2 == 0})
+    root, inverse, log = grassmann.gsqrt(y), grassmann.ginv(y), grassmann.glog(y)
+    assert len(dense) == 3
+    assert (root * root).isclose(y, 1e-12) and (inverse * y).isclose(alg.one(), 1e-12)
+    assert (log * 2).isclose(grassmann.glog(y * y), 1e-12)
+    # a super flip on V = 32 scans and builds no index table for 32 generators
+    state = random_decorated_state(prism(16), random.Random(3), FLOAT)
+    dense.clear()
+    for e in generic_edges(state.graph)[:4]:
+        superflip(state, e)
+    assert not dense and 32 not in grassmann._INDICES

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import time
 from fractions import Fraction
@@ -5,10 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from superpenner import grassmann
 from superpenner.grassmann import (_CLASSES, _INDICES, FLOAT, RATIONAL, GrassmannAlgebra,
-                                   GrassmannElement, GrassmannError, _binomial,
-                                   _dense_plan, _dense_terms, _log_coefficients, _plan,
-                                   _quotient_terms, _quotient_weights, _series, chi_roots,
+                                   GrassmannElement, GrassmannError, _dense_plan,
+                                   _dense_solve_terms, _dense_terms, _plan, _solve_weights,
                                    gdiv, ginv, ginvsqrt, glog, gmul, gsqrt)
 
 
@@ -391,7 +392,7 @@ def test_parse_bounds_numerals_and_indices(text):
 
 # -- kernel oracles --------------------------------------------------------------
 # Per-bit sign product and the per-function series loops, kept here as the
-# reference that gmul and the shared series evaluator must match exactly.
+# reference that gmul and the shared solve must match exactly.
 
 
 def reference_sign(s, t):
@@ -623,22 +624,48 @@ quotient_pairs = st.integers(min_value=0, max_value=9).flatmap(
     lambda n: st.tuples(shaped_elements(n), divisors(n)))
 
 
-def quotient_plan(x, y):
-    """The plan of x / y over every quotient class, whatever gdiv would take."""
-    n = x.algebra.num_generators
+def every_class_solve(y, start, factor, divisor):
+    """The dense solve kernel over every class the solve can use."""
+    n = y.algebra.num_generators
     souls = sorted({t.bit_count() for t in y.terms} - {0})
-    weights = _quotient_weights(n, {s.bit_count() for s in x.terms}, souls)
-    return _plan(n, [(a, c) for a in weights for c in souls if a + c <= n], weights)
+    weights = _solve_weights(n, {s.bit_count() for s in start}, souls)
+    plan = _plan(n, [(a, c) for a in weights for c in souls if a + c <= n], weights)
+    return _dense_solve_terms(y, start, factor, divisor, plan)
+
+
+@contextlib.contextmanager
+def dense_solves():
+    """Route every rational solve through the dense kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grassmann, "_scan_solve_terms", every_class_solve)
+        yield
 
 
 @settings(max_examples=60, deadline=None)
 @given(quotient_pairs)
-def test_dense_quotient_matches_series_inverse_exactly(pair):
+def test_dense_quotient_matches_reference_exactly(pair):
     # the dense quotient run in rational mode: every class, exact sums
     x, y = pair
-    quotient = GrassmannElement(x.algebra, _quotient_terms(x, y, quotient_plan(x, y)))
-    assert quotient == gmul(x, ginv(y))
-    assert gdiv(x, y) == quotient   # rational gdiv takes the series
+    with dense_solves():
+        quotient = gdiv(x, y)
+    assert quotient == reference_gmul(x, reference_power(y, -1, 1 / y.body))
+    assert gdiv(x, y) == quotient   # rational gdiv scans
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=9).flatmap(divisors),
+       st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(2), Fraction(5, 3)]))
+def test_dense_powers_and_log_match_reference_exactly(y, root):
+    # the dense power and log solves run in rational mode: every class, exact sums
+    body = root * root
+    y = y.soul + body
+    unit = y * (1 / body)
+    with dense_solves():
+        got = [ginv(y), gsqrt(y), ginvsqrt(y), glog(unit)]
+    assert got == [reference_power(y, -1, 1 / body),
+                   reference_power(y, Fraction(1, 2), root),
+                   reference_power(y, Fraction(-1, 2), 1 / root),
+                   reference_log(unit)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -647,7 +674,7 @@ def test_float_gdiv_matches_reference(pair):
     # the same relative bound as the float product; the recursion divides
     # by the body, so the scale covers |q| |soul(y)| / |b| and |x| / |b|
     x, y = pair
-    want = as_float(gmul(x, ginv(y)))
+    want = as_float(reference_gmul(x, reference_power(y, -1, 1 / y.body)))
     fx, fy = as_float(x), as_float(y)
     got = gdiv(fx, fy)
     b = abs(fy.body)
@@ -663,7 +690,7 @@ def test_float_gdiv_takes_the_dense_path_on_dense_operands():
     x = F8.element({m: 1.0 + m / 256 for m in range(256) if m.bit_count() % 2 == 0})
     y = F8.element({m: 2.0 if m == 0 else 0.5 - m / 512 for m in range(256)
                     if m.bit_count() % 2 == 0})
-    assert _dense_plan(8, x.terms, y.terms, quotient=True) is not None
+    assert _dense_plan(8, x.terms, y.terms, solve=True) is not None
     q = gdiv(x, y)
     assert q == x / y
     assert (q * y).isclose(x, 1e-12)
@@ -672,12 +699,12 @@ def test_float_gdiv_takes_the_dense_path_on_dense_operands():
 def test_float_quotient_overflow_is_an_error_on_both_paths():
     F8 = GrassmannAlgebra(8, FLOAT)
     big, tiny = F8.scalar(1e300), F8.scalar(1e-10)
-    assert _dense_plan(8, big.terms, tiny.terms, quotient=True) is None
+    assert _dense_plan(8, big.terms, tiny.terms, solve=True) is None
     with pytest.raises(GrassmannError, match="float overflow in"):
         gdiv(big, tiny)
     dense = F8.element({m: 1e300 for m in range(256) if m.bit_count() % 2 == 0})
     small = F8.element({m: 1e-10 for m in range(256) if m.bit_count() % 2 == 0})
-    assert _dense_plan(8, dense.terms, small.terms, quotient=True) is not None
+    assert _dense_plan(8, dense.terms, small.terms, solve=True) is not None
     with pytest.raises(GrassmannError, match="float overflow in quotient"):
         gdiv(dense, small)
 
@@ -691,7 +718,7 @@ def test_gdiv_keeps_the_inverse_messages_on_both_paths():
         alg = x.algebra
         zero_body = even_soul if x is dense else alg.monomial([0, 1])
         odd_y = odd if x is dense else alg.gen(1)
-        dense_path = _dense_plan(alg.num_generators, x.terms, odd_y.terms, quotient=True)
+        dense_path = _dense_plan(alg.num_generators, x.terms, odd_y.terms, solve=True)
         assert (x is dense) == (dense_path is not None)
         with pytest.raises(GrassmannError, match="zero body: .* is not invertible"):
             gdiv(x, zero_body)
@@ -733,19 +760,6 @@ def test_ginvsqrt_rules_follow_gsqrt():
     assert ginvsqrt(F4.scalar(2.0)).body == pytest.approx(1 / math.sqrt(2))
 
 
-@settings(max_examples=100, deadline=None)
-@given(even_with_square_body())
-def test_series_of_several_sequences_match_single_calls(case):
-    x, root = case
-    count = x.algebra.num_generators // 2 + 1
-    makers = [lambda: _binomial(1 / x.body, -1),
-              lambda: _binomial(root, Fraction(1, 2)),
-              lambda: _log_coefficients(Fraction(0)),
-              lambda: [Fraction(k * k - 3, k + 1) for k in range(count)]]
-    together = _series(x, *(make() for make in makers))
-    assert together == [_series(x, make())[0] for make in makers]
-
-
 @st.composite
 def chis(draw):
     """An even chi whose body b makes both b and 1 + b rational squares."""
@@ -755,29 +769,31 @@ def chis(draw):
     return soul + Fraction(p * p, q * q)
 
 
+def flip_roots(chi):
+    """sqrt(chi) and 1/sqrt(1 + chi), in the order superflip takes them."""
+    return gsqrt(chi), ginvsqrt(1 + chi)
+
+
 @settings(max_examples=100, deadline=None)
 @given(chis())
 def test_chi_roots_match_root_products(chi):
-    r, sqrt_chi_r = chi_roots(chi)
+    sqrt_chi, r = flip_roots(chi)
     assert r == ginv(gsqrt(1 + chi))
-    assert sqrt_chi_r == gsqrt(chi) * r
-    # superflip's f: (sigma r)(theta sqrt(chi) r) = sigma theta sqrt(chi) / (1 + chi)
-    alg = chi.algebra
-    sigma = sum((alg.gen(i) * (i + 1) for i in range(0, alg.num_generators, 2)), alg.zero())
-    theta = sum((alg.gen(i) * (i - 2) for i in range(1, alg.num_generators, 2)), alg.zero())
-    assert (sigma * r) * (theta * sqrt_chi_r) == sigma * theta * gsqrt(chi) * ginv(1 + chi)
+    assert sqrt_chi * r == gsqrt(chi * ginv(1 + chi))
+    # superflip's f: (ac + bd) r**2 = bd, since ac + bd = bd (1 + chi)
+    assert (1 + chi) * r * r == chi.algebra.one()
 
 
 def test_chi_roots_follow_the_root_rules():
     with pytest.raises(GrassmannError, match="square"):
-        chi_roots(A4.scalar(2))                       # chi body not a square
+        flip_roots(A4.scalar(2))                       # chi body not a square
     with pytest.raises(GrassmannError, match="square"):
-        chi_roots(A4.one() + A4.monomial([0, 1]))     # 1 + chi body 2
+        flip_roots(A4.one() + A4.monomial([0, 1]))     # 1 + chi body 2
     with pytest.raises(GrassmannError, match="positive"):
-        chi_roots(A4.scalar(-1))
+        flip_roots(A4.scalar(-1))
     with pytest.raises(GrassmannError, match="even parity"):
-        chi_roots(A4.one() + A4.gen(0))
+        flip_roots(A4.one() + A4.gen(0))
     chi = F4.scalar(2.0) + F4.monomial([0, 1], 0.5) + F4.monomial([2, 3], -0.25)
-    r, sqrt_chi_r = chi_roots(chi)
+    sqrt_chi, r = flip_roots(chi)
     assert r.isclose(ginv(gsqrt(1 + chi)), 1e-14)
-    assert sqrt_chi_r.isclose(gsqrt(chi) * r, 1e-14)
+    assert (sqrt_chi * r).isclose(gsqrt(chi * ginv(1 + chi)), 1e-14)
