@@ -9,7 +9,10 @@ half-edges.  The ordered pair is the edge's reference direction.
 
 Boundary cycles are the orbits of phi = sigma o alpha; they correspond to
 punctures of the thickened surface.  The Whitehead flip replaces an edge
-by the opposite diagonal of its quadrilateral, keeping ids stable.
+by the opposite diagonal of its quadrilateral, keeping ids stable.  It is
+a local move: the flipped graph is built from the parent by patching the
+two rewritten vertices in its tables, without rebuilding or revalidating
+the whole graph (see whitehead_flip).
 """
 
 from __future__ import annotations
@@ -230,13 +233,37 @@ def whitehead_flip(graph, e):
     The new edge f reuses e's id and half-edges; its reference direction
     runs from the vertex now holding b and c to the vertex holding a and
     d.  All other adjacencies are untouched.
+
+    The flipped graph is the parent with two vertex triples rewritten:
+    the tail vertex becomes (t, hb, hc) and the head vertex (h, hd, ha).
+    Of the tables only six sigma entries (those six half-edges) and two
+    vertex_of entries (ha and hc trade vertices) change, so they are
+    patched on copies of the parent's tuples; edges, vertex_names, alpha
+    and edge_of are the parent's own objects.  No revalidation is needed:
+    the flip keeps every half-edge and every edge, both new triples are
+    trivalent, V and E are unchanged, and edge e still joins the two
+    rewritten vertices, so the graph stays connected.
     """
     q = flip_quadrilateral(graph, e)
+    t, h, ha, hb, hc, hd = q.tail_half, q.head_half, q.ha, q.hb, q.hc, q.hd
     vertices = list(graph.vertices)
     # new tail vertex picks up b and c, new head vertex picks up d and a
-    vertices[q.tail_vertex] = (q.tail_half, q.hb, q.hc)
-    vertices[q.head_vertex] = (q.head_half, q.hd, q.ha)
-    flipped = FatGraph(vertices, graph.edges, graph.vertex_names)
+    vertices[q.tail_vertex] = _rotate_min((t, hb, hc))
+    vertices[q.head_vertex] = _rotate_min((h, hd, ha))
+    sigma = list(graph._sigma)
+    sigma[t], sigma[hb], sigma[hc] = hb, hc, t
+    sigma[h], sigma[hd], sigma[ha] = hd, ha, h
+    vertex_of = list(graph._vertex_of)
+    vertex_of[ha] = q.head_vertex
+    vertex_of[hc] = q.tail_vertex
+    flipped = object.__new__(FatGraph)
+    flipped.vertices = tuple(vertices)
+    flipped.edges = graph.edges
+    flipped.vertex_names = graph.vertex_names
+    flipped._sigma = tuple(sigma)
+    flipped._alpha = graph._alpha
+    flipped._edge_of = graph._edge_of
+    flipped._vertex_of = tuple(vertex_of)
     record = FlipRecord(
         flipped_edge=e, a=q.a, b=q.b, c=q.c, d=q.d,
         tail_vertex=q.tail_vertex, head_vertex=q.head_vertex)

@@ -7,9 +7,11 @@ reversed twice, hence unchanged); two orientations define the same spin
 structure iff they differ by reflections.  Classes number 2^(E-V+1) =
 2^(2g+s-1) on a connected graph.
 
-Membership and canonical representatives are decided by GF(2) linear
-algebra over int bitmasks (bit i = edge i reversed); a brute-force orbit
-search is kept alongside as an independent oracle.
+Canonical representatives and class counts are decided by GF(2) linear
+algebra over int bitmasks (bit i = edge i reversed), one elimination
+routine (_rref); membership and the reflections between two orientations
+come from one walk over the edges (reflection_vertices_between).  A
+brute-force orbit search is kept alongside as an independent oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ class OrientationState:
             raise SpinError("need one sign +1/-1 per edge, got %r" % (signs,))
         self.graph = graph
         self.signs = signs
+
+    @classmethod
+    def _unchecked(cls, graph, signs):
+        """A state from a tuple of signs already known to be valid."""
+        state = object.__new__(cls)
+        state.graph = graph
+        state.signs = signs
+        return state
 
     @classmethod
     def all_plus(cls, graph):
@@ -90,37 +100,38 @@ def star_matrix(graph):
 def _rref(rows):
     """Reduced row echelon form over GF(2); pivots at lowest set bits.
 
-    Returns (pivot_bit, row, comb) triples sorted by pivot, where bit i of
-    comb is set when input row i was combined into row.
+    Returns (pivot_bit, row) pairs sorted by pivot.
     """
     basis = []
-    for i, row in enumerate(rows):
-        comb = 1 << i
-        for pivot, r, c in basis:
+    for row in rows:
+        for pivot, r in basis:
             if row >> pivot & 1:
                 row ^= r
-                comb ^= c
         if row:
             pivot = (row & -row).bit_length() - 1
-            basis = [(p, r ^ row, c ^ comb) if r >> pivot & 1 else (p, r, c)
-                     for p, r, c in basis]
-            basis.append((pivot, row, comb))
+            basis = [(p, r ^ row) if r >> pivot & 1 else (p, r) for p, r in basis]
+            basis.append((pivot, row))
     basis.sort()
     return basis
 
 
 def _reduce(mask, basis):
-    """Clear every pivot bit of mask: (remainder, comb of the rows used).
+    """Clear every pivot bit of mask.
 
     The remainder is the lexicographically smallest coset element for the
     edge-id order with + before -.
     """
-    comb = 0
-    for pivot, row, c in basis:
+    for pivot, row in basis:
         if mask >> pivot & 1:
             mask ^= row
-            comb ^= c
-    return mask, comb
+    return mask
+
+
+def _toggle_star(signs, graph, v):
+    """Reflect the list signs at vertex v in place, once per incidence."""
+    for h in graph.vertices[v]:
+        e = graph.edge_of(h)
+        signs[e] = -signs[e]
 
 
 def reflect(state, v):
@@ -128,8 +139,9 @@ def reflect(state, v):
     graph = state.graph
     if not 0 <= v < graph.num_vertices:
         raise SpinError("unknown vertex %r" % (v,))
-    mask = _signs_to_mask(state.signs) ^ reflection_mask(graph, v)
-    return OrientationState(graph, _mask_to_signs(mask, graph.num_edges))
+    signs = list(state.signs)
+    _toggle_star(signs, graph, v)
+    return OrientationState._unchecked(graph, tuple(signs))
 
 
 def same_spin_class(state1, state2):
@@ -141,22 +153,41 @@ def reflection_vertices_between(state1, state2):
     """A vertex set whose reflections carry state1 to state2, or None.
 
     The answer is unique up to complementation (reflecting at every
-    vertex of a connected graph is the identity).
+    vertex of a connected graph is the identity); the set returned is the
+    one without vertex 0, in increasing order.  Reflecting at a set X
+    reverses edge e exactly when one end of e is in X (a loop never), so
+    X is found by walking the edges from vertex 0, outside X: the far end
+    of e is in X when exactly one of "near end in X" and "the signs
+    differ on e" holds.  An edge whose ends then disagree, a differing
+    loop included, means no X exists.  One pass over the graph's tables,
+    O(E).
     """
     if state1.graph != state2.graph:
         raise SpinError("orientation states live on different graphs")
     graph = state1.graph
-    target = _signs_to_mask(state1.signs) ^ _signs_to_mask(state2.signs)
-    rest, comb = _reduce(target, _rref(star_matrix(graph)))
-    if rest:
-        return None
-    return tuple(v for v in range(graph.num_vertices) if comb >> v & 1)
+    differs = [s1 != s2 for s1, s2 in zip(state1.signs, state2.signs)]
+    vertices, alpha = graph.vertices, graph._alpha
+    edge_of, vertex_of = graph._edge_of, graph._vertex_of
+    inside = [None] * graph.num_vertices
+    inside[0] = False
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for h in vertices[u]:
+            w = vertex_of[alpha[h]]
+            x = inside[u] != differs[edge_of[h]]
+            if inside[w] is None:
+                inside[w] = x
+                stack.append(w)
+            elif inside[w] != x:
+                return None
+    return tuple(v for v, x in enumerate(inside) if x)
 
 
 def canonical_representative(state):
     """Lexicographically smallest orientation in the spin class."""
     basis = _rref(star_matrix(state.graph))
-    mask, _ = _reduce(_signs_to_mask(state.signs), basis)
+    mask = _reduce(_signs_to_mask(state.signs), basis)
     return OrientationState(state.graph, _mask_to_signs(mask, state.graph.num_edges))
 
 
@@ -169,6 +200,11 @@ def spin_class_count(graph):
 # enumerate_spin_classes refuses more classes than 2**this
 MAX_ENUMERATED_CLASSES_LOG2 = 20
 
+# checks.check_spincount skips brute_force_spin_classes above this many
+# edges: the oracle visits all 2^E orientations, about 1 s at E = 18 and
+# about 9x more per 3 further edges
+MAX_BRUTE_FORCE_EDGES = 18
+
 
 def enumerate_spin_classes(graph):
     """One canonical representative per spin class, lexicographically sorted.
@@ -178,7 +214,7 @@ def enumerate_spin_classes(graph):
     More than 2^MAX_ENUMERATED_CLASSES_LOG2 classes is a SpinError, raised
     before any representative is built.
     """
-    pivots = {pivot for pivot, _, _ in _rref(star_matrix(graph))}
+    pivots = {pivot for pivot, _ in _rref(star_matrix(graph))}
     free = graph.num_edges - len(pivots)
     if free > MAX_ENUMERATED_CLASSES_LOG2:
         raise SpinError("2^%d = %d spin classes (2^(E-V+1) with E=%d, V=%d) exceed the "
@@ -254,16 +290,18 @@ def flip_orientation(state, e):
     an auto-reflection at the tail vertex (recorded).  Then a, c, d keep
     their orientations, b is reversed, and the new edge points from the
     (b,c)-vertex to the (a,d)-vertex, which is its new reference (+1).
+
+    The signs are toggled in place on a copy: the auto-reflection toggles
+    the three edges at the tail vertex (e, a, b, no loop among them on a
+    generic flip), then b and e are set.  The parent's signs were valid
+    and only +1/-1 are written, so the new state is not re-checked.
     """
     graph = state.graph
     flipped, record = whitehead_flip(graph, e)
     signs = list(state.signs)
-    reflections = ()
     if signs[e] == 1:
-        reflections = (record.tail_vertex,)
-        mask = _signs_to_mask(signs) ^ reflection_mask(graph, record.tail_vertex)
-        signs = list(_mask_to_signs(mask, graph.num_edges))
+        _toggle_star(signs, graph, record.tail_vertex)
+        record = replace(record, reflections_applied=(record.tail_vertex,))
     signs[record.b] = -signs[record.b]
     signs[e] = 1
-    record = replace(record, reflections_applied=reflections)
-    return OrientationState(flipped, signs), record
+    return OrientationState._unchecked(flipped, tuple(signs)), record

@@ -1,15 +1,19 @@
 import random
+import time
 
 import pytest
 
 from superpenner.catalog import GRAPHS
-from superpenner.checks import (aligned_equal_mod_sign, generic_edges, pentagon_pairs,
-                                random_decorated_state)
+from superpenner.checks import (aligned_equal_mod_sign, check_spincount, generic_edges,
+                                pentagon_pairs, random_decorated_state)
 from superpenner.decorated import DecoratedState, superflip
 from superpenner.fatgraph import find_isomorphisms, propagate_isomorphism
 from superpenner.grassmann import FLOAT, RATIONAL
-from superpenner.spin import (OrientationState, enumerate_spin_classes, reflect,
+from superpenner.spin import (MAX_BRUTE_FORCE_EDGES, OrientationState,
+                              enumerate_spin_classes, reflect,
                               reflection_vertices_between, same_spin_class)
+
+from helpers import prism
 
 
 def involution_and_pentagon_sequences(graph, rng, mode):
@@ -113,3 +117,17 @@ def test_reflection_vertices_between_none_across_classes(name):
             for v in verts:
                 moved = reflect(moved, v)
             assert moved == mate
+
+
+def test_spincount_skips_the_brute_force_oracle_above_the_edge_limit():
+    graph = prism(8)   # E = 24: the 2^24-orientation search would take about 90 s
+    assert graph.num_edges > MAX_BRUTE_FORCE_EDGES
+    start = time.perf_counter()
+    result = check_spincount(graph)
+    assert time.perf_counter() - start < 5
+    assert result.passed
+    assert result.detail == ("enumerated=512 brute_force=skipped rank_formula=512 "
+                             "2^(2g+s-1)=512 reps_match=skipped")
+    small = check_spincount(GRAPHS["genus2_2_1"]())
+    assert small.passed and "brute_force=16 " in small.detail
+    assert small.detail.endswith("reps_match=True")

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superpenner import cli
 from superpenner.checks import CheckResult
@@ -340,3 +345,61 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                             capture_output=True, text=True, env=env)
     assert failed.returncode == 2
     assert failed.stderr == "error: line 7: lambda 1 must be even with positive body, got -2\n"
+
+
+# -- loader fuzzing ----------------------------------------------------------------
+
+FUZZ_DOCUMENTS = tuple(p.read_text() for p in sorted(DATA.glob("*.fg")))
+FUZZ_TOKENS = ("", "0", "-1", "7", "99", "100000", "1e999", "nan", "inf", "1/0", "3/4",
+               "2.5", "t0", "t99", "t0^t1", "1 + t0", "+", "-", ":", "#", "*", "x",
+               "vertex", "edge", "orient", "lambda", "mu", "fatgraph", "v1")
+
+
+@st.composite
+def mutated_documents(draw):
+    """A test document with 1 to 4 line or token mutations."""
+    lines = draw(st.sampled_from(FUZZ_DOCUMENTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("delete", "duplicate", "swap", "replace", "perturb")))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = lines[i].split(" ")
+            k = draw(st.integers(0, len(tokens) - 1))
+            if kind == "replace":
+                tokens[k] = draw(st.sampled_from(FUZZ_TOKENS))
+            elif re.search(r"\d+", tokens[k]) and draw(st.booleans()):
+                delta = draw(st.integers(-3, 3))
+                tokens[k] = re.sub(r"\d+", lambda m: str(int(m.group()) + delta),
+                                   tokens[k], count=1)
+            else:
+                at = draw(st.integers(0, len(tokens[k])))
+                char = draw(st.sampled_from("0123456789-+:/.^*te# "))
+                tokens[k] = tokens[k][:at] + char + tokens[k][at + 1:]
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.fg"
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(doc=mutated_documents())
+def test_mutated_documents_load_or_exit_cleanly(fuzz_path, doc):
+    fuzz_path.write_text(doc)
+    for argv in (["info", str(fuzz_path)], ["flip", str(fuzz_path), "--edges", "0"]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(argv)
+        assert code in (0, 2, 3), (argv[0], doc)
+        assert (code == 0) == (err.getvalue() == ""), (argv[0], doc, err.getvalue())

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from superpenner import decorated, grassmann
+from superpenner import decorated, grassmann, spin
 from superpenner.catalog import (GRAPHS, five_punctured_sphere, four_punctured_sphere,
                                  genus1_two_punctures, genus2_one_puncture,
                                  punctured_torus)
@@ -13,7 +13,7 @@ from superpenner.decorated import (DecoratedState, check_puncture_relation,
                                    classical_limit, default_state,
                                    shear_coordinates, states_equal_mod_sign,
                                    superflip)
-from superpenner.fatgraph import flip_quadrilateral
+from superpenner.fatgraph import FatGraph, flip_quadrilateral
 from superpenner.grassmann import (FLOAT, RATIONAL, GrassmannAlgebra, GrassmannElement,
                                    GrassmannError, ginv, gmul, gsqrt)
 from superpenner.spin import OrientationState
@@ -291,6 +291,30 @@ def test_superflip_parity_checks_do_not_grow_with_the_graph(monkeypatch):
     for kind in (True, False):
         counts = set().union(*(c for (_, odd), c in per_flip.items() if odd == kind))
         assert len(counts) == 1, (kind, per_flip)
+
+
+def test_superflip_does_no_whole_graph_work(monkeypatch):
+    # a flip patches the graph and toggles signs locally: no rebuild, no
+    # revalidation, no sign check and no bitmask round trip
+    states = [random_decorated_state(make(), random.Random(6), RATIONAL, odd=False)
+              for make in GRAPHS.values()]
+    states.append(random_decorated_state(prism(16), random.Random(6), RATIONAL, odd=False))
+    prism_flips = 2 * len(generic_edges(states[-1].graph))
+    calls = []
+    for owner, name in ((FatGraph, "__init__"), (FatGraph, "_validate"),
+                        (OrientationState, "__init__"),
+                        (spin, "_signs_to_mask"), (spin, "_mask_to_signs")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    flips = 0
+    for state in states:
+        for e in generic_edges(state.graph):
+            once, _ = superflip(state, e)
+            superflip(once, e)
+            flips += 2
+    assert calls == []
+    assert prism_flips and flips > prism_flips
 
 
 def dense_float_state(graph, rng):

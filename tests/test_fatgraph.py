@@ -1,12 +1,18 @@
+import random
+
 import pytest
 
-from superpenner.catalog import (four_punctured_sphere, genus1_two_punctures,
+from superpenner.catalog import (GRAPHS, four_punctured_sphere, genus1_two_punctures,
                                  genus2_one_puncture, punctured_torus, theta_graph)
 from superpenner.fatgraph import (FatGraph, FatGraphError, NonGenericFlipError,
                                   boundary_cycles, find_isomorphisms,
                                   flip_quadrilateral, graph_from_records,
                                   parse_fatgraph, render_fatgraph, scan_document,
                                   topology, whitehead_flip)
+from superpenner.checks import generic_edges
+from superpenner.spin import OrientationState, flip_orientation
+
+from helpers import prism
 
 TORUS_FILE = """\
 fatgraph v1
@@ -206,3 +212,44 @@ def test_isomorphism_finder_counts_automorphisms():
     assert len(autos) >= 3
     identity = tuple(range(g.num_half_edges))
     assert identity in autos
+
+
+# -- the patched flip against a rebuild ------------------------------------------
+
+def mask_xor_flip_signs(state, e):
+    """flip_orientation's signs computed through GF(2) edge masks."""
+    graph = state.graph
+    q = flip_quadrilateral(graph, e)
+    mask = sum(1 << i for i, s in enumerate(state.signs) if s == -1)
+    if state.signs[e] == 1:
+        for h in graph.vertices[q.tail_vertex]:
+            mask ^= 1 << graph.edge_of(h)
+    mask ^= 1 << q.b
+    mask &= ~(1 << e)
+    return tuple(-1 if mask >> i & 1 else 1 for i in range(graph.num_edges))
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS) + ["prism_16"])
+def test_patched_flip_equals_a_rebuild(name):
+    graph = prism(16) if name == "prism_16" else GRAPHS[name]()
+    rng = random.Random(name)
+    state = OrientationState(graph, [rng.choice((1, -1)) for _ in range(graph.num_edges)])
+    flips = 0
+    for _ in range(60):
+        edges = generic_edges(graph)
+        if not edges:
+            break
+        e = rng.choice(edges)
+        expected_signs = mask_xor_flip_signs(state, e)
+        state, _ = flip_orientation(state, e)
+        flipped = state.graph
+        rebuilt = FatGraph(flipped.vertices, flipped.edges, flipped.vertex_names)
+        # every slot: vertices, edges, vertex_names and the four tables
+        for slot in FatGraph.__slots__:
+            assert getattr(flipped, slot) == getattr(rebuilt, slot), slot
+        assert state.signs == expected_signs
+        assert topology(flipped) == topology(graph)
+        graph = flipped
+        flips += 1
+    # the torus and theta graphs have no generic flip; the others walk far
+    assert flips == (0 if name in ("torus_1_1", "theta_0_3") else 60)

@@ -1,9 +1,10 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
 
-from superpenner.catalog import (four_punctured_sphere, genus1_two_punctures,
+from superpenner.catalog import (GRAPHS, four_punctured_sphere, genus1_two_punctures,
                                  genus2_one_puncture, punctured_torus, theta_graph)
 from superpenner import spin
 from superpenner.fatgraph import FatGraph, topology
@@ -86,6 +87,38 @@ def test_reflection_vertices_between_recovers_difference():
     for v in verts:
         back = reflect(back, v)
     assert back == moved
+
+
+REFLECTION_GRAPHS = dict(GRAPHS, prism_8=lambda: prism(8), dumbbell=dumbbell)
+
+
+@pytest.mark.parametrize("name", sorted(REFLECTION_GRAPHS))
+def test_reflection_vertices_between_agrees_with_elimination(name):
+    graph = REFLECTION_GRAPHS[name]()
+    rng = random.Random(name)
+    found = {True: 0, False: 0}
+    for _ in range(200):
+        state1 = OrientationState(graph, [rng.choice((1, -1)) for _ in graph.edges])
+        if rng.random() < 0.5:
+            state2 = OrientationState(graph, [rng.choice((1, -1)) for _ in graph.edges])
+        else:
+            state2 = state1
+            for v in range(graph.num_vertices):
+                if rng.random() < 0.5:
+                    state2 = reflect(state2, v)
+        verts = reflection_vertices_between(state1, state2)
+        # the rref oracle: the same class exactly when the canonical forms agree
+        same = canonical_representative(state1) == canonical_representative(state2)
+        assert (verts is not None) == same
+        found[same] += 1
+        if verts is not None:
+            assert 0 not in verts
+            assert list(verts) == sorted(set(verts))
+            moved = state1
+            for v in verts:
+                moved = reflect(moved, v)
+            assert moved == state2
+    assert found[True] and found[False]
 
 
 # -- enumeration --------------------------------------------------------------
