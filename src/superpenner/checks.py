@@ -3,9 +3,9 @@
 All randomness flows from one seed; identical (graph, seed, mode) runs
 produce identical reports.  The flip suites compare states across flip
 sequences by transporting the final state back along the canonical graph
-isomorphism (the one fixing every half-edge of untouched edges), aligning
-the orientation representative by reflections, and then comparing modulo
-the global odd sign.
+isomorphism (the one fixing every half-edge of untouched edges) and then
+asking decorated.states_equal_mod_sign, which aligns the spin-class
+representatives by reflections and allows the global odd sign.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .fatgraph import (NonGenericFlipError, find_isomorphisms, flip_quadrilatera
                        propagate_isomorphism, topology)
 from .grassmann import FLOAT, RATIONAL, GrassmannAlgebra
 from .spin import (MAX_BRUTE_FORCE_EDGES, OrientationState, brute_force_spin_classes,
-                   enumerate_spin_classes, reflection_vertices_between,
-                   spin_class_count)
+                   enumerate_spin_classes, spin_class_count)
 
 
 class CheckSetupError(ValueError):
@@ -50,6 +49,8 @@ def transport_state(final_state, phi, initial_graph):
 
     phi maps half-edges of final_state.graph to initial_graph; signs are
     conjugated by whether phi preserves each edge's reference direction.
+    The entries are those of a validated state, relabeled, so they are not
+    checked again; a phi that misses an edge or a vertex raises.
     """
     gf = final_state.graph
     gi = initial_graph
@@ -61,12 +62,14 @@ def transport_state(final_state, phi, initial_graph):
         lam[ei] = final_state.lam[ef]
         same_dir = gi.edges[ei][0] == phi[t]
         signs[ei] = final_state.orientation.signs[ef] * (1 if same_dir else -1)
+    orientation = OrientationState(gi, signs)   # a missed edge leaves a None sign
     mu = {}
     for vf in range(gf.num_vertices):
         vi = gi.vertex_of(phi[gf.vertices[vf][0]])
         mu[vi] = final_state.mu[vf]
-    return DecoratedState(gi, OrientationState(gi, signs),
-                          final_state.algebra, lam, mu)
+    if len(mu) != gi.num_vertices:
+        raise ValueError("phi misses a vertex of the initial graph")
+    return DecoratedState._unchecked(orientation, final_state.algebra, lam, mu)
 
 
 def aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
@@ -74,12 +77,10 @@ def aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
 
     Finds the isomorphism from the final graph to the initial one that is
     the identity on all half-edges of edges outside touched_edges,
-    transports the final state, takes the initial orientation
-    representative in place of the transported one (negating the
-    mu-invariants at the reflections that carry one onto the other), and
-    compares modulo the global odd sign.  False when no such isomorphism
-    exists or the spin classes disagree.  When touched_edges covers every
-    edge, every isomorphism is tried.
+    transports the final state and compares it with the initial one by
+    states_equal_mod_sign.  False when no such isomorphism exists or the
+    spin classes disagree.  When touched_edges covers every edge, every
+    isomorphism is tried.
     """
     gi, gf = initial.graph, final.graph
     fixed = [h for e in range(gi.num_edges) if e not in touched_edges
@@ -90,15 +91,7 @@ def aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
     for phi in isos:
         if phi is None or any(phi[h] != h for h in fixed):
             continue
-        moved = transport_state(final, phi, gi)
-        refl = reflection_vertices_between(moved.orientation, initial.orientation)
-        if refl is None:
-            continue
-        mu = dict(moved.mu)
-        for v in refl:
-            mu[v] = -mu[v]
-        candidate = DecoratedState(gi, initial.orientation, moved.algebra, moved.lam, mu)
-        if states_equal_mod_sign(candidate, initial, tol=tol):
+        if states_equal_mod_sign(transport_state(final, phi, gi), initial, tol=tol):
             return True
     return False
 

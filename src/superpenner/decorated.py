@@ -3,8 +3,11 @@
 A decorated state carries one even Grassmann lambda-length with positive
 body per edge and one odd mu-invariant per vertex (the vertex is dual to a
 triangle of the ideal triangulation), over a shared algebra with one
-generator per vertex of the initial graph.  States are compared modulo a
-single global sign change of all mu-invariants.
+generator per vertex of the initial graph.  Two states are the same point
+when their orientations lie in one spin class and the data agree once the
+reflections between the orientations have negated their vertices'
+mu-invariants, up to one global sign change of all mu-invariants
+(states_equal_mod_sign).
 
 Flipping edge e with quadrilateral labels a, b, c, d, with theta the
 mu-invariant at the (a,b)-vertex and sigma at the (c,d)-vertex, and with
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from .grassmann import RATIONAL, GrassmannAlgebra, GrassmannError, gdiv, ginvsqrt, glog, gsqrt
 from .fatgraph import boundary_cycles, flip_quadrilateral, topology
-from .spin import OrientationState, SpinError, flip_orientation
+from .spin import OrientationState, SpinError, flip_orientation, reflection_vertices_between
 
 
 def _check_lambda(ei, x):
@@ -74,6 +77,17 @@ class DecoratedState:
         self.lam = dict(lam)
         self.mu = dict(mu)
 
+    @classmethod
+    def _unchecked(cls, orientation, algebra, lam, mu):
+        """A state from maps already known to be valid; takes lam and mu as is."""
+        state = object.__new__(cls)
+        state.graph = orientation.graph
+        state.orientation = orientation
+        state.algebra = algebra
+        state.lam = lam
+        state.mu = mu
+        return state
+
     def _after_flip(self, orientation, e, f, mu, changed):
         """This state's lambda-lengths with f on edge e, and mu, on orientation.
 
@@ -85,14 +99,9 @@ class DecoratedState:
         _check_lambda(e, f)
         for vi in changed:
             _check_mu(vi, mu[vi])
-        state = object.__new__(DecoratedState)
-        state.graph = orientation.graph
-        state.orientation = orientation
-        state.algebra = self.algebra
-        state.lam = dict(self.lam)
-        state.lam[e] = f
-        state.mu = mu
-        return state
+        lam = dict(self.lam)
+        lam[e] = f
+        return DecoratedState._unchecked(orientation, self.algebra, lam, mu)
 
     def __repr__(self):
         g, s, e, v = topology(self.graph)
@@ -190,22 +199,34 @@ def classical_limit(state):
 
 
 def states_equal_mod_sign(state1, state2, tol=None):
-    """Equality of decorated states modulo one global odd sign.
+    """Whether two decorated states on one graph are the same point.
 
-    Lambda-lengths must agree edge by edge and mu-invariants vertex by
-    vertex, either all equal or all negated.  Exact comparison by default;
-    pass tol for coefficientwise float comparison.
+    The orientations must lie in one spin class: X =
+    reflection_vertices_between carries state1's onto state2's, and a
+    reflection negates the mu-invariant at its vertex.  Lambda-lengths must
+    agree edge by edge, and state1's mu-invariants, negated at X, must
+    agree with state2's vertex by vertex, either all equal or all negated
+    (the global odd sign, which is reflection at the complement of X).
+    Exact comparison by default; pass tol for coefficientwise float
+    comparison.
     """
     if state1.graph != state2.graph:
         raise ValueError("decorated states live on different graphs")
     if state1.algebra != state2.algebra:
         raise GrassmannError("decorated states use different algebras")
+    reflected = reflection_vertices_between(state1.orientation, state2.orientation)
+    if reflected is None:
+        return False
 
     def close(x, y):
         return x.isclose(y, tol) if tol is not None else x == y
 
     if not all(close(state1.lam[e], state2.lam[e]) for e in state1.lam):
         return False
-    same = all(close(state1.mu[v], state2.mu[v]) for v in state1.mu)
-    negated = all(close(state1.mu[v], -state2.mu[v]) for v in state1.mu)
-    return same or negated
+    mu1, mu2 = state1.mu, state2.mu
+    if reflected:
+        mu1 = dict(mu1)
+        for v in reflected:
+            mu1[v] = -mu1[v]
+    return (all(close(mu1[v], mu2[v]) for v in mu1)
+            or all(close(mu1[v], -mu2[v]) for v in mu1))

@@ -399,12 +399,11 @@ def graph_from_records(records):
     both are normalized to dense 0-based ranges (edges by increasing file
     id, vertices in order of appearance).  Decoration records are ignored.
     """
-    raw_vertices = []
-    names = []
-    raw_edges = []
+    raw_vertices = {}   # vertex name -> half-edge tokens, in order of appearance
+    raw_edges = {}      # file edge id -> half-edge tokens
     for kind, key, rest, lineno in records:
         if kind == "vertex":
-            if key in names:
+            if key in raw_vertices:
                 raise FatGraphError("line %d: duplicate vertex %r" % (lineno, key))
             try:
                 halves = tuple(int(tok) for tok in rest.split())
@@ -413,8 +412,7 @@ def graph_from_records(records):
             if len(halves) != 3:
                 raise FatGraphError("line %d: non-trivalent vertex %r (%d half-edges)"
                                     % (lineno, key, len(halves)))
-            names.append(key)
-            raw_vertices.append(halves)
+            raw_vertices[key] = halves
         elif kind == "edge":
             try:
                 eid = int(key)
@@ -424,18 +422,18 @@ def graph_from_records(records):
             if eid < 0 or len(pair) != 2:
                 raise FatGraphError("line %d: edge needs a non-negative id and "
                                     "exactly two half-edges" % lineno)
-            if any(eid == other for other, _ in raw_edges):
+            if eid in raw_edges:
                 raise FatGraphError("line %d: duplicate edge id %d" % (lineno, eid))
-            raw_edges.append((eid, pair))
+            raw_edges[eid] = pair
     if not raw_vertices or not raw_edges:
         raise FatGraphError("document defines no vertices or no edges")
-    raw_edges.sort()
+    raw_edges = sorted(raw_edges.items())
     all_halves = sorted(h for _, pair in raw_edges for h in pair)
     dense = {h: i for i, h in enumerate(all_halves)}
     if len(dense) != len(all_halves):
         raise FatGraphError("half-edge appears in more than one edge line")
     vertices = []
-    for halves in raw_vertices:
+    for halves in raw_vertices.values():
         try:
             vertices.append(tuple(dense[h] for h in halves))
         except KeyError as exc:
@@ -443,7 +441,7 @@ def graph_from_records(records):
                                 "no edge line)" % exc.args[0]) from None
     edges = [tuple(dense[h] for h in pair) for _, pair in raw_edges]
     id_map = {eid: i for i, (eid, _) in enumerate(raw_edges)}
-    return FatGraph(vertices, edges, names), id_map
+    return FatGraph(vertices, edges, list(raw_vertices)), id_map
 
 
 def render_fatgraph(graph):

@@ -5,11 +5,11 @@ import pytest
 
 from superpenner.catalog import GRAPHS
 from superpenner.checks import (aligned_equal_mod_sign, check_spincount, generic_edges,
-                                pentagon_pairs, random_decorated_state)
+                                pentagon_pairs, random_decorated_state, transport_state)
 from superpenner.decorated import DecoratedState, superflip
 from superpenner.fatgraph import find_isomorphisms, propagate_isomorphism
 from superpenner.grassmann import FLOAT, RATIONAL
-from superpenner.spin import (MAX_BRUTE_FORCE_EDGES, OrientationState,
+from superpenner.spin import (MAX_BRUTE_FORCE_EDGES, OrientationState, SpinError,
                               enumerate_spin_classes, reflect,
                               reflection_vertices_between, same_spin_class)
 
@@ -99,6 +99,29 @@ def test_aligned_comparison_with_every_edge_touched():
         assert aligned_equal_mod_sign(initial, final, everything)
         bumped = with_lam(final, 0, final.lam[0] + final.algebra.scalar(1))
         assert not aligned_equal_mod_sign(initial, bumped, everything)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_transport_rejects_a_map_with_holes(name):
+    graph = GRAPHS[name]()
+    state = random_decorated_state(graph, random.Random(name), RATIONAL)
+    identity = list(range(graph.num_half_edges))
+    moved = transport_state(state, identity, graph)
+    assert (moved.lam, moved.mu, moved.orientation) == (
+        state.lam, state.mu, state.orientation)
+    # both tails of edges 0 and 1 sent to the tail of edge 0: edge 1 is missed
+    misses_edge = list(identity)
+    misses_edge[graph.edges[1][0]] = graph.edges[0][0]
+    with pytest.raises(SpinError):
+        transport_state(state, misses_edge, graph)
+    # a vertex's first half-edge sent to the far end of its (non-loop) edge:
+    # every edge is still hit, but that vertex is missed
+    h = next(hs[0] for v, hs in enumerate(graph.vertices)
+             if graph.vertex_of(graph.alpha(hs[0])) != v)
+    misses_vertex = list(identity)
+    misses_vertex[h] = graph.alpha(h)
+    with pytest.raises(ValueError, match="misses a vertex"):
+        transport_state(state, misses_vertex, graph)
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))

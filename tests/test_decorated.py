@@ -16,7 +16,7 @@ from superpenner.decorated import (DecoratedState, check_puncture_relation,
 from superpenner.fatgraph import FatGraph, flip_quadrilateral
 from superpenner.grassmann import (FLOAT, RATIONAL, GrassmannAlgebra, GrassmannElement,
                                    GrassmannError, ginv, gmul, gsqrt)
-from superpenner.spin import OrientationState
+from superpenner.spin import OrientationState, reflect, reflection_vertices_between
 
 from helpers import prism
 
@@ -240,6 +240,48 @@ def test_states_equal_mod_sign_quotient():
     assert not states_equal_mod_sign(state, partial)
 
 
+def with_mu_negated(state, orientation, vertices):
+    mu = dict(state.mu)
+    for v in vertices:
+        mu[v] = -mu[v]
+    return DecoratedState(state.graph, orientation, state.algebra, state.lam, mu)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_states_equal_mod_sign_follows_the_spin_class(name):
+    graph = GRAPHS[name]()
+    state = random_decorated_state(graph, random.Random(name), RATIONAL)
+    o = state.orientation
+    everything = range(graph.num_vertices)
+    # the same lambda-lengths and mu-invariants in another spin class
+    others = 0
+    for e in range(graph.num_edges):
+        signs = list(o.signs)
+        signs[e] = -signs[e]
+        other = OrientationState(graph, signs)
+        if reflection_vertices_between(o, other) is None:
+            others += 1
+            assert not states_equal_mod_sign(state, with_mu_negated(state, other, ()))
+            assert not states_equal_mod_sign(with_mu_negated(state, other, ()), state)
+    assert others
+    # a reflection negates its vertex's mu-invariant: the same point, also
+    # up to the global odd sign
+    for v in everything:
+        reflected = with_mu_negated(state, reflect(o, v), (v,))
+        assert states_equal_mod_sign(state, reflected)
+        assert states_equal_mod_sign(reflected, state)
+        rest = [w for w in everything if w != v]
+        assert states_equal_mod_sign(state, with_mu_negated(state, reflect(o, v), rest))
+        if any(not state.mu[w].is_zero() for w in rest):
+            assert not states_equal_mod_sign(state, with_mu_negated(state, reflect(o, v), ()))
+    # reflecting at every vertex returns the orientation and negates every mu
+    all_reflected = o
+    for v in everything:
+        all_reflected = reflect(all_reflected, v)
+    assert all_reflected == o
+    assert states_equal_mod_sign(state, with_mu_negated(state, all_reflected, everything))
+
+
 def test_states_equal_mod_sign_tolerance():
     g = four_punctured_sphere()
     alg = GrassmannAlgebra(g.num_vertices, FLOAT)
@@ -315,6 +357,27 @@ def test_superflip_does_no_whole_graph_work(monkeypatch):
             flips += 2
     assert calls == []
     assert prism_flips and flips > prism_flips
+
+
+def test_comparison_does_no_revalidation(monkeypatch):
+    # transporting and comparing relabel entries of validated states: no
+    # DecoratedState is rebuilt and no lambda or mu is checked again
+    graph = prism(16)
+    trips = []
+    for e in generic_edges(graph)[:2]:
+        state = random_decorated_state(graph, random.Random(e), RATIONAL,
+                                       square_friendly_edge=e)
+        once, _ = superflip(state, e)
+        trips.append((state, superflip(once, e)[0], {e}))
+    calls = []
+    for owner, name in ((DecoratedState, "__init__"), (decorated, "_check_lambda"),
+                        (decorated, "_check_mu"), (FatGraph, "__init__")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    for state, twice, touched in trips:
+        assert aligned_equal_mod_sign(state, twice, touched)
+    assert calls == []
 
 
 def dense_float_state(graph, rng):

@@ -81,6 +81,15 @@ edge 5: 10 11
         parse_fatgraph(two_tori)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("vertex A: 6 7 8", "line 8: duplicate vertex 'A'"),
+    ("edge 1: 6 7", "line 8: duplicate edge id 1"),
+])
+def test_parse_rejects_duplicate_lines(line, message):
+    with pytest.raises(FatGraphError, match=message):
+        parse_fatgraph(TORUS_FILE + line + "\n")
+
+
 def test_parse_normalizes_sparse_ids():
     sparse = """\
 fatgraph v1

@@ -1,12 +1,15 @@
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from superpenner.catalog import punctured_torus
-from superpenner.fatgraph import FatGraphError
+from superpenner.fatgraph import FatGraphError, render_fatgraph
 from superpenner.fileio import load_state, render_state
 from superpenner.grassmann import FLOAT
+
+from helpers import prism
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,3 +100,19 @@ def test_duplicate_decoration_lines_rejected(line):
             + line + "\n")
     with pytest.raises(FatGraphError, match="line 10: duplicate %s " % line.split()[0]):
         load_state(text)
+
+
+def test_large_document_loads_in_linear_time():
+    # V = 8000: a loader that rescans earlier lines for duplicates takes
+    # several seconds here
+    graph = prism(4000)
+    lines = [render_fatgraph(graph)]
+    lines += ["orient %d: -\nlambda %d: 2" % (e, e) for e in range(graph.num_edges)]
+    lines += ["mu %s: t%d" % (name, v) for v, name in enumerate(graph.vertex_names)]
+    text = "\n".join(lines) + "\n"
+    start = time.perf_counter()
+    state = load_state(text)
+    assert time.perf_counter() - start < 3.0
+    assert state.graph == graph
+    assert state.orientation.signs == (-1,) * graph.num_edges
+    assert state.lam[graph.num_edges - 1].body == 2
