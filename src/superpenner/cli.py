@@ -7,11 +7,18 @@ Reports are plain text, one record per line, deterministic for a fixed
 
 The default check tolerance can be overridden with SUPERPENNER_TOL; a
 tolerance that is not finite and positive is bad input.
+
+main() builds its argparse parser once per process and reuses it, so
+in-process callers (the library API, tests, benchmarks) pay for the
+parser tree only on their first call; a one-shot process builds it once
+either way.  build_parser() still returns a fresh parser, and the check
+suite names are those of SUITES at the first main() call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import math
 import os
@@ -71,6 +78,11 @@ def build_parser():
     p_check.add_argument("--cases", type=_positive_int, default=None)
     p_check.add_argument("--output")
     return parser
+
+
+@functools.cache
+def _parser():
+    return build_parser()
 
 
 def _emit(lines, output):
@@ -184,8 +196,7 @@ def cmd_check(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "info": cmd_info,
         "spin": cmd_spin,

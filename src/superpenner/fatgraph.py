@@ -324,13 +324,15 @@ def propagate_isomorphism(graph1, graph2, source, target):
     n = graph1.num_half_edges
     if n != graph2.num_half_edges:
         return None
+    sigma1, alpha1 = graph1._sigma, graph1._alpha
+    sigma2, alpha2 = graph2._sigma, graph2._alpha
     phi = [None] * n
     phi[source] = target
     queue = deque([source])
     while queue:
         h = queue.popleft()
-        for img, nxt in ((graph2.sigma(phi[h]), graph1.sigma(h)),
-                         (graph2.alpha(phi[h]), graph1.alpha(h))):
+        k = phi[h]
+        for img, nxt in ((sigma2[k], sigma1[h]), (alpha2[k], alpha1[h])):
             if phi[nxt] is None:
                 phi[nxt] = img
                 queue.append(nxt)

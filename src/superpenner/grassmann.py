@@ -311,6 +311,8 @@ class GrassmannElement:
         return result
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if isinstance(other, (int, Fraction, float)):
             try:
                 other = self.algebra.scalar(other)
@@ -736,9 +738,12 @@ def render_element(x):
         negative = c < 0
         body = _render_scalar(-c if negative else c)
         if mask:
-            mono = "^".join("t%d" % i for i in range(x.algebra.num_generators)
-                            if mask >> i & 1)
-            body = "%s*%s" % (body, mono)
+            gens = []
+            while mask:
+                low = mask & -mask
+                gens.append("t%d" % (low.bit_length() - 1))
+                mask ^= low
+            body = "%s*%s" % (body, "^".join(gens))
         if not parts:
             parts.append("-" + body if negative else body)
         else:
@@ -810,7 +815,11 @@ def parse_element(algebra, text):
         if signs and signs.count("-") & 1:
             sign = -sign
         if sign:
-            terms[mask] = terms.get(mask, 0) + (c if sign > 0 else -c)
+            if sign < 0:
+                c = -c
+            if mask in terms:  # a repeated monomial: only then add
+                c += terms[mask]
+            terms[mask] = c
         pos = term.end()
     terms = {m: c for m, c in terms.items() if c}
     if algebra.mode == FLOAT and not all(map(math.isfinite, terms.values())):

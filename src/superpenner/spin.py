@@ -11,12 +11,16 @@ Canonical representatives and class counts are decided by GF(2) linear
 algebra over int bitmasks (bit i = edge i reversed), one elimination
 routine (_rref); membership and the reflections between two orientations
 come from one walk over the edges (reflection_vertices_between).  A
-brute-force orbit search is kept alongside as an independent oracle.
+brute-force orbit search is kept alongside as an independent oracle.  A
+reflection acts on masks by XOR with a fixed vector, so the reflections
+form a group acting by translation: orbit(start) = start ^ orbit(0).  The
+oracle finds orbit(0) once, by breadth-first search over the reflection
+moves, and translates it; it never calls _rref, so a fault in the
+elimination cannot hide by agreeing with itself.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import replace
 
 from .fatgraph import boundary_cycles, whitehead_flip
@@ -201,8 +205,8 @@ def spin_class_count(graph):
 MAX_ENUMERATED_CLASSES_LOG2 = 20
 
 # checks.check_spincount skips brute_force_spin_classes above this many
-# edges: the oracle visits all 2^E orientations, about 1 s at E = 18 and
-# about 9x more per 3 further edges
+# edges: the oracle visits all 2^E orientations, about 50 ms at E = 18
+# (prism(6)) and about 8x more per 3 further edges (0.4 s at E = 21)
 MAX_BRUTE_FORCE_EDGES = 18
 
 
@@ -230,33 +234,54 @@ def enumerate_spin_classes(graph):
     return tuple(states)
 
 
+def _lex_masks(first, count):
+    """Every mask over bits first..first+count-1, in lexicographic order.
+
+    Lexicographic means the lowest bit decides first, clear before set:
+    each further bit, taken from the highest down, doubles the list with
+    the new bit clear in the first half and set in the second.
+    """
+    masks = [0]
+    for i in reversed(range(first, first + count)):
+        masks += [m | 1 << i for m in masks]
+    return masks
+
+
 def brute_force_spin_classes(graph):
     """Independent oracle: orbit partition of all 2^E orientations.
 
-    Explores reflection moves directly (no linear algebra).  Orientations
-    are visited in lexicographic order (edge 0 first, + before -): the
-    i-th is the mask with the E bits of i reversed, so the first member
-    met in each orbit is its lexicographically smallest, and the
-    representatives come out sorted.
+    Explores reflection moves directly (no linear algebra, no _rref).  A
+    reflection XORs a mask with a fixed vector, so orbit(start) =
+    start ^ orbit(0): the orbit of 0 is found once by breadth-first
+    search over the moves and translated to each new start.
+    Orientations are visited in lexicographic order (edge 0 first, +
+    before -), each the union of a mask over the low half of the edges
+    and one over the high half, so the first member met in each orbit is
+    its lexicographically smallest, and the representatives come out
+    sorted.  Visited orientations are one byte each, not a set of ints.
     """
     num_edges = graph.num_edges
     moves = star_matrix(graph)
-    seen = set()
+    orbit = [0]
+    in_orbit = {0}
+    for m in orbit:  # breadth-first: the list grows while it is walked
+        for move in moves:
+            nxt = m ^ move
+            if nxt not in in_orbit:
+                in_orbit.add(nxt)
+                orbit.append(nxt)
+    half = num_edges // 2
+    high_masks = _lex_masks(half, num_edges - half)
+    seen = bytearray(1 << num_edges)
     reps = []
-    for i in range(1 << num_edges):
-        start = int(format(i, "0%db" % num_edges)[::-1], 2)
-        if start in seen:
-            continue
-        reps.append(start)
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            m = queue.popleft()
-            for move in moves:
-                nxt = m ^ move
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+    for low in _lex_masks(0, half):
+        for high in high_masks:
+            start = low | high
+            if seen[start]:
+                continue
+            reps.append(start)
+            for m in orbit:
+                seen[start ^ m] = 1
     return tuple(OrientationState(graph, _mask_to_signs(m, num_edges)) for m in reps)
 
 

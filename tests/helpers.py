@@ -1,6 +1,9 @@
 """Helpers shared by the test modules."""
 
+from collections import deque
+
 from superpenner.fatgraph import FatGraph, boundary_cycles
+from superpenner.spin import star_matrix
 
 
 def boundary_correspondence(graph1, graph2, skip_halves=()):
@@ -34,3 +37,33 @@ def prism(n):
              for ring in (0, n) for i in range(n)]
     edges += [(3 * i + 2, 3 * (n + i) + 2) for i in range(n)]
     return FatGraph(vertices, edges)
+
+
+def reference_spin_classes(graph):
+    """Sign tuples of the orbit representatives, by a per-mask search.
+
+    Visits all 2^E orientations in lexicographic order (edge 0 first,
+    + before -) and runs a breadth-first search over the reflection
+    moves from every mask not yet seen, keeping the seen masks in a set.
+    The reference for spin.brute_force_spin_classes, which translates one
+    orbit instead.
+    """
+    num_edges = graph.num_edges
+    moves = star_matrix(graph)
+    seen = set()
+    reps = []
+    for i in range(1 << num_edges):
+        start = int(format(i, "0%db" % num_edges)[::-1], 2)
+        if start in seen:
+            continue
+        reps.append(start)
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            m = queue.popleft()
+            for move in moves:
+                nxt = m ^ move
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return tuple(tuple(-1 if m >> e & 1 else 1 for e in range(num_edges)) for m in reps)

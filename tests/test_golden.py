@@ -62,6 +62,28 @@ def test_golden_report(name, argv, monkeypatch):
     assert transcript(argv).encode("utf-8") == expected
 
 
+def test_one_parser_serves_a_sequence_of_calls(monkeypatch):
+    # main() reuses one parser per process: a run it rejects must leave
+    # nothing behind that changes the reports of the runs after it
+    monkeypatch.delenv("SUPERPENNER_TOL", raising=False)
+    cases = dict(golden_cases())
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+    def check_golden(name):
+        expected = (GOLDEN / (name + ".txt")).read_bytes()
+        assert transcript(cases[name]).encode("utf-8") == expected
+
+    check_golden("torus_345.check_ptolemy")
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli.main(["check", "no-such-suite", str(DATA / "torus.fg"), "--cases", "x"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-such-suite'" in err.getvalue()
+    check_golden("genus2_1.info")
+    check_golden("genus2_1.spin_enumerate")
+
+
 if __name__ == "__main__":
     os.environ.pop("SUPERPENNER_TOL", None)
     GOLDEN.mkdir(exist_ok=True)

@@ -234,6 +234,19 @@ def test_parse_dense_element_roundtrip():
         assert alg.parse(str(x)) == x
 
 
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_parse_sums_repeated_monomials(mode):
+    alg = GrassmannAlgebra(3, mode)
+    x = alg.parse("1/3*t0 + 1/6*t0")
+    assert x.terms == {1: Fraction(1, 2)}
+    assert str(x) == ("1/2*t0" if mode == RATIONAL else "0.5*t0")
+    y = alg.parse("t0 - t0 + 2")
+    assert y.terms == {0: 2} and y == alg.scalar(2)
+    assert str(y) == ("2" if mode == RATIONAL else "2.0")
+    assert alg.parse("t0^t1 + t1^t0 - 3*t2 + t2").terms == {4: -2}
+    assert alg.parse("1/3 - 1/3").is_zero()
+
+
 # -- structure ---------------------------------------------------------------
 
 def test_parity_queries():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -14,7 +15,7 @@ from superpenner.spin import (OrientationState, SpinError,
                               flip_orientation, reflect, same_spin_class,
                               reflection_vertices_between, spin_class_count)
 
-from helpers import boundary_correspondence, prism
+from helpers import boundary_correspondence, prism, reference_spin_classes
 
 
 def all_orientations(graph):
@@ -138,6 +139,27 @@ def test_class_counts(ctor, count):
     slow = brute_force_spin_classes(g)
     assert len(fast) == len(slow) == count
     assert [st.signs for st in fast] == [st.signs for st in slow]
+
+
+ORACLE_GRAPHS = dict(GRAPHS, dumbbell=dumbbell,
+                     **{"prism_%d" % n: (lambda n=n: prism(n)) for n in range(3, 7)})
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_brute_force_matches_per_mask_search(name, monkeypatch):
+    # the oracle stays independent of the elimination it certifies
+    monkeypatch.setattr(spin, "_rref", None)
+    g = ORACLE_GRAPHS[name]()
+    assert tuple(st.signs for st in brute_force_spin_classes(g)) == reference_spin_classes(g)
+
+
+def test_brute_force_scans_2_to_the_18_orientations_quickly():
+    g = prism(6)
+    assert g.num_edges == spin.MAX_BRUTE_FORCE_EDGES == 18
+    start = time.perf_counter()
+    classes = brute_force_spin_classes(g)
+    assert time.perf_counter() - start < 0.3
+    assert len(classes) == spin_class_count(g) == 1 << 7
 
 
 def test_canonical_representative_is_class_minimum():
