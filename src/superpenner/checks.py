@@ -299,7 +299,11 @@ def check_pentagon(graph, seed=0, mode=FLOAT, tol=1e-9, cases=100):
 
 
 def check_spincount(graph, seed=0, mode=RATIONAL, tol=1e-9, cases=1):
-    """Spin class count: orbit enumeration vs GF(2) rank vs 2^(2g+s-1).
+    """Spin class count: forest enumeration vs rank formula vs 2^(2g+s-1).
+
+    The enumeration and the rank formula 2^(E - rank) both come from the
+    spanning forest; brute_force_spin_classes partitions the orientations
+    into reflection orbits without it.
 
     The brute-force orbit oracle runs only up to MAX_BRUTE_FORCE_EDGES
     edges; above that the detail reports it as skipped and the other

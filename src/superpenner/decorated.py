@@ -30,6 +30,15 @@ The formulas apply in the arrow configuration where e points from the
 also negates the mu-invariant at the reflected vertex, which is what makes
 flipping the same edge twice the exact identity (up to the canonical
 relabeling of the underlying graph).
+
+The order sigma theta in f is a convention that only the formula pins,
+not any identity among flips.  The reversal R(e_S) = (-1)^(k(k-1)/2) e_S,
+with k = |S|, fixes the generators and reverses products, so it sends
+sigma theta to theta sigma = -sigma theta; on even elements it is an
+automorphism, so it commutes with quotients and roots.  The flip
+conjugated by R, which uses theta sigma, therefore satisfies Ptolemy, the
+double-flip involution, the pentagon and commutation exactly as this one
+does, and still differs from it.
 """
 
 from __future__ import annotations

@@ -7,16 +7,25 @@ reversed twice, hence unchanged); two orientations define the same spin
 structure iff they differ by reflections.  Classes number 2^(E-V+1) =
 2^(2g+s-1) on a connected graph.
 
-Canonical representatives and class counts are decided by GF(2) linear
-algebra over int bitmasks (bit i = edge i reversed), one elimination
-routine (_rref); membership and the reflections between two orientations
-come from one walk over the edges (reflection_vertices_between).  A
-brute-force orbit search is kept alongside as an independent oracle.  A
-reflection acts on masks by XOR with a fixed vector, so the reflections
-form a group acting by translation: orbit(start) = start ^ orbit(0).  The
-oracle finds orbit(0) once, by breadth-first search over the reflection
-moves, and translates it; it never calls _rref, so a fault in the
-elimination cannot hide by agreeing with itself.
+Orientations are int bitmasks (bit i = edge i reversed), and a reflection
+XORs a mask with the star of its vertex.  Class counts and canonical
+representatives come from one spanning forest, the one Kruskal's greedy
+pass picks in edge-id order (_spanning_forest).  Reflecting at a vertex
+set reverses the edges of a cut, and a nonempty cut holds a forest edge;
+as the cuts are as many as the forest-edge subsets (2^rank), each class
+holds exactly one orientation with every forest edge at +1.  That one is
+the class's lexicographic minimum (edge 0 first, + before -), because
+the lowest edge of a nonempty cut is a forest edge: an edge left out of
+the forest closes a cycle of lower forest edges, and a cycle crosses a
+cut an even number of times.  Membership and the reflections between
+two orientations come from one walk over the edges
+(reflection_vertices_between).
+
+A brute-force orbit search is kept alongside as an independent oracle.
+The reflections form a group acting by translation: orbit(start) =
+start ^ orbit(0).  The oracle finds orbit(0) once, by breadth-first
+search over the reflection moves, and translates it; it never uses the
+forest, so a fault there cannot hide by agreeing with itself.
 """
 
 from __future__ import annotations
@@ -71,21 +80,8 @@ class OrientationState:
         return "OrientationState(%s)" % self.sign_string()
 
 
-def _signs_to_mask(signs):
-    mask = 0
-    for i, s in enumerate(signs):
-        if s == -1:
-            mask |= 1 << i
-    return mask
-
-
 def _mask_to_signs(mask, num_edges):
     return tuple(-1 if mask >> i & 1 else 1 for i in range(num_edges))
-
-
-def _lex_key(state):
-    # edge-id order with + before -
-    return tuple(0 if s == 1 else 1 for s in state.signs)
 
 
 def reflection_mask(graph, v):
@@ -96,39 +92,32 @@ def reflection_mask(graph, v):
     return mask
 
 
-def star_matrix(graph):
-    """Reflection vectors of all vertices (loops cancel out)."""
-    return [reflection_mask(graph, v) for v in range(graph.num_vertices)]
+def _spanning_forest(graph):
+    """Edges of the spanning forest that Kruskal's pass takes in id order.
 
-
-def _rref(rows):
-    """Reduced row echelon form over GF(2); pivots at lowest set bits.
-
-    Returns (pivot_bit, row) pairs sorted by pivot.
+    An edge joins the forest when its ends lie in different components of
+    the forest so far (a loop never does).  This is the greedy basis of
+    the graphic matroid, which is the column matroid of the matrix whose
+    rows are the reflection vectors, so it equals the pivot columns of
+    that matrix's reduced row echelon form with pivots at lowest set bits.
+    Union-find with path halving, one pass over the edges.
     """
-    basis = []
-    for row in rows:
-        for pivot, r in basis:
-            if row >> pivot & 1:
-                row ^= r
-        if row:
-            pivot = (row & -row).bit_length() - 1
-            basis = [(p, r ^ row) if r >> pivot & 1 else (p, r) for p, r in basis]
-            basis.append((pivot, row))
-    basis.sort()
-    return basis
+    parent = list(range(graph.num_vertices))
 
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
-def _reduce(mask, basis):
-    """Clear every pivot bit of mask.
-
-    The remainder is the lexicographically smallest coset element for the
-    edge-id order with + before -.
-    """
-    for pivot, row in basis:
-        if mask >> pivot & 1:
-            mask ^= row
-    return mask
+    vertex_of = graph._vertex_of
+    forest = []
+    for e, (t, h) in enumerate(graph.edges):
+        rt, rh = root(vertex_of[t]), root(vertex_of[h])
+        if rt != rh:
+            parent[rt] = rh
+            forest.append(e)
+    return forest
 
 
 def _toggle_star(signs, graph, v):
@@ -188,17 +177,12 @@ def reflection_vertices_between(state1, state2):
     return tuple(v for v, x in enumerate(inside) if x)
 
 
-def canonical_representative(state):
-    """Lexicographically smallest orientation in the spin class."""
-    basis = _rref(star_matrix(state.graph))
-    mask = _reduce(_signs_to_mask(state.signs), basis)
-    return OrientationState(state.graph, _mask_to_signs(mask, state.graph.num_edges))
-
-
 def spin_class_count(graph):
-    """Class count from the GF(2) rank formula: 2^(E - rank) = 2^(E-V+1)."""
-    rank = len(_rref(star_matrix(graph)))
-    return 1 << (graph.num_edges - rank)
+    """Class count from the rank formula: 2^(E - rank) = 2^(E-V+1).
+
+    The rank of the reflections is the size of the spanning forest.
+    """
+    return 1 << (graph.num_edges - len(_spanning_forest(graph)))
 
 
 # enumerate_spin_classes refuses more classes than 2**this
@@ -210,47 +194,43 @@ MAX_ENUMERATED_CLASSES_LOG2 = 20
 MAX_BRUTE_FORCE_EDGES = 18
 
 
+def _lex_masks(bits):
+    """Every mask over bits (increasing positions), in lexicographic order.
+
+    Lexicographic means the lowest bit decides first, clear before set:
+    each bit, taken from the highest down, doubles the list with the new
+    bit clear in the first half and set in the second.
+    """
+    masks = [0]
+    for i in reversed(bits):
+        masks += [m | 1 << i for m in masks]
+    return masks
+
+
 def enumerate_spin_classes(graph):
     """One canonical representative per spin class, lexicographically sorted.
 
-    The canonical representatives are exactly the masks with every pivot
-    bit clear, one for each of the 2^(E - rank) subsets of free edges.
-    More than 2^MAX_ENUMERATED_CLASSES_LOG2 classes is a SpinError, raised
-    before any representative is built.
+    The canonical representatives are exactly the masks with every forest
+    edge clear, one for each of the 2^(E - rank) subsets of the other
+    edges.  More than 2^MAX_ENUMERATED_CLASSES_LOG2 classes is a
+    SpinError, raised before any representative is built.
     """
-    pivots = {pivot for pivot, _ in _rref(star_matrix(graph))}
-    free = graph.num_edges - len(pivots)
-    if free > MAX_ENUMERATED_CLASSES_LOG2:
-        raise SpinError("2^%d = %d spin classes (2^(E-V+1) with E=%d, V=%d) exceed the "
+    num_edges = graph.num_edges
+    forest = set(_spanning_forest(graph))
+    free = [e for e in range(num_edges) if e not in forest]
+    if len(free) > MAX_ENUMERATED_CLASSES_LOG2:
+        raise SpinError("2^%d spin classes (2^(E-V+1) with E=%d, V=%d) exceed the "
                         "enumeration limit of 2^%d"
-                        % (free, 1 << free, graph.num_edges, graph.num_vertices,
+                        % (len(free), num_edges, graph.num_vertices,
                            MAX_ENUMERATED_CLASSES_LOG2))
-    masks = [0]
-    for i in range(graph.num_edges):
-        if i not in pivots:
-            masks += [m | 1 << i for m in masks]
-    states = [OrientationState(graph, _mask_to_signs(m, graph.num_edges)) for m in masks]
-    states.sort(key=_lex_key)  # + sorts before -
-    return tuple(states)
-
-
-def _lex_masks(first, count):
-    """Every mask over bits first..first+count-1, in lexicographic order.
-
-    Lexicographic means the lowest bit decides first, clear before set:
-    each further bit, taken from the highest down, doubles the list with
-    the new bit clear in the first half and set in the second.
-    """
-    masks = [0]
-    for i in reversed(range(first, first + count)):
-        masks += [m | 1 << i for m in masks]
-    return masks
+    return tuple(OrientationState._unchecked(graph, _mask_to_signs(m, num_edges))
+                 for m in _lex_masks(free))
 
 
 def brute_force_spin_classes(graph):
     """Independent oracle: orbit partition of all 2^E orientations.
 
-    Explores reflection moves directly (no linear algebra, no _rref).  A
+    Explores reflection moves directly (no linear algebra, no forest).  A
     reflection XORs a mask with a fixed vector, so orbit(start) =
     start ^ orbit(0): the orbit of 0 is found once by breadth-first
     search over the moves and translated to each new start.
@@ -261,7 +241,7 @@ def brute_force_spin_classes(graph):
     sorted.  Visited orientations are one byte each, not a set of ints.
     """
     num_edges = graph.num_edges
-    moves = star_matrix(graph)
+    moves = [reflection_mask(graph, v) for v in range(graph.num_vertices)]
     orbit = [0]
     in_orbit = {0}
     for m in orbit:  # breadth-first: the list grows while it is walked
@@ -271,10 +251,10 @@ def brute_force_spin_classes(graph):
                 in_orbit.add(nxt)
                 orbit.append(nxt)
     half = num_edges // 2
-    high_masks = _lex_masks(half, num_edges - half)
+    high_masks = _lex_masks(range(half, num_edges))
     seen = bytearray(1 << num_edges)
     reps = []
-    for low in _lex_masks(0, half):
+    for low in _lex_masks(range(half)):
         for high in high_masks:
             start = low | high
             if seen[start]:

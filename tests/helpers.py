@@ -3,7 +3,7 @@
 from collections import deque
 
 from superpenner.fatgraph import FatGraph, boundary_cycles
-from superpenner.spin import star_matrix
+from superpenner.spin import OrientationState, reflection_mask
 
 
 def boundary_correspondence(graph1, graph2, skip_halves=()):
@@ -67,3 +67,42 @@ def reference_spin_classes(graph):
                     seen.add(nxt)
                     queue.append(nxt)
     return tuple(tuple(-1 if m >> e & 1 else 1 for e in range(num_edges)) for m in reps)
+
+
+def star_matrix(graph):
+    """Reflection vectors of all vertices (loops cancel out)."""
+    return [reflection_mask(graph, v) for v in range(graph.num_vertices)]
+
+
+def rref(rows):
+    """Reduced row echelon form over GF(2); pivots at lowest set bits.
+
+    Returns (pivot_bit, row) pairs sorted by pivot.  The second oracle for
+    spin._spanning_forest, whose edges are these pivots on star_matrix.
+    """
+    basis = []
+    for row in rows:
+        for pivot, r in basis:
+            if row >> pivot & 1:
+                row ^= r
+        if row:
+            pivot = (row & -row).bit_length() - 1
+            basis = [(p, r ^ row) if r >> pivot & 1 else (p, r) for p, r in basis]
+            basis.append((pivot, row))
+    basis.sort()
+    return basis
+
+
+def canonical_representative(state):
+    """Lexicographically smallest orientation in the spin class, by rref.
+
+    Clearing every pivot bit of the orientation's mask leaves the smallest
+    coset element for the edge-id order with + before -.
+    """
+    graph = state.graph
+    mask = sum(1 << e for e, s in enumerate(state.signs) if s == -1)
+    for pivot, row in rref(star_matrix(graph)):
+        if mask >> pivot & 1:
+            mask ^= row
+    return OrientationState(graph, [-1 if mask >> e & 1 else 1
+                                    for e in range(graph.num_edges)])

@@ -68,7 +68,7 @@ def test_spin_enumerate_refuses_2_to_the_33_classes(capsys, tmp_path):
     assert time.perf_counter() - start < 5
     assert code == 3
     assert out == ""
-    assert "2^33 = 8589934592 spin classes (2^(E-V+1) with E=96, V=64)" in err
+    assert "2^33 spin classes (2^(E-V+1) with E=96, V=64)" in err
 
 
 def test_flip_output_reloads(capsys, tmp_path):

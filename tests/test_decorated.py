@@ -140,6 +140,38 @@ def test_double_flip_random_float():
         assert aligned_equal_mod_sign(state, twice, {e}, tol=1e-9)
 
 
+def reversal(x):
+    """R(e_S) = (-1)^(k(k-1)/2) e_S with k = |S|: fixes generators, reverses products."""
+    return x.algebra.element({m: -c if m.bit_count() % 4 in (2, 3) else c
+                              for m, c in x.terms.items()})
+
+
+def reversed_superflip(state, e):
+    """superflip conjugated by the reversal: the order theta sigma in f."""
+    def reverse_state(s):
+        return DecoratedState(s.graph, s.orientation, s.algebra,
+                              {i: reversal(x) for i, x in s.lam.items()},
+                              {v: reversal(x) for v, x in s.mu.items()})
+    flipped, record = superflip(reverse_state(state), e)
+    return reverse_state(flipped), record
+
+
+def test_only_the_formula_pins_the_order_sigma_theta():
+    # the conjugated flip is an equally good involution, yet another flip
+    rng = random.Random(27)
+    for g in (four_punctured_sphere(), genus1_two_punctures(), genus2_one_puncture(),
+              five_punctured_sphere()):
+        for _ in range(10):
+            e = rng.choice(generic_edges(g))
+            state = random_decorated_state(g, rng, mode=RATIONAL, square_friendly_edge=e)
+            theta, sigma = state.mu[0], state.mu[1]
+            assert reversal(theta * sigma) == reversal(sigma) * reversal(theta)
+            once, _ = reversed_superflip(state, e)
+            twice, _ = reversed_superflip(once, e)
+            assert aligned_equal_mod_sign(state, twice, {e})
+            assert not states_equal_mod_sign(once, superflip(state, e)[0])
+
+
 def test_flip_leaves_rest_of_state_alone():
     rng = random.Random(22)
     g = genus2_one_puncture()
@@ -344,8 +376,7 @@ def test_superflip_does_no_whole_graph_work(monkeypatch):
     prism_flips = 2 * len(generic_edges(states[-1].graph))
     calls = []
     for owner, name in ((FatGraph, "__init__"), (FatGraph, "_validate"),
-                        (OrientationState, "__init__"),
-                        (spin, "_signs_to_mask"), (spin, "_mask_to_signs")):
+                        (OrientationState, "__init__"), (spin, "_mask_to_signs")):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, name=name, original=original:
                             calls.append(name) or original(*args))
@@ -433,3 +464,41 @@ def test_solves_take_the_dense_path_only_when_dense(monkeypatch):
     for e in generic_edges(state.graph)[:4]:
         superflip(state, e)
     assert not dense and 32 not in grassmann._INDICES
+
+
+# -- commuting flips --------------------------------------------------------------
+
+COMMUTE_GRAPHS = dict(GRAPHS, **{"prism_%d" % n: (lambda n=n: prism(n))
+                                 for n in (3, 4, 5, 8, 12)})
+
+
+def disjoint_edge_pairs(graph, limit=3):
+    """The first pairs of generic edges that share no vertex."""
+    pairs = []
+    edges = generic_edges(graph)
+    for i, e1 in enumerate(edges):
+        for e2 in edges[i + 1:]:
+            ends1 = {graph.tail_vertex(e1), graph.head_vertex(e1)}
+            if not ends1 & {graph.tail_vertex(e2), graph.head_vertex(e2)}:
+                pairs.append((e1, e2))
+    return pairs[:limit]
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTE_GRAPHS))
+def test_flips_of_vertex_disjoint_edges_commute(name):
+    graph = COMMUTE_GRAPHS[name]()
+    pairs = disjoint_edge_pairs(graph)
+    if name in ("torus_1_1", "theta_0_3"):
+        assert not pairs   # no generic flip at all
+    rng = random.Random(name)
+    for e1, e2 in pairs:
+        states = [(random_decorated_state(graph, rng, RATIONAL, odd=False), None)]
+        if graph.num_vertices <= 10:
+            states.append((dense_float_state(graph, rng), 1e-9))
+        for state, tol in states:
+            one_two = superflip(superflip(state, e1)[0], e2)[0]
+            two_one = superflip(superflip(state, e2)[0], e1)[0]
+            # every slot, the patched sigma and vertex_of tables included
+            for slot in FatGraph.__slots__:
+                assert getattr(one_two.graph, slot) == getattr(two_one.graph, slot), slot
+            assert states_equal_mod_sign(one_two, two_one, tol=tol)

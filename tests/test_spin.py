@@ -10,12 +10,13 @@ from superpenner.catalog import (GRAPHS, four_punctured_sphere, genus1_two_punct
 from superpenner import spin
 from superpenner.fatgraph import FatGraph, topology
 from superpenner.spin import (OrientationState, SpinError,
-                              brute_force_spin_classes, canonical_representative,
+                              brute_force_spin_classes,
                               classify_punctures, enumerate_spin_classes,
                               flip_orientation, reflect, same_spin_class,
                               reflection_vertices_between, spin_class_count)
 
-from helpers import boundary_correspondence, prism, reference_spin_classes
+from helpers import (boundary_correspondence, canonical_representative, prism,
+                     reference_spin_classes, rref, star_matrix)
 
 
 def all_orientations(graph):
@@ -147,8 +148,8 @@ ORACLE_GRAPHS = dict(GRAPHS, dumbbell=dumbbell,
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
 def test_brute_force_matches_per_mask_search(name, monkeypatch):
-    # the oracle stays independent of the elimination it certifies
-    monkeypatch.setattr(spin, "_rref", None)
+    # the oracle stays independent of the forest it certifies
+    monkeypatch.setattr(spin, "_spanning_forest", None)
     g = ORACLE_GRAPHS[name]()
     assert tuple(st.signs for st in brute_force_spin_classes(g)) == reference_spin_classes(g)
 
@@ -241,14 +242,54 @@ def test_enumeration_refuses_too_many_classes_before_building_any(monkeypatch):
     assert spin_class_count(graph) == 1 << 33
     tracemalloc.start()
     try:
-        with pytest.raises(SpinError, match=r"2\^33 = 8589934592 spin classes "
+        with pytest.raises(SpinError, match=r"2\^33 spin classes "
                                             r"\(2\^\(E-V\+1\) with E=96, V=64\)"):
             enumerate_spin_classes(graph)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    # 2^14301 has more decimal digits than int-to-str allows: stated as a power
+    with pytest.raises(SpinError, match=r"2\^14301 spin classes \(2\^\(E-V\+1\) "
+                                        r"with E=42900, V=28600\)"):
+        enumerate_spin_classes(prism(14300))
     monkeypatch.setattr(spin, "MAX_ENUMERATED_CLASSES_LOG2", 5)
     assert len(enumerate_spin_classes(prism(4))) == 1 << 5
-    with pytest.raises(SpinError, match=r"2\^6 = 64 spin classes"):
+    with pytest.raises(SpinError, match=r"2\^6 spin classes"):
         enumerate_spin_classes(prism(5))
+
+
+def test_count_and_refusal_are_near_linear_in_the_edges():
+    graph = prism(2000)   # V = 4000, E = 6000
+    start = time.perf_counter()
+    assert spin_class_count(graph) == 1 << 2001
+    assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    with pytest.raises(SpinError, match=r"2\^2001 spin classes"):
+        enumerate_spin_classes(graph)
+    assert time.perf_counter() - start < 0.5
+
+
+FOREST_GRAPHS = dict(GRAPHS, dumbbell=dumbbell,
+                     **{"prism_%d" % n: (lambda n=n: prism(n)) for n in range(3, 13)})
+
+
+@pytest.mark.parametrize("name", sorted(FOREST_GRAPHS))
+def test_spanning_forest_is_the_rref_pivots(name):
+    graph = FOREST_GRAPHS[name]()
+    assert spin._spanning_forest(graph) == [p for p, _ in rref(star_matrix(graph))]
+
+
+@pytest.mark.parametrize("name", sorted(FOREST_GRAPHS))
+def test_enumeration_is_the_sorted_set_of_rref_representatives(name):
+    graph = FOREST_GRAPHS[name]()
+    classes = enumerate_spin_classes(graph)
+    # each class has one canonical representative: the enumeration lists
+    # fixed points of the rref reduction, all distinct, as many as classes
+    reps = {canonical_representative(st).signs for st in classes}
+    assert len(reps) == len(classes) == 1 << (graph.num_edges - len(rref(star_matrix(graph))))
+    assert [st.signs for st in classes] == sorted(reps, key=lambda signs: [-s for s in signs])
+    rng = random.Random(name)
+    for _ in range(50):
+        state = OrientationState(graph, [rng.choice((1, -1)) for _ in graph.edges])
+        assert canonical_representative(state).signs in reps
