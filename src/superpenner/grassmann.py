@@ -2,11 +2,24 @@
 
 Elements live in the real algebra on N anticommuting generators t0..t(N-1).
 Coefficients are exact rationals or 64-bit floats, chosen once per algebra.
-Monomials are generator subsets stored as bitmasks; an element is a sparse
-map from bitmasks to nonzero coefficients.  Quotients, the inverse,
-square root, inverse square root and logarithm are one weight-by-weight
-solve, exact because the soul is nilpotent -- no tolerance-based
-truncation anywhere.
+Monomials are generator subsets stored as bitmasks.  Quotients, the
+inverse, square root, inverse square root and logarithm are one
+weight-by-weight solve, exact because the soul is nilpotent -- no
+tolerance-based truncation anywhere.
+
+Storage: an element is a sparse map num from bitmasks to nonzero
+numerators over one denominator den, so the coefficient of e_m is
+num[m] / den.  In rational mode the numerators are ints and den is a
+positive int, in normal form: gcd(den, every numerator) = 1.  Equal
+elements therefore have equal maps and denominators, and equality is
+structural.  Every operation works on the numerators alone (a product
+takes the product of the two denominators, a sum their lcm) and reduces
+its result once, with one gcd over its numerators, instead of once per
+coefficient operation as Fraction does (Knuth, TAOCP Vol. 2, section
+4.5.1).  In float mode the numerators are the float coefficients and den
+is 1, so the same kernels run and nothing is ever reduced.  x.terms is
+the {bitmask: coefficient} map: num itself in float mode, and a map of
+Fractions built on each call in rational mode.
 
 Sign rule: for disjoint S and T, e_S * e_T = (-1)**k e_{S | T}, where k
 counts the pairs i in S, j in T with i > j.  Bit i of the mask P(T) is the
@@ -30,15 +43,16 @@ they skip those classes.  The classes of a product, grouped by output
 weight, are kept per pair of weight sets; this plan names classes and
 holds no pairs.
 
-Dispatch: a product takes the dense path when the algebra is float,
-2**n < len(x) * len(y), and 2**n plus the pairs of the used classes is at
-most len(x) * len(y), so that it touches no more entries than the scan
-would visit.  Rational products always scan: a Fraction multiply costs the
-same on both paths, and the dense path also multiplies absent entries.
-One-term scalars therefore never build a class, however many generators
-the algebra has.  The two paths add a monomial's contributions in
-different orders, so float results differ in round-off only.  A float
-product with a non-finite coefficient (an overflow) raises GrassmannError.
+Dispatch: a product takes the dense path when 2**n < len(x) * len(y) and
+2**n plus the pairs of the used classes is at most len(x) * len(y), so
+that it touches no more entries than the scan would visit.  The rule is
+the same in both modes: on int numerators, as on floats, the dense path
+gathers, multiplies and sums in C, and its multiplies of absent entries
+are multiplies by 0.  One-term scalars therefore never build a class,
+however many generators the algebra has.  The two paths add a monomial's
+contributions in different orders, so float results differ in round-off
+only, and rational results not at all.  A float product with a
+non-finite coefficient (an overflow) raises GrassmannError.
 
 Solves: quotients, powers and logarithms by an even y with body b are one
 recurrence (J. C. P. Miller's power-series formula, Knuth, TAOCP Vol. 2,
@@ -55,6 +69,7 @@ with (start, factor, divisor):
     y**alpha     (b**alpha at m = 0,        |s| - alpha |t|,     b |m|, 1 at m = 0)
     log y        (log b at 0, |m| y_m,      |s|,                 b |m|, 1 at m = 0)
 
+so the logarithm is the power rule with alpha = 0 and its own start.
 soul(y) has no term of weight 0, so the terms of z of weight w need only
 those of lower weight, and the solve runs in increasing weight.  On the
 dense path the weights z can have (those of start plus sums of soul
@@ -64,14 +79,18 @@ from the dense left vector, which by then holds every term of lower
 weight, and writes its own terms into it.  That is about one product's
 pairs.  The scan keeps pending sums per weight, finishes the lowest
 weight first and pushes each finished term's pairs with the soul upward,
-so its cost is the pairs of z with the soul, whatever n is.
+so its cost is the pairs of z with the soul, whatever n is.  In rational
+mode the terms of one weight share a denominator: a weight's pending sums
+are kept over the lcm of the denominators of their contributions, the
+finished weight is reduced by one gcd, and the solution's denominator is
+the lcm over its weights, which leaves it in normal form.
 
-Dispatch: a solve takes the dense path when the algebra is float,
+Dispatch: a solve takes the dense path when
 2**n < len(start) * len(y) + len(y)**2 (the pairs of start and of a
 solution about as long as y with y), and its plan holds at most that many
-entries.  The len(y)**2 counts before the 2**n test: otherwise a power,
-whose start is one term, would always scan.  Any other solve (rational,
-sparse, or by a one-term scalar) scans.
+entries, in either mode.  The len(y)**2 counts before the 2**n test:
+otherwise a power, whose start is one term, would always scan.  Any other
+solve (sparse, or by a one-term scalar) scans.
 
 Memory: each disjoint pair on n generators sits in exactly one class, and
 all indices share one int object each, so the classes on n generators hold
@@ -82,11 +101,13 @@ CPython 3.11).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
 from fractions import Fraction
 from itertools import combinations, compress, repeat
+from math import gcd
 from operator import add, itemgetter, mul, sub, truediv
 
 RATIONAL = "rational"
@@ -133,11 +154,24 @@ def _below_parity(t):
     return p
 
 
+def _ratio(value):
+    """An exact scalar as (numerator, denominator) in lowest terms, denominator > 0."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, float):
+        # refuse silent binary-float noise in exact mode
+        raise GrassmannError("float scalar %r in rational mode" % (value,))
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
 class GrassmannAlgebra:
     """The Grassmann algebra on a fixed number of generators.
 
-    mode is "rational" (exact Fraction coefficients) or "float".  Two
-    algebras are interchangeable iff they agree on both parameters.
+    mode is "rational" (exact, int numerators over one denominator per
+    element) or "float".  Two algebras are interchangeable iff they agree
+    on both parameters.
     """
 
     __slots__ = ("num_generators", "mode")
@@ -170,34 +204,39 @@ class GrassmannAlgebra:
             if not math.isfinite(value):
                 raise GrassmannError("non-finite scalar %r" % (value,))
             return value
-        if isinstance(value, float):
-            # refuse silent binary-float noise in exact mode
-            raise GrassmannError("float scalar %r in rational mode" % (value,))
-        return Fraction(value)
+        return Fraction(*_ratio(value))
 
     # -- element constructors --------------------------------------------
 
     def element(self, terms):
-        """Element from a {bitmask: coefficient} map (zeros dropped)."""
+        """Element from a {bitmask: coefficient} map (zeros dropped).
+
+        In rational mode the coefficients are put over the lcm of their
+        denominators and the result is reduced once.
+        """
+        exact = self.mode != FLOAT
         clean = {}
         limit = 1 << self.num_generators
         for mask, coeff in terms.items():
             if not 0 <= mask < limit:
                 raise GrassmannError("monomial %d outside algebra on %d generators"
                                      % (mask, self.num_generators))
-            c = self.coerce_scalar(coeff)
-            if c != 0:
+            c = _ratio(coeff) if exact else self.coerce_scalar(coeff)
+            if (c[0] if exact else c) != 0:
                 clean[mask] = c
-        return GrassmannElement(self, clean)
+        if not exact:
+            return _element(self, clean, 1)
+        den = math.lcm(*(d for _, d in clean.values()))
+        return GrassmannElement(self, {m: n * (den // d) for m, (n, d) in clean.items()}, den)
 
     def zero(self):
-        return GrassmannElement(self, {})
+        return _element(self, {}, 1)
 
     def one(self):
         return self.scalar(1)
 
     def scalar(self, value):
-        return self.element({0: value})
+        return self._term(0, value)
 
     def gen(self, i):
         """The i-th generator t<i>."""
@@ -208,7 +247,14 @@ class GrassmannAlgebra:
         mask, sign = _sort_sign(indices, self.num_generators)
         if not sign:
             return self.zero()
-        return self.element({mask: sign * self.coerce_scalar(coeff)})
+        return self._term(mask, coeff, sign)
+
+    def _term(self, mask, value, sign=1):
+        """sign * value * e_mask, for a mask in range."""
+        if self.mode == FLOAT:
+            return self.element({mask: sign * self.coerce_scalar(value)})
+        n, d = _ratio(value)
+        return _element(self, {mask: sign * n}, d) if n else self.zero()
 
     def parse(self, text):
         return parse_element(self, text)
@@ -217,47 +263,71 @@ class GrassmannAlgebra:
 class GrassmannElement:
     """Immutable sparse element of a GrassmannAlgebra.
 
-    Do not mutate .terms; all operations return new elements.
+    num maps bitmasks to nonzero numerators over the positive denominator
+    den (see the module docstring).  GrassmannElement(algebra, terms)
+    builds the element of a {bitmask: coefficient} map, as
+    algebra.element does; GrassmannElement(algebra, num, den) builds
+    num / den from nonzero numerators and a positive denominator (1 in
+    float mode), reduced.  Do not mutate num; all operations return new
+    elements.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "num", "den")
 
-    def __init__(self, algebra, terms):
+    def __init__(self, algebra, terms, den=None):
+        if den is None:
+            x = algebra.element(terms)
+            terms, den = x.num, x.den
+        elif den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {m: c // g for m, c in terms.items()}
+                den //= g
         self.algebra = algebra
-        self.terms = terms
+        self.num = terms
+        self.den = den
 
     # -- structure --------------------------------------------------------
 
     @property
+    def terms(self):
+        """The {bitmask: coefficient} map: num in float mode, and
+        Fractions num[m] / den, built on each call, in rational mode."""
+        if self.algebra.mode == FLOAT:
+            return self.num
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self.num.items()}
+
+    @property
     def body(self):
         """Coefficient of the empty monomial."""
-        if 0 in self.terms:
-            return self.terms[0]
-        return 0.0 if self.algebra.mode == FLOAT else Fraction(0)
+        if self.algebra.mode == FLOAT:
+            return self.num.get(0, 0.0)
+        return Fraction(self.num.get(0, 0), self.den)
 
     @property
     def soul(self):
         """The nilpotent part: self minus its body."""
-        return GrassmannElement(self.algebra,
-                                {m: c for m, c in self.terms.items() if m})
+        return GrassmannElement(self.algebra, {m: c for m, c in self.num.items() if m},
+                                self.den)
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def parity(self):
         """0 for even, 1 for odd, None for mixed or zero."""
-        parities = {m.bit_count() & 1 for m in self.terms}
+        parities = {m.bit_count() & 1 for m in self.num}
         if len(parities) == 1:
             return parities.pop()
         return None
 
     def is_even(self):
         """True for even-parity elements; zero counts as even."""
-        return all(m.bit_count() % 2 == 0 for m in self.terms)
+        return all(m.bit_count() % 2 == 0 for m in self.num)
 
     def is_odd(self):
         """True for odd-parity elements; zero counts as odd."""
-        return all(m.bit_count() % 2 == 1 for m in self.terms)
+        return all(m.bit_count() % 2 == 1 for m in self.num)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -270,27 +340,18 @@ class GrassmannElement:
         return self.algebra.scalar(other)
 
     def __add__(self, other):
-        other = self._check_compatible(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return GrassmannElement(self.algebra, terms)
+        return _add(self, self._check_compatible(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GrassmannElement(self.algebra, {m: -c for m, c in self.terms.items()})
+        return _element(self.algebra, {m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        other = self._check_compatible(other)
-        return self + (-other)
+        return _add(self, self._check_compatible(other), -1)
 
     def __rsub__(self, other):
-        return self._check_compatible(other) - self
+        return _add(self._check_compatible(other), self, -1)
 
     def __mul__(self, other):
         other = self._check_compatible(other)
@@ -320,15 +381,15 @@ class GrassmannElement:
                 return NotImplemented
         if not isinstance(other, GrassmannElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
+        return (self.algebra == other.algebra and self.den == other.den
+                and self.num == other.num)
 
     def isclose(self, other, tol=1e-9):
         """Coefficientwise comparison within absolute tolerance tol."""
         other = self._check_compatible(other)
-        for m in set(self.terms) | set(other.terms):
-            a = self.terms.get(m, 0)
-            b = other.terms.get(m, 0)
-            if abs(a - b) > tol:
+        a, b = self.terms, other.terms
+        for m in set(a) | set(b):
+            if abs(a.get(m, 0) - b.get(m, 0)) > tol:
                 return False
         return True
 
@@ -338,6 +399,40 @@ class GrassmannElement:
         return render_element(self)
 
     __repr__ = __str__
+
+
+def _element(algebra, num, den):
+    """The element num / den, already in normal form."""
+    x = object.__new__(GrassmannElement)
+    x.algebra = algebra
+    x.num = num
+    x.den = den
+    return x
+
+
+def _add(x, y, sign):
+    """x + sign * y over the lcm of their denominators, reduced once."""
+    if not y.num:
+        return x
+    den = x.den
+    if den == y.den:
+        num = dict(x.num)
+        k = sign
+    else:
+        g = gcd(den, y.den)
+        scale = y.den // g
+        num = {m: c * scale for m, c in x.num.items()}
+        k = sign * (den // g)
+        den *= scale
+    get = num.get
+    terms = y.num.items() if k == 1 else zip(y.num, map(mul, y.num.values(), repeat(k)))
+    for m, c in terms:
+        s = get(m, 0) + c
+        if s:
+            num[m] = s
+        else:
+            num.pop(m, None)
+    return GrassmannElement(x.algebra, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +550,7 @@ def _right_vector(y, zero):
     """[y_t at t, -y_t at t + 2**n, zero elsewhere], 2**(n+1) + 1 long."""
     full = 1 << y.algebra.num_generators
     right = [zero] * (2 * full + 1)
-    for t, c in y.terms.items():
+    for t, c in y.num.items():
         right[t] = c
         right[t + full] = -c
     return right
@@ -477,17 +572,16 @@ def _class_sums(keys, left, right, factor=None):
 
 
 def _dense_terms(x, y, plan):
-    """The nonzero terms of x * y, summed class by class.
+    """The nonzero numerators of x * y over x.den * y.den, summed class by class.
 
     left holds x densely and right holds y and -y, so each class gathers
     its pairs and their signs with two itemgetters and sums every run of
     k products in C; the classes of one output weight are added
-    elementwise.  Exact in rational mode too; only gmul restricts the
-    path to float algebras.
+    elementwise.
     """
     zero = 0.0 if x.algebra.mode == FLOAT else 0
     left = [zero] * ((1 << x.algebra.num_generators) + 1)
-    for s, c in x.terms.items():
+    for s, c in x.num.items():
         left[s] = c
     right = _right_vector(y, zero)
     terms = {}
@@ -498,11 +592,11 @@ def _dense_terms(x, y, plan):
 
 
 def _scan_terms(x, y):
-    """The nonzero terms of x * y, visiting every pair of terms."""
-    right = [(t, ct, _below_parity(t)) for t, ct in y.terms.items()]
+    """The nonzero numerators of x * y over x.den * y.den, visiting every pair of terms."""
+    right = [(t, ct, _below_parity(t)) for t, ct in y.num.items()]
     terms = {}
     get = terms.get
-    for s, cs in x.terms.items():
+    for s, cs in x.num.items():
         for t, ct, p in right:
             if s & t:
                 continue
@@ -518,104 +612,216 @@ def gmul(x, y):
     """Product in the Grassmann algebra.
 
     e_S * e_T = 0 when S and T intersect, else sign(S,T) * e_{S union T},
-    with the sign read off one popcount (see the module docstring).  A
-    float product whose weight classes hold no more entries than the scan
-    would visit is summed class by class; any other product scans every
-    pair.  A float product with a non-finite coefficient is an error.
+    with the sign read off one popcount (see the module docstring).  The
+    numerators multiply, the denominators multiply, and a rational
+    product is reduced once.  A product whose weight classes hold no more
+    entries than the scan would visit is summed class by class; any other
+    product scans every pair.  A float product with a non-finite
+    coefficient is an error.
     """
     x._check_compatible(y)
     alg = x.algebra
-    if alg.mode != FLOAT:
-        return GrassmannElement(alg, _scan_terms(x, y))
-    plan = _dense_plan(alg.num_generators, x.terms, y.terms)
+    plan = _dense_plan(alg.num_generators, x.num, y.num)
     terms = _scan_terms(x, y) if plan is None else _dense_terms(x, y, plan)
+    if alg.mode != FLOAT:
+        return GrassmannElement(alg, terms, x.den * y.den)
     if not all(map(math.isfinite, terms.values())):
         raise GrassmannError("float overflow in product of %d by %d terms"
-                             % (len(x.terms), len(y.terms)))
-    return GrassmannElement(alg, terms)
+                             % (len(x.num), len(y.num)))
+    return _element(alg, terms, 1)
 
 
-def _dense_solve_terms(y, start, factor, divisor, plan):
-    """The nonzero terms of the solve by y from start (see the module
-    docstring), one weight at a time on the dense path.
+def _rules(y, alpha):
+    """(factor, divisor, fden) of the solve by y (see _solve).
+
+    In float mode factor(a, c) is the float factor (None for a quotient),
+    divisor(w) the divisor and fden 1.  In rational mode, with y's body
+    B / dy, factor(a, c) is an int numerator over fden, and divisor(w) is
+    (mult, div): dividing by the divisor multiplies by mult / div.
+    """
+    b = y.num.get(0, 0)
+    if y.algebra.mode == FLOAT:
+        if alpha is None:
+            return None, lambda w: b, 1
+        a = alpha[0] / alpha[1]
+        return (lambda s, t: s - a * t), (lambda w: b * w if w else 1), 1
+    dy = y.den
+    if alpha is None:
+        return None, lambda w: (dy, b), 1
+    p, q = alpha
+    return (lambda s, t: s * q - p * t), (lambda w: (dy, b * w) if w else (1, 1)), q
+
+
+def _finish(values, den, mult, div):
+    """A finished weight of a rational solve: its pending sums values over
+    den, divided by the divisor (mult, div), as (den, values) with den
+    positive and coprime to the values."""
+    den *= div
+    if den < 0:
+        den, mult = -den, -mult
+    values = [v * mult for v in values]
+    g = gcd(den, *values)
+    if g != 1:
+        den //= g
+        values = [v // g for v in values]
+    return den, values
+
+
+def _rescale(sums, dens, w, scale):
+    """The factor that puts a contribution over scale onto the pending sums
+    of weight w, after moving those sums onto the lcm of their
+    denominator and scale."""
+    old = dens.get(w)
+    if old is None or not sums:
+        dens[w] = scale
+        return 1
+    g = gcd(old, scale)
+    if scale != g:
+        r = scale // g
+        for m in sums:
+            sums[m] *= r
+        dens[w] = old * r
+    return old // g
+
+
+def _join(terms, dens):
+    """(terms, den): the terms of each weight w, numerators over dens[w],
+    put over den, the lcm of dens (1 when dens is empty)."""
+    den = math.lcm(*dens.values())
+    if den != 1:
+        for m, c in terms.items():
+            d = dens[m.bit_count()]
+            if d != den:
+                terms[m] = c * (den // d)
+    return terms, den
+
+
+def _dense_solve_terms(y, start, sden, alpha, plan):
+    """(num, den) of the solve by y from start / sden (see _solve), one
+    weight at a time on the dense path.
 
     soul(y) has no term of weight 0, so the terms of weight w need only
     those of lower weight: the groups run in increasing weight, and each
-    writes its terms into the dense left vector before the next one
-    gathers.  Exact in rational mode too; only _solve restricts the path
-    to float algebras.
+    writes its numerators into the dense left vector before the next one
+    gathers.  In rational mode each class's sums are scaled onto the lcm
+    of the denominators that reach the weight.
     """
-    zero = 0.0 if y.algebra.mode == FLOAT else 0
+    exact = y.algebra.mode != FLOAT
+    factor, divisor, fden = _rules(y, alpha)
+    zero = 0 if exact else 0.0
     left = [zero] * ((1 << y.algebra.num_generators) + 1)
     right = _right_vector(y, zero)
     get = start.get
     terms = {}
+    dens = {}
     for w, monomials, keys in plan[1]:
         values = map(get, monomials, repeat(zero))
-        if keys:
-            values = map(sub, values, _class_sums(keys, left, right, factor))
-        values = list(map(truediv, values, repeat(divisor(w))))
+        if exact:
+            scales = {a: fden * dens[a] * y.den for _, a, _ in keys}
+            pending = math.lcm(sden, *scales.values())
+            if pending != sden:
+                values = map(mul, values, repeat(pending // sden))
+            if keys:
+                values = map(sub, values, _class_sums(
+                    keys, left, right,
+                    lambda a, c: (1 if factor is None else factor(a, c)) * (pending // scales[a])))
+            dens[w], values = _finish(list(values), pending, *divisor(w))
+        else:
+            if keys:
+                values = map(sub, values, _class_sums(keys, left, right, factor))
+            values = list(map(truediv, values, repeat(divisor(w))))
         for m, v in zip(monomials, values):
             left[m] = v
         terms.update(zip(compress(monomials, values), filter(None, values)))
-    return terms
+    return _join(terms, dens)
 
 
-def _scan_solve_terms(y, start, factor, divisor):
-    """The nonzero terms of the solve by y from start, scanning.
+def _scan_solve_terms(y, start, sden, alpha):
+    """(num, den) of the solve by y from start / sden, scanning.
 
     Pending sums are kept per weight; the lowest weight is finished
     first, and each of its terms subtracts its pairs with the soul of y
     from the sums of higher weight, so the work is the pairs of the
-    solution with the soul, whatever the number of generators.
+    solution with the soul, whatever the number of generators.  In
+    rational mode the sums of one weight share a denominator, which
+    grows to the lcm of those of its contributions.
     """
-    souls = [(t, c, _below_parity(t), t.bit_count()) for t, c in y.terms.items() if t]
+    n = y.algebra.num_generators
+    exact = y.algebra.mode != FLOAT
+    factor, divisor, fden = _rules(y, alpha)
+    souls = [(t, c, _below_parity(t), t.bit_count()) for t, c in y.num.items() if t]
     pending = {}
     for m, c in start.items():
         pending.setdefault(m.bit_count(), {})[m] = c
+    pending_dens = dict.fromkeys(pending, sden)
     terms = {}
+    dens = {}
     while pending:
         w = min(pending)
-        d = divisor(w)
-        row = [(t, c if factor is None else factor(w, tw) * c, p, w + tw)
-               for t, c, p, tw in souls]
-        for s, total in pending.pop(w).items():
-            v = total / d
-            if not v:
+        sums = pending.pop(w)
+        if exact:
+            den, values = _finish(list(sums.values()), pending_dens.pop(w), *divisor(w))
+            values = {s: v for s, v in zip(sums, values) if v}
+            dens[w] = den
+            scales = {}
+        else:
+            d = divisor(w)
+            values = {}
+            for s, total in sums.items():
+                v = total / d
+                if v:
+                    values[s] = v
+        if not values:
+            continue
+        terms.update(values)
+        row = []
+        for t, c, p, tw in souls:
+            mw = w + tw
+            if mw > n:
                 continue
-            terms[s] = v
-            for t, c, p, mw in row:
+            target = pending.setdefault(mw, {})
+            if factor is not None:
+                c = factor(w, tw) * c
+            if exact:
+                k = scales.get(mw)
+                if k is None:
+                    k = scales[mw] = _rescale(target, pending_dens, mw, fden * den * y.den)
+                c *= k
+            row.append((t, c, p, target))
+        for s, v in values.items():
+            for t, c, p, target in row:
                 if s & t:
                     continue
-                sums = pending.setdefault(mw, {})
                 m = s | t
                 if (s & p).bit_count() & 1:
-                    sums[m] = sums.get(m, 0) + v * c
+                    target[m] = target.get(m, 0) + v * c
                 else:
-                    sums[m] = sums.get(m, 0) - v * c
-    return terms
+                    target[m] = target.get(m, 0) - v * c
+    return _join(terms, dens)
 
 
-def _solve(y, start, factor, divisor, what):
-    """The element z with z_m = (start_m - sum factor(|s|, |t|) e z_s y_t)
-    / divisor(|m|), over s | t = m with t in soul(y), in increasing weight.
+def _solve(y, start, sden, alpha, what):
+    """The element z with z_m = (start_m / sden - sum factor(|s|, |t|) e
+    z_s y_t) / divisor(|m|), over s | t = m with t in soul(y), in
+    increasing weight.
 
-    A float solve that the dense path serves (see the module docstring)
-    gathers weight classes; any other scans.  A float solve with a
-    non-finite coefficient is an error.
+    alpha is None for the quotient by y (factor 1, divisor b), or a pair
+    (p, q) of ints for the power rule with alpha = p / q (factor
+    |s| - alpha |t|, divisor b |m| and 1 at m = 0).  A solve that the
+    dense path serves (see the module docstring) gathers weight classes;
+    any other scans.  A float solve with a non-finite coefficient is an
+    error.
     """
     alg = y.algebra
-    if alg.mode != FLOAT:
-        return GrassmannElement(alg, _scan_solve_terms(y, start, factor, divisor))
-    plan = _dense_plan(alg.num_generators, start, y.terms, solve=True)
+    plan = _dense_plan(alg.num_generators, start, y.num, solve=True)
     if plan is None:
-        terms = _scan_solve_terms(y, start, factor, divisor)
+        terms, den = _scan_solve_terms(y, start, sden, alpha)
     else:
-        terms = _dense_solve_terms(y, start, factor, divisor, plan)
-    if not all(map(math.isfinite, terms.values())):
+        terms, den = _dense_solve_terms(y, start, sden, alpha, plan)
+    if alg.mode == FLOAT and not all(map(math.isfinite, terms.values())):
         raise GrassmannError("float overflow in %s of %d by %d terms"
-                             % (what, len(start), len(y.terms)))
-    return GrassmannElement(alg, terms)
+                             % (what, len(start), len(y.num)))
+    return _element(alg, terms, den)
 
 
 def _check_even(x, what):
@@ -632,10 +838,9 @@ def gdiv(x, y):
     """
     y = x._check_compatible(y)
     _check_even(y, "inverse")
-    b = y.body
-    if b == 0:
+    if not y.num.get(0):
         raise GrassmannError("zero body: %s is not invertible" % (y,))
-    return _solve(y, x.terms, None, lambda w: b, "quotient")
+    return _solve(y, x.num, x.den, None, "quotient")
 
 
 def ginv(x):
@@ -643,36 +848,25 @@ def ginv(x):
     return gdiv(x.algebra.one(), x)
 
 
-def _power(x, alpha, root, what):
-    """x**alpha, given root = b**alpha for the body b of an even x.
-
-    The solve of x Dz = alpha z Dx, with D(e_m) = |m| e_m: z_0 = root and
-    z_m = -sum (|s| - alpha |t|) e z_s x_t / (b |m|).
-    """
-    alg = x.algebra
-    alpha = alg.coerce_scalar(alpha)
-    b = x.body
-    return _solve(x, {0: root}, lambda a, c: a - alpha * c,
-                  lambda w: b * w if w else 1, what)
-
-
 def _body_root(x, what):
-    """sqrt(body) of an even x with positive body.
+    """sqrt(body) of an even x with positive body, as (numerator, denominator).
 
-    In rational mode the body must be the square of a rational.
+    In rational mode the body must be the square of a rational; in float
+    mode the pair is (sqrt(body), 1).
     """
     _check_even(x, what)
-    b = x.body
+    b = x.num.get(0, 0)
     if b <= 0:
-        raise GrassmannError("%s requires positive body, got %s" % (what, b))
+        raise GrassmannError("%s requires positive body, got %s" % (what, x.body))
     if x.algebra.mode == FLOAT:
-        return math.sqrt(b)
-    p, q = b.numerator, b.denominator
+        return math.sqrt(b), 1
+    g = gcd(b, x.den)
+    p, q = b // g, x.den // g
     rp, rq = math.isqrt(p), math.isqrt(q)
     if rp * rp != p or rq * rq != q:
         raise GrassmannError("body %s is not a square of a rational; "
-                             "use float mode" % (b,))
-    return Fraction(rp, rq)
+                             "use float mode" % (x.body,))
+    return rp, rq
 
 
 def gsqrt(x):
@@ -682,7 +876,8 @@ def gsqrt(x):
     rational mode the body must be the square of a rational, otherwise an
     error is raised (switch the algebra to float mode for generic bodies).
     """
-    return _power(x, Fraction(1, 2), _body_root(x, "square root"), "square root")
+    rp, rq = _body_root(x, "square root")
+    return _solve(x, {0: rp}, rq, (1, 2), "square root")
 
 
 def ginvsqrt(x):
@@ -691,8 +886,12 @@ def ginvsqrt(x):
     The same solve as gsqrt with alpha = -1/2; the same parity, body and
     rational-square rules as gsqrt.
     """
-    root = _body_root(x, "inverse square root")
-    return _power(x, Fraction(-1, 2), 1 / root, "inverse square root")
+    rp, rq = _body_root(x, "inverse square root")
+    if x.algebra.mode == FLOAT:
+        rp, rq = 1 / rp, 1
+    else:
+        rp, rq = rq, rp
+    return _solve(x, {0: rp}, rq, (-1, 2), "inverse square root")
 
 
 def glog(x):
@@ -704,39 +903,42 @@ def glog(x):
     float mode.
     """
     _check_even(x, "logarithm")
-    b = x.body
+    b = x.num.get(0, 0)
     if b <= 0:
-        raise GrassmannError("logarithm requires positive body, got %s" % (b,))
+        raise GrassmannError("logarithm requires positive body, got %s" % (x.body,))
     if x.algebra.mode == FLOAT:
         log_b = math.log(b)
-    elif b != 1:
+    elif b != x.den:
         raise GrassmannError("log of body %s is irrational; use float mode "
-                             "(rational mode needs body 1)" % (b,))
+                             "(rational mode needs body 1)" % (x.body,))
     else:
-        log_b = Fraction(0)
-    start = {m: m.bit_count() * c for m, c in x.terms.items() if m}
+        log_b = 0
+    start = {m: m.bit_count() * c for m, c in x.num.items() if m}
     start[0] = log_b
-    return _solve(x, start, lambda a, c: a, lambda w: b * w if w else 1, "logarithm")
+    return _solve(x, start, x.den, (0, 1), "logarithm")
 
 
 # ---------------------------------------------------------------------------
 # text format: terms sorted by bitmask, "coeff*t<i>^t<j>", e.g. "1 + 2*t0^t1"
 
 
-def _render_scalar(c):
-    if isinstance(c, Fraction):
-        return str(c)
-    return repr(c)
-
-
 def render_element(x):
-    if not x.terms:
+    """The text form; a rational coefficient prints as str(Fraction) would."""
+    if not x.num:
         return "0"
+    exact = x.algebra.mode != FLOAT
+    den = x.den
     parts = []
-    for mask in sorted(x.terms):
-        c = x.terms[mask]
+    for mask in sorted(x.num):
+        c = x.num[mask]
         negative = c < 0
-        body = _render_scalar(-c if negative else c)
+        if negative:
+            c = -c
+        if not exact:
+            body = repr(c)
+        else:
+            g = gcd(c, den)
+            body = str(c // g) if g == den else "%d/%d" % (c // g, den // g)
         if mask:
             gens = []
             while mask:
@@ -762,28 +964,64 @@ _TERM_RE = re.compile(r"""
 _GEN_RE = re.compile(r"t(\d+)")
 
 
-def _parse_number(algebra, num):
-    """A coefficient literal, read once into the algebra's scalar type.
+@functools.lru_cache(maxsize=1024)
+def _monomial(text, num_generators):
+    """(mask, sign) of a monomial's text, e.g. "t1^t0" -> (0b11, -1); "" -> (0, 1).
 
-    Exponents and digit runs are held to the interpreter's limit on
-    integer digit strings, so no literal stalls the parser.
+    Kept per text: the elements of one document repeat their monomials.
+    """
+    try:
+        indices = list(map(int, _GEN_RE.findall(text)))
+    except ValueError:  # an index longer than the interpreter converts
+        raise GrassmannError("generator index with more than %d digits"
+                             % sys.get_int_max_str_digits()) from None
+    return _sort_sign(indices, num_generators)
+
+
+def _parse_number(algebra, num):
+    """A coefficient literal as a (numerator, denominator) pair.
+
+    In rational mode both are ints, read straight from the digits as
+    Fraction(num) reads them, but not reduced: "2.50" is (250, 100).  In
+    float mode the pair is (float, 1).  Exponents and digit runs are held
+    to the interpreter's limit on integer digit strings, so no literal
+    stalls the parser.
     """
     limit = sys.get_int_max_str_digits()
-    exponent = num.lower().partition("e")[2]
+    mantissa, _, exponent = num.lower().partition("e")
     if exponent and 0 < limit < abs(float(exponent)):
         raise GrassmannError("exponent of %r is beyond %d" % (num, limit))
     try:
         if algebra.mode == RATIONAL:
-            return Fraction(num)
+            if "/" in mantissa:
+                top, _, bottom = mantissa.partition("/")
+                n, d = int(top), int(bottom)
+                if not d:
+                    raise ZeroDivisionError
+                return n, d
+            whole, _, decimals = mantissa.partition(".")
+            n, d = int(whole or "0"), 1
+            if decimals:
+                d = 10 ** len(decimals)
+                n = n * d + int(decimals)
+            if exponent:
+                e = int(exponent)
+                if e >= 0:
+                    n *= 10 ** e
+                else:
+                    d *= 10 ** -e
+            return n, d
         value = float(Fraction(num)) if "/" in num else float(num)
     except ZeroDivisionError:
         raise GrassmannError("zero denominator in %r" % (num,)) from None
+    except OverflowError:  # a fraction beyond the float range
+        raise GrassmannError("non-finite coefficient %r" % (num,)) from None
     except ValueError:  # a digit run longer than the interpreter converts
         raise GrassmannError("numeral of %d characters has a digit run longer than %d"
                              % (len(num), limit)) from None
     if not math.isfinite(value):
         raise GrassmannError("non-finite coefficient %r" % (num,))
-    return value
+    return value, 1
 
 
 def parse_element(algebra, text):
@@ -792,29 +1030,34 @@ def parse_element(algebra, text):
     Accepts what render_element produces, plus bare monomials with an
     implicit coefficient 1, e.g. "t0" or "2*t0^t1 - t2".  Terms are
     joined by '+' or '-'; '*' joins a coefficient to its monomial.  Float
-    mode reads a/b as the float nearest to the fraction.
+    mode reads a/b as the float nearest to the fraction.  Rational mode
+    sums the terms' numerators over the lcm of their denominators and
+    reduces the element once.
     """
     s = text.strip()
     if not s:
         raise GrassmannError("empty element text")
-    one = 1.0 if algebra.mode == FLOAT else Fraction(1)
+    one = (1.0, 1) if algebra.mode == FLOAT else (1, 1)
     terms = {}
+    den = 1
     pos = 0
     while pos < len(s):
         term = _TERM_RE.match(s, pos)
         signs, num, star, mono = term.groups()
         if (pos and not signs) or not (num or mono) or bool(num and mono) != bool(star):
             raise GrassmannError("expected term at position %d of %r" % (pos, s))
-        c = one if num is None else _parse_number(algebra, num)
-        try:
-            indices = list(map(int, _GEN_RE.findall(mono or "")))
-        except ValueError:  # an index longer than the interpreter converts
-            raise GrassmannError("generator index with more than %d digits"
-                                 % sys.get_int_max_str_digits()) from None
-        mask, sign = _sort_sign(indices, algebra.num_generators)
+        c, d = one if num is None else _parse_number(algebra, num)
+        mask, sign = _monomial(mono or "", algebra.num_generators)
         if signs and signs.count("-") & 1:
             sign = -sign
         if sign:
+            if d != den:  # put c, and the terms before it if need be, over the lcm
+                g = gcd(den, d)
+                if d != g:
+                    for m in terms:
+                        terms[m] *= d // g
+                    den *= d // g
+                c *= den // d
             if sign < 0:
                 c = -c
             if mask in terms:  # a repeated monomial: only then add
@@ -824,4 +1067,4 @@ def parse_element(algebra, text):
     terms = {m: c for m, c in terms.items() if c}
     if algebra.mode == FLOAT and not all(map(math.isfinite, terms.values())):
         raise GrassmannError("coefficient sum overflows in %r" % (text,))
-    return GrassmannElement(algebra, terms)
+    return GrassmannElement(algebra, terms, den)

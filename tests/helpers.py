@@ -1,6 +1,8 @@
 """Helpers shared by the test modules."""
 
+import math
 from collections import deque
+from fractions import Fraction
 
 from superpenner.fatgraph import FatGraph, boundary_cycles
 from superpenner.spin import OrientationState, reflection_mask
@@ -106,3 +108,72 @@ def canonical_representative(state):
             mask ^= row
     return OrientationState(graph, [-1 if mask >> e & 1 else 1
                                     for e in range(graph.num_edges)])
+
+
+def reference_sign(s, t):
+    """Sign of e_S * e_T: (-1)**#{(i,j) : i in S, j in T, i > j}, bit by bit."""
+    count = 0
+    while t:
+        j = (t & -t).bit_length() - 1
+        count += (s >> (j + 1)).bit_count()
+        t &= t - 1
+    return -1 if count & 1 else 1
+
+
+def reference_solve(y, start, factor, divisor):
+    """The graded solve on Fraction coefficients, one Fraction per pending sum.
+
+    start is a {mask: Fraction} map; factor(a, c) (None for 1) and
+    divisor(w) return Fractions, and each pair is signed bit by bit.  Returns the {mask: Fraction} map of z
+    with z_m = (start_m - sum factor(|s|, |t|) e z_s y_t) / divisor(|m|),
+    over s | t = m with t in soul(y), by increasing weight.  The oracle
+    for grassmann's solve on int numerators.
+    """
+    souls = [(t, c, t.bit_count()) for t, c in y.terms.items() if t]
+    pending = {}
+    for m, c in start.items():
+        pending.setdefault(m.bit_count(), {})[m] = c
+    terms = {}
+    while pending:
+        w = min(pending)
+        d = divisor(w)
+        row = [(t, c if factor is None else factor(w, tw) * c, w + tw) for t, c, tw in souls]
+        for s, total in pending.pop(w).items():
+            v = total / d
+            if not v:
+                continue
+            terms[s] = v
+            for t, c, mw in row:
+                if s & t:
+                    continue
+                sums = pending.setdefault(mw, {})
+                sums[s | t] = sums.get(s | t, 0) - reference_sign(s, t) * v * c
+    return terms
+
+
+def fraction_quotient(x, y):
+    """The {mask: Fraction} map of x / y, by reference_solve."""
+    b = y.body
+    return reference_solve(y, x.terms, None, lambda w: b)
+
+
+def fraction_power(y, alpha, root):
+    """The {mask: Fraction} map of y**alpha from root = body**alpha, by reference_solve."""
+    b = y.body
+    return reference_solve(y, {0: Fraction(root)}, lambda a, c: a - alpha * c,
+                           lambda w: b * w if w else 1)
+
+
+def fraction_log(y):
+    """The {mask: Fraction} map of log y for body 1, by reference_solve."""
+    b = y.body
+    start = {m: m.bit_count() * c for m, c in y.terms.items() if m}
+    return reference_solve(y, start, lambda a, c: a, lambda w: b * w if w else 1)
+
+
+def is_normal(x):
+    """Whether a rational element is in normal form: int numerators, none
+    zero, over a positive int denominator coprime to all of them."""
+    nums = list(x.num.values())
+    return (type(x.den) is int and x.den > 0 and all(type(c) is int and c for c in nums)
+            and math.gcd(x.den, *nums) == 1)

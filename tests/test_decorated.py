@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -409,6 +410,29 @@ def test_comparison_does_no_revalidation(monkeypatch):
     for state, twice, touched in trips:
         assert aligned_equal_mod_sign(state, twice, touched)
     assert calls == []
+
+
+def test_rational_superflip_does_no_fraction_arithmetic(monkeypatch):
+    # int numerators over one denominator per element: a rational flip and
+    # its inverse multiply, add and divide ints, never Fractions
+    cases = []
+    for make in GRAPHS.values():
+        graph = make()
+        for e in generic_edges(graph):
+            cases.append((random_decorated_state(graph, random.Random(e), RATIONAL,
+                                                 square_friendly_edge=e), e))
+    assert len(cases) >= 30
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic in a rational flip")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__",
+                 "__neg__"):
+        monkeypatch.setattr(Fraction, name, forbidden)
+    for state, e in cases:
+        once, _ = superflip(state, e)
+        twice, _ = superflip(once, e)
+        assert aligned_equal_mod_sign(state, twice, {e})
 
 
 def dense_float_state(graph, rng):

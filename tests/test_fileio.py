@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -5,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from superpenner.catalog import punctured_torus
+from superpenner.checks import generic_edges, random_decorated_state
+from superpenner.decorated import superflip
 from superpenner.fatgraph import FatGraphError, render_fatgraph
 from superpenner.fileio import load_state, render_state
-from superpenner.grassmann import FLOAT
+from superpenner.grassmann import FLOAT, RATIONAL
 
 from helpers import prism
 
@@ -137,3 +140,41 @@ def test_large_document_renders_in_linear_time():
     again = load_state(text)
     assert again.lam == state.lam
     assert again.mu == state.mu
+
+
+def fraction_parse(text):
+    """The {mask: Fraction} map of rendered element text, one Fraction(str)
+    per coefficient and one Fraction sum per term."""
+    tokens = text.split(" ")
+    first = tokens[0]
+    terms = {}
+    for op, body in [("-", first[1:]) if first.startswith("-") else ("+", first),
+                     *zip(tokens[1::2], tokens[2::2])]:
+        coeff, _, mono = body.partition("*")
+        value = Fraction(coeff) if op == "+" else -Fraction(coeff)
+        mask = sum(1 << int(g[1:]) for g in mono.split("^")) if mono else 0
+        terms[mask] = terms.get(mask, 0) + value
+    return {m: c for m, c in terms.items() if c}
+
+
+def test_float_written_dense_document_loads_to_the_fraction_parse():
+    # a V = 8 float state made dense by flips, written with repr floats and
+    # read back exactly: every element equals the Fraction(str) reading
+    graph = prism(4)
+    rng = random.Random(4)
+    state = random_decorated_state(graph, rng, FLOAT)
+    for _ in range(10):
+        state, _ = superflip(state, rng.choice(generic_edges(state.graph)))
+    text = render_state(state)
+    exact = load_state(text, mode=RATIONAL)
+    names = {name: v for v, name in enumerate(exact.graph.vertex_names)}
+    compared = 0
+    for line in text.splitlines():
+        kind, _, rest = line.partition(" ")
+        if kind not in ("lambda", "mu"):
+            continue
+        key, _, value = rest.partition(": ")
+        x = exact.lam[int(key)] if kind == "lambda" else exact.mu[names[key]]
+        assert x.terms == fraction_parse(value)
+        compared += len(x.terms)
+    assert compared > 1000

@@ -1,5 +1,7 @@
 import contextlib
 import math
+import random
+import sys
 import time
 from fractions import Fraction
 
@@ -11,6 +13,9 @@ from superpenner.grassmann import (_CLASSES, _INDICES, FLOAT, RATIONAL, Grassman
                                    GrassmannElement, GrassmannError, _dense_plan,
                                    _dense_solve_terms, _dense_terms, _plan, _solve_weights,
                                    gdiv, ginv, ginvsqrt, glog, gmul, gsqrt)
+
+from helpers import (fraction_log, fraction_power, fraction_quotient, is_normal,
+                     reference_sign)
 
 
 A4 = GrassmannAlgebra(4, RATIONAL)
@@ -408,23 +413,18 @@ def test_parse_bounds_numerals_and_indices(text):
 # reference that gmul and the shared solve must match exactly.
 
 
-def reference_sign(s, t):
-    """Sign of e_S * e_T: (-1)**#{(i,j) : i in S, j in T, i > j}, bit by bit."""
-    count = 0
-    while t:
-        j = (t & -t).bit_length() - 1
-        count += (s >> (j + 1)).bit_count()
-        t &= t - 1
-    return -1 if count & 1 else 1
-
-
-def reference_gmul(x, y):
+def reference_product(x, y):
+    """The {mask: Fraction} map of x * y, one Fraction per term pair."""
     terms = {}
     for s, cs in x.terms.items():
         for t, ct in y.terms.items():
             if not s & t:
                 terms[s | t] = terms.get(s | t, 0) + cs * ct * reference_sign(s, t)
-    return GrassmannElement(x.algebra, {m: c for m, c in terms.items() if c != 0})
+    return {m: c for m, c in terms.items() if c != 0}
+
+
+def reference_gmul(x, y):
+    return GrassmannElement(x.algebra, reference_product(x, y))
 
 
 def reference_soul_powers(x):
@@ -513,7 +513,7 @@ def dense_operands(draw):
 @settings(max_examples=40, deadline=None)
 @given(dense_operands())
 def test_gmul_matches_reference_on_dense_operands(operands):
-    # rational products always scan, however dense their operands
+    # dense rational operands take the dense path, sparse ones scan
     x, y, z = operands
     for left, right in ((x, y), (y, x), (x, z), (z, x)):
         assert gmul(left, right) == reference_gmul(left, right)
@@ -564,7 +564,8 @@ def test_dense_path_matches_reference_exactly(pair):
     x, y = pair
     for left, right in ((x, y), (y, x)):
         plan = _plan(left.algebra.num_generators, every_class(left, right))
-        dense = GrassmannElement(left.algebra, _dense_terms(left, right, plan))
+        dense = GrassmannElement(left.algebra, _dense_terms(left, right, plan),
+                                 left.den * right.den)
         assert dense == reference_gmul(left, right)
 
 
@@ -637,13 +638,13 @@ quotient_pairs = st.integers(min_value=0, max_value=9).flatmap(
     lambda n: st.tuples(shaped_elements(n), divisors(n)))
 
 
-def every_class_solve(y, start, factor, divisor):
+def every_class_solve(y, start, sden, alpha):
     """The dense solve kernel over every class the solve can use."""
     n = y.algebra.num_generators
-    souls = sorted({t.bit_count() for t in y.terms} - {0})
+    souls = sorted({t.bit_count() for t in y.num} - {0})
     weights = _solve_weights(n, {s.bit_count() for s in start}, souls)
     plan = _plan(n, [(a, c) for a in weights for c in souls if a + c <= n], weights)
-    return _dense_solve_terms(y, start, factor, divisor, plan)
+    return _dense_solve_terms(y, start, sden, alpha, plan)
 
 
 @contextlib.contextmanager
@@ -662,7 +663,7 @@ def test_dense_quotient_matches_reference_exactly(pair):
     with dense_solves():
         quotient = gdiv(x, y)
     assert quotient == reference_gmul(x, reference_power(y, -1, 1 / y.body))
-    assert gdiv(x, y) == quotient   # rational gdiv scans
+    assert gdiv(x, y) == quotient   # gdiv by its own dispatch
 
 
 @settings(max_examples=60, deadline=None)
@@ -810,3 +811,111 @@ def test_chi_roots_follow_the_root_rules():
     sqrt_chi, r = flip_roots(chi)
     assert r.isclose(ginv(gsqrt(1 + chi)), 1e-14)
     assert (sqrt_chi * r).isclose(gsqrt(chi * ginv(1 + chi)), 1e-14)
+
+
+# -- int numerators over one denominator ------------------------------------------
+
+
+def fraction_sum(x, y, sign=1):
+    """The {mask: Fraction} map of x + sign * y, one Fraction per term."""
+    a, b = x.terms, y.terms
+    sums = {m: a.get(m, 0) + sign * b.get(m, 0) for m in a.keys() | b.keys()}
+    return {m: c for m, c in sums.items() if c}
+
+
+exact_cases = st.integers(min_value=0, max_value=7).flatmap(
+    lambda n: st.tuples(shaped_elements(n), shaped_elements(n), divisors(n),
+                        st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(2),
+                                         Fraction(5, 3)])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_cases)
+def test_exact_operations_match_fraction_oracles_in_normal_form(case):
+    # every result equals its one-Fraction-per-operation oracle and is
+    # stored reduced: gcd(den, numerators) = 1, no zero numerator
+    x, y, d, root = case
+    square = d.soul + root * root
+    unit = d * (1 / d.body)
+    results = [
+        (gmul(x, y), reference_product(x, y)),
+        (x + y, fraction_sum(x, y)),
+        (x - y, fraction_sum(x, y, -1)),
+        (-x, {m: -c for m, c in x.terms.items()}),
+        (gdiv(x, d), fraction_quotient(x, d)),
+        (ginv(d), fraction_quotient(d.algebra.one(), d)),
+        (gsqrt(square), fraction_power(square, Fraction(1, 2), root)),
+        (ginvsqrt(square), fraction_power(square, Fraction(-1, 2), 1 / root)),
+        (glog(unit), fraction_log(unit)),
+    ]
+    for got, want in results:
+        assert got.terms == want
+        assert is_normal(got)
+
+
+def test_equal_values_have_one_normal_form():
+    assert A4.element({0: Fraction(2, 4)}) == A4.element({0: Fraction(1, 2)})
+    x = GrassmannElement(A4, {0: 2, 3: 6}, 4)
+    assert (x.num, x.den) == ({0: 1, 3: 3}, 2)
+    assert x == A4.parse("1/2 + 3/2*t0^t1") == A4.parse("0.5 + 1.5*t0^t1")
+    assert (A4.parse("1/2") + A4.parse("1/2")).den == 1
+    assert (A4.parse("1/6*t0") + A4.parse("1/3*t0")).num == {1: 1}
+    zero = A4.parse("1/2*t0") - A4.parse("1/2*t0")
+    assert zero.is_zero() and zero.den == 1 and zero == A4.zero()
+    assert (A4.parse("2*t0") * A4.parse("1/2*t1")).den == 1
+
+
+def test_rational_products_and_solves_take_the_dense_path_on_dense_operands(monkeypatch):
+    A8 = GrassmannAlgebra(8, RATIONAL)
+    rng = random.Random(8)
+
+    def full_even(body):
+        return A8.element({m: body if m == 0 else Fraction(rng.choice([-3, -1, 1, 2]),
+                                                           rng.randint(1, 4))
+                           for m in range(256) if m.bit_count() % 2 == 0})
+
+    x, y = full_even(Fraction(3, 2)), full_even(Fraction(9, 4))
+    calls = []
+    for name in ("_dense_terms", "_dense_solve_terms"):
+        original = getattr(grassmann, name)
+        monkeypatch.setattr(grassmann, name, lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    assert gmul(x, y).terms == reference_product(x, y)
+    assert gdiv(x, y).terms == fraction_quotient(x, y)
+    assert gsqrt(y).terms == fraction_power(y, Fraction(1, 2), Fraction(3, 2))
+    assert calls == ["_dense_terms", "_dense_solve_terms", "_dense_solve_terms"]
+
+
+@pytest.mark.parametrize("literal", [".5", "5.", "007", "2.5E-3", "1e400", "3/4", "0/7",
+                                     "-0.0", "12.50e+2", "0.000e-3"])
+def test_rational_parse_reads_literals_as_fraction_does(literal):
+    value = Fraction(literal)
+    assert A4.parse(literal).terms == ({0: value} if value else {})
+    assert A4.parse("t1 + " + literal + "*t0^t2").terms == {2: 1, **({5: value} if value else {})}
+    assert is_normal(A4.parse(literal))
+
+
+def test_rational_parse_sums_repeated_monomials_over_one_denominator():
+    x = A4.parse("1/3*t0 + 0.25*t0 - 2.5E-1*t0 + 7 - 1/6*t0 + 1e400*t1^t2 - 1e400*t2^t1")
+    assert x.terms == {0: 7, 1: Fraction(1, 6), 6: 2 * 10 ** 400}
+    assert is_normal(x)
+    assert A4.parse("0.1*t0 - 1/10*t0 + 3").num == {0: 3}
+
+
+def test_rational_parse_keeps_its_error_messages():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(GrassmannError, match="zero denominator in '3/0'"):
+        A4.parse("1 + 3/0*t0")
+    for numeral in ("1" * (limit + 1), "0." + "1" * (limit + 1), "1/" + "1" * (limit + 1)):
+        with pytest.raises(GrassmannError, match="digit run longer than %d" % limit):
+            A4.parse(numeral)
+    with pytest.raises(GrassmannError, match="exponent of '1e%d' is beyond %d" % (limit + 1, limit)):
+        A4.parse("1e%d" % (limit + 1))
+    assert A4.parse("1e400").num == {0: 10 ** 400}
+
+
+def test_float_parse_refuses_fractions_beyond_the_float_range():
+    with pytest.raises(GrassmannError, match="non-finite coefficient"):
+        F4.parse("1" * 400 + "/1")
+    with pytest.raises(GrassmannError, match="non-finite coefficient"):
+        F4.parse("t0 + " + "9" * 400 + "/3*t1")
