@@ -17,7 +17,7 @@ from fractions import Fraction
 from .decorated import DecoratedState, states_equal_mod_sign, superflip
 from .fatgraph import (NonGenericFlipError, find_isomorphisms, flip_quadrilateral,
                        propagate_isomorphism, topology)
-from .grassmann import FLOAT, RATIONAL, GrassmannAlgebra
+from .grassmann import FLOAT, RATIONAL, GrassmannAlgebra, _sort_sign
 from .spin import (MAX_BRUTE_FORCE_EDGES, OrientationState, brute_force_spin_classes,
                    enumerate_spin_classes, spin_class_count)
 
@@ -111,27 +111,37 @@ def _pythagorean_ratio(rng):
     return m, n
 
 
+def _draws_element(algebra, draws):
+    """The element of (indices, coefficient) draws, built in one pass.
+
+    A repeated monomial sums its coefficients in draw order, and a
+    monomial whose sum is zero is dropped, as adding the draws one
+    monomial at a time would.
+    """
+    n = algebra.num_generators
+    terms = {}
+    for indices, c in draws:
+        mask, sign = _sort_sign(indices, n)
+        terms[mask] = terms.get(mask, 0) + sign * c
+    return algebra.element(terms)
+
+
 def _random_even_soul(algebra, rng, coeff):
     n = algebra.num_generators
-    x = algebra.zero()
+    draws = []
     for _ in range(rng.randint(0, 2)):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
-            x = x + algebra.monomial([i, j], coeff(rng))
-    return x
+            draws.append(((i, j), coeff(rng)))
+    return _draws_element(algebra, draws)
 
 
 def _random_odd(algebra, rng, coeff):
     n = algebra.num_generators
-    x = algebra.zero()
-    for i in range(n):
-        c = coeff(rng)
-        if c != 0:
-            x = x + algebra.monomial([i], c)
+    draws = [((i,), coeff(rng)) for i in range(n)]
     if n >= 3 and rng.random() < 0.2:
-        picks = rng.sample(range(n), 3)
-        x = x + algebra.monomial(picks, coeff(rng))
-    return x
+        draws.append((rng.sample(range(n), 3), coeff(rng)))
+    return _draws_element(algebra, draws)
 
 
 def random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
@@ -148,7 +158,7 @@ def random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
             return Fraction(r.randint(1, 9), r.randint(1, 9))
 
         def coeff(r):
-            return Fraction(r.randint(-3, 3))
+            return r.randint(-3, 3)
     else:
         def body(r):
             return r.uniform(0.5, 4.0)

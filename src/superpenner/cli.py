@@ -25,7 +25,7 @@ import os
 import sys
 
 from .checks import SUITES, CheckSetupError
-from .decorated import check_puncture_relation, shear_coordinates, superflip
+from .decorated import _puncture_residuals, shear_coordinates, superflip
 from .fatgraph import FatGraphError, NonGenericFlipError, boundary_cycles, topology
 from .fileio import load_state, render_state
 from .grassmann import FLOAT, RATIONAL, GrassmannError
@@ -162,7 +162,7 @@ def cmd_flip(args):
 def cmd_shear(args):
     state = _load(args.input, mode=args.mode)
     z = shear_coordinates(state)
-    residuals = check_puncture_relation(state)
+    residuals = _puncture_residuals(state, z)
     lines = []
     for e in sorted(z):
         lines.append("z %d: %s" % (e, z[e]))

@@ -49,7 +49,8 @@ from .spin import OrientationState, SpinError, flip_orientation, reflection_vert
 
 
 def _check_lambda(ei, x):
-    if not x.is_even() or not x.body > 0:
+    # the denominator is positive, so the body's sign is its numerator's
+    if not x.is_even() or not x.num.get(0, 0) > 0:
         raise ValueError("lambda-length of edge %d must be even with "
                          "positive body, got %s" % (ei, x))
 
@@ -189,7 +190,12 @@ def check_puncture_relation(state):
     Returns one even residual per boundary cycle (boundary_cycles order).
     The body vanishes in the classical limit; the soul is reported as-is.
     """
-    z = shear_coordinates(state)
+    return _puncture_residuals(state, shear_coordinates(state))
+
+
+def _puncture_residuals(state, z):
+    """The sums of the shear coordinates z (edge -> element) over each
+    boundary cycle's traversals, for a caller that already holds z."""
     residuals = []
     for cycle in boundary_cycles(state.graph):
         total = state.algebra.zero()
@@ -216,8 +222,13 @@ def states_equal_mod_sign(state1, state2, tol=None):
     agree edge by edge, and state1's mu-invariants, negated at X, must
     agree with state2's vertex by vertex, either all equal or all negated
     (the global odd sign, which is reflection at the complement of X).
-    Exact comparison by default; pass tol for coefficientwise float
-    comparison.
+
+    By default the comparison is exact: the lambda-length maps are equal
+    as dicts, and so are the aligned mu-invariant maps or the aligned map
+    and the negated one.  Elements are stored in normal form, so dict
+    equality is value equality; the comparison loop runs in C and skips
+    entries that are the same object, as most are after a round trip.
+    Pass tol for coefficientwise float comparison within tol.
     """
     if state1.graph != state2.graph:
         raise ValueError("decorated states live on different graphs")
@@ -227,15 +238,17 @@ def states_equal_mod_sign(state1, state2, tol=None):
     if reflected is None:
         return False
 
-    def close(x, y):
-        return x.isclose(y, tol) if tol is not None else x == y
-
-    if not all(close(state1.lam[e], state2.lam[e]) for e in state1.lam):
+    if tol is None:
+        if state1.lam != state2.lam:
+            return False
+    elif not all(state1.lam[e].isclose(state2.lam[e], tol) for e in state1.lam):
         return False
     mu1, mu2 = state1.mu, state2.mu
     if reflected:
         mu1 = dict(mu1)
         for v in reflected:
             mu1[v] = -mu1[v]
-    return (all(close(mu1[v], mu2[v]) for v in mu1)
-            or all(close(mu1[v], -mu2[v]) for v in mu1))
+    if tol is None:
+        return mu1 == mu2 or mu1 == {v: -x for v, x in mu2.items()}
+    return (all(mu1[v].isclose(mu2[v], tol) for v in mu1)
+            or all(mu1[v].isclose(-mu2[v], tol) for v in mu1))

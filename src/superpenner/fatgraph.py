@@ -227,12 +227,15 @@ def flip_quadrilateral(graph, e, require_generic=True):
     return Quadrilateral(e, u, w, t, h, ha, hb, hc, hd, a, b, c, d)
 
 
-def whitehead_flip(graph, e):
+def whitehead_flip(graph, e, reflections_applied=()):
     """Flip edge e, returning the new fatgraph and a FlipRecord.
 
     The new edge f reuses e's id and half-edges; its reference direction
     runs from the vertex now holding b and c to the vertex holding a and
-    d.  All other adjacencies are untouched.
+    d.  All other adjacencies are untouched.  reflections_applied is
+    copied into the record: the graph ignores it, and a caller that
+    evolves an orientation through the flip names its auto-reflection
+    there, so the record is built once.
 
     The flipped graph is the parent with two vertex triples rewritten:
     the tail vertex becomes (t, hb, hc) and the head vertex (h, hd, ha).
@@ -266,7 +269,8 @@ def whitehead_flip(graph, e):
     flipped._vertex_of = tuple(vertex_of)
     record = FlipRecord(
         flipped_edge=e, a=q.a, b=q.b, c=q.c, d=q.d,
-        tail_vertex=q.tail_vertex, head_vertex=q.head_vertex)
+        tail_vertex=q.tail_vertex, head_vertex=q.head_vertex,
+        reflections_applied=reflections_applied)
     return flipped, record
 
 

@@ -66,7 +66,8 @@ def load_state(text, mode=RATIONAL):
             except GrassmannError as exc:
                 raise FatGraphError("line %d: bad %s value: %s"
                                     % (lineno, kind, exc)) from None
-            if kind == "lambda" and not (value.is_even() and value.body > 0):
+            # the denominator is positive, so the body's sign is its numerator's
+            if kind == "lambda" and not (value.is_even() and value.num.get(0, 0) > 0):
                 raise FatGraphError("line %d: lambda %s must be even with positive "
                                     "body, got %s" % (lineno, key, value))
             if kind == "mu" and not value.is_odd():

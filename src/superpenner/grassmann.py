@@ -27,32 +27,41 @@ parity of the bits of T below i (for i at or above T.bit_length() it is
 the parity of all of T), so k is odd exactly when (S & P(T)).bit_count()
 is odd: one popcount per term pair.
 
-Product paths: gmul takes one of two paths for a whole product.  The scan
-visits all len(x) * len(y) pairs of terms, skips those that meet and signs
-the rest with one popcount.  The dense path walks weight classes, one per
-(n, a, b), cached for the life of the process.  Class (a, b) lists every
-monomial m of weight a + b, in increasing order, with its k = C(a + b, a)
-submasks s of weight a, as two operator.itemgetters: one over a dense left
-vector X with X[s] = x_s (0 where x has no term), one over a right vector
-Y with Y[t] = y_t and Y[t + 2**n] = -y_t, so that the index carries the
-sign of e_s * e_t for t = m ^ s.  A product uses the classes (a, b) where x
-has a term of weight a and y one of weight b.  Each class gathers, multiplies
-and sums its runs of k pairs in C, and the classes of one output weight are
-added elementwise.  Souls and powers of souls have no low-weight terms, so
-they skip those classes.  The classes of a product, grouped by output
-weight, are kept per pair of weight sets; this plan names classes and
-holds no pairs.
+Product paths: gmul takes one of three paths for a whole product.  When
+either operand is a one-term scalar (its only monomial is the empty one),
+the product scales the other operand: every numerator is multiplied by
+the scalar's numerator over the product of the denominators, reduced
+once, and in float mode every term is v * c, the operation the scan runs
+on it.  The scan visits all len(x) * len(y) pairs of terms, skips those
+that meet and signs the rest with one popcount.  The dense path walks
+weight classes, one per (n, a, b), cached for the life of the process.
+Class (a, b) lists every monomial m of weight a + b, in increasing order,
+with its k = C(a + b, a) submasks s of weight a, as two
+operator.itemgetters: one over a dense left vector X with X[s] = x_s (0
+where x has no term), one over a right vector Y with Y[t] = y_t and
+Y[t + 2**n] = -y_t, so that the index carries the sign of e_s * e_t for
+t = m ^ s.  A product uses the classes (a, b) where x has a term of
+weight a and y one of weight b.  Each class gathers, multiplies and sums
+its runs of k pairs in C, and the classes of one output weight are added
+elementwise.  Souls and powers of souls have no low-weight terms, so they
+skip those classes.  The classes of a product, grouped by output weight,
+are kept per pair of weight sets; this plan names classes and holds no
+pairs.
 
-Dispatch: a product takes the dense path when 2**n < len(x) * len(y) and
-2**n plus the pairs of the used classes is at most len(x) * len(y), so
-that it touches no more entries than the scan would visit.  The rule is
-the same in both modes: on int numerators, as on floats, the dense path
-gathers, multiplies and sums in C, and its multiplies of absent entries
-are multiplies by 0.  One-term scalars therefore never build a class,
-however many generators the algebra has.  The two paths add a monomial's
-contributions in different orders, so float results differ in round-off
-only, and rational results not at all.  A float product with a
-non-finite coefficient (an overflow) raises GrassmannError.
+Dispatch: a product scales when one operand has a single term, on mask 0;
+that is read off the operand, and the scaled terms are bit for bit those
+the scan would give, since the scan makes one product per term and adds
+it to 0.  Otherwise a product takes the dense path when
+2**n < len(x) * len(y) and 2**n plus the pairs of the used classes is at
+most len(x) * len(y), so that it touches no more entries than the scan
+would visit.  The rule is the same in both modes: on int numerators, as
+on floats, the dense path gathers, multiplies and sums in C, and its
+multiplies of absent entries are multiplies by 0.  One-term scalars
+therefore never build a class, however many generators the algebra has.
+The scan and the dense path add a monomial's contributions in different
+orders, so float results differ in round-off only, and rational results
+not at all.  A float product with a non-finite coefficient (an
+overflow) raises GrassmannError, on every path.
 
 Solves: quotients, powers and logarithms by an even y with body b are one
 recurrence (J. C. P. Miller's power-series formula, Knuth, TAOCP Vol. 2,
@@ -85,12 +94,20 @@ are kept over the lcm of the denominators of their contributions, the
 finished weight is reduced by one gcd, and the solution's denominator is
 the lcm over its weights, which leaves it in normal form.
 
-Dispatch: a solve takes the dense path when
+A quotient by a one-term scalar b has no soul to solve against: z_m =
+x_m / b.  gdiv scales instead of solving.  In rational mode, dividing by
+b / dy multiplies every numerator by dy and puts the result over den * b,
+with the sign moved off the denominator, reduced once.  In float mode
+every term is v / b, the operation the solve runs on it, and a term that
+underflows to 0 is dropped, as the solve drops it.
+
+Dispatch: gdiv scales when its divisor has a single term (an invertible
+one-term y is a scalar).  Otherwise a solve takes the dense path when
 2**n < len(start) * len(y) + len(y)**2 (the pairs of start and of a
 solution about as long as y with y), and its plan holds at most that many
 entries, in either mode.  The len(y)**2 counts before the 2**n test:
 otherwise a power, whose start is one term, would always scan.  Any other
-solve (sparse, or by a one-term scalar) scans.
+solve (sparse, or a power or log of a one-term scalar) scans.
 
 Memory: each disjoint pair on n generators sits in exactly one class, and
 all indices share one int object each, so the classes on n generators hold
@@ -608,23 +625,48 @@ def _scan_terms(x, y):
     return {m: c for m, c in terms.items() if c}
 
 
+def _scaled_terms(x, c, dc, quotient):
+    """(num, den) of x * (c / dc), or of x / (c / dc) with quotient set,
+    for a nonzero one-term scalar c / dc; the caller reduces once.
+
+    In rational mode every numerator is multiplied by one int: by c over
+    x.den * dc for a product, and by dc over x.den * c for a quotient,
+    with the sign of c moved onto the numerators.  In float mode (dc = 1)
+    each term is v * c or v / c, the operation the scan and the solve
+    run on it, and a term that underflows to 0 is dropped.
+    """
+    if x.algebra.mode == FLOAT:
+        values = map(truediv if quotient else mul, x.num.values(), repeat(c))
+        return {m: v for m, v in zip(x.num, values) if v}, 1
+    if quotient:
+        c, dc = (dc, c) if c > 0 else (-dc, -c)
+    return {m: v * c for m, v in x.num.items()}, x.den * dc
+
+
 def gmul(x, y):
     """Product in the Grassmann algebra.
 
     e_S * e_T = 0 when S and T intersect, else sign(S,T) * e_{S union T},
     with the sign read off one popcount (see the module docstring).  The
     numerators multiply, the denominators multiply, and a rational
-    product is reduced once.  A product whose weight classes hold no more
-    entries than the scan would visit is summed class by class; any other
-    product scans every pair.  A float product with a non-finite
-    coefficient is an error.
+    product is reduced once.  A one-term scalar operand scales the other
+    operand's terms; a product whose weight classes hold no more entries
+    than the scan would visit is summed class by class; any other product
+    scans every pair.  A float product with a non-finite coefficient is
+    an error.
     """
     x._check_compatible(y)
     alg = x.algebra
-    plan = _dense_plan(alg.num_generators, x.num, y.num)
-    terms = _scan_terms(x, y) if plan is None else _dense_terms(x, y, plan)
+    if len(y.num) == 1 and 0 in y.num:
+        terms, den = _scaled_terms(x, y.num[0], y.den, False)
+    elif len(x.num) == 1 and 0 in x.num:
+        terms, den = _scaled_terms(y, x.num[0], x.den, False)
+    else:
+        plan = _dense_plan(alg.num_generators, x.num, y.num)
+        terms = _scan_terms(x, y) if plan is None else _dense_terms(x, y, plan)
+        den = x.den * y.den
     if alg.mode != FLOAT:
-        return GrassmannElement(alg, terms, x.den * y.den)
+        return GrassmannElement(alg, terms, den)
     if not all(map(math.isfinite, terms.values())):
         raise GrassmannError("float overflow in product of %d by %d terms"
                              % (len(x.num), len(y.num)))
@@ -833,14 +875,22 @@ def gdiv(x, y):
     """Quotient x / y = x * y**-1 for an even y with nonzero body.
 
     The solve of q y = x: q_m = (x_m - sum e q_s y_t) / b, with b the
-    body of y.  A float quotient with a non-finite coefficient is an
-    error.
+    body of y.  A one-term scalar y has no soul, so the quotient only
+    scales x's terms by it.  A float quotient with a non-finite
+    coefficient is an error.
     """
     y = x._check_compatible(y)
     _check_even(y, "inverse")
-    if not y.num.get(0):
+    b = y.num.get(0)
+    if not b:
         raise GrassmannError("zero body: %s is not invertible" % (y,))
-    return _solve(y, x.num, x.den, None, "quotient")
+    if len(y.num) > 1:
+        return _solve(y, x.num, x.den, None, "quotient")
+    alg = x.algebra
+    terms, den = _scaled_terms(x, b, y.den, True)
+    if alg.mode == FLOAT and not all(map(math.isfinite, terms.values())):
+        raise GrassmannError("float overflow in quotient of %d by 1 terms" % len(x.num))
+    return GrassmannElement(alg, terms, den)
 
 
 def ginv(x):

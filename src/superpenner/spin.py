@@ -30,8 +30,6 @@ forest, so a fault there cannot hide by agreeing with itself.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .fatgraph import boundary_cycles, whitehead_flip
 
 
@@ -299,14 +297,17 @@ def flip_orientation(state, e):
     The signs are toggled in place on a copy: the auto-reflection toggles
     the three edges at the tail vertex (e, a, b, no loop among them on a
     generic flip), then b and e are set.  The parent's signs were valid
-    and only +1/-1 are written, so the new state is not re-checked.
+    and only +1/-1 are written, so the new state is not re-checked.  The
+    auto-reflection is decided before the graph flip, so whitehead_flip
+    builds the one record with it.
     """
     graph = state.graph
-    flipped, record = whitehead_flip(graph, e)
     signs = list(state.signs)
-    if signs[e] == 1:
-        _toggle_star(signs, graph, record.tail_vertex)
-        record = replace(record, reflections_applied=(record.tail_vertex,))
+    reflections = ()
+    if 0 <= e < len(signs) and signs[e] == 1:   # whitehead_flip refuses any other e
+        reflections = (graph.tail_vertex(e),)
+        _toggle_star(signs, graph, reflections[0])
+    flipped, record = whitehead_flip(graph, e, reflections)
     signs[record.b] = -signs[record.b]
     signs[e] = 1
     return OrientationState._unchecked(flipped, tuple(signs)), record

@@ -177,3 +177,29 @@ def is_normal(x):
     nums = list(x.num.values())
     return (type(x.den) is int and x.den > 0 and all(type(c) is int and c for c in nums)
             and math.gcd(x.den, *nums) == 1)
+
+
+def reference_random_even_soul(algebra, rng, coeff):
+    """checks._random_even_soul as built one monomial addition at a time:
+    the oracle for the one-pass construction, drawing from rng alike."""
+    n = algebra.num_generators
+    x = algebra.zero()
+    for _ in range(rng.randint(0, 2)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            x = x + algebra.monomial([i, j], coeff(rng))
+    return x
+
+
+def reference_random_odd(algebra, rng, coeff):
+    """checks._random_odd as built one monomial addition at a time."""
+    n = algebra.num_generators
+    x = algebra.zero()
+    for i in range(n):
+        c = coeff(rng)
+        if c != 0:
+            x = x + algebra.monomial([i], c)
+    if n >= 3 and rng.random() < 0.2:
+        picks = rng.sample(range(n), 3)
+        x = x + algebra.monomial(picks, coeff(rng))
+    return x

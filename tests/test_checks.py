@@ -1,19 +1,21 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
+from superpenner import checks
 from superpenner.catalog import GRAPHS
 from superpenner.checks import (aligned_equal_mod_sign, check_spincount, generic_edges,
                                 pentagon_pairs, random_decorated_state, transport_state)
 from superpenner.decorated import DecoratedState, superflip
 from superpenner.fatgraph import find_isomorphisms, propagate_isomorphism
-from superpenner.grassmann import FLOAT, RATIONAL
+from superpenner.grassmann import FLOAT, RATIONAL, GrassmannAlgebra
 from superpenner.spin import (MAX_BRUTE_FORCE_EDGES, OrientationState, SpinError,
                               enumerate_spin_classes, reflect,
                               reflection_vertices_between, same_spin_class)
 
-from helpers import prism
+from helpers import prism, reference_random_even_soul, reference_random_odd
 
 
 def involution_and_pentagon_sequences(graph, rng, mode):
@@ -154,3 +156,52 @@ def test_spincount_skips_the_brute_force_oracle_above_the_edge_limit():
     small = check_spincount(GRAPHS["genus2_2_1"]())
     assert small.passed and "brute_force=16 " in small.detail
     assert small.detail.endswith("reps_match=True")
+
+
+def layout(x):
+    """An element's numerators in storage order, and its denominator."""
+    return list(x.num.items()), x.den
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6])
+def test_random_elements_match_monomial_by_monomial_construction(mode, n):
+    # the same draws in the same order give the same element, in the same
+    # storage order; the few coefficients and n = 2 make repeated and
+    # cancelling monomials common
+    alg = GrassmannAlgebra(n, mode)
+    coeffs = {RATIONAL: (lambda r: Fraction(r.randint(-3, 3)),
+                         lambda r: Fraction(r.choice([-1, 1]), r.randint(1, 2))),
+              FLOAT: (lambda r: r.uniform(-1.0, 1.0), lambda r: r.choice([-0.5, 0.5]))}[mode]
+    for seed in range(60):
+        for coeff in coeffs:
+            for build, reference in ((checks._random_even_soul, reference_random_even_soul),
+                                     (checks._random_odd, reference_random_odd)):
+                if n == 0 and build is checks._random_even_soul:
+                    continue   # randrange(0) has no draw
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                assert layout(build(alg, rng, coeff)) == layout(reference(alg, ref_rng, coeff))
+                assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_random_states_match_monomial_by_monomial_construction(monkeypatch, mode):
+    graphs = [make() for make in GRAPHS.values()] + [prism(3), prism(5)]
+    built = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(checks, "_random_even_soul", reference_random_even_soul)
+            monkeypatch.setattr(checks, "_random_odd", reference_random_odd)
+        states = []
+        for graph in graphs:
+            edges = generic_edges(graph) if mode == RATIONAL else []
+            for seed in range(4):
+                rng = random.Random(seed)
+                friendly = edges[0] if edges and seed % 2 else None
+                states.append(random_decorated_state(graph, rng, mode,
+                                                     square_friendly_edge=friendly))
+                states.append(rng.random())
+        built.append([(s.orientation.signs,
+                       [layout(x) for x in (*s.lam.values(), *s.mu.values())])
+                      if isinstance(s, DecoratedState) else s for s in states])
+    assert built[0] == built[1]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superpenner import cli
+from superpenner import cli, decorated
 from superpenner.checks import CheckResult
 from superpenner.decorated import default_state, superflip
 from superpenner.fileio import load_state, render_state
@@ -115,6 +115,22 @@ def test_shear_reports_residuals(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("z 0: ")
     assert any(l.startswith("residual 0: body=") for l in lines)
+
+
+def test_shear_takes_one_log_per_edge(capsys, monkeypatch):
+    # the residuals sum the reported coordinates instead of computing them again
+    logs = []
+    glog = decorated.glog
+    monkeypatch.setattr(decorated, "glog", lambda x: logs.append(1) or glog(x))
+    for name in ("torus_345.fg", "sphere5.fg", "genus2_1.fg"):
+        logs.clear()
+        code, out, _ = run(capsys, "shear", str(DATA / name))
+        assert code == 0
+        assert len(logs) == sum(line.startswith("z ") for line in out.splitlines())
+        state = load_state((DATA / name).read_text(), mode="float")
+        assert [line for line in out.splitlines() if line.startswith("residual")] == [
+            "residual %d: body=%s soul=%s" % (i, r.body, r.soul)
+            for i, r in enumerate(decorated.check_puncture_relation(state))]
 
 
 def test_parse_failure_exit_code(capsys, tmp_path):

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -433,6 +435,48 @@ def test_rational_superflip_does_no_fraction_arithmetic(monkeypatch):
         once, _ = superflip(state, e)
         twice, _ = superflip(once, e)
         assert aligned_equal_mod_sign(state, twice, {e})
+
+
+def test_classical_round_trips_only_scale():
+    # every lambda-length of a classical rational state is a one-term
+    # scalar: flips and round-trip comparisons scale by it, and run no
+    # solve, build no Fraction and copy no FlipRecord
+    forbidden = {f.__code__: name for name, f in (
+        ("_scan_solve_terms", grassmann._scan_solve_terms),
+        ("_dense_solve_terms", grassmann._dense_solve_terms),
+        ("Fraction.__new__", Fraction.__new__),
+        ("dataclasses.replace", dataclasses.replace))}
+    states = [classical_limit(random_decorated_state(graph, random.Random(9), RATIONAL))
+              for graph in [make() for make in GRAPHS.values()] + [prism(16)]]
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in forbidden:
+            calls.append(forbidden[frame.f_code])
+
+    trips = []
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for state in states:
+            rng = random.Random(state.graph.num_edges)
+            for e in generic_edges(state.graph):
+                once, _ = superflip(state, e)
+                trips.append(aligned_equal_mod_sign(state, superflip(once, e)[0], {e}))
+            current, walk = state, []
+            for _ in range(6):
+                candidates = generic_edges(current.graph)
+                if not candidates:
+                    break
+                walk.append(rng.choice(candidates))
+                current, _ = superflip(current, walk[-1])
+            for e in reversed(walk):
+                current, _ = superflip(current, e)
+            trips.append(aligned_equal_mod_sign(state, current, set(walk)))
+    finally:
+        sys.setprofile(previous)
+    assert calls == []
+    assert len(trips) > 60 and all(trips)
 
 
 def dense_float_state(graph, rng):

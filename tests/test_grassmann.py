@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 from superpenner import grassmann
 from superpenner.grassmann import (_CLASSES, _INDICES, FLOAT, RATIONAL, GrassmannAlgebra,
                                    GrassmannElement, GrassmannError, _dense_plan,
-                                   _dense_solve_terms, _dense_terms, _plan, _solve_weights,
-                                   gdiv, ginv, ginvsqrt, glog, gmul, gsqrt)
+                                   _dense_solve_terms, _dense_terms, _plan, _scan_solve_terms,
+                                   _scan_terms, _solve_weights, gdiv, ginv, ginvsqrt, glog,
+                                   gmul, gsqrt)
 
 from helpers import (fraction_log, fraction_power, fraction_quotient, is_normal,
                      reference_sign)
@@ -919,3 +920,97 @@ def test_float_parse_refuses_fractions_beyond_the_float_range():
         F4.parse("1" * 400 + "/1")
     with pytest.raises(GrassmannError, match="non-finite coefficient"):
         F4.parse("t0 + " + "9" * 400 + "/3*t1")
+
+
+# -- one-term scalars scale --------------------------------------------------------
+
+
+def scanned(kind, x, y):
+    """x * y by _scan_terms or x / y by _scan_solve_terms, with gmul's and
+    gdiv's float overflow message: (element, None) or (None, message)."""
+    if kind == "product":
+        terms, den = _scan_terms(x, y), x.den * y.den
+    else:
+        terms, den = _scan_solve_terms(y, x.num, x.den, None)
+    if x.algebra.mode == FLOAT and not all(map(math.isfinite, terms.values())):
+        return None, "float overflow in %s of %d by %d terms" % (kind, len(x.num), len(y.num))
+    return GrassmannElement(x.algebra, terms, den), None
+
+
+@st.composite
+def scaled_cases(draw):
+    """(x, c) on n <= 7 generators: x a shaped element, c a nonzero
+    one-term scalar of either sign.  Float cases scale x by an extreme
+    power of ten and draw c from every finite float, so products and
+    quotients underflow and overflow."""
+    x = draw(st.integers(min_value=0, max_value=7).flatmap(shaped_elements))
+    if draw(st.booleans()):
+        c = draw(st.fractions(max_denominator=10 ** 6).filter(bool))
+        return x, x.algebra.scalar(c)
+    scale = draw(st.sampled_from([1.0, 1e300, 1e-300]))
+    x = as_float(x) * scale
+    c = draw(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+    return x, x.algebra.scalar(c)
+
+
+def float_bits(x):
+    return {m: c.hex() for m, c in x.terms.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_cases())
+def test_scalar_scaling_matches_the_scan_and_the_solve(case):
+    # bit for bit in float mode, the same normal form in rational mode, and
+    # the same message when a float term overflows
+    x, c = case
+    for kind, left, right, run in (("product", x, c, gmul), ("product", c, x, gmul),
+                                   ("quotient", x, c, gdiv)):
+        want, message = scanned(kind, left, right)
+        if message is not None:
+            with pytest.raises(GrassmannError) as info:
+                run(left, right)
+            assert str(info.value) == message
+            continue
+        got = run(left, right)
+        if x.algebra.mode == FLOAT:
+            assert float_bits(got) == float_bits(want)
+        else:
+            assert (got.num, got.den) == (want.num, want.den)
+            assert is_normal(got)
+
+
+def test_scalar_scaling_drops_underflow_and_refuses_overflow():
+    x = F4.element({0: 1e-200, 3: 1.0, 5: -2.0})
+    assert gmul(x, F4.scalar(1e-200)).terms == {3: 1e-200, 5: -2e-200}
+    assert gmul(F4.scalar(-1e-200), x).terms == {3: -1e-200, 5: 2e-200}
+    assert gdiv(x, F4.scalar(1e200)).terms == {3: 1e-200, 5: -2e-200}
+    big = F4.element({0: 1.0, 3: 1e300})
+    with pytest.raises(GrassmannError, match=r"^float overflow in product of 2 by 1 terms$"):
+        gmul(big, F4.scalar(1e10))
+    with pytest.raises(GrassmannError, match=r"^float overflow in product of 1 by 2 terms$"):
+        gmul(F4.scalar(-1e10), big)
+    with pytest.raises(GrassmannError, match=r"^float overflow in quotient of 2 by 1 terms$"):
+        gdiv(big, F4.scalar(1e-10))
+
+
+def test_rational_scaling_moves_the_sign_off_the_denominator():
+    x = A4.parse("3/4 - 2/3*t0^t1")
+    q = gdiv(x, A4.scalar(Fraction(-9, 8)))
+    assert (q.num, q.den) == ({0: -18, 3: 16}, 27)
+    p = gmul(A4.scalar(Fraction(-9, 8)), x)
+    assert (p.num, p.den) == ({0: -27, 3: 24}, 32)
+    assert is_normal(q) and is_normal(p)
+
+
+def test_scalar_operands_neither_scan_nor_solve(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("general kernel for a one-term scalar")
+
+    for name in ("_scan_terms", "_dense_terms", "_scan_solve_terms", "_dense_solve_terms"):
+        monkeypatch.setattr(grassmann, name, forbidden)
+    for alg in (A4, F4):
+        x = alg.one() + alg.monomial([0, 1], 3) - alg.gen(2)
+        c = alg.scalar(-2)
+        assert gmul(x, c) == gmul(c, x) == x * -2
+        assert gdiv(x, c) == x * alg.scalar(Fraction(-1, 2) if alg is A4 else -0.5)
+        assert gmul(c, c) == alg.scalar(4) and gdiv(c, c) == alg.one()
