@@ -48,15 +48,25 @@ from .fatgraph import boundary_cycles, flip_quadrilateral, topology
 from .spin import OrientationState, SpinError, flip_orientation, reflection_vertices_between
 
 
-def _check_lambda(ei, x):
+def is_lambda_length(x):
+    """Whether x can be a lambda-length: even, with positive body."""
     # the denominator is positive, so the body's sign is its numerator's
-    if not x.is_even() or not x.num.get(0, 0) > 0:
+    return x.is_even() and x.num.get(0, 0) > 0
+
+
+def is_mu_invariant(x):
+    """Whether x can be a mu-invariant: odd."""
+    return x.is_odd()
+
+
+def _check_lambda(ei, x):
+    if not is_lambda_length(x):
         raise ValueError("lambda-length of edge %d must be even with "
                          "positive body, got %s" % (ei, x))
 
 
 def _check_mu(vi, x):
-    if not x.is_odd():
+    if not is_mu_invariant(x):
         raise ValueError("mu-invariant of vertex %d must be odd, got %s" % (vi, x))
 
 

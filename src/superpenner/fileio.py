@@ -18,7 +18,7 @@ values use the Grassmann text grammar, e.g. "3/4", "2.5", "t0", or
 
 from __future__ import annotations
 
-from .decorated import DecoratedState
+from .decorated import DecoratedState, is_lambda_length, is_mu_invariant
 from .fatgraph import FatGraphError, graph_from_records, render_fatgraph, scan_document
 from .grassmann import RATIONAL, GrassmannAlgebra, GrassmannError
 from .spin import OrientationState
@@ -30,7 +30,9 @@ def load_state(text, mode=RATIONAL):
     The algebra has one generator per vertex in the given scalar mode.
     Missing decoration sections fall back to their defaults; a second line
     for the same edge or vertex is an error, and so is a lambda that is
-    not even with positive body or a mu that is not odd.
+    not even with positive body or a mu that is not odd.  Each loaded
+    value is checked once, here, with its line number; the defaults are
+    valid, so the state is built without checking its maps again.
     """
     records = scan_document(text)
     graph, id_map = graph_from_records(records)
@@ -66,16 +68,14 @@ def load_state(text, mode=RATIONAL):
             except GrassmannError as exc:
                 raise FatGraphError("line %d: bad %s value: %s"
                                     % (lineno, kind, exc)) from None
-            # the denominator is positive, so the body's sign is its numerator's
-            if kind == "lambda" and not (value.is_even() and value.num.get(0, 0) > 0):
+            if kind == "lambda" and not is_lambda_length(value):
                 raise FatGraphError("line %d: lambda %s must be even with positive "
                                     "body, got %s" % (lineno, key, value))
-            if kind == "mu" and not value.is_odd():
+            if kind == "mu" and not is_mu_invariant(value):
                 raise FatGraphError("line %d: mu %s must be odd, got %s"
                                     % (lineno, key, value))
             (lam if kind == "lambda" else mu)[target] = value
-    orientation = OrientationState(graph, signs)
-    return DecoratedState(graph, orientation, algebra, lam, mu)
+    return DecoratedState._unchecked(OrientationState(graph, signs), algebra, lam, mu)
 
 
 def _edge_key(key, id_map, lineno):

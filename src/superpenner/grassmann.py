@@ -80,19 +80,24 @@ with (start, factor, divisor):
 
 so the logarithm is the power rule with alpha = 0 and its own start.
 soul(y) has no term of weight 0, so the terms of z of weight w need only
-those of lower weight, and the solve runs in increasing weight.  On the
-dense path the weights z can have (those of start plus sums of soul
-weights of y) run in increasing order; weight w gathers the classes
-(a, c) with a + c = w and c a soul weight of y, each times its factor,
-from the dense left vector, which by then holds every term of lower
-weight, and writes its own terms into it.  That is about one product's
-pairs.  The scan keeps pending sums per weight, finishes the lowest
-weight first and pushes each finished term's pairs with the soul upward,
-so its cost is the pairs of z with the soul, whatever n is.  In rational
-mode the terms of one weight share a denominator: a weight's pending sums
-are kept over the lcm of the denominators of their contributions, the
-finished weight is reduced by one gcd, and the solution's denominator is
-the lcm over its weights, which leaves it in normal form.
+those of lower weight.  One loop serves both paths and runs the weights
+in increasing order: weight w takes its start terms, subtracts the pairs
+(s, t) with |s| = a < w and |t| = w - a, each times its factor, and
+divides by its divisor.  On the dense path the weights are those z can
+have (those of start plus sums of soul weights of y), and weight w
+gathers the classes (a, w - a) from the dense left vector, into which
+each finished weight writes its terms: about one product's pairs.  The
+scan finds its weights as it goes, since a finished weight a with a
+nonzero term makes a + c pending for each soul weight c, and visits the
+pairs of weight a with the soul terms of weight w - a with the product's
+pair loop, so its cost is the pairs of z with the soul, whatever n is.
+It adds a monomial's pairs in increasing a, then in the order of z's
+terms and of y's soul terms, and a float result keeps that order.  In
+rational mode the terms of one weight share a denominator: weight w's
+sums are kept over the lcm of the start's denominator and those of the
+weights that reach it, the finished weight is reduced by one gcd, and
+the solution's denominator is the lcm over its weights, which leaves it
+in normal form.
 
 A quotient by a one-term scalar b has no soul to solve against: z_m =
 x_m / b.  gdiv scales instead of solving.  In rational mode, dividing by
@@ -608,12 +613,15 @@ def _dense_terms(x, y, plan):
     return terms
 
 
-def _scan_terms(x, y):
-    """The nonzero numerators of x * y over x.den * y.den, visiting every pair of terms."""
-    right = [(t, ct, _below_parity(t)) for t, ct in y.num.items()]
-    terms = {}
+def _scan_pairs(left, right, terms):
+    """Add the signed product of every disjoint pair of terms to terms.
+
+    left holds (s, c_s) pairs and right (t, c_t, P(t)) triples; terms is a
+    {monomial: sum} map, and a monomial new to it is appended in the order
+    of its first pair, left-major.
+    """
     get = terms.get
-    for s, cs in x.num.items():
+    for s, cs in left:
         for t, ct, p in right:
             if s & t:
                 continue
@@ -622,6 +630,12 @@ def _scan_terms(x, y):
                 terms[m] = get(m, 0) - cs * ct
             else:
                 terms[m] = get(m, 0) + cs * ct
+
+
+def _scan_terms(x, y):
+    """The nonzero numerators of x * y over x.den * y.den, visiting every pair of terms."""
+    terms = {}
+    _scan_pairs(x.num.items(), [(t, ct, _below_parity(t)) for t, ct in y.num.items()], terms)
     return {m: c for m, c in terms.items() if c}
 
 
@@ -667,10 +681,14 @@ def gmul(x, y):
         den = x.den * y.den
     if alg.mode != FLOAT:
         return GrassmannElement(alg, terms, den)
-    if not all(map(math.isfinite, terms.values())):
-        raise GrassmannError("float overflow in product of %d by %d terms"
-                             % (len(x.num), len(y.num)))
+    _check_finite(terms, "product", len(x.num), len(y.num))
     return _element(alg, terms, 1)
+
+
+def _check_finite(terms, what, xlen, ylen):
+    """Refuse a float result with a non-finite coefficient: an overflow."""
+    if not all(map(math.isfinite, terms.values())):
+        raise GrassmannError("float overflow in %s of %d by %d terms" % (what, xlen, ylen))
 
 
 def _rules(y, alpha):
@@ -709,23 +727,6 @@ def _finish(values, den, mult, div):
     return den, values
 
 
-def _rescale(sums, dens, w, scale):
-    """The factor that puts a contribution over scale onto the pending sums
-    of weight w, after moving those sums onto the lcm of their
-    denominator and scale."""
-    old = dens.get(w)
-    if old is None or not sums:
-        dens[w] = scale
-        return 1
-    g = gcd(old, scale)
-    if scale != g:
-        r = scale // g
-        for m in sums:
-            sums[m] *= r
-        dens[w] = old * r
-    return old // g
-
-
 def _join(terms, dens):
     """(terms, den): the terms of each weight w, numerators over dens[w],
     put over den, the lcm of dens (1 when dens is empty)."""
@@ -738,110 +739,6 @@ def _join(terms, dens):
     return terms, den
 
 
-def _dense_solve_terms(y, start, sden, alpha, plan):
-    """(num, den) of the solve by y from start / sden (see _solve), one
-    weight at a time on the dense path.
-
-    soul(y) has no term of weight 0, so the terms of weight w need only
-    those of lower weight: the groups run in increasing weight, and each
-    writes its numerators into the dense left vector before the next one
-    gathers.  In rational mode each class's sums are scaled onto the lcm
-    of the denominators that reach the weight.
-    """
-    exact = y.algebra.mode != FLOAT
-    factor, divisor, fden = _rules(y, alpha)
-    zero = 0 if exact else 0.0
-    left = [zero] * ((1 << y.algebra.num_generators) + 1)
-    right = _right_vector(y, zero)
-    get = start.get
-    terms = {}
-    dens = {}
-    for w, monomials, keys in plan[1]:
-        values = map(get, monomials, repeat(zero))
-        if exact:
-            scales = {a: fden * dens[a] * y.den for _, a, _ in keys}
-            pending = math.lcm(sden, *scales.values())
-            if pending != sden:
-                values = map(mul, values, repeat(pending // sden))
-            if keys:
-                values = map(sub, values, _class_sums(
-                    keys, left, right,
-                    lambda a, c: (1 if factor is None else factor(a, c)) * (pending // scales[a])))
-            dens[w], values = _finish(list(values), pending, *divisor(w))
-        else:
-            if keys:
-                values = map(sub, values, _class_sums(keys, left, right, factor))
-            values = list(map(truediv, values, repeat(divisor(w))))
-        for m, v in zip(monomials, values):
-            left[m] = v
-        terms.update(zip(compress(monomials, values), filter(None, values)))
-    return _join(terms, dens)
-
-
-def _scan_solve_terms(y, start, sden, alpha):
-    """(num, den) of the solve by y from start / sden, scanning.
-
-    Pending sums are kept per weight; the lowest weight is finished
-    first, and each of its terms subtracts its pairs with the soul of y
-    from the sums of higher weight, so the work is the pairs of the
-    solution with the soul, whatever the number of generators.  In
-    rational mode the sums of one weight share a denominator, which
-    grows to the lcm of those of its contributions.
-    """
-    n = y.algebra.num_generators
-    exact = y.algebra.mode != FLOAT
-    factor, divisor, fden = _rules(y, alpha)
-    souls = [(t, c, _below_parity(t), t.bit_count()) for t, c in y.num.items() if t]
-    pending = {}
-    for m, c in start.items():
-        pending.setdefault(m.bit_count(), {})[m] = c
-    pending_dens = dict.fromkeys(pending, sden)
-    terms = {}
-    dens = {}
-    while pending:
-        w = min(pending)
-        sums = pending.pop(w)
-        if exact:
-            den, values = _finish(list(sums.values()), pending_dens.pop(w), *divisor(w))
-            values = {s: v for s, v in zip(sums, values) if v}
-            dens[w] = den
-            scales = {}
-        else:
-            d = divisor(w)
-            values = {}
-            for s, total in sums.items():
-                v = total / d
-                if v:
-                    values[s] = v
-        if not values:
-            continue
-        terms.update(values)
-        row = []
-        for t, c, p, tw in souls:
-            mw = w + tw
-            if mw > n:
-                continue
-            target = pending.setdefault(mw, {})
-            if factor is not None:
-                c = factor(w, tw) * c
-            if exact:
-                k = scales.get(mw)
-                if k is None:
-                    k = scales[mw] = _rescale(target, pending_dens, mw, fden * den * y.den)
-                c *= k
-            row.append((t, c, p, target))
-        for s, v in values.items():
-            for t, c, p, target in row:
-                if s & t:
-                    continue
-                m = s | t
-                if (s & p).bit_count() & 1:
-                    target[m] = target.get(m, 0) + v * c
-                else:
-                    target[m] = target.get(m, 0) - v * c
-    return _join(terms, dens)
-
-
 def _solve(y, start, sden, alpha, what):
     """The element z with z_m = (start_m / sden - sum factor(|s|, |t|) e
     z_s y_t) / divisor(|m|), over s | t = m with t in soul(y), in
@@ -849,20 +746,87 @@ def _solve(y, start, sden, alpha, what):
 
     alpha is None for the quotient by y (factor 1, divisor b), or a pair
     (p, q) of ints for the power rule with alpha = p / q (factor
-    |s| - alpha |t|, divisor b |m| and 1 at m = 0).  A solve that the
-    dense path serves (see the module docstring) gathers weight classes;
-    any other scans.  A float solve with a non-finite coefficient is an
-    error.
+    |s| - alpha |t|, divisor b |m| and 1 at m = 0).  One loop over the
+    weights serves the dense path and the scan (see the module
+    docstring).  A float solve with a non-finite coefficient is an error.
     """
     alg = y.algebra
-    plan = _dense_plan(alg.num_generators, start, y.num, solve=True)
-    if plan is None:
-        terms, den = _scan_solve_terms(y, start, sden, alpha)
+    n = alg.num_generators
+    exact = alg.mode != FLOAT
+    factor, divisor, fden = _rules(y, alpha)
+    plan = _dense_plan(n, start, y.num, solve=True)
+    dense = plan is not None
+    if dense:
+        zero = 0 if exact else 0.0
+        left = [zero] * ((1 << n) + 1)
+        right = _right_vector(y, zero)
+        groups = {w: (monomials, keys) for w, monomials, keys in plan[1]}
+        pending = dict.fromkeys(groups, start)   # every weight the solution can have
     else:
-        terms, den = _dense_solve_terms(y, start, sden, alpha, plan)
-    if alg.mode == FLOAT and not all(map(math.isfinite, terms.values())):
-        raise GrassmannError("float overflow in %s of %d by %d terms"
-                             % (what, len(start), len(y.num)))
+        souls = {}   # weight c -> (t, -y_t, P(t)) for the soul terms of weight c
+        for t, c in y.num.items():
+            if t:
+                souls.setdefault(t.bit_count(), []).append((t, -c, _below_parity(t)))
+        pending = {}   # weight -> its start terms, to which the scan adds its pairs
+        for m, c in start.items():
+            pending.setdefault(m.bit_count(), {})[m] = c
+        done = {}    # finished weight -> its nonzero terms
+        reach = {}   # weight -> the classes (n, a, c) of finished weights a that reach it
+    terms = {}
+    dens = {}
+    while pending:
+        w = min(pending)
+        sums = pending.pop(w)
+        if dense:
+            monomials, reached = groups[w]
+        else:
+            reached = reach.pop(w, ())
+        weigh = factor   # of class (a, c); in rational mode it also puts the class over den
+        if exact:
+            scales = {a: fden * dens[a] * y.den for _, a, _ in reached}
+            den = math.lcm(sden, *scales.values())
+            weigh = lambda a, c: (1 if factor is None else factor(a, c)) * (den // scales[a])
+        if dense:
+            values = map(sums.get, monomials, repeat(zero))
+            if exact and den != sden:
+                values = map(mul, values, repeat(den // sden))
+            if reached:
+                values = map(sub, values, _class_sums(reached, left, right, weigh))
+        else:
+            if exact and den != sden:
+                sums = {m: v * (den // sden) for m, v in sums.items()}
+            for _, a, c in reached:
+                row = souls[c]
+                if weigh is not None:
+                    k = weigh(a, c)
+                    row = [(t, k * v, p) for t, v, p in row]
+                _scan_pairs(done[a].items(), row, sums)
+            monomials, values = sums, sums.values()
+        if exact:
+            dens[w], values = _finish(list(values), den, *divisor(w))
+            found = dict(zip(compress(monomials, values), filter(None, values)))
+        else:
+            d = divisor(w)
+            found = {}
+            for m, v in zip(monomials, values):
+                v /= d
+                if v:
+                    found[m] = v
+        if not found:
+            continue
+        terms.update(found)
+        if dense:
+            for m, v in found.items():
+                left[m] = v
+        else:
+            done[w] = found
+            for c in souls:
+                if w + c <= n:
+                    pending.setdefault(w + c, {})
+                    reach.setdefault(w + c, []).append((n, w, c))
+    terms, den = _join(terms, dens)
+    if not exact:
+        _check_finite(terms, what, len(start), len(y.num))
     return _element(alg, terms, den)
 
 
@@ -888,8 +852,8 @@ def gdiv(x, y):
         return _solve(y, x.num, x.den, None, "quotient")
     alg = x.algebra
     terms, den = _scaled_terms(x, b, y.den, True)
-    if alg.mode == FLOAT and not all(map(math.isfinite, terms.values())):
-        raise GrassmannError("float overflow in quotient of %d by 1 terms" % len(x.num))
+    if alg.mode == FLOAT:
+        _check_finite(terms, "quotient", len(x.num), 1)
     return GrassmannElement(alg, terms, den)
 
 

@@ -7,8 +7,10 @@ reversed twice, hence unchanged); two orientations define the same spin
 structure iff they differ by reflections.  Classes number 2^(E-V+1) =
 2^(2g+s-1) on a connected graph.
 
-Orientations are int bitmasks (bit i = edge i reversed), and a reflection
-XORs a mask with the star of its vertex.  Class counts and canonical
+An OrientationState stores its signs as a tuple, one +1/-1 per edge.
+The forest and oracle code work on int bitmasks instead (bit i = edge i
+reversed), where a reflection XORs a mask with the star of its vertex
+(reflection_mask).  Class counts and canonical
 representatives come from one spanning forest, the one Kruskal's greedy
 pass picks in edge-id order (_spanning_forest).  Reflecting at a vertex
 set reverses the edges of a cut, and a nonempty cut holds a forest edge;

@@ -5,6 +5,7 @@ from collections import deque
 from fractions import Fraction
 
 from superpenner.fatgraph import FatGraph, boundary_cycles
+from superpenner.grassmann import FLOAT, _below_parity, _finish, _join, _rules
 from superpenner.spin import OrientationState, reflection_mask
 
 
@@ -149,6 +150,88 @@ def reference_solve(y, start, factor, divisor):
                 sums = pending.setdefault(mw, {})
                 sums[s | t] = sums.get(s | t, 0) - reference_sign(s, t) * v * c
     return terms
+
+
+def _rescale(sums, dens, w, scale):
+    """The factor that puts a contribution over scale onto the pending sums
+    of weight w, after moving those sums onto the lcm of their
+    denominator and scale."""
+    old = dens.get(w)
+    if old is None or not sums:
+        dens[w] = scale
+        return 1
+    g = math.gcd(old, scale)
+    if scale != g:
+        r = scale // g
+        for m in sums:
+            sums[m] *= r
+        dens[w] = old * r
+    return old // g
+
+
+def reference_scan_solve(y, start, sden, alpha):
+    """(num, den) of grassmann's solve by y from start / sden, in push form.
+
+    Pending sums are kept per weight; the lowest weight is finished
+    first, and each of its terms subtracts its pairs with the soul of y
+    from the sums of higher weight.  In rational mode the sums of one
+    weight share a denominator, which grows to the lcm of those of its
+    contributions.  For a fixed monomial this adds the same pairs in the
+    same order as the solve's scan, so float results must agree bit for
+    bit and in dict order, and rational results in normal form.
+    """
+    n = y.algebra.num_generators
+    exact = y.algebra.mode != FLOAT
+    factor, divisor, fden = _rules(y, alpha)
+    souls = [(t, c, _below_parity(t), t.bit_count()) for t, c in y.num.items() if t]
+    pending = {}
+    for m, c in start.items():
+        pending.setdefault(m.bit_count(), {})[m] = c
+    pending_dens = dict.fromkeys(pending, sden)
+    terms = {}
+    dens = {}
+    while pending:
+        w = min(pending)
+        sums = pending.pop(w)
+        if exact:
+            den, values = _finish(list(sums.values()), pending_dens.pop(w), *divisor(w))
+            values = {s: v for s, v in zip(sums, values) if v}
+            dens[w] = den
+            scales = {}
+        else:
+            d = divisor(w)
+            values = {}
+            for s, total in sums.items():
+                v = total / d
+                if v:
+                    values[s] = v
+        if not values:
+            continue
+        terms.update(values)
+        row = []
+        for t, c, p, tw in souls:
+            mw = w + tw
+            if mw > n:
+                continue
+            target = pending.setdefault(mw, {})
+            if factor is not None:
+                c = factor(w, tw) * c
+            if exact:
+                k = scales.get(mw)
+                if k is None:
+                    k = scales[mw] = _rescale(target, pending_dens, mw, fden * den * y.den)
+                c *= k
+            row.append((t, c, p, target))
+        for s, v in values.items():
+            for t, c, p, target in row:
+                if s & t:
+                    continue
+                m = s | t
+                if (s & p).bit_count() & 1:
+                    target[m] = target.get(m, 0) + v * c
+                else:
+                    target[m] = target.get(m, 0) - v * c
+    return _join(terms, dens)
 
 
 def fraction_quotient(x, y):

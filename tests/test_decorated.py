@@ -440,10 +440,11 @@ def test_rational_superflip_does_no_fraction_arithmetic(monkeypatch):
 def test_classical_round_trips_only_scale():
     # every lambda-length of a classical rational state is a one-term
     # scalar: flips and round-trip comparisons scale by it, and run no
-    # solve, build no Fraction and copy no FlipRecord
+    # solve and no pair kernel, build no Fraction and copy no FlipRecord
     forbidden = {f.__code__: name for name, f in (
-        ("_scan_solve_terms", grassmann._scan_solve_terms),
-        ("_dense_solve_terms", grassmann._dense_solve_terms),
+        ("_solve", grassmann._solve),
+        ("_scan_pairs", grassmann._scan_pairs),
+        ("_class_sums", grassmann._class_sums),
         ("Fraction.__new__", Fraction.__new__),
         ("dataclasses.replace", dataclasses.replace))}
     states = [classical_limit(random_decorated_state(graph, random.Random(9), RATIONAL))
@@ -514,16 +515,26 @@ def test_dense_superflip_makes_at_most_12_operations(monkeypatch):
 
 
 def test_solves_take_the_dense_path_only_when_dense(monkeypatch):
-    dense = []
-    solve_terms = grassmann._dense_solve_terms
-    monkeypatch.setattr(grassmann, "_dense_solve_terms",
-                        lambda *args: dense.append(1) or solve_terms(*args))
+    # each solve asks _dense_plan once: record whether it got a dense plan,
+    # and count the calls of the scan's pair kernel
+    dense, scanned = [], []
+    dense_plan, scan_pairs = grassmann._dense_plan, grassmann._scan_pairs
+
+    def plan(n, xterms, yterms, solve=False):
+        result = dense_plan(n, xterms, yterms, solve)
+        if solve:
+            dense.append(result is not None)
+        return result
+
+    monkeypatch.setattr(grassmann, "_dense_plan", plan)
+    monkeypatch.setattr(grassmann, "_scan_pairs",
+                        lambda *args: scanned.append(1) or scan_pairs(*args))
     alg = GrassmannAlgebra(8, FLOAT)
     rng = random.Random(8)
     y = alg.element({m: 2.0 if m == 0 else rng.uniform(-0.5, 0.5)
                      for m in range(256) if m.bit_count() % 2 == 0})
     root, inverse, log = grassmann.gsqrt(y), grassmann.ginv(y), grassmann.glog(y)
-    assert len(dense) == 3
+    assert dense == [True, True, True] and not scanned
     assert (root * root).isclose(y, 1e-12) and (inverse * y).isclose(alg.one(), 1e-12)
     assert (log * 2).isclose(grassmann.glog(y * y), 1e-12)
     # a super flip on V = 32 scans and builds no index table for 32 generators
@@ -531,7 +542,7 @@ def test_solves_take_the_dense_path_only_when_dense(monkeypatch):
     dense.clear()
     for e in generic_edges(state.graph)[:4]:
         superflip(state, e)
-    assert not dense and 32 not in grassmann._INDICES
+    assert dense and not any(dense) and scanned and 32 not in grassmann._INDICES
 
 
 # -- commuting flips --------------------------------------------------------------

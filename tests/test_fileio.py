@@ -10,7 +10,7 @@ from superpenner.checks import generic_edges, random_decorated_state
 from superpenner.decorated import superflip
 from superpenner.fatgraph import FatGraphError, render_fatgraph
 from superpenner.fileio import load_state, render_state
-from superpenner.grassmann import FLOAT, RATIONAL
+from superpenner.grassmann import FLOAT, RATIONAL, GrassmannElement
 
 from helpers import prism
 
@@ -49,6 +49,28 @@ def test_lambda_accepts_even_elements():
     text = (DATA / "torus.fg").read_text() + "lambda 1: 2 + 1/3*t0^t1\n"
     state = load_state(text)
     assert state.lam[1] == state.algebra.parse("2 + 1/3*t0^t1")
+
+
+def test_loading_checks_each_loaded_value_once(monkeypatch):
+    # the loader applies decorated's lambda and mu rule to each value it
+    # parses, with the line number, and builds the state without checking
+    # its maps again: one parity test per loaded element, none per default
+    graph = prism(4)
+    state = random_decorated_state(graph, random.Random(4), RATIONAL)
+    full = render_state(state)
+    partial = (DATA / "torus.fg").read_text() + "lambda 1: 2 + 1/3*t0^t1\nmu B: -t1\n"
+    calls = []
+    for name in ("is_even", "is_odd"):
+        original = getattr(GrassmannElement, name)
+        monkeypatch.setattr(GrassmannElement, name,
+                            lambda x, name=name, original=original:
+                            calls.append(name) or original(x))
+    loaded = load_state(full)
+    assert sorted(calls) == ["is_even"] * graph.num_edges + ["is_odd"] * graph.num_vertices
+    assert (loaded.lam, loaded.mu) == (state.lam, state.mu)
+    calls.clear()
+    load_state(partial)
+    assert sorted(calls) == ["is_even", "is_odd"]
 
 
 def test_render_load_roundtrip():

@@ -10,13 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from superpenner import grassmann
 from superpenner.grassmann import (_CLASSES, _INDICES, FLOAT, RATIONAL, GrassmannAlgebra,
-                                   GrassmannElement, GrassmannError, _dense_plan,
-                                   _dense_solve_terms, _dense_terms, _plan, _scan_solve_terms,
-                                   _scan_terms, _solve_weights, gdiv, ginv, ginvsqrt, glog,
+                                   GrassmannElement, GrassmannError, _dense_plan, _dense_terms,
+                                   _plan, _scan_terms, _solve_weights, gdiv, ginv, ginvsqrt, glog,
                                    gmul, gsqrt)
 
 from helpers import (fraction_log, fraction_power, fraction_quotient, is_normal,
-                     reference_sign)
+                     reference_scan_solve, reference_sign)
 
 
 A4 = GrassmannAlgebra(4, RATIONAL)
@@ -639,20 +638,26 @@ quotient_pairs = st.integers(min_value=0, max_value=9).flatmap(
     lambda n: st.tuples(shaped_elements(n), divisors(n)))
 
 
-def every_class_solve(y, start, sden, alpha):
-    """The dense solve kernel over every class the solve can use."""
-    n = y.algebra.num_generators
-    souls = sorted({t.bit_count() for t in y.num} - {0})
-    weights = _solve_weights(n, {s.bit_count() for s in start}, souls)
-    plan = _plan(n, [(a, c) for a in weights for c in souls if a + c <= n], weights)
-    return _dense_solve_terms(y, start, sden, alpha, plan)
+def forbidden(*args):
+    raise AssertionError("kernel called where another path was required")
+
+
+def every_solve_plan(n, xterms, yterms, solve=False):
+    """_dense_plan, but with a dense plan for every solve, however small,
+    over every class the solve can use."""
+    if not solve:
+        return _dense_plan(n, xterms, yterms)
+    souls = sorted({t.bit_count() for t in yterms} - {0})
+    weights = _solve_weights(n, {s.bit_count() for s in xterms}, souls)
+    return _plan(n, [(a, c) for a in weights for c in souls if a + c <= n], weights)
 
 
 @contextlib.contextmanager
 def dense_solves():
-    """Route every rational solve through the dense kernel."""
+    """Route every solve through the dense path, and no pair through the scan."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grassmann, "_scan_solve_terms", every_class_solve)
+        patch.setattr(grassmann, "_dense_plan", every_solve_plan)
+        patch.setattr(grassmann, "_scan_pairs", forbidden)
         yield
 
 
@@ -877,14 +882,22 @@ def test_rational_products_and_solves_take_the_dense_path_on_dense_operands(monk
 
     x, y = full_even(Fraction(3, 2)), full_even(Fraction(9, 4))
     calls = []
-    for name in ("_dense_terms", "_dense_solve_terms"):
-        original = getattr(grassmann, name)
-        monkeypatch.setattr(grassmann, name, lambda *args, name=name, original=original:
-                            calls.append(name) or original(*args))
+    dense_terms, dense_plan = grassmann._dense_terms, grassmann._dense_plan
+
+    def plan(n, xterms, yterms, solve=False):
+        result = dense_plan(n, xterms, yterms, solve)
+        calls.append(("solve plan" if solve else "product plan", result is not None))
+        return result
+
+    monkeypatch.setattr(grassmann, "_dense_plan", plan)
+    monkeypatch.setattr(grassmann, "_dense_terms",
+                        lambda *args: calls.append("_dense_terms") or dense_terms(*args))
+    monkeypatch.setattr(grassmann, "_scan_pairs", forbidden)
     assert gmul(x, y).terms == reference_product(x, y)
     assert gdiv(x, y).terms == fraction_quotient(x, y)
     assert gsqrt(y).terms == fraction_power(y, Fraction(1, 2), Fraction(3, 2))
-    assert calls == ["_dense_terms", "_dense_solve_terms", "_dense_solve_terms"]
+    assert calls == [("product plan", True), "_dense_terms", ("solve plan", True),
+                     ("solve plan", True)]
 
 
 @pytest.mark.parametrize("literal", [".5", "5.", "007", "2.5E-3", "1e400", "3/4", "0/7",
@@ -926,12 +939,12 @@ def test_float_parse_refuses_fractions_beyond_the_float_range():
 
 
 def scanned(kind, x, y):
-    """x * y by _scan_terms or x / y by _scan_solve_terms, with gmul's and
-    gdiv's float overflow message: (element, None) or (None, message)."""
+    """x * y by _scan_terms or x / y by reference_scan_solve, with gmul's
+    and gdiv's float overflow message: (element, None) or (None, message)."""
     if kind == "product":
         terms, den = _scan_terms(x, y), x.den * y.den
     else:
-        terms, den = _scan_solve_terms(y, x.num, x.den, None)
+        terms, den = reference_scan_solve(y, x.num, x.den, None)
     if x.algebra.mode == FLOAT and not all(map(math.isfinite, terms.values())):
         return None, "float overflow in %s of %d by %d terms" % (kind, len(x.num), len(y.num))
     return GrassmannElement(x.algebra, terms, den), None
@@ -1003,10 +1016,7 @@ def test_rational_scaling_moves_the_sign_off_the_denominator():
 
 
 def test_scalar_operands_neither_scan_nor_solve(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("general kernel for a one-term scalar")
-
-    for name in ("_scan_terms", "_dense_terms", "_scan_solve_terms", "_dense_solve_terms"):
+    for name in ("_scan_terms", "_dense_terms", "_solve", "_scan_pairs", "_class_sums"):
         monkeypatch.setattr(grassmann, name, forbidden)
     for alg in (A4, F4):
         x = alg.one() + alg.monomial([0, 1], 3) - alg.gen(2)
@@ -1014,3 +1024,54 @@ def test_scalar_operands_neither_scan_nor_solve(monkeypatch):
         assert gmul(x, c) == gmul(c, x) == x * -2
         assert gdiv(x, c) == x * alg.scalar(Fraction(-1, 2) if alg is A4 else -0.5)
         assert gmul(c, c) == alg.scalar(4) and gdiv(c, c) == alg.one()
+
+
+# -- one solve loop ----------------------------------------------------------------
+
+
+scan_solve_cases = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.tuples(shaped_elements(n), divisors(n),
+                        st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(2),
+                                         Fraction(5, 3)]),
+                        st.sampled_from([RATIONAL, FLOAT])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_solve_cases)
+def test_scan_solve_matches_its_push_form(case):
+    # every solve scans (_dense_plan refuses them all) and must give what
+    # the push form gives: in float mode the same bits in the same dict
+    # order, since later float sums follow that order, and in rational
+    # mode the same normal form
+    x, d, root, mode = case
+    square = d.soul + root * root
+    unit = d * (1 / d.body)
+    if mode == FLOAT:
+        x, d, square, unit = map(as_float, (x, d, square, unit))
+    solve = grassmann._solve
+    kinds = []
+
+    def checked(y, start, sden, alpha, what):
+        want, want_den = reference_scan_solve(y, start, sden, alpha)
+        got = solve(y, start, sden, alpha, what)
+        if mode == FLOAT:
+            assert want_den == got.den == 1
+            assert ([(m, c.hex()) for m, c in got.num.items()]
+                    == [(m, c.hex()) for m, c in want.items()])
+        else:
+            assert (got.num, got.den) == (want, want_den)
+            assert is_normal(got)
+        kinds.append(what)
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grassmann, "_dense_plan", lambda n, xterms, yterms, solve=False:
+                      None if solve else _dense_plan(n, xterms, yterms))
+        patch.setattr(grassmann, "_class_sums", forbidden)
+        patch.setattr(grassmann, "_solve", checked)
+        gdiv(x, d)
+        gsqrt(square)
+        ginvsqrt(square)
+        glog(square if mode == FLOAT else unit)
+    assert kinds[-3:] == ["square root", "inverse square root", "logarithm"]
+    assert (kinds[0] == "quotient") == (len(d.num) > 1)
