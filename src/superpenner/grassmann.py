@@ -45,8 +45,21 @@ weight a and y one of weight b.  Each class gathers, multiplies and sums
 its runs of k pairs in C, and the classes of one output weight are added
 elementwise.  Souls and powers of souls have no low-weight terms, so they
 skip those classes.  The classes of a product, grouped by output weight,
-are kept per pair of weight sets; this plan names classes and holds no
+are kept per pair of weight masks; this plan names classes and holds no
 pairs.
+
+Weights and cached views: an element's weight mask has bit k set iff it
+has a term of weight k.  The kernel that builds an element sets it at no
+extra cost (the dense product and the solve from the weights that kept a
+term, a scaling or a negation from its operand's), and any other element
+computes it once, on first use.  Plans are keyed on the masks, and
+is_even, is_odd and parity read them.  An element also keeps, once built,
+the views the kernels read of it: its scan rows (t, y_t, P(t)) in the
+order of its terms, its soul rows grouped by weight for the scan solve,
+and its dense left vector X and right vector Y.  A state's lambda-lengths
+are operands again and again along a walk, and within one flip bd, sqrt(chi)
+and r are each a right operand twice.  Elements are immutable, so these
+caches never go stale.
 
 Dispatch: a product scales when one operand has a single term, on mask 0;
 that is read off the operand, and the scaled terms are bit for bit those
@@ -118,7 +131,10 @@ Memory: each disjoint pair on n generators sits in exactly one class, and
 all indices share one int object each, so the classes on n generators hold
 3**n pairs at most: 133 KiB at n = 8 and 1030 KiB at n = 10 with every
 class built, 43 KiB and 312 KiB for the even-by-even classes (tracemalloc,
-CPython 3.11).
+CPython 3.11).  Each element pays 8 B for each of its two cache slots.  A
+view costs only once it is built: at n = 8 and 10, X takes 2.1 and 8.1 KiB
+and Y 4.1 and 16.1 KiB, plus Y's negated coefficients (24 B per float
+term), and the scan rows about 100 B per term (sys.getsizeof, CPython 3.11).
 """
 
 from __future__ import annotations
@@ -196,7 +212,7 @@ class GrassmannAlgebra:
     on both parameters.
     """
 
-    __slots__ = ("num_generators", "mode")
+    __slots__ = ("num_generators", "mode", "_odd")
 
     def __init__(self, num_generators, mode=RATIONAL):
         if num_generators < 0:
@@ -205,6 +221,9 @@ class GrassmannAlgebra:
             raise GrassmannError("unknown scalar mode %r" % (mode,))
         self.num_generators = num_generators
         self.mode = mode
+        # the odd weights of a weight mask, bits 1, 3, 5, ... up to at least
+        # num_generators: (4**k - 1) // 3 is 0b0101...01
+        self._odd = (1 << (num_generators + 3 & ~1)) // 3 << 1
 
     def __eq__(self, other):
         return (isinstance(other, GrassmannAlgebra)
@@ -249,10 +268,10 @@ class GrassmannAlgebra:
         if not exact:
             return _element(self, clean, 1)
         den = math.lcm(*(d for _, d in clean.values()))
-        return GrassmannElement(self, {m: n * (den // d) for m, (n, d) in clean.items()}, den)
+        return _reduced(self, {m: n * (den // d) for m, (n, d) in clean.items()}, den)
 
     def zero(self):
-        return _element(self, {}, 1)
+        return _element(self, {}, 1, 0)
 
     def one(self):
         return self.scalar(1)
@@ -290,24 +309,26 @@ class GrassmannElement:
     builds the element of a {bitmask: coefficient} map, as
     algebra.element does; GrassmannElement(algebra, num, den) builds
     num / den from nonzero numerators and a positive denominator (1 in
-    float mode), reduced.  Do not mutate num; all operations return new
-    elements.
+    float mode), reduced.  All operations return new elements.
+
+    Two slots cache what the kernels read of an element: _w, its weight
+    mask (bit k set iff it has a term of weight k), set by the kernel that
+    builds the element or computed on first use, and _c, a map from each
+    builder of a derived view (the scan rows, the soul rows of a solve, the
+    dense left and right vectors) to the view, filled on first use.  The
+    caches are only right while num and den never change: do not mutate
+    num, nor anything an element hands out (float x.terms is num itself).
     """
 
-    __slots__ = ("algebra", "num", "den")
+    __slots__ = ("algebra", "num", "den", "_w", "_c")
 
     def __init__(self, algebra, terms, den=None):
-        if den is None:
-            x = algebra.element(terms)
-            terms, den = x.num, x.den
-        elif den != 1:
-            g = gcd(den, *terms.values())
-            if g != 1:
-                terms = {m: c // g for m, c in terms.items()}
-                den //= g
+        x = algebra.element(terms) if den is None else _reduced(algebra, terms, den)
         self.algebra = algebra
-        self.num = terms
-        self.den = den
+        self.num = x.num
+        self.den = x.den
+        self._w = None
+        self._c = None
 
     # -- structure --------------------------------------------------------
 
@@ -330,32 +351,32 @@ class GrassmannElement:
     @property
     def soul(self):
         """The nilpotent part: self minus its body."""
-        return GrassmannElement(self.algebra, {m: c for m, c in self.num.items() if m},
-                                self.den)
+        return _reduced(self.algebra, {m: c for m, c in self.num.items() if m}, self.den)
 
     def is_zero(self):
         return not self.num
 
     def parity(self):
         """0 for even, 1 for odd, None for mixed or zero."""
-        parities = {m.bit_count() & 1 for m in self.num}
-        if len(parities) == 1:
-            return parities.pop()
-        return None
+        w = _weights(self)
+        odd = self.algebra._odd
+        if not w or w & odd and w & odd >> 1:
+            return None
+        return 1 if w & odd else 0
 
     def is_even(self):
         """True for even-parity elements; zero counts as even."""
-        return all(m.bit_count() % 2 == 0 for m in self.num)
+        return not _weights(self) & self.algebra._odd
 
     def is_odd(self):
         """True for odd-parity elements; zero counts as odd."""
-        return all(m.bit_count() % 2 == 1 for m in self.num)
+        return not _weights(self) & self.algebra._odd >> 1
 
     # -- arithmetic --------------------------------------------------------
 
     def _check_compatible(self, other):
         if isinstance(other, GrassmannElement):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise GrassmannError("elements belong to different algebras: %r vs %r"
                                      % (self.algebra, other.algebra))
             return other
@@ -367,7 +388,8 @@ class GrassmannElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return _element(self.algebra, {m: -c for m, c in self.num.items()}, self.den)
+        return _element(self.algebra, {m: -c for m, c in self.num.items()}, self.den,
+                        self._w)
 
     def __sub__(self, other):
         return _add(self, self._check_compatible(other), -1)
@@ -375,12 +397,14 @@ class GrassmannElement:
     def __rsub__(self, other):
         return _add(self._check_compatible(other), self, -1)
 
+    # gmul checks its operands once; a scalar operand is only coerced here
     def __mul__(self, other):
-        other = self._check_compatible(other)
+        if not isinstance(other, GrassmannElement):
+            other = self.algebra.scalar(other)
         return gmul(self, other)
 
-    def __rmul__(self, other):
-        return self._check_compatible(other) * self
+    def __rmul__(self, other):   # other is a scalar: an element calls __mul__
+        return gmul(self.algebra.scalar(other), self)
 
     def __truediv__(self, other):
         return gdiv(self, other)
@@ -423,13 +447,49 @@ class GrassmannElement:
     __repr__ = __str__
 
 
-def _element(algebra, num, den):
-    """The element num / den, already in normal form."""
+def _element(algebra, num, den, w=None):
+    """The element num / den, already in normal form, with weight mask w
+    (None: computed on first use)."""
     x = object.__new__(GrassmannElement)
     x.algebra = algebra
     x.num = num
     x.den = den
+    x._w = w
+    x._c = None
     return x
+
+
+def _reduced(algebra, num, den, w=None):
+    """The element num / den for nonzero numerators and a positive
+    denominator, reduced by one gcd, which keeps every term and so w."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
+    return _element(algebra, num, den, w)
+
+
+def _weights(x):
+    """x's weight mask, computed once."""
+    w = x._w
+    if w is None:
+        w = 0
+        for k in set(map(int.bit_count, x.num)):
+            w |= 1 << k
+        x._w = w
+    return w
+
+
+def _cached(x, build):
+    """build(x), built once per element: x is immutable."""
+    c = x._c
+    if c is None:
+        c = x._c = {}
+    view = c.get(build)
+    if view is None:
+        view = c[build] = build(x)
+    return view
 
 
 def _add(x, y, sign):
@@ -454,7 +514,7 @@ def _add(x, y, sign):
             num[m] = s
         else:
             num.pop(m, None)
-    return GrassmannElement(x.algebra, num, den)
+    return _reduced(x.algebra, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -538,28 +598,33 @@ def _solve_weights(n, weights, souls):
     return sorted(reached)
 
 
-def _dense_plan(n, xterms, yterms, solve=False):
-    """The plan of x * y, or with solve=True of the solve by y from start x, on the dense path.
+def _bits(w):
+    """The set bits of w, in increasing order."""
+    return [k for k in range(w.bit_length()) if w >> k & 1]
 
-    None when the scan's count, len(xterms) * len(yterms) plus for a
-    solve len(yterms)**2, is at most 2**n, or when the dense vectors and
-    the used classes together hold more entries than that count.  A solve
-    uses the classes (a, c) with a a weight that its solution can have
-    and c a soul weight of y, and has a group for every such weight,
-    classes or none.  Plans are kept per pair of weight sets; they name
-    classes but hold no pairs, and a class is built only when a product
-    first uses it.
+
+def _dense_plan(n, xlen, wx, ylen, wy, solve=False):
+    """The plan of x * y, or with solve=True of the solve by y from start x,
+    on the dense path, for operands of xlen and ylen terms with weight
+    masks wx and wy.
+
+    None when the scan's count, xlen * ylen plus for a solve ylen**2, is
+    at most 2**n, or when the dense vectors and the used classes together
+    hold more entries than that count.  A solve uses the classes (a, c)
+    with a a weight that its solution can have and c a soul weight of y,
+    and has a group for every such weight, classes or none.  Plans are
+    kept per pair of weight masks; they name classes but hold no pairs,
+    and a class is built only when a product first uses it.
     """
-    pairs = len(xterms) * len(yterms)
+    pairs = xlen * ylen
     if solve:   # the solution is about as long as y, so its pairs with the soul
-        pairs += len(yterms) ** 2
+        pairs += ylen * ylen
     if pairs <= 1 << n:
         return None
-    key = (n, frozenset(map(int.bit_count, xterms)), frozenset(map(int.bit_count, yterms)),
-           solve)
+    key = (n, wx, wy, solve)
     plan = _PLANS.get(key)
     if plan is None:
-        left, right = sorted(key[1]), sorted(key[2])
+        left, right = _bits(wx), _bits(wy)
         if solve:
             right = [c for c in right if c]
             left = _solve_weights(n, left, right)
@@ -568,14 +633,42 @@ def _dense_plan(n, xterms, yterms, solve=False):
     return plan if plan[0] <= pairs else None
 
 
-def _right_vector(y, zero):
-    """[y_t at t, -y_t at t + 2**n, zero elsewhere], 2**(n+1) + 1 long."""
+def _zero(x):
+    return 0.0 if x.algebra.mode == FLOAT else 0
+
+
+def _left_vector(x):
+    """[x_s at s, zero elsewhere], 2**n + 1 long: x's dense left vector."""
+    left = [_zero(x)] * ((1 << x.algebra.num_generators) + 1)
+    for s, c in x.num.items():
+        left[s] = c
+    return left
+
+
+def _right_vector(y):
+    """[y_t at t, -y_t at t + 2**n, zero elsewhere], 2**(n+1) + 1 long:
+    y's dense right vector."""
     full = 1 << y.algebra.num_generators
-    right = [zero] * (2 * full + 1)
+    right = [_zero(y)] * (2 * full + 1)
     for t, c in y.num.items():
         right[t] = c
         right[t + full] = -c
     return right
+
+
+def _rows(y):
+    """y's scan rows (t, y_t, P(t)), in the order of y's terms."""
+    return [(t, c, _below_parity(t)) for t, c in y.num.items()]
+
+
+def _soul_rows(y):
+    """{c: the rows (t, -y_t, P(t)) of y's soul terms of weight c}, weights
+    in the order of their first term and rows in the order of y's terms."""
+    souls = {}
+    for t, c in y.num.items():
+        if t:
+            souls.setdefault(t.bit_count(), []).append((t, -c, _below_parity(t)))
+    return souls
 
 
 def _class_sums(keys, left, right, factor=None):
@@ -594,23 +687,25 @@ def _class_sums(keys, left, right, factor=None):
 
 
 def _dense_terms(x, y, plan):
-    """The nonzero numerators of x * y over x.den * y.den, summed class by class.
+    """(terms, w): the nonzero numerators of x * y over x.den * y.den,
+    summed class by class, and their weight mask.
 
-    left holds x densely and right holds y and -y, so each class gathers
-    its pairs and their signs with two itemgetters and sums every run of
-    k products in C; the classes of one output weight are added
-    elementwise.
+    x's left vector holds x densely and y's right vector holds y and -y,
+    so each class gathers its pairs and their signs with two itemgetters
+    and sums every run of k products in C; the classes of one output
+    weight are added elementwise, and the weight is in w when one of its
+    sums is nonzero.
     """
-    zero = 0.0 if x.algebra.mode == FLOAT else 0
-    left = [zero] * ((1 << x.algebra.num_generators) + 1)
-    for s, c in x.num.items():
-        left[s] = c
-    right = _right_vector(y, zero)
+    left, right = _cached(x, _left_vector), _cached(y, _right_vector)
     terms = {}
-    for _, monomials, keys in plan[1]:
+    w = 0
+    for weight, monomials, keys in plan[1]:
         values = list(_class_sums(keys, left, right))   # filter drops a padding 0
+        size = len(terms)
         terms.update(zip(compress(monomials, values), filter(None, values)))
-    return terms
+        if len(terms) > size:
+            w |= 1 << weight
+    return terms, w
 
 
 def _scan_pairs(left, right, terms):
@@ -635,13 +730,14 @@ def _scan_pairs(left, right, terms):
 def _scan_terms(x, y):
     """The nonzero numerators of x * y over x.den * y.den, visiting every pair of terms."""
     terms = {}
-    _scan_pairs(x.num.items(), [(t, ct, _below_parity(t)) for t, ct in y.num.items()], terms)
+    _scan_pairs(x.num.items(), _cached(y, _rows), terms)
     return {m: c for m, c in terms.items() if c}
 
 
-def _scaled_terms(x, c, dc, quotient):
-    """(num, den) of x * (c / dc), or of x / (c / dc) with quotient set,
-    for a nonzero one-term scalar c / dc; the caller reduces once.
+def _scaled(x, c, dc, quotient):
+    """x * (c / dc), or x / (c / dc) with quotient set, for a nonzero
+    one-term scalar c / dc, reduced once, with x's weight mask when no
+    term was dropped.
 
     In rational mode every numerator is multiplied by one int: by c over
     x.den * dc for a product, and by dc over x.den * c for a quotient,
@@ -649,12 +745,14 @@ def _scaled_terms(x, c, dc, quotient):
     each term is v * c or v / c, the operation the scan and the solve
     run on it, and a term that underflows to 0 is dropped.
     """
-    if x.algebra.mode == FLOAT:
+    alg = x.algebra
+    if alg.mode == FLOAT:
         values = map(truediv if quotient else mul, x.num.values(), repeat(c))
-        return {m: v for m, v in zip(x.num, values) if v}, 1
+        terms = {m: v for m, v in zip(x.num, values) if v}
+        return _element(alg, terms, 1, x._w if len(terms) == len(x.num) else None)
     if quotient:
         c, dc = (dc, c) if c > 0 else (-dc, -c)
-    return {m: v * c for m, v in x.num.items()}, x.den * dc
+    return _reduced(alg, {m: v * c for m, v in x.num.items()}, x.den * dc, x._w)
 
 
 def gmul(x, y):
@@ -670,24 +768,32 @@ def gmul(x, y):
     an error.
     """
     x._check_compatible(y)
-    alg = x.algebra
-    if len(y.num) == 1 and 0 in y.num:
-        terms, den = _scaled_terms(x, y.num[0], y.den, False)
-    elif len(x.num) == 1 and 0 in x.num:
-        terms, den = _scaled_terms(y, x.num[0], x.den, False)
+    xnum, ynum = x.num, y.num
+    if len(ynum) == 1 and 0 in ynum:
+        z = _scaled(x, ynum[0], y.den, False)
+    elif len(xnum) == 1 and 0 in xnum:
+        z = _scaled(y, xnum[0], x.den, False)
     else:
-        plan = _dense_plan(alg.num_generators, x.num, y.num)
-        terms = _scan_terms(x, y) if plan is None else _dense_terms(x, y, plan)
-        den = x.den * y.den
-    if alg.mode != FLOAT:
-        return GrassmannElement(alg, terms, den)
-    _check_finite(terms, "product", len(x.num), len(y.num))
-    return _element(alg, terms, 1)
+        alg = x.algebra
+        plan = _dense_plan(alg.num_generators, len(xnum), _weights(x), len(ynum), _weights(y))
+        if plan is None:
+            terms, w = _scan_terms(x, y), None
+        else:
+            terms, w = _dense_terms(x, y, plan)
+        z = _reduced(alg, terms, x.den * y.den, w)
+    if z.algebra.mode == FLOAT:
+        _check_finite(z.num, "product", len(xnum), len(ynum))
+    return z
 
 
 def _check_finite(terms, what, xlen, ylen):
-    """Refuse a float result with a non-finite coefficient: an overflow."""
-    if not all(map(math.isfinite, terms.values())):
+    """Refuse a float result with a non-finite coefficient: an overflow.
+
+    The sum of finite values is finite unless it overflows, so the values
+    are scanned only when their sum is not finite.
+    """
+    values = terms.values()
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
         raise GrassmannError("float overflow in %s of %d by %d terms" % (what, xlen, ylen))
 
 
@@ -727,6 +833,31 @@ def _finish(values, den, mult, div):
     return den, values
 
 
+# _reaching, _over_lcm and _times serve _solve's loop from outside it: a
+# comprehension or lambda inside the loop would make its locals closure cells,
+# which slows every weight of a scan solve.
+
+
+def _reaching(done, souls, w):
+    """The finished weights a of a scan solve with a soul weight w - a."""
+    return [a for a in done if w - a in souls]
+
+
+def _over_lcm(factor, fden, dens, sden, sources):
+    """(den, weigh) for one weight of a rational solve whose pairs come from
+    the finished weights sources: den is the lcm of sden and of fden *
+    dens[a] for each a in sources, and weigh(a, c) is the factor of class
+    (a, c) as a numerator over den."""
+    scales = {a: fden * dens[a] for a in sources}
+    den = math.lcm(sden, *scales.values())
+    return den, lambda a, c: (1 if factor is None else factor(a, c)) * (den // scales[a])
+
+
+def _times(row, k):
+    """Scan rows (t, v, P(t)) with every v multiplied by k."""
+    return [(t, k * v, p) for t, v, p in row]
+
+
 def _join(terms, dens):
     """(terms, den): the terms of each weight w, numerators over dens[w],
     put over den, the lcm of dens (1 when dens is empty)."""
@@ -739,10 +870,10 @@ def _join(terms, dens):
     return terms, den
 
 
-def _solve(y, start, sden, alpha, what):
+def _solve(y, start, sden, wstart, alpha, what):
     """The element z with z_m = (start_m / sden - sum factor(|s|, |t|) e
     z_s y_t) / divisor(|m|), over s | t = m with t in soul(y), in
-    increasing weight.
+    increasing weight; wstart is the weight mask of start.
 
     alpha is None for the quotient by y (factor 1, divisor b), or a pair
     (p, q) of ints for the power rule with alpha = p / q (factor
@@ -754,38 +885,33 @@ def _solve(y, start, sden, alpha, what):
     n = alg.num_generators
     exact = alg.mode != FLOAT
     factor, divisor, fden = _rules(y, alpha)
-    plan = _dense_plan(n, start, y.num, solve=True)
+    plan = _dense_plan(n, len(start), wstart, len(y.num), _weights(y), solve=True)
     dense = plan is not None
     if dense:
-        zero = 0 if exact else 0.0
-        left = [zero] * ((1 << n) + 1)
-        right = _right_vector(y, zero)
+        zero = _zero(y)
+        left = [zero] * ((1 << n) + 1)   # the solution's dense left vector
+        right = _cached(y, _right_vector)
         groups = {w: (monomials, keys) for w, monomials, keys in plan[1]}
         pending = dict.fromkeys(groups, start)   # every weight the solution can have
     else:
-        souls = {}   # weight c -> (t, -y_t, P(t)) for the soul terms of weight c
-        for t, c in y.num.items():
-            if t:
-                souls.setdefault(t.bit_count(), []).append((t, -c, _below_parity(t)))
+        souls = _cached(y, _soul_rows)
         pending = {}   # weight -> its start terms, to which the scan adds its pairs
         for m, c in start.items():
             pending.setdefault(m.bit_count(), {})[m] = c
         done = {}    # finished weight -> its nonzero terms
-        reach = {}   # weight -> the classes (n, a, c) of finished weights a that reach it
     terms = {}
     dens = {}
+    wz = 0   # the weights that found a term
     while pending:
         w = min(pending)
         sums = pending.pop(w)
         if dense:
             monomials, reached = groups[w]
-        else:
-            reached = reach.pop(w, ())
         weigh = factor   # of class (a, c); in rational mode it also puts the class over den
         if exact:
-            scales = {a: fden * dens[a] * y.den for _, a, _ in reached}
-            den = math.lcm(sden, *scales.values())
-            weigh = lambda a, c: (1 if factor is None else factor(a, c)) * (den // scales[a])
+            den, weigh = _over_lcm(factor, fden * y.den, dens, sden,
+                                   [key[1] for key in reached] if dense else
+                                   _reaching(done, souls, w))
         if dense:
             values = map(sums.get, monomials, repeat(zero))
             if exact and den != sden:
@@ -794,13 +920,13 @@ def _solve(y, start, sden, alpha, what):
                 values = map(sub, values, _class_sums(reached, left, right, weigh))
         else:
             if exact and den != sden:
-                sums = {m: v * (den // sden) for m, v in sums.items()}
-            for _, a, c in reached:
-                row = souls[c]
-                if weigh is not None:
-                    k = weigh(a, c)
-                    row = [(t, k * v, p) for t, v, p in row]
-                _scan_pairs(done[a].items(), row, sums)
+                sums = dict(zip(sums, map(mul, sums.values(), repeat(den // sden))))
+            for a, za in done.items():   # the finished weights a that reach w
+                row = souls.get(w - a)
+                if row is not None:
+                    if weigh is not None:
+                        row = _times(row, weigh(a, w - a))
+                    _scan_pairs(za.items(), row, sums)
             monomials, values = sums, sums.values()
         if exact:
             dens[w], values = _finish(list(values), den, *divisor(w))
@@ -808,26 +934,32 @@ def _solve(y, start, sden, alpha, what):
         else:
             d = divisor(w)
             found = {}
-            for m, v in zip(monomials, values):
-                v /= d
-                if v:
-                    found[m] = v
+            if dense:
+                for m, v in zip(monomials, values):
+                    v /= d
+                    if v:
+                        found[m] = left[m] = v
+            else:
+                for m, v in sums.items():
+                    v /= d
+                    if v:
+                        found[m] = v
         if not found:
             continue
+        wz |= 1 << w
         terms.update(found)
-        if dense:
-            for m, v in found.items():
-                left[m] = v
-        else:
+        if not dense:
             done[w] = found
             for c in souls:
-                if w + c <= n:
-                    pending.setdefault(w + c, {})
-                    reach.setdefault(w + c, []).append((n, w, c))
+                if w + c <= n and w + c not in pending:
+                    pending[w + c] = {}
+        elif exact:
+            for m, v in found.items():
+                left[m] = v
     terms, den = _join(terms, dens)
     if not exact:
         _check_finite(terms, what, len(start), len(y.num))
-    return _element(alg, terms, den)
+    return _element(alg, terms, den, wz)
 
 
 def _check_even(x, what):
@@ -849,12 +981,11 @@ def gdiv(x, y):
     if not b:
         raise GrassmannError("zero body: %s is not invertible" % (y,))
     if len(y.num) > 1:
-        return _solve(y, x.num, x.den, None, "quotient")
-    alg = x.algebra
-    terms, den = _scaled_terms(x, b, y.den, True)
-    if alg.mode == FLOAT:
-        _check_finite(terms, "quotient", len(x.num), 1)
-    return GrassmannElement(alg, terms, den)
+        return _solve(y, x.num, x.den, _weights(x), None, "quotient")
+    z = _scaled(x, b, y.den, True)
+    if z.algebra.mode == FLOAT:
+        _check_finite(z.num, "quotient", len(x.num), 1)
+    return z
 
 
 def ginv(x):
@@ -891,7 +1022,7 @@ def gsqrt(x):
     error is raised (switch the algebra to float mode for generic bodies).
     """
     rp, rq = _body_root(x, "square root")
-    return _solve(x, {0: rp}, rq, (1, 2), "square root")
+    return _solve(x, {0: rp}, rq, 1, (1, 2), "square root")
 
 
 def ginvsqrt(x):
@@ -905,7 +1036,7 @@ def ginvsqrt(x):
         rp, rq = 1 / rp, 1
     else:
         rp, rq = rq, rp
-    return _solve(x, {0: rp}, rq, (-1, 2), "inverse square root")
+    return _solve(x, {0: rp}, rq, 1, (-1, 2), "inverse square root")
 
 
 def glog(x):
@@ -929,11 +1060,25 @@ def glog(x):
         log_b = 0
     start = {m: m.bit_count() * c for m, c in x.num.items() if m}
     start[0] = log_b
-    return _solve(x, start, x.den, (0, 1), "logarithm")
+    return _solve(x, start, x.den, _weights(x) | 1, (0, 1), "logarithm")
 
 
 # ---------------------------------------------------------------------------
 # text format: terms sorted by bitmask, "coeff*t<i>^t<j>", e.g. "1 + 2*t0^t1"
+
+
+@functools.lru_cache(maxsize=1024)
+def _monomial_text(mask):
+    """The text of a nonzero monomial, e.g. 0b101 -> "t0^t2".
+
+    Kept per mask: the elements of one document repeat their monomials.
+    """
+    gens = []
+    while mask:
+        low = mask & -mask
+        gens.append("t%d" % (low.bit_length() - 1))
+        mask ^= low
+    return "^".join(gens)
 
 
 def render_element(x):
@@ -954,12 +1099,7 @@ def render_element(x):
             g = gcd(c, den)
             body = str(c // g) if g == den else "%d/%d" % (c // g, den // g)
         if mask:
-            gens = []
-            while mask:
-                low = mask & -mask
-                gens.append("t%d" % (low.bit_length() - 1))
-                mask ^= low
-            body = "%s*%s" % (body, "^".join(gens))
+            body = "%s*%s" % (body, _monomial_text(mask))
         if not parts:
             parts.append("-" + body if negative else body)
         else:
@@ -1081,4 +1221,4 @@ def parse_element(algebra, text):
     terms = {m: c for m, c in terms.items() if c}
     if algebra.mode == FLOAT and not all(map(math.isfinite, terms.values())):
         raise GrassmannError("coefficient sum overflows in %r" % (text,))
-    return GrassmannElement(algebra, terms, den)
+    return _reduced(algebra, terms, den)

@@ -254,6 +254,15 @@ def fraction_log(y):
     return reference_solve(y, start, lambda a, c: a, lambda w: b * w if w else 1)
 
 
+def weight_mask(terms):
+    """The weight mask of a {monomial: coefficient} map, counted bit by
+    bit: bit k is set iff some monomial has k generators."""
+    w = 0
+    for m in terms:
+        w |= 1 << bin(m).count("1")
+    return w
+
+
 def is_normal(x):
     """Whether a rational element is in normal form: int numerators, none
     zero, over a positive int denominator coprime to all of them."""

@@ -15,7 +15,7 @@ from superpenner.grassmann import (_CLASSES, _INDICES, FLOAT, RATIONAL, Grassman
                                    gmul, gsqrt)
 
 from helpers import (fraction_log, fraction_power, fraction_quotient, is_normal,
-                     reference_scan_solve, reference_sign)
+                     reference_scan_solve, reference_sign, weight_mask)
 
 
 A4 = GrassmannAlgebra(4, RATIONAL)
@@ -564,9 +564,17 @@ def test_dense_path_matches_reference_exactly(pair):
     x, y = pair
     for left, right in ((x, y), (y, x)):
         plan = _plan(left.algebra.num_generators, every_class(left, right))
-        dense = GrassmannElement(left.algebra, _dense_terms(left, right, plan),
-                                 left.den * right.den)
+        terms, w = _dense_terms(left, right, plan)
+        dense = GrassmannElement(left.algebra, terms, left.den * right.den)
         assert dense == reference_gmul(left, right)
+        assert w == weight_mask(terms)
+
+
+def dense_plan(x, y, solve=False):
+    """_dense_plan of x * y, or with solve=True of the solve by y from
+    start x, with the weight masks counted from the terms."""
+    return _dense_plan(x.algebra.num_generators, len(x.num), weight_mask(x.num),
+                       len(y.num), weight_mask(y.num), solve)
 
 
 def as_float(x):
@@ -592,11 +600,11 @@ def test_float_gmul_matches_reference(pair):
 def test_float_overflow_is_an_error_on_both_paths():
     F8 = GrassmannAlgebra(8, FLOAT)
     big = F8.scalar(1e200)
-    assert _dense_plan(8, big.terms, big.terms) is None
+    assert dense_plan(big, big) is None
     with pytest.raises(GrassmannError, match="float overflow in product"):
         gmul(big, big)
     dense = F8.element({m: 1e200 for m in range(256) if m.bit_count() % 2 == 0})
-    assert _dense_plan(8, dense.terms, dense.terms) is not None
+    assert dense_plan(dense, dense) is not None
     with pytest.raises(GrassmannError, match="float overflow in product"):
         gmul(dense, dense)
 
@@ -642,13 +650,13 @@ def forbidden(*args):
     raise AssertionError("kernel called where another path was required")
 
 
-def every_solve_plan(n, xterms, yterms, solve=False):
+def every_solve_plan(n, xlen, wx, ylen, wy, solve=False):
     """_dense_plan, but with a dense plan for every solve, however small,
     over every class the solve can use."""
     if not solve:
-        return _dense_plan(n, xterms, yterms)
-    souls = sorted({t.bit_count() for t in yterms} - {0})
-    weights = _solve_weights(n, {s.bit_count() for s in xterms}, souls)
+        return _dense_plan(n, xlen, wx, ylen, wy)
+    souls = [c for c in range(1, wy.bit_length()) if wy >> c & 1]
+    weights = _solve_weights(n, [a for a in range(wx.bit_length()) if wx >> a & 1], souls)
     return _plan(n, [(a, c) for a in weights for c in souls if a + c <= n], weights)
 
 
@@ -658,6 +666,15 @@ def dense_solves():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(grassmann, "_dense_plan", every_solve_plan)
         patch.setattr(grassmann, "_scan_pairs", forbidden)
+        yield
+
+
+@contextlib.contextmanager
+def scan_solves():
+    """Route every solve through the scan."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grassmann, "_dense_plan", lambda *args, solve=False:
+                      None if solve else _dense_plan(*args))
         yield
 
 
@@ -710,7 +727,7 @@ def test_float_gdiv_takes_the_dense_path_on_dense_operands():
     x = F8.element({m: 1.0 + m / 256 for m in range(256) if m.bit_count() % 2 == 0})
     y = F8.element({m: 2.0 if m == 0 else 0.5 - m / 512 for m in range(256)
                     if m.bit_count() % 2 == 0})
-    assert _dense_plan(8, x.terms, y.terms, solve=True) is not None
+    assert dense_plan(x, y, solve=True) is not None
     q = gdiv(x, y)
     assert q == x / y
     assert (q * y).isclose(x, 1e-12)
@@ -719,12 +736,12 @@ def test_float_gdiv_takes_the_dense_path_on_dense_operands():
 def test_float_quotient_overflow_is_an_error_on_both_paths():
     F8 = GrassmannAlgebra(8, FLOAT)
     big, tiny = F8.scalar(1e300), F8.scalar(1e-10)
-    assert _dense_plan(8, big.terms, tiny.terms, solve=True) is None
+    assert dense_plan(big, tiny, solve=True) is None
     with pytest.raises(GrassmannError, match="float overflow in"):
         gdiv(big, tiny)
     dense = F8.element({m: 1e300 for m in range(256) if m.bit_count() % 2 == 0})
     small = F8.element({m: 1e-10 for m in range(256) if m.bit_count() % 2 == 0})
-    assert _dense_plan(8, dense.terms, small.terms, solve=True) is not None
+    assert dense_plan(dense, small, solve=True) is not None
     with pytest.raises(GrassmannError, match="float overflow in quotient"):
         gdiv(dense, small)
 
@@ -738,7 +755,7 @@ def test_gdiv_keeps_the_inverse_messages_on_both_paths():
         alg = x.algebra
         zero_body = even_soul if x is dense else alg.monomial([0, 1])
         odd_y = odd if x is dense else alg.gen(1)
-        dense_path = _dense_plan(alg.num_generators, x.terms, odd_y.terms, solve=True)
+        dense_path = dense_plan(x, odd_y, solve=True)
         assert (x is dense) == (dense_path is not None)
         with pytest.raises(GrassmannError, match="zero body: .* is not invertible"):
             gdiv(x, zero_body)
@@ -884,8 +901,8 @@ def test_rational_products_and_solves_take_the_dense_path_on_dense_operands(monk
     calls = []
     dense_terms, dense_plan = grassmann._dense_terms, grassmann._dense_plan
 
-    def plan(n, xterms, yterms, solve=False):
-        result = dense_plan(n, xterms, yterms, solve)
+    def plan(*args, solve=False):
+        result = dense_plan(*args, solve=solve)
         calls.append(("solve plan" if solve else "product plan", result is not None))
         return result
 
@@ -1051,9 +1068,11 @@ def test_scan_solve_matches_its_push_form(case):
     solve = grassmann._solve
     kinds = []
 
-    def checked(y, start, sden, alpha, what):
+    def checked(y, start, sden, wstart, alpha, what):
+        assert wstart == weight_mask(start)
         want, want_den = reference_scan_solve(y, start, sden, alpha)
-        got = solve(y, start, sden, alpha, what)
+        got = solve(y, start, sden, wstart, alpha, what)
+        assert got._w == weight_mask(want)
         if mode == FLOAT:
             assert want_den == got.den == 1
             assert ([(m, c.hex()) for m, c in got.num.items()]
@@ -1064,9 +1083,7 @@ def test_scan_solve_matches_its_push_form(case):
         kinds.append(what)
         return got
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grassmann, "_dense_plan", lambda n, xterms, yterms, solve=False:
-                      None if solve else _dense_plan(n, xterms, yterms))
+    with scan_solves(), pytest.MonkeyPatch.context() as patch:
         patch.setattr(grassmann, "_class_sums", forbidden)
         patch.setattr(grassmann, "_solve", checked)
         gdiv(x, d)
@@ -1075,3 +1092,145 @@ def test_scan_solve_matches_its_push_form(case):
         glog(square if mode == FLOAT else unit)
     assert kinds[-3:] == ["square root", "inverse square root", "logarithm"]
     assert (kinds[0] == "quotient") == (len(d.num) > 1)
+
+
+# -- weight masks and cached views -------------------------------------------------
+
+
+def check_mask(z):
+    """z's weight mask, kernel-set or computed on first use, is the one its
+    terms have, and the parity tests agree with the terms."""
+    want = weight_mask(z.num)
+    assert z._w is None or z._w == want
+    assert grassmann._weights(z) == want
+    parities = {bin(m).count("1") % 2 for m in z.num}
+    assert z.is_even() == (parities <= {0}) and z.is_odd() == (parities <= {1})
+    assert z.parity() == (parities.pop() if len(parities) == 1 else None)
+
+
+mask_cases = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.tuples(shaped_elements(n), shaped_elements(n), divisors(n),
+                        st.sampled_from([RATIONAL, FLOAT]), st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mask_cases)
+def test_every_result_carries_the_mask_of_its_terms(case):
+    x, y, d, mode, primed = case
+    square = d.soul + 4
+    unit = d * (1 / d.body)
+    if mode == FLOAT:
+        x, y, d, square, unit = map(as_float, (x, y, d, square, unit))
+    alg = x.algebra
+    # float terms of weight k scaled by 10**(-60 k), so that scaling by 1e-200
+    # drops every term of weight 3 or more and keeps the others
+    spread = alg.element({m: c * 10.0 ** (-60 * m.bit_count()) for m, c in x.terms.items()}
+                         if mode == FLOAT else x.terms)
+    operands = (x, y, d, square, unit, spread)
+    if primed:   # kernels then pass the operands' known masks on
+        for z in operands:
+            grassmann._weights(z)
+    tiny = alg.scalar(1e-200 if mode == FLOAT else Fraction(-2, 3))
+    results = [gmul(x, y), gmul(y, x), x * y + x, x - y, -x, -(x * y), x.soul, x ** 2,
+               gmul(spread, tiny), gmul(tiny, spread), gdiv(spread, tiny),
+               gmul(x, alg.scalar(3)), gdiv(x, alg.scalar(-2)),
+               gdiv(x, d), ginv(d), gsqrt(square), ginvsqrt(square),
+               glog(square if mode == FLOAT else unit),
+               alg.parse(str(x)), alg.element(x.terms), GrassmannElement(alg, x.num, x.den)]
+    n = alg.num_generators
+    for left, right in ((x, y), (y, x), (x, x)):
+        terms, w = _dense_terms(left, right, _plan(n, every_class(left, right)))
+        assert w == weight_mask(terms)
+    for route in (dense_solves, scan_solves):
+        with route():
+            results += [gdiv(x, d), gdiv(y, d), ginv(d), gsqrt(square), ginvsqrt(square),
+                        glog(square if mode == FLOAT else unit)]
+    for z in results + list(operands):
+        check_mask(z)
+    if mode == FLOAT and primed:   # a scaling that drops a weight drops it from the mask
+        kept = {m.bit_count() for m in spread.num} & {0, 1, 2}
+        assert grassmann._weights(gmul(spread, tiny)) == sum(1 << k for k in kept)
+
+
+def frozen(view):
+    """A view of an element as plain data, floats by their bits."""
+    if isinstance(view, float):
+        return view.hex()
+    if isinstance(view, dict):
+        return [(frozen(k), frozen(v)) for k, v in view.items()]
+    if isinstance(view, (list, tuple)):
+        return [frozen(v) for v in view]
+    return view
+
+
+def state_of(x):
+    """x's numerators in order, denominator, weight mask and cached views."""
+    views = {build.__name__: frozen(view) for build, view in (x._c or {}).items()}
+    return frozen(x.num), x.den, x._w, views
+
+
+def test_no_operation_changes_an_operand_or_its_cached_views():
+    for mode in (RATIONAL, FLOAT):
+        alg = GrassmannAlgebra(6, mode)
+        rng = random.Random(6)
+
+        def coeff():
+            c = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+            return float(c) if mode == FLOAT else c
+
+        even = alg.element({m: 4 if m == 0 else coeff() for m in range(64)
+                            if m.bit_count() % 2 == 0})
+        odd = alg.element({m: coeff() for m in range(64) if m.bit_count() % 2})
+        sparse = alg.element({0: 4, 3: coeff(), 48: coeff()})
+        mixed = alg.element({m: coeff() for m in range(0, 64, 3)})
+        scalar = alg.scalar(3)
+        operands = (even, odd, sparse, mixed, scalar)
+
+        def run_all():
+            for a in operands:
+                for b in operands:
+                    gmul(a, b), a + b, a - b, a.isclose(b)
+                for divisor in (even, sparse, scalar):
+                    gdiv(a, divisor)
+                -a, a.soul, a.terms, a.body, str(a), a.parity(), a ** 2
+            for y in (even, sparse):
+                ginv(y), gsqrt(y), ginvsqrt(y)
+            glog(even if mode == FLOAT else even * Fraction(1, 4))
+
+        run_all()   # fills the caches of every operand
+        assert all(x._c for x in (even, odd, sparse, mixed))
+        before = [state_of(x) for x in operands]
+        run_all()
+        assert [state_of(x) for x in operands] == before
+        for x in operands:   # and every cached view is the one its builder makes
+            for build, view in (x._c or {}).items():
+                assert frozen(view) == frozen(build(x)), build.__name__
+
+
+def test_products_check_compatibility_once(monkeypatch):
+    calls = []
+    original = GrassmannElement._check_compatible
+    monkeypatch.setattr(GrassmannElement, "_check_compatible",
+                        lambda self, other: calls.append(1) or original(self, other))
+    for alg in (A4, F4):
+        x, y = alg.monomial([0, 3]) + 2, alg.monomial([1, 2])
+        for operation in (lambda: x * y, lambda: x * 2, lambda: 2 * x,
+                          lambda: Fraction(1, 2) * x, lambda: gmul(x, y), lambda: x / x,
+                          lambda: x / 2, lambda: x + y, lambda: 2 - x):
+            calls.clear()
+            operation()
+            assert len(calls) == 1
+    # equal algebras need not be one object, and unequal ones are refused
+    assert A4.gen(0) * GrassmannAlgebra(4, RATIONAL).gen(1) == A4.monomial([0, 1])
+    with pytest.raises(GrassmannError, match="different algebras"):
+        A4.gen(0) * F4.gen(1)
+    with pytest.raises(GrassmannError, match="different algebras"):
+        F4.gen(0) * GrassmannAlgebra(5, FLOAT).gen(1)
+
+
+def test_render_names_each_monomial_as_its_generators():
+    assert grassmann._monomial_text(0b1011) == "t0^t1^t3"
+    x = F4.element({0b1011: 2.0, 0b100: -1.0, 0: 0.5})
+    assert str(x) == str(x) == "0.5 - 1.0*t2 + 2.0*t0^t1^t3"
+    assert str(A4.monomial([3, 1], Fraction(-2, 3))) == "2/3*t1^t3"
+    assert grassmann._monomial_text.cache_info().maxsize == 1024
