@@ -13,13 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter, ne
 
 from .decorated import DecoratedState, states_equal_mod_sign, superflip
-from .fatgraph import (NonGenericFlipError, find_isomorphisms, flip_quadrilateral,
-                       propagate_isomorphism, topology)
+from .fatgraph import NonGenericFlipError, find_isomorphisms, flip_quadrilateral, topology
 from .grassmann import FLOAT, RATIONAL, GrassmannAlgebra, _sort_sign
-from .spin import (MAX_BRUTE_FORCE_EDGES, OrientationState, brute_force_spin_classes,
-                   enumerate_spin_classes, spin_class_count)
+from .spin import (MAX_BRUTE_FORCE_EDGES, OrientationState, SpinError,
+                   brute_force_spin_classes, enumerate_spin_classes, spin_class_count)
 
 
 class CheckSetupError(ValueError):
@@ -44,32 +45,113 @@ class CheckResult:
 # state transport along graph isomorphisms
 
 
+_first = itemgetter(0)
+
+
+def _gather(table, indices):
+    """The tuple of table[i] for i in indices, gathered in C.
+
+    indices holds at least two entries, as every per-edge, per-vertex or
+    per-half-edge table of a fatgraph does (V >= 2).
+    """
+    return itemgetter(*indices)(table)
+
+
 def transport_state(final_state, phi, initial_graph):
     """Pull a decorated state back along a half-edge isomorphism.
 
     phi maps half-edges of final_state.graph to initial_graph; signs are
     conjugated by whether phi preserves each edge's reference direction.
     The entries are those of a validated state, relabeled, so they are not
-    checked again; a phi that misses an edge or a vertex raises.
+    checked again; a phi that misses an edge (SpinError) or a vertex
+    (ValueError) raises.
+
+    An edge whose tail phi sends to the tail of the same edge id keeps its
+    lambda-length and sign, and a vertex whose first half-edge phi sends
+    into the same vertex id keeps its mu-invariant.  Finding the rest is
+    C-level per edge and vertex (gathers over phi and the graphs' tables,
+    and copies of the maps and signs); Python work is per edge and vertex
+    that phi moves, which after a flip sequence are the touched ones.
     """
-    gf = final_state.graph
-    gi = initial_graph
-    lam = {}
-    signs = [None] * gi.num_edges
-    for ef in range(gf.num_edges):
-        t, _ = gf.edges[ef]
-        ei = gi.edge_of(phi[t])
-        lam[ei] = final_state.lam[ef]
-        same_dir = gi.edges[ei][0] == phi[t]
-        signs[ei] = final_state.orientation.signs[ef] * (1 if same_dir else -1)
-    orientation = OrientationState(gi, signs)   # a missed edge leaves a None sign
-    mu = {}
-    for vf in range(gf.num_vertices):
-        vi = gi.vertex_of(phi[gf.vertices[vf][0]])
-        mu[vi] = final_state.mu[vf]
-    if len(mu) != gi.num_vertices:
+    gf, gi = final_state.graph, initial_graph
+    lam_f, signs_f, mu_f = final_state.lam, final_state.orientation.signs, final_state.mu
+    tails = tuple(map(_first, gi.edges))
+    images = _gather(phi, tails if gf.edges is gi.edges else map(_first, gf.edges))
+    moved = list(compress(range(len(images)), map(ne, images, tails)))
+    targets = [gi._edge_of[images[ef]] for ef in moved]
+    if len(images) != len(tails) or sorted(targets) != moved:
+        raise SpinError("phi misses an edge of the initial graph")
+    lam = dict(lam_f)
+    signs = list(signs_f)
+    for ef, ei in zip(moved, targets):
+        lam[ei] = lam_f[ef]
+        signs[ei] = signs_f[ef] if tails[ei] == images[ef] else -signs_f[ef]
+    orientation = OrientationState._unchecked(gi, tuple(signs))
+    homes = _gather(gi._vertex_of, _gather(phi, map(_first, gf.vertices)))
+    moved = list(compress(range(len(homes)), map(ne, homes, range(gi.num_vertices))))
+    if len(homes) != gi.num_vertices or sorted(homes[v] for v in moved) != moved:
         raise ValueError("phi misses a vertex of the initial graph")
+    mu = dict(mu_f)
+    for vf in moved:
+        mu[homes[vf]] = mu_f[vf]
     return DecoratedState._unchecked(orientation, final_state.algebra, lam, mu)
+
+
+def _local_isomorphism(gf, gi, touched):
+    """The half-edge isomorphism from gf to gi that is the identity on
+    every half-edge outside the edges touched (ids of gi's edges, not all
+    of them), or None.
+
+    phi starts as the identity, and only the touched half-edges are
+    filled, each from a known half-edge one sigma or alpha step of gf
+    before it, starting at their fixed neighbours.  The isomorphism that
+    fixes an untouched half-edge is unique (the graphs are connected), so
+    this phi is it whenever it exists.  It is checked over every
+    half-edge: phi o sigma_f and sigma_i o phi differ from sigma_f and
+    sigma_i only at the touched half-edges and their predecessors, so
+    each is a C-level copy of sigma_f or sigma_i patched there, and the
+    two copies must be equal; likewise for alpha.  phi is a bijection
+    exactly when it permutes the touched half-edges.  Python work is per
+    touched half-edge; per half-edge there are only C-level copies and
+    comparisons.
+    """
+    n = len(gi._sigma)
+    if len(gf._sigma) != n:
+        return None
+    sigma_f, alpha_f = gf._sigma, gf._alpha
+    sigma_i, alpha_i = gi._sigma, gi._alpha
+    phi = list(range(n))
+    open_halves = [h for e in touched for h in gi.edges[e]]
+    for h in open_halves:
+        phi[h] = None
+    # fixed half-edges whose sigma or alpha step lands on a touched one
+    stack = [p for h in open_halves for p in (sigma_f[sigma_f[h]], alpha_f[h])
+             if phi[p] is not None]
+    while stack:
+        h = stack.pop()
+        k = phi[h]
+        nxt = sigma_f[h]
+        if phi[nxt] is None:
+            phi[nxt] = sigma_i[k]
+            stack.append(nxt)
+        nxt = alpha_f[h]
+        if phi[nxt] is None:
+            phi[nxt] = alpha_i[k]
+            stack.append(nxt)
+    images = [phi[h] for h in open_halves]
+    if None in images or sorted(images) != sorted(open_halves):
+        return None
+    # phi o sigma_f and sigma_i o phi, and the same for alpha
+    phi_sigma, sigma_phi = list(sigma_f), list(sigma_i)
+    phi_alpha, alpha_phi = list(alpha_f), list(alpha_i)
+    for h, k in zip(open_halves, images):
+        phi_sigma[sigma_f[sigma_f[h]]] = k   # at x = sigma_f^-1(h), phi(sigma_f(x)) = k
+        sigma_phi[h] = sigma_i[k]
+        phi_alpha[alpha_f[h]] = k
+        alpha_phi[h] = alpha_i[k]
+    if phi_sigma != sigma_phi or phi_alpha != alpha_phi:
+        return None
+    return tuple(phi)
 
 
 def aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
@@ -79,18 +161,24 @@ def aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
     the identity on all half-edges of edges outside touched_edges,
     transports the final state and compares it with the initial one by
     states_equal_mod_sign.  False when no such isomorphism exists or the
-    spin classes disagree.  When touched_edges covers every edge, every
-    isomorphism is tried.
+    spin classes disagree.  Ids in touched_edges that are not edges of the
+    initial graph are ignored.  When touched_edges covers every edge,
+    every isomorphism is tried (find_isomorphisms).
+
+    Otherwise finding and checking the isomorphism (_local_isomorphism)
+    and the transport (transport_state) do Python work per touched edge
+    only, and per edge only C-level gathers, copies and comparisons, as
+    does the exact lambda-length comparison.  Deciding the spin class
+    (reflection_vertices_between) remains a Python walk over the edges.
     """
     gi, gf = initial.graph, final.graph
-    fixed = [h for e in range(gi.num_edges) if e not in touched_edges
-             for h in gi.edges[e]]
-    # the wanted map fixes an untouched half-edge, and that determines it
-    isos = ([propagate_isomorphism(gf, gi, fixed[0], fixed[0])] if fixed
-            else find_isomorphisms(gf, gi))
+    touched = set(touched_edges).intersection(range(gi.num_edges))
+    if len(touched) < gi.num_edges:
+        phi = _local_isomorphism(gf, gi, touched)
+        isos = [] if phi is None else [phi]
+    else:
+        isos = find_isomorphisms(gf, gi)
     for phi in isos:
-        if phi is None or any(phi[h] != h for h in fixed):
-            continue
         if states_equal_mod_sign(transport_state(final, phi, gi), initial, tol=tol):
             return True
     return False

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class FatGraphError(ValueError):
@@ -162,14 +163,14 @@ class FatGraph:
         return "FatGraph(g=%d, s=%d, E=%d, V=%d)" % (g, s, e, v)
 
 
-@dataclass(frozen=True)
-class FlipRecord:
+class FlipRecord(NamedTuple):
     """Audit trail of one flip.
 
     Labels follow the quadrilateral convention: a and b are the edges
     after the flipped edge's tail half-edge in cyclic order at the tail
     vertex, c and d likewise at the head vertex.  The flipped edge keeps
-    its id, and so does every other edge.
+    its id, and so does every other edge.  A named tuple: immutable, and
+    built at the cost of a tuple on every flip.
     """
 
     flipped_edge: int
@@ -201,6 +202,35 @@ class Quadrilateral:
     d: int
 
 
+def _quadrilateral(graph, e, require_generic=True):
+    """The fields of flip_quadrilateral(graph, e) after the edge, as a tuple.
+
+    (tail_vertex, head_vertex, tail_half, head_half, ha, hb, hc, hd, a,
+    b, c, d), read from the graph's tables, with flip_quadrilateral's
+    checks and errors; whitehead_flip takes them without building a
+    Quadrilateral.
+    """
+    if not 0 <= e < len(graph.edges):
+        raise FatGraphError("no edge %r" % (e,))
+    t, h = graph.edges[e]
+    vertex_of = graph._vertex_of
+    u = vertex_of[t]
+    w = vertex_of[h]
+    if u == w:
+        raise NonGenericFlipError("non-generic flip unsupported: edge %d is a loop" % e)
+    sigma, edge_of = graph._sigma, graph._edge_of
+    ha = sigma[t]
+    hb = sigma[ha]
+    hc = sigma[h]
+    hd = sigma[hc]
+    a, b, c, d = edge_of[ha], edge_of[hb], edge_of[hc], edge_of[hd]
+    if require_generic and len({a, b, c, d, e}) != 5:
+        raise NonGenericFlipError(
+            "non-generic flip unsupported: labels around edge %d coincide "
+            "(a=%d b=%d c=%d d=%d)" % (e, a, b, c, d))
+    return u, w, t, h, ha, hb, hc, hd, a, b, c, d
+
+
 def flip_quadrilateral(graph, e, require_generic=True):
     """Side labels a, b, c, d of the quadrilateral around edge e.
 
@@ -208,23 +238,7 @@ def flip_quadrilateral(graph, e, require_generic=True):
     b = edge(sigma^2 h), c = edge(sigma h'), d = edge(sigma^2 h').  When
     require_generic is set, a, b, c, d and e must be five distinct edges.
     """
-    if not 0 <= e < graph.num_edges:
-        raise FatGraphError("no edge %r" % (e,))
-    t, h = graph.edges[e]
-    u = graph.vertex_of(t)
-    w = graph.vertex_of(h)
-    if u == w:
-        raise NonGenericFlipError("non-generic flip unsupported: edge %d is a loop" % e)
-    ha = graph.sigma(t)
-    hb = graph.sigma(ha)
-    hc = graph.sigma(h)
-    hd = graph.sigma(hc)
-    a, b, c, d = (graph.edge_of(x) for x in (ha, hb, hc, hd))
-    if require_generic and len({a, b, c, d, e}) != 5:
-        raise NonGenericFlipError(
-            "non-generic flip unsupported: labels around edge %d coincide "
-            "(a=%d b=%d c=%d d=%d)" % (e, a, b, c, d))
-    return Quadrilateral(e, u, w, t, h, ha, hb, hc, hd, a, b, c, d)
+    return Quadrilateral(e, *_quadrilateral(graph, e, require_generic))
 
 
 def whitehead_flip(graph, e, reflections_applied=()):
@@ -246,19 +260,23 @@ def whitehead_flip(graph, e, reflections_applied=()):
     the flip keeps every half-edge and every edge, both new triples are
     trivalent, V and E are unchanged, and edge e still joins the two
     rewritten vertices, so the graph stays connected.
+
+    Python work is per touched entry: the quadrilateral is read from the
+    tables as a plain tuple (no Quadrilateral is built), eight entries are
+    patched and the record is a named tuple.  Per vertex and half-edge
+    there is only the C-level copying of the three patched tuples.
     """
-    q = flip_quadrilateral(graph, e)
-    t, h, ha, hb, hc, hd = q.tail_half, q.head_half, q.ha, q.hb, q.hc, q.hd
+    u, w, t, h, ha, hb, hc, hd, a, b, c, d = _quadrilateral(graph, e)
     vertices = list(graph.vertices)
     # new tail vertex picks up b and c, new head vertex picks up d and a
-    vertices[q.tail_vertex] = _rotate_min((t, hb, hc))
-    vertices[q.head_vertex] = _rotate_min((h, hd, ha))
+    vertices[u] = _rotate_min((t, hb, hc))
+    vertices[w] = _rotate_min((h, hd, ha))
     sigma = list(graph._sigma)
     sigma[t], sigma[hb], sigma[hc] = hb, hc, t
     sigma[h], sigma[hd], sigma[ha] = hd, ha, h
     vertex_of = list(graph._vertex_of)
-    vertex_of[ha] = q.head_vertex
-    vertex_of[hc] = q.tail_vertex
+    vertex_of[ha] = w
+    vertex_of[hc] = u
     flipped = object.__new__(FatGraph)
     flipped.vertices = tuple(vertices)
     flipped.edges = graph.edges
@@ -267,11 +285,7 @@ def whitehead_flip(graph, e, reflections_applied=()):
     flipped._alpha = graph._alpha
     flipped._edge_of = graph._edge_of
     flipped._vertex_of = tuple(vertex_of)
-    record = FlipRecord(
-        flipped_edge=e, a=q.a, b=q.b, c=q.c, d=q.d,
-        tail_vertex=q.tail_vertex, head_vertex=q.head_vertex,
-        reflections_applied=reflections_applied)
-    return flipped, record
+    return flipped, FlipRecord(e, a, b, c, d, u, w, reflections_applied)
 
 
 def boundary_cycles(graph):

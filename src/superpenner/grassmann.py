@@ -117,15 +117,19 @@ x_m / b.  gdiv scales instead of solving.  In rational mode, dividing by
 b / dy multiplies every numerator by dy and puts the result over den * b,
 with the sign moved off the denominator, reduced once.  In float mode
 every term is v / b, the operation the solve runs on it, and a term that
-underflows to 0 is dropped, as the solve drops it.
+underflows to 0 is dropped, as the solve drops it.  Likewise the root,
+inverse root or log of a one-term scalar is its body's: the solve would
+compute only z_0 = start_0 / 1, so gsqrt, ginvsqrt and glog return that
+scalar directly, after the same checks.
 
 Dispatch: gdiv scales when its divisor has a single term (an invertible
-one-term y is a scalar).  Otherwise a solve takes the dense path when
+one-term y is a scalar), and the powers and log of a one-term scalar
+solve nothing.  Otherwise a solve takes the dense path when
 2**n < len(start) * len(y) + len(y)**2 (the pairs of start and of a
 solution about as long as y with y), and its plan holds at most that many
 entries, in either mode.  The len(y)**2 counts before the 2**n test:
 otherwise a power, whose start is one term, would always scan.  Any other
-solve (sparse, or a power or log of a one-term scalar) scans.
+solve (sparse) scans.
 
 Memory: each disjoint pair on n generators sits in exactly one class, and
 all indices share one int object each, so the classes on n generators hold
@@ -993,6 +997,16 @@ def ginv(x):
     return gdiv(x.algebra.one(), x)
 
 
+def _scalar_result(algebra, v, den):
+    """The root or log of a one-term scalar: the scalar v / den, given in
+    normal form, or zero when v is 0.  That is what the solve returns for
+    it, z_0 = start_0 / 1, so the solve is skipped, as gdiv skips it for a
+    one-term divisor."""
+    if not v:
+        return algebra.zero()
+    return _element(algebra, {0: v}, den, 1)
+
+
 def _body_root(x, what):
     """sqrt(body) of an even x with positive body, as (numerator, denominator).
 
@@ -1022,6 +1036,8 @@ def gsqrt(x):
     error is raised (switch the algebra to float mode for generic bodies).
     """
     rp, rq = _body_root(x, "square root")
+    if len(x.num) == 1:
+        return _scalar_result(x.algebra, rp, rq)
     return _solve(x, {0: rp}, rq, 1, (1, 2), "square root")
 
 
@@ -1036,6 +1052,8 @@ def ginvsqrt(x):
         rp, rq = 1 / rp, 1
     else:
         rp, rq = rq, rp
+    if len(x.num) == 1:
+        return _scalar_result(x.algebra, rp, rq)
     return _solve(x, {0: rp}, rq, 1, (-1, 2), "inverse square root")
 
 
@@ -1058,6 +1076,8 @@ def glog(x):
                              "(rational mode needs body 1)" % (x.body,))
     else:
         log_b = 0
+    if len(x.num) == 1:
+        return _scalar_result(x.algebra, log_b, 1)
     start = {m: m.bit_count() * c for m, c in x.num.items() if m}
     start[0] = log_b
     return _solve(x, start, x.den, _weights(x) | 1, (0, 1), "logarithm")

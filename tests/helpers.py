@@ -4,7 +4,9 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from superpenner.fatgraph import FatGraph, boundary_cycles
+from superpenner.decorated import DecoratedState, states_equal_mod_sign
+from superpenner.fatgraph import (FatGraph, boundary_cycles, find_isomorphisms,
+                                  propagate_isomorphism)
 from superpenner.grassmann import FLOAT, _below_parity, _finish, _join, _rules
 from superpenner.spin import OrientationState, reflection_mask
 
@@ -40,6 +42,11 @@ def prism(n):
              for ring in (0, n) for i in range(n)]
     edges += [(3 * i + 2, 3 * (n + i) + 2) for i in range(n)]
     return FatGraph(vertices, edges)
+
+
+def dumbbell():
+    """A loop at each end of a bridge; genus 0, three punctures."""
+    return FatGraph([(0, 1, 2), (3, 4, 5)], [(0, 1), (2, 3), (4, 5)])
 
 
 def reference_spin_classes(graph):
@@ -295,3 +302,54 @@ def reference_random_odd(algebra, rng, coeff):
         picks = rng.sample(range(n), 3)
         x = x + algebra.monomial(picks, coeff(rng))
     return x
+
+
+def reference_transport_state(final_state, phi, initial_graph):
+    """checks.transport_state edge by edge and vertex by vertex.
+
+    Each final edge's tail image names the initial edge and whether the
+    reference direction is kept; a phi that misses an edge leaves a None
+    sign, which OrientationState rejects, and one that misses a vertex
+    raises ValueError.
+    """
+    gf = final_state.graph
+    gi = initial_graph
+    lam = {}
+    signs = [None] * gi.num_edges
+    for ef in range(gf.num_edges):
+        t, _ = gf.edges[ef]
+        ei = gi.edge_of(phi[t])
+        lam[ei] = final_state.lam[ef]
+        same_dir = gi.edges[ei][0] == phi[t]
+        signs[ei] = final_state.orientation.signs[ef] * (1 if same_dir else -1)
+    orientation = OrientationState(gi, signs)
+    mu = {}
+    for vf in range(gf.num_vertices):
+        vi = gi.vertex_of(phi[gf.vertices[vf][0]])
+        mu[vi] = final_state.mu[vf]
+    if len(mu) != gi.num_vertices:
+        raise ValueError("phi misses a vertex of the initial graph")
+    return DecoratedState._unchecked(orientation, final_state.algebra, lam, mu)
+
+
+def reference_aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
+    """checks.aligned_equal_mod_sign by whole-graph search.
+
+    The isomorphism is propagated from the first fixed half-edge over the
+    whole final graph and must fix every half-edge of the untouched edges
+    (every isomorphism is tried when all edges are touched); the final
+    state is transported edge by edge and compared by
+    states_equal_mod_sign.
+    """
+    gi, gf = initial.graph, final.graph
+    fixed = [h for e in range(gi.num_edges) if e not in touched_edges
+             for h in gi.edges[e]]
+    isos = ([propagate_isomorphism(gf, gi, fixed[0], fixed[0])] if fixed
+            else find_isomorphisms(gf, gi))
+    for phi in isos:
+        if phi is None or any(phi[h] != h for h in fixed):
+            continue
+        moved = reference_transport_state(final, phi, gi)
+        if states_equal_mod_sign(moved, initial, tol=tol):
+            return True
+    return False

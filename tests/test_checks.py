@@ -9,13 +9,15 @@ from superpenner.catalog import GRAPHS
 from superpenner.checks import (aligned_equal_mod_sign, check_spincount, generic_edges,
                                 pentagon_pairs, random_decorated_state, transport_state)
 from superpenner.decorated import DecoratedState, superflip
-from superpenner.fatgraph import find_isomorphisms, propagate_isomorphism
+from superpenner.fatgraph import (FatGraph, FatGraphError, find_isomorphisms,
+                                  propagate_isomorphism)
 from superpenner.grassmann import FLOAT, RATIONAL, GrassmannAlgebra
 from superpenner.spin import (MAX_BRUTE_FORCE_EDGES, OrientationState, SpinError,
                               enumerate_spin_classes, reflect,
                               reflection_vertices_between, same_spin_class)
 
-from helpers import prism, reference_random_even_soul, reference_random_odd
+from helpers import (dumbbell, prism, reference_aligned_equal_mod_sign,
+                     reference_random_even_soul, reference_random_odd)
 
 
 def involution_and_pentagon_sequences(graph, rng, mode):
@@ -101,6 +103,110 @@ def test_aligned_comparison_with_every_edge_touched():
         assert aligned_equal_mod_sign(initial, final, everything)
         bumped = with_lam(final, 0, final.lam[0] + final.algebra.scalar(1))
         assert not aligned_equal_mod_sign(initial, bumped, everything)
+
+
+ORACLE_GRAPHS = [make() for make in GRAPHS.values()] + [prism(k) for k in range(3, 17)] + [
+    dumbbell()]
+
+
+def oracle_round_trips(graph, rng):
+    """(initial, final, touched) round trips on graph in both modes: a
+    state with itself, a double flip, a pentagon, and a classical walk of
+    four flips out and back.  Up to V = 8 the states carry odd
+    mu-invariants where their flips stay exact (rational double flips
+    have square-friendly bodies); beyond that they are classical, since
+    the soul of a flipped odd state grows with V at every flip."""
+    edges, pairs = generic_edges(graph), pentagon_pairs(graph)
+    out = []
+    for mode in (RATIONAL, FLOAT):
+        odd = graph.num_vertices <= 8
+        state = random_decorated_state(graph, rng, mode, odd=odd)
+        out.append((state, state, set()))
+        if edges:
+            e = rng.choice(edges)
+            state = random_decorated_state(graph, rng, mode, odd=odd,
+                                           square_friendly_edge=e if mode == RATIONAL else None)
+            out.append((state, superflip(superflip(state, e)[0], e)[0], {e}))
+        if pairs:
+            e1, e2 = rng.choice(pairs)
+            state = current = random_decorated_state(graph, rng, mode,
+                                                     odd=odd and mode == FLOAT)
+            for e in (e1, e2, e1, e2, e1):
+                current, _ = superflip(current, e)
+            out.append((state, current, {e1, e2}))
+        state = current = random_decorated_state(graph, rng, mode, odd=False)
+        walk = []
+        for _ in range(4 if edges else 0):
+            walk.append(rng.choice(generic_edges(current.graph)))
+            current, _ = superflip(current, walk[-1])
+        for e in reversed(walk):
+            current, _ = superflip(current, e)
+        out.append((state, current, set(walk)))
+    return out
+
+
+def oracle_variants(final, touched, rng):
+    """(final state, touched) pairs around one round trip: the true final
+    state, one lambda-length bumped, one mu-invariant negated, one sign
+    flipped, a touched set missing an edge, ids outside the graph, and
+    every edge touched."""
+    graph, alg = final.graph, final.algebra
+    e, v = rng.randrange(graph.num_edges), rng.randrange(graph.num_vertices)
+    lam, mu, signs = dict(final.lam), dict(final.mu), list(final.orientation.signs)
+    lam[e] = lam[e] + alg.scalar(1) / 1000
+    mu[v] = -mu[v]
+    signs[e] = -signs[e]
+    out = [(final, touched),
+           (DecoratedState(graph, final.orientation, alg, lam, final.mu), touched),
+           (DecoratedState(graph, final.orientation, alg, final.lam, mu), touched),
+           (DecoratedState(graph, OrientationState(graph, signs), alg, final.lam, final.mu),
+            touched),
+           (final, touched | {-1, graph.num_edges, graph.num_edges + 5, 10 ** 6}),
+           (final, set(range(graph.num_edges)))]
+    if touched:
+        out.append((final, touched - {rng.choice(sorted(touched))}))
+    return out
+
+
+def test_aligned_comparison_matches_the_whole_graph_oracle():
+    rng = random.Random(17)
+    verdicts = []
+    finals = []
+    for graph in ORACLE_GRAPHS:
+        for initial, final, touched in oracle_round_trips(graph, rng):
+            exact = initial.algebra.mode == RATIONAL
+            # the unperturbed round trip holds, exactly in rational mode
+            assert aligned_equal_mod_sign(initial, final, touched, None if exact else 1e-9)
+            finals.append(final)
+            for variant, variant_touched in oracle_variants(final, touched, rng):
+                for tol in (None, 1e-9):
+                    got = aligned_equal_mod_sign(initial, variant, variant_touched, tol)
+                    assert got == reference_aligned_equal_mod_sign(
+                        initial, variant, variant_touched, tol), (graph, touched, tol)
+                    verdicts.append(got)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+    # a state never equals one on a graph of another size, nor its own data
+    # on a graph with the same vertices whose edges 0 and 1 swap heads while
+    # they count as untouched; with every edge touched the two functions agree
+    others = []
+    for state, other in zip(finals, finals[1:] + finals[:1]):
+        if state.graph.num_edges != other.graph.num_edges:
+            others.append((state, other))
+        (t0, h0), (t1, h1), *rest = state.graph.edges
+        try:
+            repaired = FatGraph(state.graph.vertices, [(t0, h1), (t1, h0)] + rest)
+        except FatGraphError:
+            continue
+        others.append((state, DecoratedState(
+            repaired, OrientationState(repaired, state.orientation.signs),
+            state.algebra, state.lam, state.mu)))
+    assert len(others) > 20
+    for state, other in others:
+        everything = set(range(state.graph.num_edges))
+        for touched in (set(), {state.graph.num_edges - 1}, everything):
+            got = aligned_equal_mod_sign(state, other, touched)
+            assert got == reference_aligned_equal_mod_sign(state, other, touched)
+            assert not got or touched == everything
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from superpenner import decorated, grassmann, spin
+from superpenner import decorated, fatgraph, grassmann, spin
 from superpenner.catalog import (GRAPHS, five_punctured_sphere, four_punctured_sphere,
                                  genus1_two_punctures, genus2_one_puncture,
                                  punctured_torus)
@@ -440,42 +440,59 @@ def test_rational_superflip_does_no_fraction_arithmetic(monkeypatch):
 def test_classical_round_trips_only_scale():
     # every lambda-length of a classical rational state is a one-term
     # scalar: flips and round-trip comparisons scale by it, and run no
-    # solve and no pair kernel, build no Fraction and copy no FlipRecord
+    # solve and no pair kernel, build no Fraction and copy no FlipRecord.
+    # They are local too: a flip reads its quadrilateral without building
+    # a Quadrilateral or a dataclass record, and a comparison finds its
+    # isomorphism without propagating over the whole graph
     forbidden = {f.__code__: name for name, f in (
         ("_solve", grassmann._solve),
         ("_scan_pairs", grassmann._scan_pairs),
         ("_class_sums", grassmann._class_sums),
         ("Fraction.__new__", Fraction.__new__),
-        ("dataclasses.replace", dataclasses.replace))}
+        ("dataclasses.replace", dataclasses.replace),
+        ("propagate_isomorphism", fatgraph.propagate_isomorphism),
+        ("flip_quadrilateral", fatgraph.flip_quadrilateral),
+        ("Quadrilateral.__init__", fatgraph.Quadrilateral.__init__))}
     states = [classical_limit(random_decorated_state(graph, random.Random(9), RATIONAL))
               for graph in [make() for make in GRAPHS.values()] + [prism(16)]]
     calls = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in forbidden:
+        if event != "call":
+            return
+        if frame.f_code in forbidden:
             calls.append(forbidden[frame.f_code])
+        elif (frame.f_code.co_name == "__init__"
+              and isinstance(frame.f_locals.get("self"), fatgraph.FlipRecord)):
+            calls.append("FlipRecord.__init__")
+
+    def watched(run, *args):
+        """run(*args) with the forbidden calls recorded; edge choice
+        (generic_edges builds a Quadrilateral per edge) is not watched."""
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return run(*args)
+        finally:
+            sys.setprofile(previous)
 
     trips = []
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        for state in states:
-            rng = random.Random(state.graph.num_edges)
-            for e in generic_edges(state.graph):
-                once, _ = superflip(state, e)
-                trips.append(aligned_equal_mod_sign(state, superflip(once, e)[0], {e}))
-            current, walk = state, []
-            for _ in range(6):
-                candidates = generic_edges(current.graph)
-                if not candidates:
-                    break
-                walk.append(rng.choice(candidates))
-                current, _ = superflip(current, walk[-1])
-            for e in reversed(walk):
-                current, _ = superflip(current, e)
-            trips.append(aligned_equal_mod_sign(state, current, set(walk)))
-    finally:
-        sys.setprofile(previous)
+    for state in states:
+        rng = random.Random(state.graph.num_edges)
+        for e in generic_edges(state.graph):
+            once, _ = watched(superflip, state, e)
+            twice, _ = watched(superflip, once, e)
+            trips.append(watched(aligned_equal_mod_sign, state, twice, {e}))
+        current, walk = state, []
+        for _ in range(6):
+            candidates = generic_edges(current.graph)
+            if not candidates:
+                break
+            walk.append(rng.choice(candidates))
+            current, _ = watched(superflip, current, walk[-1])
+        for e in reversed(walk):
+            current, _ = watched(superflip, current, e)
+        trips.append(watched(aligned_equal_mod_sign, state, current, set(walk)))
     assert calls == []
     assert len(trips) > 60 and all(trips)
 

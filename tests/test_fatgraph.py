@@ -4,7 +4,7 @@ import pytest
 
 from superpenner.catalog import (GRAPHS, four_punctured_sphere, genus1_two_punctures,
                                  genus2_one_puncture, punctured_torus, theta_graph)
-from superpenner.fatgraph import (FatGraph, FatGraphError, NonGenericFlipError,
+from superpenner.fatgraph import (FatGraph, FatGraphError, FlipRecord, NonGenericFlipError,
                                   boundary_cycles, find_isomorphisms,
                                   flip_quadrilateral, graph_from_records,
                                   parse_fatgraph, render_fatgraph, scan_document,
@@ -12,7 +12,7 @@ from superpenner.fatgraph import (FatGraph, FatGraphError, NonGenericFlipError,
 from superpenner.checks import generic_edges
 from superpenner.spin import OrientationState, flip_orientation
 
-from helpers import prism
+from helpers import dumbbell, prism
 
 TORUS_FILE = """\
 fatgraph v1
@@ -32,11 +32,6 @@ edge 0: 0 1
 edge 1: 2 3
 edge 2: 4 5
 """
-
-
-def dumbbell():
-    # a loop at each end of a bridge; genus 0, three punctures
-    return FatGraph([(0, 1, 2), (3, 4, 5)], [(0, 1), (2, 3), (4, 5)])
 
 
 # -- parsing -----------------------------------------------------------------
@@ -167,6 +162,36 @@ def test_flip_rejects_loop():
     g = dumbbell()
     with pytest.raises(NonGenericFlipError, match="loop"):
         whitehead_flip(g, 0)
+
+
+def test_flip_reads_the_quadrilateral_it_reports():
+    # whitehead_flip and flip_quadrilateral share one table reader: the same
+    # labels on every edge, and the same errors for bad and non-generic ids
+    for g in [make() for make in GRAPHS.values()] + [prism(4), dumbbell()]:
+        for e in [-1, g.num_edges, g.num_edges + 3] + list(range(g.num_edges)):
+            try:
+                q = flip_quadrilateral(g, e)
+            except FatGraphError as exc:
+                with pytest.raises(type(exc)) as info:
+                    whitehead_flip(g, e)
+                assert str(info.value) == str(exc)
+                continue
+            _, record = whitehead_flip(g, e, (q.tail_vertex,))
+            assert record == FlipRecord(flipped_edge=e, a=q.a, b=q.b, c=q.c, d=q.d,
+                                        tail_vertex=q.tail_vertex,
+                                        head_vertex=q.head_vertex,
+                                        reflections_applied=(q.tail_vertex,))
+    with pytest.raises(FatGraphError, match=r"^no edge -1$"):
+        whitehead_flip(prism(3), -1)
+
+
+def test_flip_record_keeps_its_fields_repr_and_immutability():
+    record = FlipRecord(0, 1, 2, 3, 4, 5, 6)
+    assert record.reflections_applied == ()
+    assert repr(record) == ("FlipRecord(flipped_edge=0, a=1, b=2, c=3, d=4, tail_vertex=5, "
+                            "head_vertex=6, reflections_applied=())")
+    with pytest.raises(AttributeError):
+        record.a = 9
 
 
 def test_flip_reference_direction():

@@ -1043,6 +1043,60 @@ def test_scalar_operands_neither_scan_nor_solve(monkeypatch):
         assert gmul(c, c) == alg.scalar(4) and gdiv(c, c) == alg.one()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=4),
+       st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                 st.fractions(min_value=0, max_value=10 ** 6).filter(bool)))
+def test_scalar_roots_and_logs_skip_the_solve(n, body):
+    # a one-term scalar's root, inverse root and log are the ones the solve
+    # computes for it: the same float bits, or the same normal form
+    if isinstance(body, float):
+        alg = GrassmannAlgebra(n, FLOAT)
+        scalars = [alg.scalar(body), alg.one()]
+    else:
+        alg = GrassmannAlgebra(n, RATIONAL)
+        scalars = [alg.scalar(body * body), alg.one()]
+    for x in scalars:
+        rp, rq = grassmann._body_root(x, "square root")
+        ip, iq = (1 / rp, 1) if alg.mode == FLOAT else (rq, rp)
+        want = [grassmann._solve(x, {0: rp}, rq, 1, (1, 2), "square root"),
+                grassmann._solve(x, {0: ip}, iq, 1, (-1, 2), "inverse square root")]
+        if alg.mode == FLOAT or x == alg.one():
+            log_b = math.log(x.body) if alg.mode == FLOAT else 0
+            want.append(grassmann._solve(x, {0: log_b}, x.den, 1, (0, 1), "logarithm"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grassmann, "_solve", forbidden)
+            got = [run(x) for run in (gsqrt, ginvsqrt, glog)[:len(want)]]
+        for g, w in zip(got, want):
+            assert g._w == w._w
+            if alg.mode == FLOAT:
+                assert g.den == w.den == 1
+                assert [(m, c.hex()) for m, c in g.num.items()] == [
+                    (m, c.hex()) for m, c in w.num.items()]
+            else:
+                assert (g.num, g.den) == (w.num, w.den)
+                assert is_normal(g)
+
+
+def test_scalar_roots_and_logs_keep_their_errors(monkeypatch):
+    monkeypatch.setattr(grassmann, "_solve", forbidden)
+    cases = [(gsqrt, A4.gen(0), "square root requires even parity, got 1*t0"),
+             (ginvsqrt, F4.gen(0), "inverse square root requires even parity, got 1.0*t0"),
+             (glog, A4.gen(0), "logarithm requires even parity, got 1*t0"),
+             (gsqrt, A4.scalar(-4), "square root requires positive body, got -4"),
+             (ginvsqrt, F4.scalar(-4.0), "inverse square root requires positive body, got -4.0"),
+             (glog, A4.zero(), "logarithm requires positive body, got 0"),
+             (gsqrt, A4.scalar(Fraction(2, 9)),
+              "body 2/9 is not a square of a rational; use float mode"),
+             (ginvsqrt, A4.scalar(2), "body 2 is not a square of a rational; use float mode"),
+             (glog, A4.scalar(4), "log of body 4 is irrational; use float mode "
+                                  "(rational mode needs body 1)")]
+    for run, x, message in cases:
+        with pytest.raises(GrassmannError) as info:
+            run(x)
+        assert str(info.value) == message
+
+
 # -- one solve loop ----------------------------------------------------------------
 
 
@@ -1090,8 +1144,9 @@ def test_scan_solve_matches_its_push_form(case):
         gsqrt(square)
         ginvsqrt(square)
         glog(square if mode == FLOAT else unit)
-    assert kinds[-3:] == ["square root", "inverse square root", "logarithm"]
-    assert (kinds[0] == "quotient") == (len(d.num) > 1)
+    # a one-term d makes every operand a one-term scalar, which solves nothing
+    assert kinds == (["quotient", "square root", "inverse square root", "logarithm"]
+                     if len(d.num) > 1 else [])
 
 
 # -- weight masks and cached views -------------------------------------------------

@@ -8,24 +8,20 @@ import pytest
 from superpenner.catalog import (GRAPHS, four_punctured_sphere, genus1_two_punctures,
                                  genus2_one_puncture, punctured_torus, theta_graph)
 from superpenner import spin
-from superpenner.fatgraph import FatGraph, topology
+from superpenner.fatgraph import topology
 from superpenner.spin import (OrientationState, SpinError,
                               brute_force_spin_classes,
                               classify_punctures, enumerate_spin_classes,
                               flip_orientation, reflect, same_spin_class,
                               reflection_vertices_between, spin_class_count)
 
-from helpers import (boundary_correspondence, canonical_representative, prism,
+from helpers import (boundary_correspondence, canonical_representative, dumbbell, prism,
                      reference_spin_classes, rref, star_matrix)
 
 
 def all_orientations(graph):
     for signs in itertools.product((1, -1), repeat=graph.num_edges):
         yield OrientationState(graph, signs)
-
-
-def dumbbell():
-    return FatGraph([(0, 1, 2), (3, 4, 5)], [(0, 1), (2, 3), (4, 5)])
 
 
 # -- reflections ----------------------------------------------------------------
