@@ -29,7 +29,8 @@ from .decorated import _puncture_residuals, shear_coordinates, superflip
 from .fatgraph import FatGraphError, NonGenericFlipError, boundary_cycles, topology
 from .fileio import load_state, render_state
 from .grassmann import FLOAT, RATIONAL, GrassmannError
-from .spin import SpinError, classify_punctures, enumerate_spin_classes, spin_class_count
+from .spin import (SpinError, _puncture_types, classify_punctures, enumerate_spin_classes,
+                   spin_class_count)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -124,8 +125,9 @@ def cmd_spin(args):
     lines = []
     if args.action == "enumerate":
         classes = enumerate_spin_classes(graph)
+        cycles = boundary_cycles(graph)
         for i, rep in enumerate(classes):
-            tags = classify_punctures(rep)
+            tags = _puncture_types(rep, cycles)
             lines.append("class %d: %s punctures: %s"
                          % (i, rep.sign_string(), " ".join(tags)))
         lines.append("classes: %d" % len(classes))

@@ -150,7 +150,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations, compress, repeat
 from math import gcd
-from operator import add, itemgetter, mul, sub, truediv
+from operator import add, floordiv, itemgetter, mul, sub, truediv
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -531,7 +531,8 @@ def _add(x, y, sign):
 _CLASSES = {}
 # n -> tuple(range(2**(n+1) + 1)): the one int object of each index
 _INDICES = {}
-# (n, left weights, right weights) -> the plan of _dense_plan
+# (n, left weights, right weights, solve) -> the plan of _dense_plan, or
+# (entries, None) while every caller has refused it
 _PLANS = {}
 # (n, w) -> the monomials of weight w, in increasing order
 _WEIGHT_MONOMIALS = {}
@@ -587,9 +588,13 @@ def _plan(n, classes, weights=()):
     by_weight = {w: [] for w in weights}
     for a, b in classes:
         by_weight.setdefault(a + b, []).append((n, a, b))
-    entries = (1 << n) + sum(math.comb(n, a + b) * math.comb(a + b, a) for a, b in classes)
-    return entries, tuple((w, _weight_monomials(n, w), tuple(by_weight[w]))
-                          for w in sorted(by_weight))
+    return _entries(n, classes), tuple((w, _weight_monomials(n, w), tuple(by_weight[w]))
+                                       for w in sorted(by_weight))
+
+
+def _entries(n, classes):
+    """2**n plus the pairs in the classes, counted without building them."""
+    return (1 << n) + sum(math.comb(n, a + b) * math.comb(a + b, a) for a, b in classes)
 
 
 def _solve_weights(n, weights, souls):
@@ -618,7 +623,10 @@ def _dense_plan(n, xlen, wx, ylen, wy, solve=False):
     with a a weight that its solution can have and c a soul weight of y,
     and has a group for every such weight, classes or none.  Plans are
     kept per pair of weight masks; they name classes but hold no pairs,
-    and a class is built only when a product first uses it.
+    and a class is built only when a product first uses it.  A refused
+    plan is kept as its entry count alone, (entries, None): its groups,
+    with their tables of monomials over 2**(n+1) indices, are built only
+    once some operands accept it.
     """
     pairs = xlen * ylen
     if solve:   # the solution is about as long as y, so its pairs with the soul
@@ -627,13 +635,15 @@ def _dense_plan(n, xlen, wx, ylen, wy, solve=False):
         return None
     key = (n, wx, wy, solve)
     plan = _PLANS.get(key)
-    if plan is None:
+    if plan is None or plan[1] is None and plan[0] <= pairs:
         left, right = _bits(wx), _bits(wy)
         if solve:
             right = [c for c in right if c]
             left = _solve_weights(n, left, right)
-        plan = _PLANS[key] = _plan(n, [(a, b) for a in left for b in right if a + b <= n],
-                                   left if solve else ())
+        classes = [(a, b) for a in left for b in right if a + b <= n]
+        entries = _entries(n, classes)
+        plan = _PLANS[key] = (_plan(n, classes, left if solve else ()) if entries <= pairs
+                              else (entries, None))
     return plan if plan[0] <= pairs else None
 
 
@@ -1084,12 +1094,17 @@ def glog(x):
 
 
 # ---------------------------------------------------------------------------
-# text format: terms sorted by bitmask, "coeff*t<i>^t<j>", e.g. "1 + 2*t0^t1"
+# text format: terms sorted by bitmask, "coeff*t<i>^t<j>", e.g. "1 + 2*t0^t1".
+# parse_element reads that spelling in bulk (_parse_rendered): a coefficient
+# on every term, " + " and " - " between terms, generators in increasing
+# order, no monomial twice and exponents of at most two digits.  Every other
+# text, bare monomials, free spacing and sign runs among them, goes through the
+# term loop (_parse_terms), which is the only path that raises.
 
 
 @functools.lru_cache(maxsize=1024)
 def _monomial_text(mask):
-    """The text of a nonzero monomial, e.g. 0b101 -> "t0^t2".
+    """The text of a monomial, e.g. 0b101 -> "t0^t2"; 0 -> "".
 
     Kept per mask: the elements of one document repeat their monomials.
     """
@@ -1136,11 +1151,22 @@ _TERM_RE = re.compile(r"""
     (?P<mono>t\d+(?:[ \t]*\^[ \t]*t\d+)*)?
     """, re.VERBOSE)
 _GEN_RE = re.compile(r"t(\d+)")
+# the bytes a rendered element is made of, and an exponent of three or more
+# digits, which the term loop holds to sys.get_int_max_str_digits() (640 at
+# the least, when set)
+_RENDERED = b"0123456789./e+-*t^ "
+_LONG_EXPONENT = re.compile(r"e[-+]?\d\d\d").search
+# the text of an absent denominator or exponent
+_ONE = {"": "1"}
+_ZERO = {"": "0"}
 
 
 @functools.lru_cache(maxsize=1024)
 def _monomial(text, num_generators):
-    """(mask, sign) of a monomial's text, e.g. "t1^t0" -> (0b11, -1); "" -> (0, 1).
+    """(mask, sign, rendered) of a monomial's text, e.g. "t1^t0" -> (0b11,
+    -1, False); "" -> (0, 1, True).  rendered is whether render_element
+    spells the monomial so, which rules out "t0t1", "t1^t1" and other text
+    the findall reads.
 
     Kept per text: the elements of one document repeat their monomials.
     """
@@ -1149,7 +1175,8 @@ def _monomial(text, num_generators):
     except ValueError:  # an index longer than the interpreter converts
         raise GrassmannError("generator index with more than %d digits"
                              % sys.get_int_max_str_digits()) from None
-    return _sort_sign(indices, num_generators)
+    mask, sign = _sort_sign(indices, num_generators)
+    return mask, sign, text == _monomial_text(mask)
 
 
 def _parse_number(algebra, num):
@@ -1207,7 +1234,102 @@ def parse_element(algebra, text):
     mode reads a/b as the float nearest to the fraction.  Rational mode
     sums the terms' numerators over the lcm of their denominators and
     reduces the element once.
+
+    Text spelled as render_element writes it is read in bulk
+    (_parse_rendered); any other text, every text with an error among
+    them, goes through the term loop (_parse_terms), which alone raises.
+    The two give the same element, float bits and dict order included.
     """
+    x = _parse_rendered(algebra, text.strip())
+    return _parse_terms(algebra, text) if x is None else x
+
+
+def _parse_rendered(algebra, s):
+    """The element of s, read in bulk, when s is spelled as render_element
+    spells it; None otherwise.
+
+    That spelling is a coefficient on every term, "*" before each
+    monomial, monomials as "t<i>^t<j>..." with increasing distinct
+    indices, terms joined by " + " or " - ", and exponents of at most two
+    digits.  The terms are split and converted with C-level string and
+    map operations, and no term is summed: a repeated monomial is refused,
+    like every text _parse_terms rejects, so what is read is _parse_terms's
+    element, float bits and dict order included.
+    """
+    if not s.isascii() or s.encode().translate(None, _RENDERED) or (
+            "e" in s and _LONG_EXPONENT(s)):
+        return None
+    terms = s.replace(" - ", " + -").split(" + ")
+    if s.count(" ") != 2 * len(terms) - 2:   # a space inside a term
+        return None
+    coeffs, stars, monos = zip(*map(str.partition, terms, repeat("*")))
+    try:
+        masks, _, rendered = zip(*map(_monomial, monos, repeat(algebra.num_generators)))
+        if not all(rendered) or masks.count(0) != stars.count(""):   # "5*" has no monomial
+            return None
+        if algebra.mode == FLOAT:
+            values = list(map(float, coeffs))
+            # inf and nan propagate through the sum
+            read = (values, 1) if math.isfinite(sum(values)) else None
+        else:
+            read = _rational_coefficients(s, coeffs)
+    except (ValueError, ZeroDivisionError):   # GrassmannError is a ValueError
+        return None
+    if read is None:
+        return None
+    values, den = read
+    num = dict(zip(masks, values))
+    if len(num) != len(values):   # a repeated monomial: the loop adds
+        return None
+    if not all(values):
+        num = {m: c for m, c in num.items() if c}
+    return _reduced(algebra, num, den)
+
+
+def _rational_coefficients(s, coeffs):
+    """(numerators, den) of the coefficient texts over one denominator, or
+    None for a spelling the term loop reads differently.
+
+    Fractions a/b (with no decimals in s) are put over the lcm of their b;
+    decimals and exponents d.ddde+k (with no fractions) are ints times
+    powers of ten, put over the largest power.  A ValueError or
+    ZeroDivisionError means the text is not a rendered one.
+    """
+    if "/" in s:
+        if "." in s or "e" in s or "/-" in s or "/+" in s:
+            return None
+        tops, bars, bottoms = zip(*map(str.partition, coeffs, repeat("/")))
+        if bottoms.count("") != bars.count(""):   # "3/"
+            return None
+        dens = list(map(int, map(_ONE.get, bottoms, bottoms)))
+        den = math.lcm(*dens)
+        return list(map(mul, map(int, tops), map(floordiv, repeat(den), dens))), den
+    if "." not in s and "e" not in s:
+        return list(map(int, coeffs)), 1
+    if ".-" in s or ".+" in s:   # int() would read ".-5" as -5
+        return None
+    if "e" in s:
+        mantissas, es, exponents = zip(*map(str.partition, coeffs, repeat("e")))
+        if exponents.count("") != es.count(""):   # "1e"
+            return None
+        powers = map(int, map(_ZERO.get, exponents, exponents))
+    else:
+        mantissas, powers = coeffs, repeat(0)
+    wholes, _, decimals = zip(*map(str.partition, mantissas, repeat(".")))
+    digits = list(map(add, wholes, decimals))
+    if "" in digits or "-" in digits or "+" in digits:   # "e1", "-.": zeros would pass
+        return None
+    # each value is its digits times 10**shift; over 10**-low, its digits
+    # gain shift - low zeros
+    shifts = list(map(sub, powers, map(len, decimals)))
+    low = min(0, *shifts)
+    zeros = map(mul, repeat("0"), map(sub, shifts, repeat(low)))
+    return list(map(int, map(add, digits, zeros))), 10 ** -low
+
+
+def _parse_terms(algebra, text):
+    """parse_element's term loop: one regex match per term, any spelling
+    the grammar allows, and every error message with its position."""
     s = text.strip()
     if not s:
         raise GrassmannError("empty element text")
@@ -1221,7 +1343,7 @@ def parse_element(algebra, text):
         if (pos and not signs) or not (num or mono) or bool(num and mono) != bool(star):
             raise GrassmannError("expected term at position %d of %r" % (pos, s))
         c, d = one if num is None else _parse_number(algebra, num)
-        mask, sign = _monomial(mono or "", algebra.num_generators)
+        mask, sign, _ = _monomial(mono or "", algebra.num_generators)
         if signs and signs.count("-") & 1:
             sign = -sign
         if sign:

@@ -273,9 +273,15 @@ def classify_punctures(state):
     half while the sign is +1, or from the tail half while the sign is -1.
     An even count of opposing traversals gives R, odd gives NS.
     """
+    return _puncture_types(state, boundary_cycles(state.graph))
+
+
+def _puncture_types(state, cycles):
+    """classify_punctures with the graph's boundary cycles passed in, so
+    that the representatives of one graph walk them once."""
     graph = state.graph
     tags = []
-    for cycle in boundary_cycles(graph):
+    for cycle in cycles:
         k = 0
         for h in cycle:
             e = graph.edge_of(h)

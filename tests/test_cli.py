@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superpenner import cli, decorated
+from superpenner import cli, decorated, fatgraph, spin
 from superpenner.checks import CheckResult
 from superpenner.decorated import default_state, superflip
 from superpenner.fileio import load_state, render_state
+from superpenner.spin import enumerate_spin_classes
 
 from helpers import prism
 
@@ -45,6 +46,28 @@ def test_spin_enumerate_torus(capsys):
     class_lines = [l for l in lines if l.startswith("class ")]
     assert len(class_lines) == 4
     assert class_lines[0] == "class 0: +++ punctures: NS"
+
+
+def test_spin_enumerate_walks_the_boundary_cycles_once(capsys, monkeypatch):
+    # the representatives of one graph share its boundary cycles
+    calls = []
+    cycles = fatgraph.boundary_cycles
+
+    def counted(graph):
+        calls.append(graph)
+        return cycles(graph)
+
+    for module in (fatgraph, spin, cli):
+        monkeypatch.setattr(module, "boundary_cycles", counted)
+    for name in ("torus.fg", "genus2_1.fg", "genus1_2.fg"):
+        calls.clear()
+        code, out, _ = run(capsys, "spin", "enumerate", str(DATA / name))
+        assert code == 0
+        assert len(calls) == 1
+        classes = enumerate_spin_classes(load_state((DATA / name).read_text()).graph)
+        assert [line.split("punctures: ")[1] for line in out.splitlines()
+                if line.startswith("class ")] == [" ".join(spin.classify_punctures(rep))
+                                                  for rep in classes]
 
 
 def test_spin_classify(capsys):

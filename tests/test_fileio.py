@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from superpenner import grassmann
 from superpenner.catalog import punctured_torus
 from superpenner.checks import generic_edges, random_decorated_state
 from superpenner.decorated import superflip
@@ -200,3 +201,25 @@ def test_float_written_dense_document_loads_to_the_fraction_parse():
         assert x.terms == fraction_parse(value)
         compared += len(x.terms)
     assert compared > 1000
+
+
+def test_rendered_documents_are_read_in_bulk(monkeypatch):
+    # every value render_state writes is read back without the term loop,
+    # a float-written document in rational mode too
+    def forbidden(algebra, text):
+        raise AssertionError("term loop reached on %r" % text)
+
+    rng = random.Random(8)
+    dense = random_decorated_state(prism(4), rng, FLOAT)
+    for _ in range(10):
+        dense, _ = superflip(dense, rng.choice(generic_edges(dense.graph)))
+    assert max(len(x.num) for x in dense.lam.values()) == 128
+    exact = [random_decorated_state(prism(n), rng, RATIONAL) for n in (2, 3, 4)]
+    monkeypatch.setattr(grassmann, "_parse_terms", forbidden)
+    for state in (dense, *exact):
+        text = render_state(state)
+        again = load_state(text, mode=state.algebra.mode)
+        for x, y in [*zip(again.lam.values(), state.lam.values()),
+                     *zip(again.mu.values(), state.mu.values())]:
+            assert x.num == y.num and x.den == y.den
+    assert load_state(render_state(dense), mode=RATIONAL).lam[0].den > 1

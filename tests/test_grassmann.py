@@ -1,6 +1,7 @@
 import contextlib
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -391,6 +392,7 @@ def test_parse_rejects_terms_without_an_operator(text):
 @given(st.sampled_from([A6, F6]), st.text(alphabet="t0123456789+-*^/.eE \t", max_size=40))
 def test_parse_accepts_or_raises_grassmann_error(alg, text):
     # default deadline: a slow exponent or index path fails here instead of stalling
+    assert_parses_as_the_loop(alg, text)
     try:
         x = alg.parse(text)
     except GrassmannError:
@@ -406,6 +408,102 @@ def test_parse_bounds_numerals_and_indices(text):
     for alg in (A4, F4):
         with pytest.raises(GrassmannError):
             alg.parse(text)
+
+
+# -- bulk reading against the term loop ------------------------------------------
+# parse_element reads rendered text in bulk and hands every other text to the
+# term loop _parse_terms; the two must agree exactly, errors included.
+
+
+def parse_outcome(parse, alg, text):
+    """parse(alg, text) as its numerators, float bits and dict order kept,
+    and denominator, or as the message of the GrassmannError it raised."""
+    try:
+        x = parse(alg, text)
+    except GrassmannError as exc:
+        return "error: %s" % exc
+    if alg.mode == FLOAT:
+        return [(m, c.hex()) for m, c in x.num.items()], x.den
+    return [(m, type(c), c) for m, c in x.num.items()], x.den
+
+
+def assert_parses_as_the_loop(alg, text):
+    assert parse_outcome(grassmann.parse_element, alg, text) == parse_outcome(
+        grassmann._parse_terms, alg, text)
+
+
+# repr forms the float strategy may miss: short and 3-digit exponents
+FLOAT_REPRS = [1e-05, -2.5e-07, 1e+16, 1.5e-300, -2e+200, 5e-324, 1.7976931348623157e+308]
+
+
+@st.composite
+def rendered_texts(draw):
+    """(algebra, text): a random element on n <= 10 generators, rendered."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    mode = draw(st.sampled_from([RATIONAL, FLOAT]))
+    if mode == FLOAT:
+        coeffs = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FLOAT_REPRS)
+    else:
+        coeffs = st.fractions(max_denominator=10 ** 6) | st.integers(-10 ** 30, 10 ** 30)
+    alg = GrassmannAlgebra(n, mode)
+    terms = draw(st.dictionaries(st.integers(min_value=0, max_value=(1 << n) - 1), coeffs,
+                                 max_size=12))
+    return alg, str(alg.element(terms))
+
+
+PARSE_ALPHABET = "0123456789./eE+-*t^ \t"
+
+
+def mutated(draw, text):
+    """text with up to three characters replaced, deleted or inserted."""
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        edit = draw(st.sampled_from(["replace", "delete", "insert"]))
+        char = draw(st.sampled_from(PARSE_ALPHABET))
+        if edit == "insert":
+            text = text[:at] + char + text[at:]
+        else:
+            text = text[:at] + (char if edit == "replace" else "") + text[at + 1:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(rendered_texts())
+def test_rendered_text_is_read_in_bulk_as_the_loop_reads_it(case):
+    alg, text = case
+    assert_parses_as_the_loop(alg, text)
+    if not re.search(r"e[-+]?\d{3}", text):
+        assert grassmann._parse_rendered(alg, text) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(rendered_texts().filter(lambda case: case[0].mode == FLOAT))
+def test_decimal_text_is_read_in_bulk_in_rational_mode(case):
+    alg, text = case
+    exact = GrassmannAlgebra(alg.num_generators, RATIONAL)
+    assert_parses_as_the_loop(exact, text)
+    if not re.search(r"e[-+]?\d{3}", text):
+        assert grassmann._parse_rendered(exact, text) is not None
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_mutated_rendered_text_parses_as_the_loop_parses_it(data):
+    alg, text = data.draw(rendered_texts())
+    text = mutated(data.draw, text)
+    assert_parses_as_the_loop(alg, text)
+    assert_parses_as_the_loop(GrassmannAlgebra(alg.num_generators, RATIONAL), text)
+
+
+@pytest.mark.parametrize("text", [
+    "1 - 2*t0", "-1 - 2*t0^t1 - 3*t2", "5*", "5* + t0", "1 + 5*", "1e", "1e*t0", "2 - 1e*t1",
+    "t0t1", "2*t0t1", "1 + 2*t0t1", "2*t1^t0", "2*t1^t1", "2*t0 + 3*t0", "2*t01", "2*t0^",
+    ".-5", "1/-2", "1/+2", "3/", "/4", "1.5/2", "1e-5/2", "1e099", "1e-700", "0e700",
+    "0*t0", "-0.0*t0 + 1", "2*t0^t9", "1 +  2", "1 + -2", "1 - -2", "+5", "-.5", "1.e5",
+    "e1", "-e1", ".e1", "-.e1", ".", "1.25 + .", "1.25 - .*t0", "1e5 + +.e-2"])
+def test_edge_spellings_parse_as_the_loop_parses_them(text):
+    for alg in (A4, F4):
+        assert_parses_as_the_loop(alg, text)
 
 
 # -- kernel oracles --------------------------------------------------------------
@@ -618,6 +716,34 @@ def test_scalar_product_in_large_algebra_builds_no_class():
         assert time.perf_counter() - start < 1
         assert len(_CLASSES) == classes
         assert 128 not in _INDICES
+
+
+def test_refused_plan_builds_no_table(monkeypatch):
+    # a solve at n = 24 whose scan count passes 2**24 while its classes hold
+    # far more entries is refused from counts alone: building its groups
+    # would cache an index tuple of 2**25 + 1 ints for the life of the process
+    monkeypatch.setattr(grassmann, "_PLANS", {})
+    monkeypatch.setattr(grassmann, "_indices", forbidden)
+    monkeypatch.setattr(grassmann, "_weight_monomials", forbidden)
+    wy = sum(1 << w for w in range(0, 25, 2))   # a body and every even soul weight
+    ylen = 5000
+    assert ylen * ylen > 1 << 24
+    assert _dense_plan(24, 1, 1, ylen, wy, solve=True) is None
+    assert grassmann._PLANS[24, 1, wy, True][1] is None
+
+
+def test_refused_plan_is_built_once_operands_accept_it(monkeypatch):
+    monkeypatch.setattr(grassmann, "_PLANS", {})
+    n, w = 6, 0b1111111
+    classes = [(a, b) for a in range(n + 1) for b in range(n + 1) if a + b <= n]
+    plan = _plan(n, classes)
+    assert plan[0] == 64 + 3 ** 6
+    assert _dense_plan(n, 10, w, 10, w) is None   # 100 pairs: over 2**6, under the entries
+    assert grassmann._PLANS == {(n, w, w, False): (plan[0], None)}
+    assert _dense_plan(n, 10, w, 10, w) is None
+    assert _dense_plan(n, 30, w, 30, w) == plan
+    assert grassmann._PLANS == {(n, w, w, False): plan}
+    assert _dense_plan(n, 10, w, 10, w) is None
 
 
 @st.composite
