@@ -29,8 +29,7 @@ from .decorated import _puncture_residuals, shear_coordinates, superflip
 from .fatgraph import FatGraphError, NonGenericFlipError, boundary_cycles, topology
 from .fileio import load_state, render_state
 from .grassmann import FLOAT, RATIONAL, GrassmannError
-from .spin import (SpinError, _puncture_types, classify_punctures, enumerate_spin_classes,
-                   spin_class_count)
+from .spin import SpinError, classify_punctures, enumerate_spin_classes, spin_class_count
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -127,7 +126,7 @@ def cmd_spin(args):
         classes = enumerate_spin_classes(graph)
         cycles = boundary_cycles(graph)
         for i, rep in enumerate(classes):
-            tags = _puncture_types(rep, cycles)
+            tags = classify_punctures(rep, cycles)
             lines.append("class %d: %s punctures: %s"
                          % (i, rep.sign_string(), " ".join(tags)))
         lines.append("classes: %d" % len(classes))

@@ -150,7 +150,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations, compress, repeat
 from math import gcd
-from operator import add, floordiv, itemgetter, mul, sub, truediv
+from operator import add, itemgetter, mul, sub, truediv
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -1095,10 +1095,11 @@ def glog(x):
 
 # ---------------------------------------------------------------------------
 # text format: terms sorted by bitmask, "coeff*t<i>^t<j>", e.g. "1 + 2*t0^t1".
-# parse_element reads that spelling in bulk (_parse_rendered): a coefficient
-# on every term, " + " and " - " between terms, generators in increasing
-# order, no monomial twice and exponents of at most two digits.  Every other
-# text, bare monomials, free spacing and sign runs among them, goes through the
+# parse_element reads that spelling in bulk (_parse_rendered) when its
+# coefficients are integers, decimals or exponents of at most two digits (the
+# repr floats of float mode), with " + " and " - " between terms, generators
+# in increasing order and no monomial twice.  Every other text, fractions a/b,
+# bare monomials, free spacing and sign runs among them, goes through the
 # term loop (_parse_terms), which is the only path that raises.
 
 
@@ -1151,13 +1152,12 @@ _TERM_RE = re.compile(r"""
     (?P<mono>t\d+(?:[ \t]*\^[ \t]*t\d+)*)?
     """, re.VERBOSE)
 _GEN_RE = re.compile(r"t(\d+)")
-# the bytes a rendered element is made of, and an exponent of three or more
-# digits, which the term loop holds to sys.get_int_max_str_digits() (640 at
-# the least, when set)
-_RENDERED = b"0123456789./e+-*t^ "
+# the bytes a rendered element without fractions is made of, and an exponent
+# of three or more digits, which the term loop holds to
+# sys.get_int_max_str_digits() (640 at the least, when set)
+_RENDERED = b"0123456789.e+-*t^ "
 _LONG_EXPONENT = re.compile(r"e[-+]?\d\d\d").search
-# the text of an absent denominator or exponent
-_ONE = {"": "1"}
+# the text of an absent exponent
 _ZERO = {"": "0"}
 
 
@@ -1235,10 +1235,12 @@ def parse_element(algebra, text):
     sums the terms' numerators over the lcm of their denominators and
     reduces the element once.
 
-    Text spelled as render_element writes it is read in bulk
-    (_parse_rendered); any other text, every text with an error among
-    them, goes through the term loop (_parse_terms), which alone raises.
-    The two give the same element, float bits and dict order included.
+    Text spelled as render_element writes it, with integer, decimal or
+    exponent coefficients (float mode's repr, read in either mode), is read
+    in bulk (_parse_rendered); any other text, fractions a/b and every
+    text with an error among them, goes through the term loop
+    (_parse_terms), which alone raises.  The two give the same element,
+    float bits and dict order included.
     """
     x = _parse_rendered(algebra, text.strip())
     return _parse_terms(algebra, text) if x is None else x
@@ -1248,13 +1250,14 @@ def _parse_rendered(algebra, s):
     """The element of s, read in bulk, when s is spelled as render_element
     spells it; None otherwise.
 
-    That spelling is a coefficient on every term, "*" before each
-    monomial, monomials as "t<i>^t<j>..." with increasing distinct
-    indices, terms joined by " + " or " - ", and exponents of at most two
-    digits.  The terms are split and converted with C-level string and
-    map operations, and no term is summed: a repeated monomial is refused,
-    like every text _parse_terms rejects, so what is read is _parse_terms's
-    element, float bits and dict order included.
+    That spelling is an integer, decimal or exponent coefficient (no
+    fraction) on every term, "*" before each monomial, monomials as
+    "t<i>^t<j>..." with increasing distinct indices, terms joined by " + "
+    or " - ", and exponents of at most two digits.  The terms are split
+    and converted with C-level string and map operations, and no term is
+    summed: a repeated monomial is refused, like every text _parse_terms
+    rejects, so what is read is _parse_terms's element, float bits and dict
+    order included.
     """
     if not s.isascii() or s.encode().translate(None, _RENDERED) or (
             "e" in s and _LONG_EXPONENT(s)):
@@ -1273,7 +1276,7 @@ def _parse_rendered(algebra, s):
             read = (values, 1) if math.isfinite(sum(values)) else None
         else:
             read = _rational_coefficients(s, coeffs)
-    except (ValueError, ZeroDivisionError):   # GrassmannError is a ValueError
+    except ValueError:   # GrassmannError is a ValueError
         return None
     if read is None:
         return None
@@ -1290,20 +1293,10 @@ def _rational_coefficients(s, coeffs):
     """(numerators, den) of the coefficient texts over one denominator, or
     None for a spelling the term loop reads differently.
 
-    Fractions a/b (with no decimals in s) are put over the lcm of their b;
-    decimals and exponents d.ddde+k (with no fractions) are ints times
-    powers of ten, put over the largest power.  A ValueError or
-    ZeroDivisionError means the text is not a rendered one.
+    Integers, decimals and exponents d.ddde+k are ints times powers of ten,
+    put over the largest power.  A ValueError means the text is not a
+    rendered one.
     """
-    if "/" in s:
-        if "." in s or "e" in s or "/-" in s or "/+" in s:
-            return None
-        tops, bars, bottoms = zip(*map(str.partition, coeffs, repeat("/")))
-        if bottoms.count("") != bars.count(""):   # "3/"
-            return None
-        dens = list(map(int, map(_ONE.get, bottoms, bottoms)))
-        den = math.lcm(*dens)
-        return list(map(mul, map(int, tops), map(floordiv, repeat(den), dens))), den
     if "." not in s and "e" not in s:
         return list(map(int, coeffs)), 1
     if ".-" in s or ".+" in s:   # int() would read ".-5" as -5

@@ -265,21 +265,20 @@ def brute_force_spin_classes(graph):
     return tuple(OrientationState(graph, _mask_to_signs(m, num_edges)) for m in reps)
 
 
-def classify_punctures(state):
+def classify_punctures(state, cycles=None):
     """R/NS type of every boundary cycle, in boundary_cycles order.
 
     Walking a cycle traverses each half-edge h along h -> alpha(h); the
     traversal opposes the edge's orientation when it runs from the head
     half while the sign is +1, or from the tail half while the sign is -1.
     An even count of opposing traversals gives R, odd gives NS.
+
+    cycles, when given, must be boundary_cycles(state.graph); the
+    orientations of one graph can then share one walk of its cycles.
     """
-    return _puncture_types(state, boundary_cycles(state.graph))
-
-
-def _puncture_types(state, cycles):
-    """classify_punctures with the graph's boundary cycles passed in, so
-    that the representatives of one graph walk them once."""
     graph = state.graph
+    if cycles is None:
+        cycles = boundary_cycles(graph)
     tags = []
     for cycle in cycles:
         k = 0

@@ -204,10 +204,15 @@ def test_float_written_dense_document_loads_to_the_fraction_parse():
 
 
 def test_rendered_documents_are_read_in_bulk(monkeypatch):
-    # every value render_state writes is read back without the term loop,
-    # a float-written document in rational mode too
-    def forbidden(algebra, text):
-        raise AssertionError("term loop reached on %r" % text)
+    # every value render_state writes without a fraction a/b is read back
+    # without the term loop, a float-written document in rational mode too;
+    # fractions go through the loop
+    looped = []
+    loop = grassmann._parse_terms
+
+    def counted(algebra, text):
+        looped.append(text)
+        return loop(algebra, text)
 
     rng = random.Random(8)
     dense = random_decorated_state(prism(4), rng, FLOAT)
@@ -215,11 +220,17 @@ def test_rendered_documents_are_read_in_bulk(monkeypatch):
         dense, _ = superflip(dense, rng.choice(generic_edges(dense.graph)))
     assert max(len(x.num) for x in dense.lam.values()) == 128
     exact = [random_decorated_state(prism(n), rng, RATIONAL) for n in (2, 3, 4)]
-    monkeypatch.setattr(grassmann, "_parse_terms", forbidden)
-    for state in (dense, *exact):
-        text = render_state(state)
-        again = load_state(text, mode=state.algebra.mode)
-        for x, y in [*zip(again.lam.values(), state.lam.values()),
-                     *zip(again.mu.values(), state.mu.values())]:
-            assert x.num == y.num and x.den == y.den
-    assert load_state(render_state(dense), mode=RATIONAL).lam[0].den > 1
+    monkeypatch.setattr(grassmann, "_parse_terms", counted)
+    for state, mode in [(dense, FLOAT), (dense, RATIONAL), *((x, RATIONAL) for x in exact)]:
+        values = [*map(str, state.lam.values()), *map(str, state.mu.values())]
+        looped.clear()
+        again = load_state(render_state(state), mode=mode)
+        assert looped == [v for v in values if "/" in v]
+        if mode == state.algebra.mode:
+            for x, y in [*zip(again.lam.values(), state.lam.values()),
+                         *zip(again.mu.values(), state.mu.values())]:
+                assert x.num == y.num and x.den == y.den
+        elif mode == RATIONAL:
+            assert again.lam[0].den > 1
+    whole = [v for x in exact for v in map(str, x.lam.values()) if "/" not in v]
+    assert any(len(v.split()) > 1 for v in whole)   # integer text with terms, read in bulk

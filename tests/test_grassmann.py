@@ -472,7 +472,8 @@ def mutated(draw, text):
 def test_rendered_text_is_read_in_bulk_as_the_loop_reads_it(case):
     alg, text = case
     assert_parses_as_the_loop(alg, text)
-    if not re.search(r"e[-+]?\d{3}", text):
+    # fractions a/b and 3-digit exponents are left to the loop
+    if "/" not in text and not re.search(r"e[-+]?\d{3}", text):
         assert grassmann._parse_rendered(alg, text) is not None
 
 
