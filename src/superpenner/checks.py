@@ -329,10 +329,10 @@ def check_ptolemy(graph, seed=0, mode=RATIONAL, tol=1e-12, cases=1000):
     for _ in range(cases):
         e = rng.choice(edges)
         state = random_decorated_state(graph, rng, mode=mode, odd=False)
-        q = flip_quadrilateral(graph, e)
-        flipped, _ = superflip(state, e)
+        flipped, record = superflip(state, e)
         lhs = state.lam[e] * flipped.lam[e]
-        rhs = state.lam[q.a] * state.lam[q.c] + state.lam[q.b] * state.lam[q.d]
+        rhs = (state.lam[record.a] * state.lam[record.c]
+               + state.lam[record.b] * state.lam[record.d])
         if flipped.lam[e].body <= 0:
             failures += 1
         elif mode == RATIONAL:

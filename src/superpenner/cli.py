@@ -3,7 +3,8 @@
 Subcommands: info, spin enumerate, spin classify, flip, shear, check.
 Reports are plain text, one record per line, deterministic for a fixed
 (input, seed, mode).  Exit codes: 0 success, 1 property-check failure,
-2 input parse failure, 3 precondition violation (e.g. non-generic flip).
+2 input parse failure or unwritable --output, 3 precondition violation
+(e.g. non-generic flip).
 
 The default check tolerance can be overridden with SUPERPENNER_TOL; a
 tolerance that is not finite and positive is bad input.
@@ -85,17 +86,21 @@ def _parser():
     return build_parser()
 
 
+class _LoadError(Exception):
+    """Bad input: an unreadable or unparsable file, an unwritable output
+    file, or a malformed setting."""
+
+
 def _emit(lines, output):
     text = "\n".join(lines) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _LoadError(str(exc)) from exc
     else:
         sys.stdout.write(text)
-
-
-class _LoadError(Exception):
-    """Bad input: an unreadable or unparsable file, or a malformed setting."""
 
 
 def _load(path, mode=RATIONAL):

@@ -117,14 +117,10 @@ x_m / b.  gdiv scales instead of solving.  In rational mode, dividing by
 b / dy multiplies every numerator by dy and puts the result over den * b,
 with the sign moved off the denominator, reduced once.  In float mode
 every term is v / b, the operation the solve runs on it, and a term that
-underflows to 0 is dropped, as the solve drops it.  Likewise the root,
-inverse root or log of a one-term scalar is its body's: the solve would
-compute only z_0 = start_0 / 1, so gsqrt, ginvsqrt and glog return that
-scalar directly, after the same checks.
+underflows to 0 is dropped, as the solve drops it.
 
 Dispatch: gdiv scales when its divisor has a single term (an invertible
-one-term y is a scalar), and the powers and log of a one-term scalar
-solve nothing.  Otherwise a solve takes the dense path when
+one-term y is a scalar).  Otherwise a solve takes the dense path when
 2**n < len(start) * len(y) + len(y)**2 (the pairs of start and of a
 solution about as long as y with y), and its plan holds at most that many
 entries, in either mode.  The len(y)**2 counts before the 2**n test:
@@ -1007,16 +1003,6 @@ def ginv(x):
     return gdiv(x.algebra.one(), x)
 
 
-def _scalar_result(algebra, v, den):
-    """The root or log of a one-term scalar: the scalar v / den, given in
-    normal form, or zero when v is 0.  That is what the solve returns for
-    it, z_0 = start_0 / 1, so the solve is skipped, as gdiv skips it for a
-    one-term divisor."""
-    if not v:
-        return algebra.zero()
-    return _element(algebra, {0: v}, den, 1)
-
-
 def _body_root(x, what):
     """sqrt(body) of an even x with positive body, as (numerator, denominator).
 
@@ -1046,8 +1032,6 @@ def gsqrt(x):
     error is raised (switch the algebra to float mode for generic bodies).
     """
     rp, rq = _body_root(x, "square root")
-    if len(x.num) == 1:
-        return _scalar_result(x.algebra, rp, rq)
     return _solve(x, {0: rp}, rq, 1, (1, 2), "square root")
 
 
@@ -1062,8 +1046,6 @@ def ginvsqrt(x):
         rp, rq = 1 / rp, 1
     else:
         rp, rq = rq, rp
-    if len(x.num) == 1:
-        return _scalar_result(x.algebra, rp, rq)
     return _solve(x, {0: rp}, rq, 1, (-1, 2), "inverse square root")
 
 
@@ -1086,8 +1068,6 @@ def glog(x):
                              "(rational mode needs body 1)" % (x.body,))
     else:
         log_b = 0
-    if len(x.num) == 1:
-        return _scalar_result(x.algebra, log_b, 1)
     start = {m: m.bit_count() * c for m, c in x.num.items() if m}
     start[0] = log_b
     return _solve(x, start, x.den, _weights(x) | 1, (0, 1), "logarithm")
@@ -1180,38 +1160,17 @@ def _monomial(text, num_generators):
 
 
 def _parse_number(algebra, num):
-    """A coefficient literal as a (numerator, denominator) pair.
-
-    In rational mode both are ints, read straight from the digits as
-    Fraction(num) reads them, but not reduced: "2.50" is (250, 100).  In
-    float mode the pair is (float, 1).  Exponents and digit runs are held
-    to the interpreter's limit on integer digit strings, so no literal
-    stalls the parser.
+    """A coefficient literal as a Fraction in rational mode and a float in
+    float mode.  Exponents and digit runs are held to the interpreter's
+    limit on integer digit strings, so no literal stalls the parser.
     """
     limit = sys.get_int_max_str_digits()
-    mantissa, _, exponent = num.lower().partition("e")
+    exponent = num.lower().partition("e")[2]
     if exponent and 0 < limit < abs(float(exponent)):
         raise GrassmannError("exponent of %r is beyond %d" % (num, limit))
     try:
         if algebra.mode == RATIONAL:
-            if "/" in mantissa:
-                top, _, bottom = mantissa.partition("/")
-                n, d = int(top), int(bottom)
-                if not d:
-                    raise ZeroDivisionError
-                return n, d
-            whole, _, decimals = mantissa.partition(".")
-            n, d = int(whole or "0"), 1
-            if decimals:
-                d = 10 ** len(decimals)
-                n = n * d + int(decimals)
-            if exponent:
-                e = int(exponent)
-                if e >= 0:
-                    n *= 10 ** e
-                else:
-                    d *= 10 ** -e
-            return n, d
+            return Fraction(num)
         value = float(Fraction(num)) if "/" in num else float(num)
     except ZeroDivisionError:
         raise GrassmannError("zero denominator in %r" % (num,)) from None
@@ -1222,7 +1181,7 @@ def _parse_number(algebra, num):
                              % (len(num), limit)) from None
     if not math.isfinite(value):
         raise GrassmannError("non-finite coefficient %r" % (num,))
-    return value, 1
+    return value
 
 
 def parse_element(algebra, text):
@@ -1322,38 +1281,31 @@ def _rational_coefficients(s, coeffs):
 
 def _parse_terms(algebra, text):
     """parse_element's term loop: one regex match per term, any spelling
-    the grammar allows, and every error message with its position."""
+    the grammar allows, and every error message with its position.  The
+    values of each monomial are summed, and algebra.element puts them in
+    normal form."""
     s = text.strip()
     if not s:
         raise GrassmannError("empty element text")
-    one = (1.0, 1) if algebra.mode == FLOAT else (1, 1)
+    one = 1.0 if algebra.mode == FLOAT else 1
     terms = {}
-    den = 1
     pos = 0
     while pos < len(s):
         term = _TERM_RE.match(s, pos)
         signs, num, star, mono = term.groups()
         if (pos and not signs) or not (num or mono) or bool(num and mono) != bool(star):
             raise GrassmannError("expected term at position %d of %r" % (pos, s))
-        c, d = one if num is None else _parse_number(algebra, num)
+        c = one if num is None else _parse_number(algebra, num)
         mask, sign, _ = _monomial(mono or "", algebra.num_generators)
         if signs and signs.count("-") & 1:
             sign = -sign
         if sign:
-            if d != den:  # put c, and the terms before it if need be, over the lcm
-                g = gcd(den, d)
-                if d != g:
-                    for m in terms:
-                        terms[m] *= d // g
-                    den *= d // g
-                c *= den // d
             if sign < 0:
                 c = -c
             if mask in terms:  # a repeated monomial: only then add
                 c += terms[mask]
             terms[mask] = c
         pos = term.end()
-    terms = {m: c for m, c in terms.items() if c}
     if algebra.mode == FLOAT and not all(map(math.isfinite, terms.values())):
         raise GrassmannError("coefficient sum overflows in %r" % (text,))
-    return _reduced(algebra, terms, den)
+    return algebra.element(terms)

@@ -1,13 +1,17 @@
 """Helpers shared by the test modules."""
 
 import math
+import sys
 from collections import deque
 from fractions import Fraction
+from math import gcd
 
 from superpenner.decorated import DecoratedState, states_equal_mod_sign
 from superpenner.fatgraph import (FatGraph, boundary_cycles, find_isomorphisms,
                                   propagate_isomorphism)
-from superpenner.grassmann import FLOAT, _below_parity, _finish, _join, _rules
+from superpenner.grassmann import (FLOAT, RATIONAL, _TERM_RE, GrassmannError,
+                                   _below_parity, _finish, _join, _monomial, _reduced,
+                                   _rules)
 from superpenner.spin import OrientationState, reflection_mask
 
 
@@ -353,3 +357,93 @@ def reference_aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
         if states_equal_mod_sign(moved, initial, tol=tol):
             return True
     return False
+
+
+# -- the term loop with its own decimal reader and running lcm ---------------
+# The reference for grassmann._parse_terms, which reads literals with
+# Fraction and puts the summed terms in normal form with algebra.element.
+
+
+def reference_parse_number(algebra, num):
+    """A coefficient literal as a (numerator, denominator) pair.
+
+    In rational mode both are ints, read straight from the digits as
+    Fraction(num) reads them, but not reduced: "2.50" is (250, 100).  In
+    float mode the pair is (float, 1).  Exponents and digit runs are held
+    to the interpreter's limit on integer digit strings, so no literal
+    stalls the parser.
+    """
+    limit = sys.get_int_max_str_digits()
+    mantissa, _, exponent = num.lower().partition("e")
+    if exponent and 0 < limit < abs(float(exponent)):
+        raise GrassmannError("exponent of %r is beyond %d" % (num, limit))
+    try:
+        if algebra.mode == RATIONAL:
+            if "/" in mantissa:
+                top, _, bottom = mantissa.partition("/")
+                n, d = int(top), int(bottom)
+                if not d:
+                    raise ZeroDivisionError
+                return n, d
+            whole, _, decimals = mantissa.partition(".")
+            n, d = int(whole or "0"), 1
+            if decimals:
+                d = 10 ** len(decimals)
+                n = n * d + int(decimals)
+            if exponent:
+                e = int(exponent)
+                if e >= 0:
+                    n *= 10 ** e
+                else:
+                    d *= 10 ** -e
+            return n, d
+        value = float(Fraction(num)) if "/" in num else float(num)
+    except ZeroDivisionError:
+        raise GrassmannError("zero denominator in %r" % (num,)) from None
+    except OverflowError:  # a fraction beyond the float range
+        raise GrassmannError("non-finite coefficient %r" % (num,)) from None
+    except ValueError:  # a digit run longer than the interpreter converts
+        raise GrassmannError("numeral of %d characters has a digit run longer than %d"
+                             % (len(num), limit)) from None
+    if not math.isfinite(value):
+        raise GrassmannError("non-finite coefficient %r" % (num,))
+    return value, 1
+
+
+def reference_parse_terms(algebra, text):
+    """parse_element's term loop: one regex match per term, any spelling
+    the grammar allows, and every error message with its position."""
+    s = text.strip()
+    if not s:
+        raise GrassmannError("empty element text")
+    one = (1.0, 1) if algebra.mode == FLOAT else (1, 1)
+    terms = {}
+    den = 1
+    pos = 0
+    while pos < len(s):
+        term = _TERM_RE.match(s, pos)
+        signs, num, star, mono = term.groups()
+        if (pos and not signs) or not (num or mono) or bool(num and mono) != bool(star):
+            raise GrassmannError("expected term at position %d of %r" % (pos, s))
+        c, d = one if num is None else reference_parse_number(algebra, num)
+        mask, sign, _ = _monomial(mono or "", algebra.num_generators)
+        if signs and signs.count("-") & 1:
+            sign = -sign
+        if sign:
+            if d != den:  # put c, and the terms before it if need be, over the lcm
+                g = gcd(den, d)
+                if d != g:
+                    for m in terms:
+                        terms[m] *= d // g
+                    den *= d // g
+                c *= den // d
+            if sign < 0:
+                c = -c
+            if mask in terms:  # a repeated monomial: only then add
+                c += terms[mask]
+            terms[mask] = c
+        pos = term.end()
+    terms = {m: c for m, c in terms.items() if c}
+    if algebra.mode == FLOAT and not all(map(math.isfinite, terms.values())):
+        raise GrassmannError("coefficient sum overflows in %r" % (text,))
+    return _reduced(algebra, terms, den)

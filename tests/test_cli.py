@@ -166,6 +166,17 @@ def test_parse_failure_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["info"], ["check", "spincount"]])
+@pytest.mark.parametrize("target", ["missing-parent", "directory"])
+def test_unwritable_output_is_bad_input(capsys, tmp_path, command, target):
+    output = tmp_path / "missing" / "out.txt" if target == "missing-parent" else tmp_path
+    code, out, err = run(capsys, *command, str(DATA / "torus.fg"), "--output", str(output))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno ") and str(output) in err
+    assert err.count("\n") == 1
+
+
 def test_check_spincount(capsys):
     code, out, _ = run(capsys, "check", "spincount", str(DATA / "genus2_1.fg"))
     assert code == 0

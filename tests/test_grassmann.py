@@ -16,7 +16,7 @@ from superpenner.grassmann import (_CLASSES, _INDICES, FLOAT, RATIONAL, Grassman
                                    gmul, gsqrt)
 
 from helpers import (fraction_log, fraction_power, fraction_quotient, is_normal,
-                     reference_scan_solve, reference_sign, weight_mask)
+                     reference_parse_terms, reference_scan_solve, reference_sign, weight_mask)
 
 
 A4 = GrassmannAlgebra(4, RATIONAL)
@@ -432,6 +432,14 @@ def assert_parses_as_the_loop(alg, text):
         grassmann._parse_terms, alg, text)
 
 
+# helpers.reference_parse_terms is the term loop with its own decimal reader
+# and a running lcm; _parse_terms reads literals with Fraction and sums per
+# monomial, and must agree with it exactly, errors included.
+def assert_loop_parses_as_the_reference(alg, text):
+    assert parse_outcome(grassmann._parse_terms, alg, text) == parse_outcome(
+        reference_parse_terms, alg, text)
+
+
 # repr forms the float strategy may miss: short and 3-digit exponents
 FLOAT_REPRS = [1e-05, -2.5e-07, 1e+16, 1.5e-300, -2e+200, 5e-324, 1.7976931348623157e+308]
 
@@ -501,10 +509,56 @@ def test_mutated_rendered_text_parses_as_the_loop_parses_it(data):
     "t0t1", "2*t0t1", "1 + 2*t0t1", "2*t1^t0", "2*t1^t1", "2*t0 + 3*t0", "2*t01", "2*t0^",
     ".-5", "1/-2", "1/+2", "3/", "/4", "1.5/2", "1e-5/2", "1e099", "1e-700", "0e700",
     "0*t0", "-0.0*t0 + 1", "2*t0^t9", "1 +  2", "1 + -2", "1 - -2", "+5", "-.5", "1.e5",
-    "e1", "-e1", ".e1", "-.e1", ".", "1.25 + .", "1.25 - .*t0", "1e5 + +.e-2"])
+    "e1", "-e1", ".e1", "-.e1", ".", "1.25 + .", "1.25 - .*t0", "1e5 + +.e-2",
+    "1/3*t0 + 1/6*t0", "2/4 - 1/2", "1/3*t0 - 3/9*t0 + t0", "3/4 + 5/6*t1 - 7/10*t1^t0",
+    "1e400*t0 + 1e-400", "9" * 20 + "/7", "3/0", "1e99999", "t2^t2 + 1/2", "1 + -2/3",
+    "2.50*t0 + 0.5e1*t0", "1e308*t0 + 1e308*t0", "0/5*t0 + 1"])
 def test_edge_spellings_parse_as_the_loop_parses_them(text):
     for alg in (A4, F4):
         assert_parses_as_the_loop(alg, text)
+        assert_loop_parses_as_the_reference(alg, text)
+
+
+@st.composite
+def mixed_fraction_texts(draw):
+    """(n, text): fractions a/b over mixed, unreduced denominators, with
+    decimals and exponents among them, on monomials from a small pool, so
+    that monomials repeat and their terms are summed."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    indices = st.lists(st.integers(min_value=0, max_value=max(n - 1, 0)), max_size=2)
+    coeffs = st.one_of(
+        st.tuples(st.integers(min_value=0, max_value=99),
+                  st.integers(min_value=0, max_value=36)).map(lambda pq: "%d/%d" % pq),
+        st.decimals(min_value=0, max_value=100, places=3).map(str),
+        st.tuples(st.integers(min_value=0, max_value=99),
+                  st.integers(min_value=-30, max_value=30)).map(lambda pe: "%de%d" % pe))
+    text = ""
+    for k in range(draw(st.integers(min_value=1, max_value=8))):
+        sign = draw(st.sampled_from("+-"))
+        coeff = draw(st.none() | coeffs)
+        mono = "^".join("t%d" % i for i in (draw(indices) if n else []))
+        term = coeff if not mono else mono if coeff is None else coeff + "*" + mono
+        text += (" %s " % sign if k else sign.strip("+")) + (term or "1")
+    return n, text
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_term_loop_parses_as_the_reference_loop(data):
+    # numerators, float bits, dict order and den, or the same error message
+    source = data.draw(st.sampled_from(["rendered", "mutated", "fuzzed", "fractions"]))
+    if source in ("rendered", "mutated"):
+        alg, text = data.draw(rendered_texts())
+        n = alg.num_generators
+        if source == "mutated":
+            text = mutated(data.draw, text)
+    elif source == "fuzzed":
+        n = data.draw(st.integers(min_value=0, max_value=6))
+        text = data.draw(st.text(alphabet=PARSE_ALPHABET, max_size=40))
+    else:
+        n, text = data.draw(mixed_fraction_texts())
+    for mode in (RATIONAL, FLOAT):
+        assert_loop_parses_as_the_reference(GrassmannAlgebra(n, mode), text)
 
 
 # -- kernel oracles --------------------------------------------------------------
@@ -1174,35 +1228,28 @@ def test_scalar_operands_neither_scan_nor_solve(monkeypatch):
 @given(st.integers(min_value=0, max_value=4),
        st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                  st.fractions(min_value=0, max_value=10 ** 6).filter(bool)))
-def test_scalar_roots_and_logs_skip_the_solve(n, body):
-    # a one-term scalar's root, inverse root and log are the ones the solve
-    # computes for it: the same float bits, or the same normal form
+def test_scalar_roots_and_logs_are_their_bodies(n, body):
+    # a one-term scalar goes through the solve, which divides z_0 by 1: the
+    # float bits of math.sqrt and math.log, or the exact root in normal form
     if isinstance(body, float):
         alg = GrassmannAlgebra(n, FLOAT)
-        scalars = [alg.scalar(body), alg.one()]
+        cases = [(alg.scalar(b), [math.sqrt(b), 1 / math.sqrt(b), math.log(b)])
+                 for b in (body, 1.0)]
     else:
         alg = GrassmannAlgebra(n, RATIONAL)
-        scalars = [alg.scalar(body * body), alg.one()]
-    for x in scalars:
-        rp, rq = grassmann._body_root(x, "square root")
-        ip, iq = (1 / rp, 1) if alg.mode == FLOAT else (rq, rp)
-        want = [grassmann._solve(x, {0: rp}, rq, 1, (1, 2), "square root"),
-                grassmann._solve(x, {0: ip}, iq, 1, (-1, 2), "inverse square root")]
-        if alg.mode == FLOAT or x == alg.one():
-            log_b = math.log(x.body) if alg.mode == FLOAT else 0
-            want.append(grassmann._solve(x, {0: log_b}, x.den, 1, (0, 1), "logarithm"))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(grassmann, "_solve", forbidden)
-            got = [run(x) for run in (gsqrt, ginvsqrt, glog)[:len(want)]]
-        for g, w in zip(got, want):
-            assert g._w == w._w
+        cases = [(alg.scalar(body * body), [body, 1 / body]), (alg.one(), [1, 1, 0])]
+    for x, values in cases:
+        for run, value in zip((gsqrt, ginvsqrt, glog), values):
+            z = run(x)
+            want = alg.scalar(value)
+            assert z._w == (1 if value else 0)
             if alg.mode == FLOAT:
-                assert g.den == w.den == 1
-                assert [(m, c.hex()) for m, c in g.num.items()] == [
-                    (m, c.hex()) for m, c in w.num.items()]
+                assert z.den == 1
+                assert [(m, c.hex()) for m, c in z.num.items()] == [
+                    (m, c.hex()) for m, c in want.num.items()]
             else:
-                assert (g.num, g.den) == (w.num, w.den)
-                assert is_normal(g)
+                assert (z.num, z.den) == (want.num, want.den)
+                assert is_normal(z)
 
 
 def test_scalar_roots_and_logs_keep_their_errors(monkeypatch):
@@ -1271,9 +1318,10 @@ def test_scan_solve_matches_its_push_form(case):
         gsqrt(square)
         ginvsqrt(square)
         glog(square if mode == FLOAT else unit)
-    # a one-term d makes every operand a one-term scalar, which solves nothing
-    assert kinds == (["quotient", "square root", "inverse square root", "logarithm"]
-                     if len(d.num) > 1 else [])
+    # a one-term d makes every operand a one-term scalar: the quotient only
+    # scales, and the roots and the log still solve
+    assert kinds == (["quotient"] if len(d.num) > 1 else []) + [
+        "square root", "inverse square root", "logarithm"]
 
 
 # -- weight masks and cached views -------------------------------------------------
