@@ -17,7 +17,8 @@ from itertools import compress
 from operator import itemgetter, ne
 
 from .decorated import DecoratedState, states_equal_mod_sign, superflip
-from .fatgraph import NonGenericFlipError, find_isomorphisms, flip_quadrilateral, topology
+from .fatgraph import (NonGenericFlipError, _quadrilateral, find_isomorphisms,
+                       flip_quadrilateral, topology)
 from .grassmann import FLOAT, RATIONAL, GrassmannAlgebra, _sort_sign
 from .spin import (MAX_BRUTE_FORCE_EDGES, OrientationState, SpinError,
                    brute_force_spin_classes, enumerate_spin_classes, spin_class_count)
@@ -199,29 +200,32 @@ def _pythagorean_ratio(rng):
     return m, n
 
 
-def _draws_element(algebra, draws):
-    """The element of (indices, coefficient) draws, built in one pass.
+def _draws_element(algebra, draws, body=0):
+    """body plus the element of (indices, coefficient) draws, in one pass.
 
     A repeated monomial sums its coefficients in draw order, and a
     monomial whose sum is zero is dropped, as adding the draws one
-    monomial at a time would.
+    monomial at a time would.  A nonzero body is the first term, so the
+    result is algebra.scalar(body) plus the draws' element, built with one
+    lcm and one reduce instead of an addition.
     """
     n = algebra.num_generators
-    terms = {}
+    terms = {0: body} if body else {}
     for indices, c in draws:
         mask, sign = _sort_sign(indices, n)
         terms[mask] = terms.get(mask, 0) + sign * c
     return algebra.element(terms)
 
 
-def _random_even_soul(algebra, rng, coeff):
+def _random_even_soul(algebra, rng, coeff, body=0):
+    """body plus a random soul of at most two weight-2 monomials."""
     n = algebra.num_generators
     draws = []
     for _ in range(rng.randint(0, 2)):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
             draws.append(((i, j), coeff(rng)))
-    return _draws_element(algebra, draws)
+    return _draws_element(algebra, draws, body)
 
 
 def _random_odd(algebra, rng, coeff):
@@ -256,14 +260,14 @@ def random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
 
     bodies = {e: body(rng) for e in range(graph.num_edges)}
     if square_friendly_edge is not None:
-        q = flip_quadrilateral(graph, square_friendly_edge)
+        a, b, c, d = _quadrilateral(graph, square_friendly_edge)[8:]
         m, n = _pythagorean_ratio(rng)
         w1, w2 = body(rng), body(rng)
-        bodies[q.a] = m * w1
-        bodies[q.c] = m * w2
-        bodies[q.b] = n * w1
-        bodies[q.d] = n * w2
-    lam = {e: algebra.scalar(bodies[e]) + _random_even_soul(algebra, rng, coeff)
+        bodies[a] = m * w1
+        bodies[c] = m * w2
+        bodies[b] = n * w1
+        bodies[d] = n * w2
+    lam = {e: _random_even_soul(algebra, rng, coeff, bodies[e])
            for e in range(graph.num_edges)}
     if odd:
         mu = {v: _random_odd(algebra, rng, coeff)

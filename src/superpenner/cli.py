@@ -6,6 +6,11 @@ Reports are plain text, one record per line, deterministic for a fixed
 2 input parse failure or unwritable --output, 3 precondition violation
 (e.g. non-generic flip).
 
+--output rewrites the file in place: an existing file is overwritten from
+its start and then cut to the report's length, never emptied first, and,
+as before, not fsynced.  A pipe or device (/dev/stdout, /dev/null) is
+written but not truncated.
+
 The default check tolerance can be overridden with SUPERPENNER_TOL; a
 tolerance that is not finite and positive is bad input.
 
@@ -23,6 +28,7 @@ import functools
 import inspect
 import math
 import os
+import stat
 import sys
 
 from .checks import SUITES, CheckSetupError
@@ -92,15 +98,30 @@ class _LoadError(Exception):
 
 
 def _emit(lines, output):
+    """Print the report, or write it over the file output in place.
+
+    The file is opened without O_TRUNC and, when it is a regular file
+    longer than the report, cut at the report's end afterwards; a report
+    ends in a newline, so the file is never truncated to zero bytes.  On
+    ext4, truncating a non-empty file to zero and rewriting it starts
+    writeback at close, which cost several times the write itself.
+    """
     text = "\n".join(lines) + "\n"
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _LoadError(str(exc)) from exc
-    else:
+    if not output:
         sys.stdout.write(text)
+        return
+    try:
+        fd = os.open(output, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode):
+                end = fh.tell()
+                if st.st_size > end:
+                    os.ftruncate(fd, end)
+    except OSError as exc:
+        raise _LoadError(str(exc)) from exc
 
 
 def _load(path, mode=RATIONAL):
@@ -178,9 +199,15 @@ def cmd_shear(args):
     return EXIT_OK
 
 
+@functools.cache
+def _suite_defaults(suite):
+    """The keyword defaults of a suite function, read once per function."""
+    return {name: p.default for name, p in inspect.signature(suite).parameters.items()}
+
+
 def cmd_check(args):
     suite = SUITES[args.suite]
-    defaults = {name: p.default for name, p in inspect.signature(suite).parameters.items()}
+    defaults = _suite_defaults(suite)
     mode = args.mode or defaults["mode"]
     tol, source = args.tol, "--tol"
     if tol is None:

@@ -44,7 +44,7 @@ does, and still differs from it.
 from __future__ import annotations
 
 from .grassmann import RATIONAL, GrassmannAlgebra, GrassmannError, gdiv, ginvsqrt, glog, gsqrt
-from .fatgraph import boundary_cycles, flip_quadrilateral, topology
+from .fatgraph import _quadrilateral, boundary_cycles, topology
 from .spin import OrientationState, SpinError, flip_orientation, reflection_vertices_between
 
 
@@ -188,9 +188,10 @@ def shear_coordinates(state):
     float mode unless every ratio has body 1.
     """
     out = {}
+    lam = state.lam
     for e in range(state.graph.num_edges):
-        q = flip_quadrilateral(state.graph, e, require_generic=False)
-        out[e] = glog(gdiv(state.lam[q.a] * state.lam[q.c], state.lam[q.b] * state.lam[q.d]))
+        a, b, c, d = _quadrilateral(state.graph, e, require_generic=False)[8:]
+        out[e] = glog(gdiv(lam[a] * lam[c], lam[b] * lam[d]))
     return out
 
 

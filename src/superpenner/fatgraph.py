@@ -207,7 +207,8 @@ def _quadrilateral(graph, e, require_generic=True):
 
     (tail_vertex, head_vertex, tail_half, head_half, ha, hb, hc, hd, a,
     b, c, d), read from the graph's tables, with flip_quadrilateral's
-    checks and errors; whitehead_flip takes them without building a
+    checks and errors; whitehead_flip, decorated.shear_coordinates and
+    checks.random_decorated_state take them without building a
     Quadrilateral.
     """
     if not 0 <= e < len(graph.edges):

@@ -6,12 +6,13 @@ from collections import deque
 from fractions import Fraction
 from math import gcd
 
+from superpenner import checks
 from superpenner.decorated import DecoratedState, states_equal_mod_sign
 from superpenner.fatgraph import (FatGraph, boundary_cycles, find_isomorphisms,
-                                  propagate_isomorphism)
-from superpenner.grassmann import (FLOAT, RATIONAL, _TERM_RE, GrassmannError,
-                                   _below_parity, _finish, _join, _monomial, _reduced,
-                                   _rules)
+                                  flip_quadrilateral, propagate_isomorphism)
+from superpenner.grassmann import (FLOAT, RATIONAL, _TERM_RE, GrassmannAlgebra,
+                                   GrassmannError, _below_parity, _finish, _join, _monomial,
+                                   _reduced, _rules)
 from superpenner.spin import OrientationState, reflection_mask
 
 
@@ -282,11 +283,11 @@ def is_normal(x):
             and math.gcd(x.den, *nums) == 1)
 
 
-def reference_random_even_soul(algebra, rng, coeff):
+def reference_random_even_soul(algebra, rng, coeff, body=0):
     """checks._random_even_soul as built one monomial addition at a time:
     the oracle for the one-pass construction, drawing from rng alike."""
     n = algebra.num_generators
-    x = algebra.zero()
+    x = algebra.scalar(body)
     for _ in range(rng.randint(0, 2)):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
@@ -306,6 +307,46 @@ def reference_random_odd(algebra, rng, coeff):
         picks = rng.sample(range(n), 3)
         x = x + algebra.monomial(picks, coeff(rng))
     return x
+
+
+def reference_random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
+                                     square_friendly_edge=None):
+    """checks.random_decorated_state with each lambda-length composed as
+    algebra.scalar(body) plus a separately built soul, and the
+    square-friendly quadrilateral read from a Quadrilateral: the oracle
+    for the one-element build, drawing from rng alike."""
+    algebra = GrassmannAlgebra(graph.num_vertices, mode)
+    if mode == RATIONAL:
+        def body(r):
+            return Fraction(r.randint(1, 9), r.randint(1, 9))
+
+        def coeff(r):
+            return r.randint(-3, 3)
+    else:
+        def body(r):
+            return r.uniform(0.5, 4.0)
+
+        def coeff(r):
+            return r.uniform(-1.0, 1.0)
+
+    bodies = {e: body(rng) for e in range(graph.num_edges)}
+    if square_friendly_edge is not None:
+        q = flip_quadrilateral(graph, square_friendly_edge)
+        m, n = checks._pythagorean_ratio(rng)
+        w1, w2 = body(rng), body(rng)
+        bodies[q.a] = m * w1
+        bodies[q.c] = m * w2
+        bodies[q.b] = n * w1
+        bodies[q.d] = n * w2
+    lam = {e: algebra.scalar(bodies[e]) + checks._random_even_soul(algebra, rng, coeff)
+           for e in range(graph.num_edges)}
+    if odd:
+        mu = {v: checks._random_odd(algebra, rng, coeff)
+              for v in range(graph.num_vertices)}
+    else:
+        mu = {v: algebra.zero() for v in range(graph.num_vertices)}
+    signs = [rng.choice((1, -1)) for _ in range(graph.num_edges)]
+    return DecoratedState(graph, OrientationState(graph, signs), algebra, lam, mu)
 
 
 def reference_transport_state(final_state, phi, initial_graph):

@@ -17,7 +17,8 @@ from superpenner.spin import (MAX_BRUTE_FORCE_EDGES, OrientationState, SpinError
                               reflection_vertices_between, same_spin_class)
 
 from helpers import (dumbbell, prism, reference_aligned_equal_mod_sign,
-                     reference_random_even_soul, reference_random_odd)
+                     reference_random_decorated_state, reference_random_even_soul,
+                     reference_random_odd)
 
 
 def involution_and_pentagon_sequences(graph, rng, mode):
@@ -311,3 +312,24 @@ def test_random_states_match_monomial_by_monomial_construction(monkeypatch, mode
                        [layout(x) for x in (*s.lam.values(), *s.mu.values())])
                       if isinstance(s, DecoratedState) else s for s in states])
     assert built[0] == built[1]
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_random_states_match_the_composed_reference(mode):
+    # each lambda-length is built as one element, and equals
+    # algebra.scalar(body) plus the soul in storage order, from the same
+    # draws in the same order
+    graphs = [make() for make in GRAPHS.values()] + [prism(n) for n in range(3, 9)]
+    for graph in graphs:
+        for odd in (True, False):
+            for seed, friendly in enumerate([None, *generic_edges(graph)]):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                state = random_decorated_state(graph, rng, mode, odd=odd,
+                                               square_friendly_edge=friendly)
+                ref = reference_random_decorated_state(graph, ref_rng, mode, odd=odd,
+                                                       square_friendly_edge=friendly)
+                assert state.orientation.signs == ref.orientation.signs
+                for mine, theirs in ((state.lam, ref.lam), (state.mu, ref.mu)):
+                    assert ([(k, layout(x)) for k, x in mine.items()]
+                            == [(k, layout(x)) for k, x in theirs.items()])
+                assert rng.getstate() == ref_rng.getstate()

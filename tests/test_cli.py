@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -221,6 +222,19 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_check_reads_each_suites_own_defaults(capsys, monkeypatch):
+    # the defaults are read once per suite function, so a replaced suite
+    # reports its own even after the original has run
+    assert run(capsys, "check", "ptolemy", str(DATA / "sphere4.fg"), "--cases", "2")[0] == 0
+
+    def suite(graph, seed=0, mode="float", tol=0.5, cases=3):
+        return CheckResult("ptolemy", True, cases, "")
+    monkeypatch.setitem(cli.SUITES, "ptolemy", suite)
+    code, out, _ = run(capsys, "check", "ptolemy", str(DATA / "sphere4.fg"))
+    assert code == 0
+    assert out.splitlines()[0] == "suite=ptolemy seed=0 mode=float tol=0.5 cases=3"
+
+
 def test_output_file_option(capsys, tmp_path):
     target = tmp_path / "report.txt"
     code, out, _ = run(capsys, "info", str(DATA / "theta.fg"),
@@ -228,6 +242,112 @@ def test_output_file_option(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("g=0 s=3")
+
+
+def report(capsys, *argv):
+    """The stdout report of one CLI run that exits 0."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("first,second", [
+    (["spin", "enumerate", str(DATA / "genus2_1.fg")], ["info", str(DATA / "torus.fg")]),
+    (["info", str(DATA / "torus.fg")], ["spin", "enumerate", str(DATA / "genus2_1.fg")]),
+])
+def test_output_file_holds_exactly_the_last_report(capsys, tmp_path, first, second):
+    # a shorter report over a longer file leaves no old tail behind, and a
+    # longer one over a shorter file is whole
+    target = tmp_path / "report.txt"
+    for argv in (first, second):
+        assert run(capsys, *argv, "--output", str(target))[:2] == (0, "")
+    assert target.read_text(encoding="utf-8") == report(capsys, *second)
+
+
+def test_output_file_keeps_its_inode_and_permissions(capsys, tmp_path):
+    target = tmp_path / "report.txt"
+    target.write_text("old report\n" * 200)
+    target.chmod(0o640)
+    before = target.stat()
+    assert run(capsys, "info", str(DATA / "theta.fg"), "--output", str(target))[0] == 0
+    after = target.stat()
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o640
+    assert target.read_text() == report(capsys, "info", str(DATA / "theta.fg"))
+
+
+def test_output_through_a_symlink_writes_its_target(capsys, tmp_path):
+    target = tmp_path / "report.txt"
+    target.write_text("old report\n" * 200)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert run(capsys, "info", str(DATA / "theta.fg"), "--output", str(link))[0] == 0
+    assert link.is_symlink()
+    assert target.read_text() == report(capsys, "info", str(DATA / "theta.fg"))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_output_to_dev_null_succeeds(capsys):
+    assert run(capsys, "info", str(DATA / "theta.fg"), "--output", "/dev/null") == (0, "", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_output_to_dev_stdout_writes_into_a_pipe():
+    # a pipe cannot seek or be truncated, so only a regular file is cut
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [sys.executable, "-m", "superpenner", "info", str(DATA / "genus2_1.fg")]
+    piped = subprocess.run(argv + ["--output", "/dev/stdout"],
+                           capture_output=True, text=True, env=env)
+    plain = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (piped.returncode, piped.stderr) == (0, "")
+    assert piped.stdout == plain.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_output_to_a_full_device_is_bad_input(capsys):
+    code, out, err = run(capsys, "info", str(DATA / "theta.fg"), "--output", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno 28] ")
+    assert err.count("\n") == 1
+
+
+_audit_log = None
+
+
+def _audit(event, args):
+    if _audit_log is not None and event in ("open", "os.truncate"):
+        _audit_log.append((event, args))
+
+
+@pytest.fixture
+def audit_log():
+    """The open and truncate audit events raised while the test runs."""
+    global _audit_log
+    if not getattr(_audit, "installed", False):
+        sys.addaudithook(_audit)   # a hook cannot be removed, so add it once
+        _audit.installed = True
+    _audit_log = []
+    try:
+        yield _audit_log
+    finally:
+        _audit_log = None
+
+
+def test_output_file_is_never_emptied(capsys, tmp_path, audit_log):
+    # no open of the output by name carries O_TRUNC, and the only cuts are
+    # to the end of each report, which is never empty
+    target = tmp_path / "report.txt"
+    target.write_text("x" * 4000 + "\n")
+    commands = (["spin", "enumerate", str(DATA / "genus2_1.fg")], ["info", str(DATA / "torus.fg")])
+    audit_log.clear()
+    for argv in commands:
+        assert run(capsys, *argv, "--output", str(target))[0] == 0
+    opens = [args[2] for event, args in audit_log if event == "open" and args[0] == str(target)]
+    cuts = [args[1] for event, args in audit_log if event == "os.truncate"]
+    assert len(opens) == len(commands)
+    assert not any(flags & os.O_TRUNC for flags in opens)
+    assert cuts == [len(report(capsys, *argv).encode("utf-8")) for argv in commands]
 
 
 def test_seed_changes_cases_but_not_format(capsys):

@@ -249,6 +249,27 @@ def test_all_equal_lambdas_give_zero_shear_exactly():
     assert all(r.is_zero() for r in check_puncture_relation(state))
 
 
+def test_shear_and_square_friendly_states_build_no_quadrilateral(monkeypatch):
+    # both read a, b, c, d from fatgraph._quadrilateral's plain tuple
+    g = genus2_one_puncture()
+    edges = generic_edges(g)   # still builds one per edge
+    built = []
+    init = fatgraph.Quadrilateral.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fatgraph.Quadrilateral, "__init__", spy)
+    rng = random.Random(26)
+    shear_coordinates(random_decorated_state(g, rng, mode=FLOAT))
+    for e in edges:
+        random_decorated_state(g, rng, mode=RATIONAL, square_friendly_edge=e)
+    assert built == []
+    flip_quadrilateral(g, 0, require_generic=False)
+    assert len(built) == 1
+
+
 def test_puncture_relation_random_classical():
     rng = random.Random(24)
     g = genus2_one_puncture()

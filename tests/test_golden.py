@@ -62,6 +62,21 @@ def test_golden_report(name, argv, monkeypatch):
     assert transcript(argv).encode("utf-8") == expected
 
 
+def test_output_file_holds_each_stdout_report(tmp_path, monkeypatch):
+    # every covered command writes its report to one shared --output file,
+    # so each report is written over one of another length
+    monkeypatch.delenv("SUPERPENNER_TOL", raising=False)
+    target = tmp_path / "report.txt"
+    for name, argv in golden_cases():
+        expected = (GOLDEN / (name + ".txt")).read_text(encoding="utf-8")
+        stdout = expected.split("--- stdout\n", 1)[1].split("--- stderr\n", 1)[0]
+        if not stdout:
+            continue   # the command failed before writing a report
+        text = transcript(argv + ["--output", str(target)])
+        assert text == expected.replace(stdout, "", 1)
+        assert target.read_text(encoding="utf-8").replace(str(DATA), "data") == stdout
+
+
 def test_one_parser_serves_a_sequence_of_calls(monkeypatch):
     # main() reuses one parser per process: a run it rejects must leave
     # nothing behind that changes the reports of the runs after it
