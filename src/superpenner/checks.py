@@ -74,19 +74,32 @@ def transport_state(final_state, phi, initial_graph):
     and copies of the maps and signs); Python work is per edge and vertex
     that phi moves, which after a flip sequence are the touched ones.
     """
-    gf, gi = final_state.graph, initial_graph
-    lam_f, signs_f, mu_f = final_state.lam, final_state.orientation.signs, final_state.mu
+    gi = initial_graph
     tails = tuple(map(_first, gi.edges))
-    images = _gather(phi, tails if gf.edges is gi.edges else map(_first, gf.edges))
+    edges_f = final_state.graph.edges
+    images = _gather(phi, tails if edges_f is gi.edges else map(_first, edges_f))
+    if len(images) != len(tails):
+        raise SpinError("phi misses an edge of the initial graph")
     moved = list(compress(range(len(images)), map(ne, images, tails)))
-    targets = [gi._edge_of[images[ef]] for ef in moved]
-    if len(images) != len(tails) or sorted(targets) != moved:
+    return _pulled_back(final_state, phi, gi, moved)
+
+
+def _pulled_back(final_state, phi, gi, moved):
+    """transport_state(final_state, phi, gi), given the final edge ids
+    (increasing) outside which phi sends every tail to the tail of the
+    same edge id; moved may hold edges phi does not move."""
+    gf = final_state.graph
+    lam_f, signs_f, mu_f = final_state.lam, final_state.orientation.signs, final_state.mu
+    edges_f, edges_i = gf.edges, gi.edges
+    images = [phi[edges_f[ef][0]] for ef in moved]
+    targets = [gi._edge_of[k] for k in images]
+    if sorted(targets) != moved:
         raise SpinError("phi misses an edge of the initial graph")
     lam = dict(lam_f)
     signs = list(signs_f)
-    for ef, ei in zip(moved, targets):
+    for ef, ei, k in zip(moved, targets, images):
         lam[ei] = lam_f[ef]
-        signs[ei] = signs_f[ef] if tails[ei] == images[ef] else -signs_f[ef]
+        signs[ei] = signs_f[ef] if edges_i[ei][0] == k else -signs_f[ef]
     orientation = OrientationState._unchecked(gi, tuple(signs))
     homes = _gather(gi._vertex_of, _gather(phi, map(_first, gf.vertices)))
     moved = list(compress(range(len(homes)), map(ne, homes, range(gi.num_vertices))))
@@ -167,22 +180,27 @@ def aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
     every isomorphism is tried (find_isomorphisms).
 
     Otherwise finding and checking the isomorphism (_local_isomorphism)
-    and the transport (transport_state) do Python work per touched edge
-    only, and per edge only C-level gathers, copies and comparisons, as
-    does the exact lambda-length comparison.  Deciding the spin class
-    (reflection_vertices_between) remains a Python walk over the edges.
+    does Python work per touched edge only, and so does the transport
+    when the two graphs list the same edges: phi then fixes the tail of
+    every untouched edge, so only the touched edges are transported.  Per
+    edge there are only C-level gathers, copies and comparisons, as in
+    the exact lambda-length comparison and in finding the edges whose
+    signs differ; deciding the spin class (reflection_vertices_between)
+    is Python work per differing edge and reflected vertex.
     """
     gi, gf = initial.graph, final.graph
     touched = set(touched_edges).intersection(range(gi.num_edges))
-    if len(touched) < gi.num_edges:
-        phi = _local_isomorphism(gf, gi, touched)
-        isos = [] if phi is None else [phi]
+    if len(touched) == gi.num_edges:
+        return any(states_equal_mod_sign(transport_state(final, phi, gi), initial, tol=tol)
+                   for phi in find_isomorphisms(gf, gi))
+    phi = _local_isomorphism(gf, gi, touched)
+    if phi is None:
+        return False
+    if gf.edges is gi.edges or gf.edges == gi.edges:
+        moved = _pulled_back(final, phi, gi, sorted(touched))
     else:
-        isos = find_isomorphisms(gf, gi)
-    for phi in isos:
-        if states_equal_mod_sign(transport_state(final, phi, gi), initial, tol=tol):
-            return True
-    return False
+        moved = transport_state(final, phi, gi)
+    return states_equal_mod_sign(moved, initial, tol=tol)
 
 
 # ---------------------------------------------------------------------------

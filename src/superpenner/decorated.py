@@ -163,8 +163,10 @@ def superflip(state, e):
     bd = lb * ld
     p = ac + bd
     if theta.is_zero() and sigma.is_zero():
+        # both vertices keep the zero objects they hold, so a round trip's
+        # comparison meets the same objects again
         f = gdiv(p, le)
-        nu = mu_new = state.algebra.zero()
+        nu, mu_new = theta, sigma
     else:
         chi = gdiv(ac, bd)
         sqrt_chi = gsqrt(chi)

@@ -43,10 +43,15 @@ class FatGraph:
     edges: sequence of (tail_half, head_half) pairs.
     Half-edge ids must be exactly 0..2E-1, each appearing in one vertex
     triple and one edge pair.
+
+    _cuts caches the fundamental cuts of the spanning forest, which
+    spin.reflection_vertices_between builds on first use (None until
+    then).  It is only right while the tables never change; a flipped
+    graph starts without it.
     """
 
     __slots__ = ("vertices", "edges", "vertex_names",
-                 "_sigma", "_alpha", "_edge_of", "_vertex_of")
+                 "_sigma", "_alpha", "_edge_of", "_vertex_of", "_cuts")
 
     def __init__(self, vertices, edges, vertex_names=None):
         self.vertices = tuple(_rotate_min(tuple(v)) for v in vertices)
@@ -73,6 +78,7 @@ class FatGraph:
         self._alpha = tuple(alpha)
         self._edge_of = tuple(edge_of)
         self._vertex_of = tuple(vertex_of)
+        self._cuts = None
         self._validate()
 
     def _validate(self):
@@ -257,7 +263,8 @@ def whitehead_flip(graph, e, reflections_applied=()):
     Of the tables only six sigma entries (those six half-edges) and two
     vertex_of entries (ha and hc trade vertices) change, so they are
     patched on copies of the parent's tuples; edges, vertex_names, alpha
-    and edge_of are the parent's own objects.  No revalidation is needed:
+    and edge_of are the parent's own objects, and the cut cache starts
+    empty.  No revalidation is needed:
     the flip keeps every half-edge and every edge, both new triples are
     trivalent, V and E are unchanged, and edge e still joins the two
     rewritten vertices, so the graph stays connected.
@@ -286,6 +293,7 @@ def whitehead_flip(graph, e, reflections_applied=()):
     flipped._alpha = graph._alpha
     flipped._edge_of = graph._edge_of
     flipped._vertex_of = tuple(vertex_of)
+    flipped._cuts = None
     return flipped, FlipRecord(e, a, b, c, d, u, w, reflections_applied)
 
 

@@ -388,6 +388,8 @@ class GrassmannElement:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.num:
+            return self   # zero is its own negative, and immutable
         return _element(self.algebra, {m: -c for m, c in self.num.items()}, self.den,
                         self._w)
 
@@ -418,17 +420,21 @@ class GrassmannElement:
         return result
 
     def __eq__(self, other):
-        if other is self:
-            return True
-        if isinstance(other, (int, Fraction, float)):
-            try:
-                other = self.algebra.scalar(other)
-            except GrassmannError:
+        # an element operand, the common case, skips the isinstance test
+        # against Fraction, which goes through ABCMeta
+        if type(other) is not GrassmannElement:
+            if isinstance(other, (int, Fraction, float)):
+                try:
+                    other = self.algebra.scalar(other)
+                except GrassmannError:
+                    return NotImplemented
+            elif not isinstance(other, GrassmannElement):
                 return NotImplemented
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
-        return (self.algebra == other.algebra and self.den == other.den
-                and self.num == other.num)
+        elif other is self:
+            return True
+        algebra = other.algebra
+        return ((algebra is self.algebra or algebra == self.algebra)
+                and self.den == other.den and self.num == other.num)
 
     def isclose(self, other, tol=1e-9):
         """Coefficientwise comparison within absolute tolerance tol."""

@@ -20,8 +20,11 @@ the class's lexicographic minimum (edge 0 first, + before -), because
 the lowest edge of a nonempty cut is a forest edge: an edge left out of
 the forest closes a cycle of lower forest edges, and a cycle crosses a
 cut an even number of times.  Membership and the reflections between
-two orientations come from one walk over the edges
-(reflection_vertices_between).
+two orientations come from the same forest's fundamental cuts
+(reflection_vertices_between): a vertex set without vertex 0 is the XOR
+of the sides of the forest edges in its cut, so the forest edges whose
+signs differ name the only candidate set, which works when its cut is
+exactly the differing edges.
 
 A brute-force orbit search is kept alongside as an independent oracle.
 The reflections form a group acting by translation: orbit(start) =
@@ -31,6 +34,9 @@ forest, so a fault there cannot hide by agreeing with itself.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from operator import ne
 
 from .fatgraph import boundary_cycles, whitehead_flip
 
@@ -142,39 +148,82 @@ def same_spin_class(state1, state2):
     return reflection_vertices_between(state1, state2) is not None
 
 
+def _fundamental_cuts(graph):
+    """(sides, cuts): per edge id, the fundamental cut of the spanning forest.
+
+    The forest (_spanning_forest, a spanning tree of the connected graph)
+    is rooted at vertex 0.  For a forest edge f, sides[f] is the vertex
+    mask of the component of the forest without f that misses vertex 0
+    (the subtree below f), and cuts[f] the edge mask of the edges with
+    exactly one end there: the XOR of its vertices' reflection masks, in
+    which a loop cancels.  A non-forest edge has 0 for both.  One
+    breadth-first pass from vertex 0, then one pass from the leaves up.
+    """
+    num_vertices, num_edges = graph.num_vertices, graph.num_edges
+    vertex_of, edges = graph._vertex_of, graph.edges
+    adjacent = [[] for _ in range(num_vertices)]
+    for f in _spanning_forest(graph):
+        u, w = vertex_of[edges[f][0]], vertex_of[edges[f][1]]
+        adjacent[u].append((w, f))
+        adjacent[w].append((u, f))
+    up = [None] * num_vertices   # (parent vertex, forest edge to it)
+    up[0] = (0, None)
+    order = [0]
+    for u in order:   # breadth-first: the list grows while it is walked
+        for w, f in adjacent[u]:
+            if up[w] is None:
+                up[w] = (u, f)
+                order.append(w)
+    side = [1 << v for v in range(num_vertices)]
+    cut = [reflection_mask(graph, v) for v in range(num_vertices)]
+    sides, cuts = [0] * num_edges, [0] * num_edges
+    for v in reversed(order[1:]):
+        u, f = up[v]
+        sides[f], cuts[f] = side[v], cut[v]
+        side[u] |= side[v]
+        cut[u] ^= cut[v]
+    return sides, cuts
+
+
 def reflection_vertices_between(state1, state2):
     """A vertex set whose reflections carry state1 to state2, or None.
 
     The answer is unique up to complementation (reflecting at every
     vertex of a connected graph is the identity); the set returned is the
     one without vertex 0, in increasing order.  Reflecting at a set X
-    reverses edge e exactly when one end of e is in X (a loop never), so
-    X is found by walking the edges from vertex 0, outside X: the far end
-    of e is in X when exactly one of "near end in X" and "the signs
-    differ on e" holds.  An edge whose ends then disagree, a differing
-    loop included, means no X exists.  One pass over the graph's tables,
-    O(E).
+    reverses edge e exactly when one end of e is in X (a loop never): the
+    cut of X.  A vertex is in X exactly when its forest path from vertex
+    0 crosses that cut an odd number of times, so X is the XOR of the
+    sides of the forest edges in its cut, which must be those whose signs
+    differ.  X exists exactly when the XOR of their cuts is the set D of
+    differing edges (a differing loop edge lies in no cut).
+
+    The fundamental cuts are built once per graph, on first use, into the
+    graph's _cuts slot.  A call finds D by a C-level comparison of the
+    sign tuples; its Python work is per differing edge and per vertex of
+    X.
     """
-    if state1.graph != state2.graph:
-        raise SpinError("orientation states live on different graphs")
     graph = state1.graph
-    differs = [s1 != s2 for s1, s2 in zip(state1.signs, state2.signs)]
-    vertices, alpha = graph.vertices, graph._alpha
-    edge_of, vertex_of = graph._edge_of, graph._vertex_of
-    inside = [None] * graph.num_vertices
-    inside[0] = False
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for h in vertices[u]:
-            w = vertex_of[alpha[h]]
-            x = inside[u] != differs[edge_of[h]]
-            if inside[w] is None:
-                inside[w] = x
-                stack.append(w)
-            elif inside[w] != x:
-                return None
-    return tuple(v for v, x in enumerate(inside) if x)
+    if state2.graph is not graph and state2.graph != graph:
+        raise SpinError("orientation states live on different graphs")
+    table = graph._cuts
+    if table is None:
+        table = graph._cuts = _fundamental_cuts(graph)
+    sides, cuts = table
+    signs1 = state1.signs
+    inside = cut = differing = 0
+    for e in compress(range(len(signs1)), map(ne, signs1, state2.signs)):
+        inside ^= sides[e]
+        cut ^= cuts[e]
+        differing |= 1 << e
+    if cut != differing:
+        return None
+    vertices = []
+    while inside:
+        low = inside & -inside
+        vertices.append(low.bit_length() - 1)
+        inside ^= low
+    return tuple(vertices)
 
 
 def spin_class_count(graph):

@@ -13,7 +13,7 @@ from superpenner.fatgraph import (FatGraph, boundary_cycles, find_isomorphisms,
 from superpenner.grassmann import (FLOAT, RATIONAL, _TERM_RE, GrassmannAlgebra,
                                    GrassmannError, _below_parity, _finish, _join, _monomial,
                                    _reduced, _rules)
-from superpenner.spin import OrientationState, reflection_mask
+from superpenner.spin import OrientationState, SpinError, reflection_mask
 
 
 def boundary_correspondence(graph1, graph2, skip_halves=()):
@@ -82,6 +82,35 @@ def reference_spin_classes(graph):
                     seen.add(nxt)
                     queue.append(nxt)
     return tuple(tuple(-1 if m >> e & 1 else 1 for e in range(num_edges)) for m in reps)
+
+
+def reference_reflection_vertices_between(state1, state2):
+    """spin.reflection_vertices_between by a walk over the edges.
+
+    X (the set without vertex 0) is found by walking the edges from
+    vertex 0, outside X: the far end of e is in X when exactly one of
+    "near end in X" and "the signs differ on e" holds.  An edge whose ends
+    then disagree, a differing loop included, means no X exists.  The
+    reference for the fundamental-cut reading, which never walks.
+    """
+    if state1.graph != state2.graph:
+        raise SpinError("orientation states live on different graphs")
+    graph = state1.graph
+    differs = [s1 != s2 for s1, s2 in zip(state1.signs, state2.signs)]
+    inside = [None] * graph.num_vertices
+    inside[0] = False
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for h in graph.vertices[u]:
+            w = graph.vertex_of(graph.alpha(h))
+            x = inside[u] != differs[graph.edge_of(h)]
+            if inside[w] is None:
+                inside[w] = x
+                stack.append(w)
+            elif inside[w] != x:
+                return None
+    return tuple(v for v, x in enumerate(inside) if x)
 
 
 def star_matrix(graph):

@@ -146,10 +146,37 @@ def oracle_round_trips(graph, rng):
     return out
 
 
+def vertex_relabelled(state, rng):
+    """state on a graph that lists the same vertex triples in a shuffled
+    order, with the vertex names and mu-invariants shuffled with them."""
+    graph = state.graph
+    order = list(range(graph.num_vertices))
+    rng.shuffle(order)
+    relabelled = FatGraph([graph.vertices[v] for v in order], graph.edges,
+                          [graph.vertex_names[v] for v in order])
+    return DecoratedState(relabelled, OrientationState(relabelled, state.orientation.signs),
+                          state.algebra, state.lam, {i: state.mu[v] for i, v in enumerate(order)})
+
+
+def edge_reversed(state, e):
+    """state with edge e's reference direction and sign both reversed: the
+    same point on a graph whose edge list differs from state's."""
+    graph = state.graph
+    edges = list(graph.edges)
+    edges[e] = edges[e][::-1]
+    reversed_graph = FatGraph(graph.vertices, edges, graph.vertex_names)
+    signs = list(state.orientation.signs)
+    signs[e] = -signs[e]
+    return DecoratedState(reversed_graph, OrientationState(reversed_graph, signs),
+                          state.algebra, state.lam, state.mu)
+
+
 def oracle_variants(final, touched, rng):
     """(final state, touched) pairs around one round trip: the true final
     state, one lambda-length bumped, one mu-invariant negated, one sign
-    flipped, a touched set missing an edge, ids outside the graph, and
+    flipped, the final state on a graph with its vertices listed in
+    another order (alone and with a negated mu-invariant) or with one edge
+    reversed, a touched set missing an edge, ids outside the graph, and
     every edge touched."""
     graph, alg = final.graph, final.algebra
     e, v = rng.randrange(graph.num_edges), rng.randrange(graph.num_vertices)
@@ -157,11 +184,16 @@ def oracle_variants(final, touched, rng):
     lam[e] = lam[e] + alg.scalar(1) / 1000
     mu[v] = -mu[v]
     signs[e] = -signs[e]
+    negated_mu = DecoratedState(graph, final.orientation, alg, final.lam, mu)
     out = [(final, touched),
            (DecoratedState(graph, final.orientation, alg, lam, final.mu), touched),
-           (DecoratedState(graph, final.orientation, alg, final.lam, mu), touched),
+           (negated_mu, touched),
            (DecoratedState(graph, OrientationState(graph, signs), alg, final.lam, final.mu),
             touched),
+           (vertex_relabelled(final, rng), touched),
+           (vertex_relabelled(negated_mu, rng), touched),
+           (vertex_relabelled(final, rng), set(range(graph.num_edges))),
+           (edge_reversed(final, e), touched),
            (final, touched | {-1, graph.num_edges, graph.num_edges + 5, 10 ** 6}),
            (final, set(range(graph.num_edges)))]
     if touched:
@@ -178,6 +210,10 @@ def test_aligned_comparison_matches_the_whole_graph_oracle():
             exact = initial.algebra.mode == RATIONAL
             # the unperturbed round trip holds, exactly in rational mode
             assert aligned_equal_mod_sign(initial, final, touched, None if exact else 1e-9)
+            # and so does the same point on a relabelled or edge-reversed graph
+            for same in (vertex_relabelled(final, rng),
+                         edge_reversed(final, rng.randrange(graph.num_edges))):
+                assert aligned_equal_mod_sign(initial, same, touched, None if exact else 1e-9)
             finals.append(final)
             for variant, variant_touched in oracle_variants(final, touched, rng):
                 for tol in (None, 1e-9):

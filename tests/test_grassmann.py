@@ -1069,6 +1069,42 @@ def test_equal_values_have_one_normal_form():
     assert (A4.parse("2*t0") * A4.parse("1/2*t1")).den == 1
 
 
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_equality_with_scalars_elements_and_other_types(mode):
+    alg, twin = GrassmannAlgebra(3, mode), GrassmannAlgebra(3, mode)
+    assert alg is not twin
+    two = alg.scalar(2)
+    scalars = [2, Fraction(2)] + ([2.0] if mode == FLOAT else [])
+    for value in scalars:
+        assert two == value and value == two
+        assert not two != value
+    assert alg.one() == True and alg.zero() == False and two != True   # noqa: E712
+    assert two != 3 and two != Fraction(5, 2)
+    # equal algebras that are distinct objects: equal values compare equal
+    assert two == twin.scalar(2) and alg.gen(1) == twin.gen(1)
+    assert alg.gen(1) != twin.gen(2) and alg.zero() == twin.zero()
+    # a rational element never equals a float one, nor a float scalar
+    other = GrassmannAlgebra(3, FLOAT if mode == RATIONAL else RATIONAL)
+    for x in (alg.zero(), two, alg.gen(0)):
+        y = other.zero() if x.is_zero() else other.scalar(2) if x == two else other.gen(0)
+        assert x != y and y != x
+    if mode == RATIONAL:
+        assert two != 2.0 and 2.0 != two
+    assert two.__eq__("2") is NotImplemented and two != "2"
+    assert two.__eq__(None) is NotImplemented and two != None   # noqa: E711
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_negating_zero_returns_it_and_anything_else_a_new_element(mode):
+    alg = GrassmannAlgebra(3, mode)
+    for zero in (alg.zero(), alg.gen(0) - alg.gen(0), alg.monomial([1, 1])):
+        assert zero.is_zero() and -zero is zero
+    for x in (alg.gen(0), alg.scalar(3), alg.parse("1/2 + 3/4*t0^t1")):
+        y = -x
+        assert y is not x and y.num == {m: -c for m, c in x.num.items()}
+        assert y.den == x.den and -y == x and y + x == alg.zero()
+
+
 def test_rational_products_and_solves_take_the_dense_path_on_dense_operands(monkeypatch):
     A8 = GrassmannAlgebra(8, RATIONAL)
     rng = random.Random(8)

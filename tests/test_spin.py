@@ -8,6 +8,7 @@ import pytest
 from superpenner.catalog import (GRAPHS, four_punctured_sphere, genus1_two_punctures,
                                  genus2_one_puncture, punctured_torus, theta_graph)
 from superpenner import spin
+from superpenner.checks import generic_edges
 from superpenner.fatgraph import topology
 from superpenner.spin import (OrientationState, SpinError,
                               brute_force_spin_classes,
@@ -16,7 +17,8 @@ from superpenner.spin import (OrientationState, SpinError,
                               reflection_vertices_between, spin_class_count)
 
 from helpers import (boundary_correspondence, canonical_representative, dumbbell, prism,
-                     reference_spin_classes, rref, star_matrix)
+                     reference_reflection_vertices_between, reference_spin_classes, rref,
+                     star_matrix)
 
 
 def all_orientations(graph):
@@ -87,24 +89,41 @@ def test_reflection_vertices_between_recovers_difference():
     assert back == moved
 
 
-REFLECTION_GRAPHS = dict(GRAPHS, prism_8=lambda: prism(8), dumbbell=dumbbell)
+REFLECTION_GRAPHS = dict(GRAPHS, dumbbell=dumbbell,
+                         **{"prism_%d" % n: (lambda n=n: prism(n)) for n in range(3, 17)})
+
+
+def random_orientation(graph, rng):
+    return OrientationState(graph, [rng.choice((1, -1)) for _ in graph.edges])
 
 
 @pytest.mark.parametrize("name", sorted(REFLECTION_GRAPHS))
 def test_reflection_vertices_between_agrees_with_elimination(name):
     graph = REFLECTION_GRAPHS[name]()
+    num_vertices = graph.num_vertices
     rng = random.Random(name)
     found = {True: 0, False: 0}
-    for _ in range(200):
-        state1 = OrientationState(graph, [rng.choice((1, -1)) for _ in graph.edges])
-        if rng.random() < 0.5:
-            state2 = OrientationState(graph, [rng.choice((1, -1)) for _ in graph.edges])
+    most = 0
+    for trial in range(200):
+        state1 = random_orientation(graph, rng)
+        if trial % 4 == 0:
+            # mostly another class (all classes alike on the smallest graphs)
+            state2 = random_orientation(graph, rng)
         else:
+            # one class: reflections at about half the vertices, at a few,
+            # or at all but a few, where the answer may be the complement
+            if trial % 4 == 1:
+                chosen = [v for v in range(num_vertices) if rng.random() < 0.5]
+            else:
+                chosen = rng.sample(range(num_vertices), min(rng.randint(1, 3), num_vertices))
+                if trial % 4 == 3:
+                    chosen = [v for v in range(num_vertices) if v not in chosen]
             state2 = state1
-            for v in range(graph.num_vertices):
-                if rng.random() < 0.5:
-                    state2 = reflect(state2, v)
+            for v in chosen:
+                state2 = reflect(state2, v)
         verts = reflection_vertices_between(state1, state2)
+        # the walk oracle gives the same answer, None included
+        assert verts == reference_reflection_vertices_between(state1, state2)
         # the rref oracle: the same class exactly when the canonical forms agree
         same = canonical_representative(state1) == canonical_representative(state2)
         assert (verts is not None) == same
@@ -116,7 +135,67 @@ def test_reflection_vertices_between_agrees_with_elimination(name):
             for v in verts:
                 moved = reflect(moved, v)
             assert moved == state2
-    assert found[True] and found[False]
+            # a set that misses at most three vertices comes out whole
+            most += len(verts) >= max(1, num_vertices - 3)
+    assert found[True] and found[False] and most
+
+
+@pytest.mark.parametrize("name", sorted(REFLECTION_GRAPHS))
+def test_fundamental_cuts_of_the_forest(name):
+    # per forest edge: a side without vertex 0 whose cut holds that one
+    # forest edge and is the XOR of its vertices' reflection masks
+    graph = REFLECTION_GRAPHS[name]()
+    sides, cuts = spin._fundamental_cuts(graph)
+    forest = spin._spanning_forest(graph)
+    forest_mask = sum(1 << f for f in forest)
+    assert len(sides) == len(cuts) == graph.num_edges
+    for e in range(graph.num_edges):
+        if e not in forest:
+            assert sides[e] == cuts[e] == 0
+            continue
+        assert sides[e] and not sides[e] & 1
+        cut = 0
+        for v in range(graph.num_vertices):
+            if sides[e] >> v & 1:
+                cut ^= spin.reflection_mask(graph, v)
+        assert cuts[e] == cut and cut & forest_mask == 1 << e
+
+
+def test_a_differing_loop_edge_gives_none():
+    graph = dumbbell()   # edges 0 and 2 are loops, edge 1 the bridge
+    for state in all_orientations(graph):
+        for loop in (0, 2):
+            for reflected in ((), (0,), (1,), (0, 1)):
+                other = state
+                for v in reflected:
+                    other = reflect(other, v)
+                signs = list(other.signs)
+                signs[loop] = -signs[loop]
+                other = OrientationState(graph, signs)
+                assert reflection_vertices_between(state, other) is None
+                assert reference_reflection_vertices_between(state, other) is None
+        # the bridge alone is the cut of vertex 1
+        signs = list(state.signs)
+        signs[1] = -signs[1]
+        assert reflection_vertices_between(state, OrientationState(graph, signs)) == (1,)
+
+
+def test_the_cut_table_is_built_once_per_graph(monkeypatch):
+    builds = []
+    build = spin._fundamental_cuts
+    monkeypatch.setattr(spin, "_fundamental_cuts", lambda g: builds.append(g) or build(g))
+    graph = prism(8)
+    rng = random.Random(8)
+    for _ in range(50):
+        reflection_vertices_between(random_orientation(graph, rng),
+                                    random_orientation(graph, rng))
+    assert len(builds) == 1 and builds[0] is graph and graph._cuts is not None
+    # a graph that is only flipped never builds it
+    state = random_orientation(graph, rng)
+    for _ in range(30):
+        state, _ = flip_orientation(state, rng.choice(generic_edges(state.graph)))
+        assert state.graph._cuts is None
+    assert len(builds) == 1
 
 
 # -- enumeration --------------------------------------------------------------
