@@ -71,8 +71,8 @@ def transport_state(final_state, phi, initial_graph):
     lambda-length and sign, and a vertex whose first half-edge phi sends
     into the same vertex id keeps its mu-invariant.  Finding the rest is
     C-level per edge and vertex (gathers over phi and the graphs' tables,
-    and copies of the maps and signs); Python work is per edge and vertex
-    that phi moves, which after a flip sequence are the touched ones.
+    and copies of the maps); Python work is per edge and vertex that phi
+    moves, which after a flip sequence are the touched ones.
     """
     gi = initial_graph
     tails = tuple(map(_first, gi.edges))
@@ -89,18 +89,19 @@ def _pulled_back(final_state, phi, gi, moved):
     (increasing) outside which phi sends every tail to the tail of the
     same edge id; moved may hold edges phi does not move."""
     gf = final_state.graph
-    lam_f, signs_f, mu_f = final_state.lam, final_state.orientation.signs, final_state.mu
+    lam_f, mask_f, mu_f = final_state.lam, final_state.orientation.mask, final_state.mu
     edges_f, edges_i = gf.edges, gi.edges
     images = [phi[edges_f[ef][0]] for ef in moved]
     targets = [gi._edge_of[k] for k in images]
     if sorted(targets) != moved:
         raise SpinError("phi misses an edge of the initial graph")
     lam = dict(lam_f)
-    signs = list(signs_f)
+    mask = mask_f
     for ef, ei, k in zip(moved, targets, images):
         lam[ei] = lam_f[ef]
-        signs[ei] = signs_f[ef] if edges_i[ei][0] == k else -signs_f[ef]
-    orientation = OrientationState._unchecked(gi, tuple(signs))
+        reversed_ = mask_f >> ef & 1 ^ (edges_i[ei][0] != k)
+        mask = mask & ~(1 << ei) | reversed_ << ei
+    orientation = OrientationState._unchecked(gi, mask)
     homes = _gather(gi._vertex_of, _gather(phi, map(_first, gf.vertices)))
     moved = list(compress(range(len(homes)), map(ne, homes, range(gi.num_vertices))))
     if len(homes) != gi.num_vertices or sorted(homes[v] for v in moved) != moved:
@@ -436,7 +437,7 @@ def check_spincount(graph, seed=0, mode=RATIONAL, tol=1e-9, cases=1):
     passed = len(fast) == formula == expected
     if graph.num_edges <= MAX_BRUTE_FORCE_EDGES:
         slow = brute_force_spin_classes(graph)
-        same_reps = [st.signs for st in fast] == [st.signs for st in slow]
+        same_reps = [st.mask for st in fast] == [st.mask for st in slow]
         passed = passed and len(slow) == len(fast) and same_reps
         brute_force = len(slow)
     else:

@@ -31,12 +31,12 @@ import os
 import stat
 import sys
 
-from .checks import SUITES, CheckSetupError
+from .checks import SUITES
 from .decorated import _puncture_residuals, shear_coordinates, superflip
-from .fatgraph import FatGraphError, NonGenericFlipError, boundary_cycles, topology
+from .fatgraph import boundary_cycles, topology
 from .fileio import load_state, render_state
-from .grassmann import FLOAT, RATIONAL, GrassmannError
-from .spin import SpinError, classify_punctures, enumerate_spin_classes, spin_class_count
+from .grassmann import FLOAT, RATIONAL
+from .spin import classify_punctures, enumerate_spin_classes, spin_class_count
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -47,6 +47,18 @@ def _positive_int(text):
     if not text.isdecimal() or int(text) == 0:
         raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
     return int(text)
+
+
+def _edge_list(text):
+    """The ints of a comma-separated list; blank items are skipped."""
+    try:
+        edges = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expects comma-separated integers, got %r" % text) from None
+    if not edges:
+        raise argparse.ArgumentTypeError("lists no edge ids")
+    return edges
 
 
 def build_parser():
@@ -66,7 +78,7 @@ def build_parser():
 
     p_flip = sub.add_parser("flip", help="apply superflips to the decorated state")
     p_flip.add_argument("input")
-    p_flip.add_argument("--edges", required=True,
+    p_flip.add_argument("--edges", required=True, type=_edge_list,
                         help="comma-separated edge ids, flipped left to right")
     p_flip.add_argument("--mode", choices=(RATIONAL, FLOAT), default=FLOAT)
     p_flip.add_argument("--output")
@@ -129,7 +141,7 @@ def _load(path, mode=RATIONAL):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         return load_state(text, mode=mode)
-    except (OSError, FatGraphError, GrassmannError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise _LoadError(str(exc)) from exc
 
 
@@ -168,15 +180,8 @@ def cmd_spin(args):
 
 def cmd_flip(args):
     state = _load(args.input, mode=args.mode)
-    try:
-        edges = [int(tok) for tok in args.edges.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise FatGraphError("--edges expects comma-separated integers, got %r"
-                            % (args.edges,)) from None
-    if not edges:
-        raise FatGraphError("--edges lists no edge ids")
     lines = []
-    for e in edges:
+    for e in args.edges:
         state, record = superflip(state, e)
         lines.append("# flip edge=%d: a=%d b=%d c=%d d=%d reflections=%s"
                      % (record.flipped_edge, record.a, record.b, record.c,
@@ -242,9 +247,9 @@ def main(argv=None):
     except _LoadError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    except (NonGenericFlipError, CheckSetupError, FatGraphError,
-            GrassmannError, SpinError, ValueError) as exc:
-        # the input parsed fine, so this is an operation precondition
+    except ValueError as exc:
+        # the input parsed fine, so this is an operation precondition (every
+        # library error class is a ValueError)
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -319,26 +319,18 @@ def boundary_cycles(graph):
 
 
 def topology(graph):
-    """(genus, punctures, E, V), asserting the trivalent coordinate counts.
+    """(genus, punctures, E, V).
 
     Punctures are boundary cycles; the genus comes from V - E + B = 2 - 2g.
-    E = 6g - 6 + 3s and V = 4g - 4 + 2s always hold for connected trivalent
-    fatgraphs of negative Euler characteristic.
+    A FatGraph is a connected trivalent ribbon graph (FatGraph validates
+    it, and whitehead_flip keeps both properties), so 2E = 3V and the
+    Euler relation give an integer g >= 0, E = 6g - 6 + 3s and
+    V = 4g - 4 + 2s.
     """
     e = graph.num_edges
     v = graph.num_vertices
-    b = len(boundary_cycles(graph))
-    chi = v - e + b
-    if chi % 2 != 0:
-        raise FatGraphError("non-integer genus: V-E+B = %d" % chi)
-    g = (2 - chi) // 2
-    if g < 0:
-        raise FatGraphError("negative genus from Euler relation")
-    s = b
-    if e != 6 * g - 6 + 3 * s or v != 4 * g - 4 + 2 * s:
-        raise FatGraphError("coordinate count mismatch: E=%d V=%d for g=%d s=%d"
-                            % (e, v, g, s))
-    return g, s, e, v
+    s = len(boundary_cycles(graph))
+    return (2 - v + e - s) // 2, s, e, v
 
 
 def propagate_isomorphism(graph1, graph2, source, target):

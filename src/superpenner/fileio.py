@@ -92,8 +92,8 @@ def _edge_key(key, id_map, lineno):
 def render_state(state):
     """Serialize a decorated state as a loadable document."""
     out = [render_fatgraph(state.graph).rstrip("\n")]
-    for e, sign in enumerate(state.orientation.signs):
-        out.append("orient %d: %s" % (e, "+" if sign == 1 else "-"))
+    for e, sign in enumerate(state.orientation.sign_string()):
+        out.append("orient %d: %s" % (e, sign))
     for e in range(state.graph.num_edges):
         out.append("lambda %d: %s" % (e, state.lam[e]))
     for v in range(state.graph.num_vertices):

@@ -437,11 +437,18 @@ class GrassmannElement:
                 and self.den == other.den and self.num == other.num)
 
     def isclose(self, other, tol=1e-9):
-        """Coefficientwise comparison within absolute tolerance tol."""
+        """Coefficientwise comparison within absolute tolerance tol, exact in
+        rational mode: |x/dx - y/dy| > tol is |x dy - y dx| > floor(tol dx dy).
+        An infinite or nan tol compares as on floats, as it does with a Fraction."""
         other = self._check_compatible(other)
-        a, b = self.terms, other.terms
-        for m in set(a) | set(b):
-            if abs(a.get(m, 0) - b.get(m, 0)) > tol:
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if self.algebra.mode == FLOAT or isinstance(tol, float) and not math.isfinite(tol):
+            bound = tol   # in float mode da = db = 1
+        else:
+            tol = Fraction(tol)
+            bound = tol.numerator * da * db // tol.denominator
+        for m in a.keys() | b.keys():
+            if abs(a.get(m, 0) * db - b.get(m, 0) * da) > bound:
                 return False
         return True
 

@@ -7,10 +7,9 @@ reversed twice, hence unchanged); two orientations define the same spin
 structure iff they differ by reflections.  Classes number 2^(E-V+1) =
 2^(2g+s-1) on a connected graph.
 
-An OrientationState stores its signs as a tuple, one +1/-1 per edge.
-The forest and oracle code work on int bitmasks instead (bit i = edge i
-reversed), where a reflection XORs a mask with the star of its vertex
-(reflection_mask).  Class counts and canonical
+An OrientationState is its GF(2) vector, an int mask with bit e set when
+edge e is reversed (sign -1), and a reflection XORs the mask with the
+star of its vertex (reflection_mask).  Class counts and canonical
 representatives come from one spanning forest, the one Kruskal's greedy
 pass picks in edge-id order (_spanning_forest).  Reflecting at a vertex
 set reverses the edges of a cut, and a nonempty cut holds a forest edge;
@@ -35,9 +34,6 @@ forest, so a fault there cannot hide by agreeing with itself.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import ne
-
 from .fatgraph import boundary_cycles, whitehead_flip
 
 
@@ -46,41 +42,48 @@ class SpinError(ValueError):
 
 
 class OrientationState:
-    """Immutable assignment of a sign (+1/-1) to every edge of a graph."""
+    """Immutable assignment of a sign (+1/-1) to every edge of a graph,
+    stored as the mask of the edges with sign -1."""
 
-    __slots__ = ("graph", "signs")
+    __slots__ = ("graph", "mask")
 
     def __init__(self, graph, signs):
         signs = tuple(signs)
         if len(signs) != graph.num_edges or any(s not in (1, -1) for s in signs):
             raise SpinError("need one sign +1/-1 per edge, got %r" % (signs,))
         self.graph = graph
-        self.signs = signs
+        self.mask = sum(1 << e for e, s in enumerate(signs) if s == -1)
 
     @classmethod
-    def _unchecked(cls, graph, signs):
-        """A state from a tuple of signs already known to be valid."""
+    def _unchecked(cls, graph, mask):
+        """A state from a mask already known to fit the graph's edges."""
         state = object.__new__(cls)
         state.graph = graph
-        state.signs = signs
+        state.mask = mask
         return state
 
     @classmethod
     def all_plus(cls, graph):
-        return cls(graph, (1,) * graph.num_edges)
+        return cls._unchecked(graph, 0)
+
+    @property
+    def signs(self):
+        """One sign, +1 or -1, per edge."""
+        return _mask_to_signs(self.mask, self.graph.num_edges)
 
     def sign(self, e):
-        return self.signs[e]
+        # the range indexes e as the tuple of signs would
+        return -1 if self.mask >> range(self.graph.num_edges)[e] & 1 else 1
 
     def sign_string(self):
-        return "".join("+" if s == 1 else "-" for s in self.signs)
+        return "".join("-" if self.mask >> e & 1 else "+" for e in range(self.graph.num_edges))
 
     def __eq__(self, other):
         return (isinstance(other, OrientationState)
-                and self.graph == other.graph and self.signs == other.signs)
+                and self.mask == other.mask and self.graph == other.graph)
 
     def __hash__(self):
-        return hash((self.graph, self.signs))
+        return hash((self.graph, self.mask))
 
     def __repr__(self):
         return "OrientationState(%s)" % self.sign_string()
@@ -88,6 +91,14 @@ class OrientationState:
 
 def _mask_to_signs(mask, num_edges):
     return tuple(-1 if mask >> i & 1 else 1 for i in range(num_edges))
+
+
+def _bits(mask):
+    """The positions of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def reflection_mask(graph, v):
@@ -126,21 +137,12 @@ def _spanning_forest(graph):
     return forest
 
 
-def _toggle_star(signs, graph, v):
-    """Reflect the list signs at vertex v in place, once per incidence."""
-    for h in graph.vertices[v]:
-        e = graph.edge_of(h)
-        signs[e] = -signs[e]
-
-
 def reflect(state, v):
     """Reflect at vertex v: toggle each incident edge once per incidence."""
     graph = state.graph
     if not 0 <= v < graph.num_vertices:
         raise SpinError("unknown vertex %r" % (v,))
-    signs = list(state.signs)
-    _toggle_star(signs, graph, v)
-    return OrientationState._unchecked(graph, tuple(signs))
+    return OrientationState._unchecked(graph, state.mask ^ reflection_mask(graph, v))
 
 
 def same_spin_class(state1, state2):
@@ -199,9 +201,8 @@ def reflection_vertices_between(state1, state2):
     differing edges (a differing loop edge lies in no cut).
 
     The fundamental cuts are built once per graph, on first use, into the
-    graph's _cuts slot.  A call finds D by a C-level comparison of the
-    sign tuples; its Python work is per differing edge and per vertex of
-    X.
+    graph's _cuts slot.  D is the XOR of the two masks, so a call's
+    Python work is per differing edge and per vertex of X.
     """
     graph = state1.graph
     if state2.graph is not graph and state2.graph != graph:
@@ -210,20 +211,14 @@ def reflection_vertices_between(state1, state2):
     if table is None:
         table = graph._cuts = _fundamental_cuts(graph)
     sides, cuts = table
-    signs1 = state1.signs
-    inside = cut = differing = 0
-    for e in compress(range(len(signs1)), map(ne, signs1, state2.signs)):
+    differing = state1.mask ^ state2.mask
+    inside = cut = 0
+    for e in _bits(differing):
         inside ^= sides[e]
         cut ^= cuts[e]
-        differing |= 1 << e
     if cut != differing:
         return None
-    vertices = []
-    while inside:
-        low = inside & -inside
-        vertices.append(low.bit_length() - 1)
-        inside ^= low
-    return tuple(vertices)
+    return tuple(_bits(inside))
 
 
 def spin_class_count(graph):
@@ -272,8 +267,7 @@ def enumerate_spin_classes(graph):
                         "enumeration limit of 2^%d"
                         % (len(free), num_edges, graph.num_vertices,
                            MAX_ENUMERATED_CLASSES_LOG2))
-    return tuple(OrientationState._unchecked(graph, _mask_to_signs(m, num_edges))
-                 for m in _lex_masks(free))
+    return tuple(OrientationState._unchecked(graph, m) for m in _lex_masks(free))
 
 
 def brute_force_spin_classes(graph):
@@ -311,7 +305,7 @@ def brute_force_spin_classes(graph):
             reps.append(start)
             for m in orbit:
                 seen[start ^ m] = 1
-    return tuple(OrientationState(graph, _mask_to_signs(m, num_edges)) for m in reps)
+    return tuple(OrientationState._unchecked(graph, m) for m in reps)
 
 
 def classify_punctures(state, cycles=None):
@@ -319,13 +313,13 @@ def classify_punctures(state, cycles=None):
 
     Walking a cycle traverses each half-edge h along h -> alpha(h); the
     traversal opposes the edge's orientation when it runs from the head
-    half while the sign is +1, or from the tail half while the sign is -1.
-    An even count of opposing traversals gives R, odd gives NS.
+    half of an edge that is not reversed, or from the tail half of one
+    that is.  An even count of opposing traversals gives R, odd gives NS.
 
     cycles, when given, must be boundary_cycles(state.graph); the
     orientations of one graph can then share one walk of its cycles.
     """
-    graph = state.graph
+    graph, mask = state.graph, state.mask
     if cycles is None:
         cycles = boundary_cycles(graph)
     tags = []
@@ -334,7 +328,7 @@ def classify_punctures(state, cycles=None):
         for h in cycle:
             e = graph.edge_of(h)
             along_reference = graph.edges[e][0] == h
-            if along_reference != (state.signs[e] == 1):
+            if along_reference == bool(mask >> e & 1):
                 k += 1
         tags.append("R" if k % 2 == 0 else "NS")
     return tuple(tags)
@@ -350,20 +344,15 @@ def flip_orientation(state, e):
     their orientations, b is reversed, and the new edge points from the
     (b,c)-vertex to the (a,d)-vertex, which is its new reference (+1).
 
-    The signs are toggled in place on a copy: the auto-reflection toggles
-    the three edges at the tail vertex (e, a, b, no loop among them on a
-    generic flip), then b and e are set.  The parent's signs were valid
-    and only +1/-1 are written, so the new state is not re-checked.  The
-    auto-reflection is decided before the graph flip, so whitehead_flip
+    The auto-reflection XORs the mask with the star of the tail vertex
+    (e, a, b, no loop among them on a generic flip), then b is toggled and
+    e cleared.  It is decided before the graph flip, so whitehead_flip
     builds the one record with it.
     """
-    graph = state.graph
-    signs = list(state.signs)
+    graph, mask = state.graph, state.mask
     reflections = ()
-    if 0 <= e < len(signs) and signs[e] == 1:   # whitehead_flip refuses any other e
+    if 0 <= e < graph.num_edges and not mask >> e & 1:   # whitehead_flip refuses any other e
         reflections = (graph.tail_vertex(e),)
-        _toggle_star(signs, graph, reflections[0])
+        mask ^= reflection_mask(graph, reflections[0])
     flipped, record = whitehead_flip(graph, e, reflections)
-    signs[record.b] = -signs[record.b]
-    signs[e] = 1
-    return OrientationState._unchecked(flipped, tuple(signs)), record
+    return OrientationState._unchecked(flipped, (mask ^ 1 << record.b) & ~(1 << e)), record

@@ -133,6 +133,30 @@ def test_flip_non_generic_exit_code(capsys):
     assert "non-generic" in err
 
 
+def test_flip_rejects_malformed_edge_lists(capsys):
+    # a malformed list is a bad argument, as a malformed --cases is
+    for edges, message in (("1,x", "expects comma-separated integers, got '1,x'"),
+                           (",", "lists no edge ids"), ("", "lists no edge ids")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["flip", str(DATA / "sphere4.fg"), "--edges", edges])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--edges: " + message in out.err
+
+
+def test_flip_edge_list_skips_blank_items(capsys):
+    assert run(capsys, "flip", str(DATA / "sphere4.fg"), "--edges", " 0, ,4,") == \
+        run(capsys, "flip", str(DATA / "sphere4.fg"), "--edges", "0,4")
+
+
+def test_flip_of_an_edge_the_graph_lacks_is_a_precondition(capsys):
+    code, out, err = run(capsys, "flip", str(DATA / "sphere4.fg"), "--edges", "99")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_shear_reports_residuals(capsys):
     code, out, _ = run(capsys, "shear", str(DATA / "torus_345.fg"))
     assert code == 0

@@ -1500,3 +1500,42 @@ def test_render_names_each_monomial_as_its_generators():
     assert str(x) == str(x) == "0.5 - 1.0*t2 + 2.0*t0^t1^t3"
     assert str(A4.monomial([3, 1], Fraction(-2, 3))) == "2/3*t1^t3"
     assert grassmann._monomial_text.cache_info().maxsize == 1024
+
+
+# -- isclose -------------------------------------------------------------------
+
+def _coefficient_isclose(x, y, tol):
+    """isclose on the coefficients themselves, Fractions in rational mode."""
+    def coefficients(z):
+        if z.algebra.mode == FLOAT:
+            return z.num
+        return {m: Fraction(c, z.den) for m, c in z.num.items()}
+    a, b = coefficients(x), coefficients(y)
+    return not any(abs(a.get(m, 0) - b.get(m, 0)) > tol for m in set(a) | set(b))
+
+
+@pytest.mark.parametrize("alg", [A4, F4])
+def test_isclose_passes_a_difference_of_exactly_tol(alg):
+    # 1/4 and 3/8 are exact binary floats, and the rational denominators differ
+    exact = alg.mode == RATIONAL
+    x = alg.element({0: Fraction(1, 3) if exact else 0.5, 0b11: Fraction(2, 7) if exact else 1.0})
+    y = alg.element({0: Fraction(7, 12) if exact else 0.75, 0b11: Fraction(2, 7) if exact else 1.0,
+                     0b101: Fraction(-3, 8) if exact else -0.375})
+    assert x.isclose(y, 0.375) and y.isclose(x, 0.375)
+    assert not x.isclose(y, math.nextafter(0.375, 0)) and not y.isclose(x, 0.3749)
+    assert x.isclose(y, Fraction(3, 8)) and not x.isclose(y, Fraction(3, 8) - Fraction(1, 10**30))
+    assert not x.isclose(y, 0.25) and x.isclose(x, 0) and not x.isclose(y, 0)
+
+
+@pytest.mark.parametrize("alg", [A4, F4])
+def test_isclose_agrees_with_the_coefficient_comparison(alg):
+    rng = random.Random(23)
+    tols = [0, 1, -1, 1e-9, 0.25, 0.5, 3, Fraction(1, 3), math.inf, -math.inf, math.nan]
+    for _ in range(200):
+        def draw():
+            return alg.element({m: (Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                                    if alg.mode == RATIONAL else rng.randint(-6, 6) / 4)
+                                for m in rng.sample(range(16), rng.randint(0, 4))})
+        x, y = draw(), draw()
+        for tol in tols + [rng.choice((0.125, 0.75, Fraction(rng.randint(0, 8), 12)))]:
+            assert x.isclose(y, tol) == _coefficient_isclose(x, y, tol), (x, y, tol)

@@ -26,6 +26,74 @@ def all_orientations(graph):
         yield OrientationState(graph, signs)
 
 
+# -- views of a state ---------------------------------------------------------------
+
+VIEW_GRAPHS = dict(GRAPHS, **{"prism_%d" % n: (lambda n=n: prism(n)) for n in range(3, 9)})
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_GRAPHS))
+def test_signs_sign_and_sign_string_read_the_constructor_signs(name):
+    graph = VIEW_GRAPHS[name]()
+    rng = random.Random(name)
+    for _ in range(20):
+        signs = [rng.choice((1, -1)) for _ in range(graph.num_edges)]
+        state = OrientationState(graph, signs)
+        assert state.signs == tuple(signs)
+        assert [state.sign(e) for e in range(graph.num_edges)] == signs
+        assert state.sign(-1) == signs[-1]
+        assert state.sign_string() == "".join("+" if s == 1 else "-" for s in signs)
+        assert repr(state) == "OrientationState(%s)" % state.sign_string()
+    with pytest.raises(IndexError):
+        state.sign(graph.num_edges)
+    plus = OrientationState.all_plus(graph)
+    assert plus.signs == (1,) * graph.num_edges and plus.sign_string() == "+" * graph.num_edges
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_GRAPHS))
+def test_states_built_any_way_are_equal_and_hash_equal(name):
+    graph = VIEW_GRAPHS[name]()
+    rng = random.Random(name)
+    for _ in range(20):
+        state = random_orientation(graph, rng)
+        v = rng.randrange(graph.num_vertices)
+        twice = reflect(reflect(state, v), v)
+        assert twice == state and hash(twice) == hash(state)
+        once = reflect(state, v)
+        rebuilt = OrientationState(graph, once.signs)
+        assert rebuilt == once and hash(rebuilt) == hash(once)
+        assert (once == state) == (once.signs == state.signs)
+    fast = enumerate_spin_classes(graph)
+    for rep in fast:
+        rebuilt = OrientationState(graph, rep.signs)
+        assert rebuilt == rep and hash(rebuilt) == hash(rep)
+    if graph.num_edges <= spin.MAX_BRUTE_FORCE_EDGES:
+        slow = brute_force_spin_classes(graph)
+        assert slow == fast and list(map(hash, slow)) == list(map(hash, fast))
+    assert len(set(fast)) == len(fast)
+
+
+def test_spin_work_builds_no_sign_tuple(monkeypatch):
+    # reflections, comparisons, enumeration, the orbit search, classification
+    # and flips all work on the mask; only .signs converts it
+    calls = []
+    original = spin._mask_to_signs
+    monkeypatch.setattr(spin, "_mask_to_signs",
+                        lambda *args: calls.append(args) or original(*args))
+    rng = random.Random(3)
+    for make in list(GRAPHS.values()) + [lambda: prism(5)]:
+        graph = make()
+        state = random_orientation(graph, rng)
+        other = reflect(reflect(state, 0), graph.num_vertices - 1)
+        assert reflection_vertices_between(state, other) is not None
+        assert same_spin_class(state, other) and state != reflect(state, 0)
+        assert enumerate_spin_classes(graph) == brute_force_spin_classes(graph)
+        classify_punctures(state)
+        for e in generic_edges(graph):
+            flip_orientation(state, e)
+    assert calls == []
+    assert state.signs and len(calls) == 1
+
+
 # -- reflections ----------------------------------------------------------------
 
 def test_reflect_torus_flips_all_edges():
