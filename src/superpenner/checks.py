@@ -343,7 +343,12 @@ def pentagon_pairs(graph):
 
 
 def check_ptolemy(graph, seed=0, mode=RATIONAL, tol=1e-12, cases=1000):
-    """Classical limit: e*f = ac + bd after every flip of a mu=0 state."""
+    """e*f = ac + bd after every flip of a mu = 0 state.
+
+    The states keep even souls on their lambda-lengths, so the identity
+    is checked in the whole algebra; body-only states with mu = 0 are
+    the classical limit (decorated.classical_limit).
+    """
     edges = generic_edges(graph)
     if not edges:
         raise CheckSetupError("graph has no generically flippable edge")

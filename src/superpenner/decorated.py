@@ -23,7 +23,12 @@ grassmann.ginvsqrt); all four are one weight-by-weight solve.  With
 p = ac + bd, p = bd (1 + chi), so p r**2 = bd and
 f = (p + sigma (theta sqrt(chi)) bd) / e, while nu = (sigma - theta sqrt(chi)) r
 and mu = (theta + sigma sqrt(chi)) r.  A flip of dense elements makes
-eight products, two quotients and two roots.
+eight products, two quotients and two roots.  When theta = sigma = 0 the
+flip is Penner's classical relation ef = ac + bd: nu and mu stay zero and
+f = (ac + bd) / e.  On exact one-term lambda-lengths (bodies alone, as on
+classical_limit states) that value is one fraction with one gcd
+(grassmann._ptolemy); lambda-lengths with souls, and float ones, take two
+products, a sum and a quotient.
 
 The formulas apply in the arrow configuration where e points from the
 (c,d)-vertex to the (a,b)-vertex; the auto-reflection that produces it
@@ -43,7 +48,8 @@ does, and still differs from it.
 
 from __future__ import annotations
 
-from .grassmann import RATIONAL, GrassmannAlgebra, GrassmannError, gdiv, ginvsqrt, glog, gsqrt
+from .grassmann import (RATIONAL, GrassmannAlgebra, GrassmannError, _ptolemy, _reduced, gdiv,
+                        ginvsqrt, glog, gsqrt)
 from .fatgraph import _quadrilateral, boundary_cycles, topology
 from .spin import OrientationState, SpinError, flip_orientation, reflection_vertices_between
 
@@ -148,7 +154,9 @@ def superflip(state, e):
     and 1 + chi must exist (square bodies) unless both quadrilateral
     mu-invariants vanish, in which case the flip is purely classical.
     The flip evaluates the formulas through the identities in the module
-    docstring: quotients for chi and f, then roots of chi and 1 + chi.
+    docstring: quotients for chi and f, then roots of chi and 1 + chi.  A
+    classical flip computes only f = (ac + bd) / e, as one fraction when
+    the algebra is rational and all five lambda-lengths are one-term.
     """
     new_orientation, record = flip_orientation(state.orientation, e)
 
@@ -159,15 +167,21 @@ def superflip(state, e):
     sigma = mu[record.head_vertex]   # the (c,d)-vertex
 
     la, lb, lc, ld, le = (state.lam[i] for i in (record.a, record.b, record.c, record.d, e))
-    ac = la * lc
-    bd = lb * ld
-    p = ac + bd
     if theta.is_zero() and sigma.is_zero():
+        # a lambda-length has a positive body, so one term is its body alone
+        if (state.algebra.mode == RATIONAL
+                and len(la.num) == len(lb.num) == len(lc.num) == len(ld.num)
+                == len(le.num) == 1):
+            f = _ptolemy(la, lb, lc, ld, le)
+        else:
+            f = gdiv(la * lc + lb * ld, le)
         # both vertices keep the zero objects they hold, so a round trip's
         # comparison meets the same objects again
-        f = gdiv(p, le)
         nu, mu_new = theta, sigma
     else:
+        ac = la * lc
+        bd = lb * ld
+        p = ac + bd
         chi = gdiv(ac, bd)
         sqrt_chi = gsqrt(chi)
         r = ginvsqrt(1 + chi)
@@ -219,11 +233,16 @@ def _puncture_residuals(state, z):
 
 
 def classical_limit(state):
-    """Set every mu-invariant to zero and every lambda-length to its body."""
+    """Set every mu-invariant to zero and every lambda-length to its body.
+
+    The result is valid because state is: a lambda-length's body is
+    positive, and zero is odd.  So each body is one reduce of the term
+    num[0] over den, and the state is built without checking it again.
+    """
     algebra = state.algebra
-    lam = {e: algebra.scalar(x.body) for e, x in state.lam.items()}
+    lam = {e: _reduced(algebra, {0: x.num[0]}, x.den, 1) for e, x in state.lam.items()}
     mu = {v: algebra.zero() for v in state.mu}
-    return DecoratedState(state.graph, state.orientation, algebra, lam, mu)
+    return DecoratedState._unchecked(state.orientation, algebra, lam, mu)
 
 
 def states_equal_mod_sign(state1, state2, tol=None):

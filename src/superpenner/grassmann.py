@@ -119,6 +119,12 @@ with the sign moved off the denominator, reduced once.  In float mode
 every term is v / b, the operation the solve runs on it, and a term that
 underflows to 0 is dropped, as the solve drops it.
 
+The classical Ptolemy value (a c + b d) / e of five rational one-term
+scalars with positive bodies, which a flip with zero mu-invariants
+needs, is one fraction (_ptolemy): one numerator and one denominator of
+ints, reduced by one gcd, where two products, a sum and a scaling would
+each build an element and reduce it.
+
 Dispatch: gdiv scales when its divisor has a single term (an invertible
 one-term y is a scalar).  Otherwise a solve takes the dense path when
 2**n < len(start) * len(y) + len(y)**2 (the pairs of start and of a
@@ -776,6 +782,23 @@ def _scaled(x, c, dc, quotient):
     if quotient:
         c, dc = (dc, c) if c > 0 else (-dc, -c)
     return _reduced(alg, {m: v * c for m, v in x.num.items()}, x.den * dc, x._w)
+
+
+def _ptolemy(a, b, c, d, e):
+    """(a c + b d) / e for rational one-term scalars with positive bodies,
+    as one fraction reduced by one gcd.
+
+    With bodies A/da, B/db, C/dc, D/dd and E/de the value is
+    (A C db dd + B D da dc) de over da db dc dd E.  Both are positive, so
+    this is the quotient gdiv(a * c + b * d, e) gives through two
+    products, a sum and a scaling, each reduced on its own: the normal
+    form is unique.
+    """
+    da, db, dc, dd = a.den, b.den, c.den, d.den
+    num = (a.num[0] * c.num[0] * db * dd + b.num[0] * d.num[0] * da * dc) * e.den
+    den = da * db * dc * dd * e.num[0]
+    g = gcd(num, den)
+    return _element(a.algebra, {0: num // g}, den // g, 1)
 
 
 def gmul(x, y):

@@ -378,6 +378,15 @@ def reference_random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
     return DecoratedState(graph, OrientationState(graph, signs), algebra, lam, mu)
 
 
+def reference_classical_limit(state):
+    """decorated.classical_limit built through algebra.scalar(body) and a
+    validating DecoratedState: the oracle for the one-reduce build."""
+    algebra = state.algebra
+    lam = {e: algebra.scalar(x.body) for e, x in state.lam.items()}
+    mu = {v: algebra.zero() for v in state.mu}
+    return DecoratedState(state.graph, state.orientation, algebra, lam, mu)
+
+
 def reference_transport_state(final_state, phi, initial_graph):
     """checks.transport_state edge by edge and vertex by vertex.
 

@@ -127,6 +127,35 @@ def test_flip_rational_golden(capsys):
     assert back.lam[0] == state.algebra.scalar(1)
 
 
+def classical_document(tmp_path):
+    """genus2_1.fg with every mu-invariant 0 and the lambdas at their
+    default 1: an exact classical state, whose flips are ef = ac + bd."""
+    path = tmp_path / "classical.fg"
+    path.write_text((DATA / "genus2_1.fg").read_text()
+                    + "".join("mu v%d: 0\n" % k for k in range(6)))
+    return path
+
+
+def lambda_values(out):
+    return [line.split(": ")[1] for line in out.splitlines() if line.startswith("lambda ")]
+
+
+def test_exact_classical_flips_give_integer_lambdas(capsys, tmp_path):
+    # from all lambdas 1, ac + bd over e stays an integer (Laurent property)
+    code, out, _ = run(capsys, "flip", str(classical_document(tmp_path)),
+                       "--mode", "rational", "--edges", "0,4,7,2,5")
+    assert code == 0
+    assert lambda_values(out) == ["2", "1", "4", "1", "3", "13", "1", "5", "1"]
+    assert all(line.endswith(": 0") for line in out.splitlines() if line.startswith("mu "))
+
+
+def test_exact_classical_round_trip_restores_every_lambda(capsys, tmp_path):
+    code, out, _ = run(capsys, "flip", str(classical_document(tmp_path)),
+                       "--mode", "rational", "--edges", "0,4,7,7,4,0")
+    assert code == 0
+    assert lambda_values(out) == ["1"] * 9
+
+
 def test_flip_non_generic_exit_code(capsys):
     code, _, err = run(capsys, "flip", str(DATA / "torus.fg"), "--edges", "0")
     assert code == 3

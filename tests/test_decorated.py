@@ -18,10 +18,10 @@ from superpenner.decorated import (DecoratedState, check_puncture_relation,
                                    superflip)
 from superpenner.fatgraph import FatGraph, flip_quadrilateral
 from superpenner.grassmann import (FLOAT, RATIONAL, GrassmannAlgebra, GrassmannElement,
-                                   GrassmannError, ginv, gmul, gsqrt)
+                                   GrassmannError, gdiv, ginv, gmul, gsqrt)
 from superpenner.spin import OrientationState, reflect, reflection_vertices_between
 
-from helpers import prism
+from helpers import prism, reference_classical_limit
 
 
 def ptolemy_example_state():
@@ -236,6 +236,130 @@ def test_classical_limit_idempotent_and_commutes():
     limit_then_flip = superflip(limit, 0)[0]
     assert states_equal_mod_sign(flip_then_limit, limit_then_flip)
     assert limit_then_flip.lam[0] == state.algebra.scalar(25)
+
+
+def classical_states(mode):
+    """classical_limit of a random state on each catalog graph and prism(3..12)."""
+    graphs = [make() for make in GRAPHS.values()] + [prism(n) for n in range(3, 13)]
+    return [classical_limit(random_decorated_state(g, random.Random(g.num_edges), mode))
+            for g in graphs]
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_classical_limit_matches_the_scalar_build(mode):
+    graphs = [make() for make in GRAPHS.values()] + [prism(n) for n in range(3, 13)]
+    for graph in graphs:
+        state = random_decorated_state(graph, random.Random(graph.num_vertices), mode)
+        limit, expected = classical_limit(state), reference_classical_limit(state)
+        assert list(limit.lam) == list(expected.lam)
+        assert all((x.num, x.den) == (y.num, y.den)
+                   for x, y in zip(limit.lam.values(), expected.lam.values()))
+        assert all(grassmann._weights(x) == 1 for x in limit.lam.values())
+        assert list(limit.mu) == list(expected.mu)
+        assert all(x.is_zero() for x in limit.mu.values())
+        assert limit.graph is state.graph and limit.orientation is state.orientation
+        assert classical_limit(limit) is not limit
+
+
+def test_exact_classical_flip_is_the_generic_quotient():
+    # every flip of one-term rational lambda-lengths with mu = 0, from the
+    # start and along a walk, equals the quotient (ac + bd) / e in normal form
+    flips = 0
+    for state in classical_states(RATIONAL):
+        rng = random.Random(state.graph.num_edges)
+        steps = [(state, e) for e in generic_edges(state.graph)]
+        current = state
+        for _ in range(6):
+            candidates = generic_edges(current.graph)
+            if not candidates:
+                break
+            e = rng.choice(candidates)
+            steps.append((current, e))
+            current = superflip(current, e)[0]
+        for before, e in steps:
+            flipped, record = superflip(before, e)
+            orientation, expected_record = spin.flip_orientation(before.orientation, e)
+            la, lb, lc, ld, le = (before.lam[i]
+                                  for i in (record.a, record.b, record.c, record.d, e))
+            expected = gdiv(la * lc + lb * ld, le)
+            f = flipped.lam[e]
+            assert (f.num, f.den, f._w) == (expected.num, expected.den,
+                                             grassmann._weights(expected))
+            assert flipped.orientation.mask == orientation.mask
+            assert record == expected_record
+            flips += 1
+    assert flips > 300
+
+
+def test_exact_classical_flip_makes_no_generic_operation():
+    forbidden = {f.__code__: f.__name__ for f in (gmul, gdiv, grassmann._add)}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in forbidden:
+            calls.append(forbidden[frame.f_code])
+
+    flips = [(state, e) for state in classical_states(RATIONAL)
+             for e in generic_edges(state.graph)]
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for state, e in flips:
+            superflip(state, e)
+    finally:
+        sys.setprofile(previous)
+    assert calls == []
+
+
+@pytest.fixture
+def ptolemy_calls(monkeypatch):
+    """The argument tuples of every call to the one-fraction kernel."""
+    calls = []
+    kernel = decorated._ptolemy
+    monkeypatch.setattr(decorated, "_ptolemy",
+                        lambda *args: calls.append(args) or kernel(*args))
+    return calls
+
+
+@pytest.mark.parametrize("position", range(5))
+def test_a_lambda_length_with_a_soul_takes_the_generic_flip(ptolemy_calls, position):
+    state = classical_limit(random_decorated_state(genus2_one_puncture(), random.Random(3),
+                                                   RATIONAL))
+    e = generic_edges(state.graph)[0]
+    q = flip_quadrilateral(state.graph, e)
+    edge = (q.a, q.b, q.c, q.d, e)[position]
+    lam = dict(state.lam)
+    lam[edge] = lam[edge] + state.algebra.monomial([0, 1], 3)
+    souled = DecoratedState(state.graph, state.orientation, state.algebra, lam, state.mu)
+    flipped, _ = superflip(souled, e)
+    la, lb, lc, ld, le = (lam[i] for i in (q.a, q.b, q.c, q.d, e))
+    assert flipped.lam[e] == gdiv(la * lc + lb * ld, le)
+    assert len(flipped.lam[e].num) > 1
+    assert ptolemy_calls == []
+
+
+def test_a_float_classical_flip_keeps_its_bits(ptolemy_calls):
+    for state in classical_states(FLOAT):
+        for e in generic_edges(state.graph):
+            flipped, record = superflip(state, e)
+            la, lb, lc, ld, le = (state.lam[i]
+                                  for i in (record.a, record.b, record.c, record.d, e))
+            expected = gdiv(la * lc + lb * ld, le)
+            assert ({m: v.hex() for m, v in flipped.lam[e].num.items()}
+                    == {m: v.hex() for m, v in expected.num.items()})
+    assert ptolemy_calls == []
+
+
+@pytest.mark.parametrize("keep", ["theta", "sigma"])
+def test_one_nonzero_mu_takes_the_super_flip(ptolemy_calls, keep):
+    state, q = ptolemy_example_state()
+    mu = dict(state.mu)
+    mu[q.head_vertex if keep == "theta" else q.tail_vertex] = state.algebra.zero()
+    state = DecoratedState(state.graph, state.orientation, state.algebra, state.lam, mu)
+    flipped, _ = superflip(state, 0)
+    assert flipped.lam[0] == state.algebra.scalar(25)
+    assert not (flipped.mu[q.tail_vertex].is_zero() and flipped.mu[q.head_vertex].is_zero())
+    assert ptolemy_calls == []
 
 
 # -- shear coordinates -----------------------------------------------------------
@@ -474,9 +598,9 @@ def test_rational_superflip_does_no_fraction_arithmetic(monkeypatch):
 
 def test_classical_round_trips_only_scale():
     # every lambda-length of a classical rational state is a one-term
-    # scalar: flips and round-trip comparisons scale by it, and run no
-    # solve and no pair kernel, build no Fraction and copy no FlipRecord.
-    # They are local too: a flip reads its quadrilateral without building
+    # scalar: flips take (ac + bd) / e as one fraction, comparisons scale
+    # by it, and neither runs a solve or a pair kernel, builds a Fraction
+    # or copies a FlipRecord.  They are local too: a flip reads its quadrilateral without building
     # a Quadrilateral or a dataclass record, and a comparison finds its
     # isomorphism without propagating over the whole graph
     forbidden = {f.__code__: name for name, f in (
