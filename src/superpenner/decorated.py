@@ -77,7 +77,12 @@ def _check_mu(vi, x):
 
 
 class DecoratedState:
-    """Immutable decorated fatgraph: orientation + lambda-lengths + mu-invariants."""
+    """Immutable decorated fatgraph: orientation + lambda-lengths + mu-invariants.
+
+    lam and mu are plain dicts that states may share: a classical flip's
+    result holds its parent's mu map (superflip), and _unchecked takes the
+    maps it is given as is.  Treat both as read-only.
+    """
 
     __slots__ = ("graph", "orientation", "algebra", "lam", "mu")
 
@@ -155,19 +160,20 @@ def superflip(state, e):
     mu-invariants vanish, in which case the flip is purely classical.
     The flip evaluates the formulas through the identities in the module
     docstring: quotients for chi and f, then roots of chi and 1 + chi.  A
-    classical flip computes only f = (ac + bd) / e, as one fraction when
-    the algebra is rational and all five lambda-lengths are one-term.
+    classical flip (theta = sigma = 0) computes only f = (ac + bd) / e, as
+    one fraction when the algebra is rational and all five lambda-lengths
+    are one-term, and copies only the lambda map: the new state shares
+    the parent's mu map, which the flip leaves as it is.  A super flip
+    copies both maps and checks both new mu-invariants.
     """
     new_orientation, record = flip_orientation(state.orientation, e)
-
-    mu = dict(state.mu)
-    for v in record.reflections_applied:
-        mu[v] = -mu[v]
-    theta = mu[record.tail_vertex]   # the (a,b)-vertex
-    sigma = mu[record.head_vertex]   # the (c,d)-vertex
-
-    la, lb, lc, ld, le = (state.lam[i] for i in (record.a, record.b, record.c, record.d, e))
-    if theta.is_zero() and sigma.is_zero():
+    _, a, b, c, d, u, w, reflections = record
+    lam, mu = state.lam, state.mu
+    la, lb, lc, ld, le = lam[a], lam[b], lam[c], lam[d], lam[e]
+    # u is the (a,b)-vertex and w the (c,d)-vertex; a reflection negates
+    # its vertex's mu-invariant, so whether theta and sigma are zero can be
+    # read before it
+    if mu[u].is_zero() and mu[w].is_zero():
         # a lambda-length has a positive body, so one term is its body alone
         if (state.algebra.mode == RATIONAL
                 and len(la.num) == len(lb.num) == len(lc.num) == len(ld.num)
@@ -175,26 +181,30 @@ def superflip(state, e):
             f = _ptolemy(la, lb, lc, ld, le)
         else:
             f = gdiv(la * lc + lb * ld, le)
-        # both vertices keep the zero objects they hold, so a round trip's
-        # comparison meets the same objects again
-        nu, mu_new = theta, sigma
-    else:
-        ac = la * lc
-        bd = lb * ld
-        p = ac + bd
-        chi = gdiv(ac, bd)
-        sqrt_chi = gsqrt(chi)
-        r = ginvsqrt(1 + chi)
-        theta_root = theta * sqrt_chi
-        f = gdiv(p + sigma * theta_root * bd, le)
-        nu = (sigma - theta_root) * r
-        mu_new = (theta + sigma * sqrt_chi) * r
+        _check_lambda(e, f)
+        lam = dict(lam)
+        lam[e] = f
+        # nu and mu stay zero, and the only reflection is at the tail
+        # vertex u, whose zero negates to itself: the parent's mu map is
+        # already the new one, object for object
+        return DecoratedState._unchecked(new_orientation, state.algebra, lam, mu), record
 
-    mu[record.tail_vertex] = nu       # now the (b,c)-vertex
-    mu[record.head_vertex] = mu_new   # now the (a,d)-vertex
-    new_state = state._after_flip(new_orientation, e, f, mu,
-                                  (record.tail_vertex, record.head_vertex))
-    return new_state, record
+    mu = dict(mu)
+    for v in reflections:
+        mu[v] = -mu[v]
+    theta = mu[u]
+    sigma = mu[w]
+    ac = la * lc
+    bd = lb * ld
+    p = ac + bd
+    chi = gdiv(ac, bd)
+    sqrt_chi = gsqrt(chi)
+    r = ginvsqrt(1 + chi)
+    theta_root = theta * sqrt_chi
+    f = gdiv(p + sigma * theta_root * bd, le)
+    mu[u] = (sigma - theta_root) * r        # nu, at the (b,c)-vertex now
+    mu[w] = (theta + sigma * sqrt_chi) * r  # at the (a,d)-vertex now
+    return state._after_flip(new_orientation, e, f, mu, (u, w)), record
 
 
 def shear_coordinates(state):

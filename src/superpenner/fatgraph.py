@@ -17,6 +17,7 @@ the whole graph (see whitehead_flip).
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,10 +31,11 @@ class NonGenericFlipError(FatGraphError):
     """Flip rejected: loop edge or coincidences among the side labels."""
 
 
-def _rotate_min(cycle):
-    """Rotate a cyclic tuple so its minimum comes first."""
-    k = cycle.index(min(cycle))
-    return cycle[k:] + cycle[:k]
+def _rotated(x, y, z):
+    """The cyclic triple (x, y, z) rotated so that its first minimum comes first."""
+    if x <= y:
+        return (x, y, z) if x <= z else (z, x, y)
+    return (y, z, x) if y <= z else (z, x, y)
 
 
 class FatGraph:
@@ -42,7 +44,10 @@ class FatGraph:
     vertices: sequence of cyclic triples of half-edge ids.
     edges: sequence of (tail_half, head_half) pairs.
     Half-edge ids must be exactly 0..2E-1, each appearing in one vertex
-    triple and one edge pair.
+    triple and one edge pair.  A vertex entry must hold three ints (an
+    operator.index operand) and an edge entry two values that int()
+    converts; any other entry is a FatGraphError, as is every other
+    invalid graph.
 
     _cuts caches the fundamental cuts of the spanning forest, which
     spin.reflection_vertices_between builds on first use (None until
@@ -54,8 +59,22 @@ class FatGraph:
                  "_sigma", "_alpha", "_edge_of", "_vertex_of", "_cuts")
 
     def __init__(self, vertices, edges, vertex_names=None):
-        self.vertices = tuple(_rotate_min(tuple(v)) for v in vertices)
-        self.edges = tuple((int(t), int(h)) for t, h in edges)
+        triples = []
+        for v in vertices:
+            try:
+                x, y, z = map(operator.index, v)
+            except (TypeError, ValueError):
+                raise FatGraphError("non-trivalent vertex %r" % (v,)) from None
+            triples.append(_rotated(x, y, z))
+        self.vertices = tuple(triples)
+        pairs = []
+        for pair in edges:
+            try:
+                t, h = pair
+                pairs.append((int(t), int(h)))
+            except (TypeError, ValueError):
+                raise FatGraphError("bad edge %r" % (pair,)) from None
+        self.edges = tuple(pairs)
         if vertex_names is None:
             vertex_names = tuple("v%d" % i for i in range(len(self.vertices)))
         self.vertex_names = tuple(vertex_names)
@@ -85,7 +104,7 @@ class FatGraph:
         if len(self.vertex_names) != len(self.vertices):
             raise FatGraphError("vertex name count does not match vertex count")
         for triple in self.vertices:
-            if len(triple) != 3 or len(set(triple)) != 3:
+            if len(set(triple)) != 3:
                 raise FatGraphError("non-trivalent vertex %r" % (triple,))
         n = 2 * len(self.edges)
         # 3V slots filled without holes means each half-edge exactly once
@@ -270,15 +289,17 @@ def whitehead_flip(graph, e, reflections_applied=()):
     rewritten vertices, so the graph stays connected.
 
     Python work is per touched entry: the quadrilateral is read from the
-    tables as a plain tuple (no Quadrilateral is built), eight entries are
-    patched and the record is a named tuple.  Per vertex and half-edge
-    there is only the C-level copying of the three patched tuples.
+    tables as a plain tuple (no Quadrilateral is built), the two new
+    triples are rotated by comparisons, eight entries are patched and the
+    record is filled by tuple.__new__, without FlipRecord's generated
+    __new__ (it is the same FlipRecord).  Per vertex and half-edge there
+    is only the C-level copying of the three patched tuples.
     """
     u, w, t, h, ha, hb, hc, hd, a, b, c, d = _quadrilateral(graph, e)
     vertices = list(graph.vertices)
     # new tail vertex picks up b and c, new head vertex picks up d and a
-    vertices[u] = _rotate_min((t, hb, hc))
-    vertices[w] = _rotate_min((h, hd, ha))
+    vertices[u] = _rotated(t, hb, hc)
+    vertices[w] = _rotated(h, hd, ha)
     sigma = list(graph._sigma)
     sigma[t], sigma[hb], sigma[hc] = hb, hc, t
     sigma[h], sigma[hd], sigma[ha] = hd, ha, h
@@ -294,7 +315,7 @@ def whitehead_flip(graph, e, reflections_applied=()):
     flipped._edge_of = graph._edge_of
     flipped._vertex_of = tuple(vertex_of)
     flipped._cuts = None
-    return flipped, FlipRecord(e, a, b, c, d, u, w, reflections_applied)
+    return flipped, tuple.__new__(FlipRecord, (e, a, b, c, d, u, w, reflections_applied))
 
 
 def boundary_cycles(graph):

@@ -347,12 +347,17 @@ def flip_orientation(state, e):
     The auto-reflection XORs the mask with the star of the tail vertex
     (e, a, b, no loop among them on a generic flip), then b is toggled and
     e cleared.  It is decided before the graph flip, so whitehead_flip
-    builds the one record with it.
+    builds the one record with it.  The tail vertex and its star are read
+    straight from the graph's tables.
     """
     graph, mask = state.graph, state.mask
     reflections = ()
-    if 0 <= e < graph.num_edges and not mask >> e & 1:   # whitehead_flip refuses any other e
-        reflections = (graph.tail_vertex(e),)
-        mask ^= reflection_mask(graph, reflections[0])
+    edges = graph.edges
+    if 0 <= e < len(edges) and not mask >> e & 1:   # whitehead_flip refuses any other e
+        u = graph._vertex_of[edges[e][0]]
+        reflections = (u,)
+        edge_of = graph._edge_of
+        for h in graph.vertices[u]:
+            mask ^= 1 << edge_of[h]
     flipped, record = whitehead_flip(graph, e, reflections)
     return OrientationState._unchecked(flipped, (mask ^ 1 << record.b) & ~(1 << e)), record

@@ -12,8 +12,8 @@ from superpenner.fatgraph import (FatGraph, boundary_cycles, find_isomorphisms,
                                   flip_quadrilateral, propagate_isomorphism)
 from superpenner.grassmann import (FLOAT, RATIONAL, _TERM_RE, GrassmannAlgebra,
                                    GrassmannError, _below_parity, _finish, _join, _monomial,
-                                   _reduced, _rules)
-from superpenner.spin import OrientationState, SpinError, reflection_mask
+                                   _ptolemy, _reduced, _rules, gdiv, ginvsqrt, gsqrt)
+from superpenner.spin import OrientationState, SpinError, flip_orientation, reflection_mask
 
 
 def boundary_correspondence(graph1, graph2, skip_halves=()):
@@ -385,6 +385,47 @@ def reference_classical_limit(state):
     lam = {e: algebra.scalar(x.body) for e, x in state.lam.items()}
     mu = {v: algebra.zero() for v in state.mu}
     return DecoratedState(state.graph, state.orientation, algebra, lam, mu)
+
+
+def reference_superflip(state, e):
+    """decorated.superflip composed as one path for every flip.
+
+    flip_orientation, then a copy of the mu map with the auto-reflection's
+    negation, then the formulas (f alone when theta = sigma = 0), then
+    DecoratedState._after_flip, which checks f and both new mu-invariants
+    and copies the lambda map.  The oracle for the classical path, which
+    shares the parent's mu map and checks no mu-invariant.
+    """
+    new_orientation, record = flip_orientation(state.orientation, e)
+    mu = dict(state.mu)
+    for v in record.reflections_applied:
+        mu[v] = -mu[v]
+    theta = mu[record.tail_vertex]
+    sigma = mu[record.head_vertex]
+    la, lb, lc, ld, le = (state.lam[i] for i in (record.a, record.b, record.c, record.d, e))
+    if theta.is_zero() and sigma.is_zero():
+        if (state.algebra.mode == RATIONAL
+                and len(la.num) == len(lb.num) == len(lc.num) == len(ld.num)
+                == len(le.num) == 1):
+            f = _ptolemy(la, lb, lc, ld, le)
+        else:
+            f = gdiv(la * lc + lb * ld, le)
+        nu, mu_new = theta, sigma
+    else:
+        ac = la * lc
+        bd = lb * ld
+        chi = gdiv(ac, bd)
+        sqrt_chi = gsqrt(chi)
+        r = ginvsqrt(1 + chi)
+        theta_root = theta * sqrt_chi
+        f = gdiv(ac + bd + sigma * theta_root * bd, le)
+        nu = (sigma - theta_root) * r
+        mu_new = (theta + sigma * sqrt_chi) * r
+    mu[record.tail_vertex] = nu
+    mu[record.head_vertex] = mu_new
+    new_state = state._after_flip(new_orientation, e, f, mu,
+                                  (record.tail_vertex, record.head_vertex))
+    return new_state, record
 
 
 def reference_transport_state(final_state, phi, initial_graph):

@@ -16,12 +16,12 @@ from superpenner.decorated import (DecoratedState, check_puncture_relation,
                                    classical_limit, default_state,
                                    shear_coordinates, states_equal_mod_sign,
                                    superflip)
-from superpenner.fatgraph import FatGraph, flip_quadrilateral
+from superpenner.fatgraph import FatGraph, FlipRecord, flip_quadrilateral
 from superpenner.grassmann import (FLOAT, RATIONAL, GrassmannAlgebra, GrassmannElement,
                                    GrassmannError, gdiv, ginv, gmul, gsqrt)
 from superpenner.spin import OrientationState, reflect, reflection_vertices_between
 
-from helpers import prism, reference_classical_limit
+from helpers import prism, reference_classical_limit, reference_superflip
 
 
 def ptolemy_example_state():
@@ -360,6 +360,153 @@ def test_one_nonzero_mu_takes_the_super_flip(ptolemy_calls, keep):
     assert flipped.lam[0] == state.algebra.scalar(25)
     assert not (flipped.mu[q.tail_vertex].is_zero() and flipped.mu[q.head_vertex].is_zero())
     assert ptolemy_calls == []
+
+
+# -- the classical path shares the mu map ----------------------------------------
+
+
+def with_mu_and_sign(state, e, zero, reflect_first):
+    """state with a zero mu-invariant at each vertex in zero and edge e's
+    sign set so that its flip starts with an auto-reflection (sign +1) or
+    without one (sign -1)."""
+    mu = dict(state.mu)
+    for v in zero:
+        mu[v] = state.algebra.zero()
+    mask = state.orientation.mask
+    mask = mask & ~(1 << e) if reflect_first else mask | 1 << e
+    return DecoratedState(state.graph, OrientationState._unchecked(state.graph, mask),
+                          state.algebra, state.lam, mu)
+
+
+def lean_path_cases(mode):
+    """(kind, state, edge) for every generic edge of the catalog graphs and
+    prism(3..12): classical states with one-term lambda-lengths and with
+    souls, and mixed states (zero mu at the two flip vertices only), each
+    with and without the auto-reflection, and super states, with it on
+    every other edge; above V = 12 a super state's mu-invariants are the
+    generators, as in default_state, which keeps its flips cheap.  Then the
+    starts of 6-flip walks, with edge None: the classical states on every
+    graph, and a mixed state (zero mu at half the vertices) and a super
+    state on graphs up to V = 8, as super flips multiply terms along a
+    walk."""
+    graphs = [make() for make in GRAPHS.values()] + [prism(n) for n in range(3, 13)]
+    cases = []
+    for graph in graphs:
+        rng = random.Random(graph.num_edges)
+        odd = random_decorated_state(graph, rng, mode)
+        classical = [classical_limit(odd), random_decorated_state(graph, rng, mode, odd=False)]
+        cases += [("walk", state, None) for state in classical]
+        if graph.num_vertices <= 8:
+            half = rng.sample(range(graph.num_vertices), graph.num_vertices // 2)
+            cases.append(("walk", with_mu_and_sign(odd, 0, half, rng.random() < 0.5), None))
+            cases.append(("walk", odd, None))
+        for e in generic_edges(graph):
+            q = flip_quadrilateral(graph, e)
+            for reflect_first in (True, False):
+                cases += [("classical", with_mu_and_sign(state, e, (), reflect_first), e)
+                          for state in classical]
+                cases.append(("mixed", with_mu_and_sign(
+                    odd, e, (q.tail_vertex, q.head_vertex), reflect_first), e))
+            if mode == RATIONAL:
+                super_state = random_decorated_state(graph, rng, mode, square_friendly_edge=e)
+            else:
+                super_state = odd
+            if graph.num_vertices > 12:
+                algebra = super_state.algebra
+                super_state = DecoratedState(
+                    graph, super_state.orientation, algebra, super_state.lam,
+                    {v: algebra.gen(v) for v in range(graph.num_vertices)})
+            cases.append(("super", with_mu_and_sign(super_state, e, (), e % 2 == 0), e))
+    return cases
+
+
+def flip_outcome(flip, state, e):
+    """flip(state, e), or the type and text of the error it raises."""
+    try:
+        return flip(state, e)
+    except ValueError as exc:   # GrassmannError among them
+        return type(exc), str(exc)
+
+
+def assert_same_element_map(got, want):
+    """Equal keys in equal order, and per element equal num items (floats
+    by repr, so by bits) in equal order, den and weight mask."""
+    assert list(got) == list(want)
+    for x, y in zip(got.values(), want.values()):
+        assert ([(m, repr(c)) for m, c in x.num.items()]
+                == [(m, repr(c)) for m, c in y.num.items()])
+        assert (repr(x.den), x._w) == (repr(y.den), y._w)
+
+
+def assert_same_flip(got, want):
+    if not isinstance(want[0], DecoratedState):
+        assert got == want   # the same error
+        return
+    (state, record), (expected, expected_record) = got, want
+    for slot in FatGraph.__slots__:
+        assert getattr(state.graph, slot) == getattr(expected.graph, slot), slot
+    assert state.orientation.graph is state.graph
+    assert state.orientation.mask == expected.orientation.mask
+    assert type(record) is type(expected_record) is FlipRecord
+    assert record == expected_record
+    assert state.algebra is expected.algebra
+    assert_same_element_map(state.lam, expected.lam)
+    assert_same_element_map(state.mu, expected.mu)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_superflip_matches_the_one_path_composition(mode):
+    flips = {}   # kind -> flips that returned a state
+
+    def compare(kind, state, e):
+        got = flip_outcome(superflip, state, e)
+        assert_same_flip(got, flip_outcome(reference_superflip, state, e))
+        if isinstance(got[0], DecoratedState):
+            flips[kind] = flips.get(kind, 0) + 1
+            return got[0]
+        return state
+
+    for kind, state, e in lean_path_cases(mode):
+        if e is not None:
+            compare(kind, state, e)
+            continue
+        rng = random.Random(state.graph.num_edges)
+        for _ in range(6):
+            candidates = generic_edges(state.graph)
+            if not candidates:
+                break
+            state = compare(kind, state, rng.choice(candidates))
+    # every single flip returns a state; a rational super flip along a walk
+    # may meet a chi without a square root, and then both raise alike
+    assert flips["classical"] == 2 * flips["mixed"] == 4 * flips["super"] > 400, flips
+    assert flips["walk"] > 150, flips
+
+
+def test_a_zero_mu_flip_shares_the_mu_map(monkeypatch):
+    # the classical path checks no mu-invariant and builds its record
+    # without FlipRecord's generated __new__; a super flip copies the map
+    calls = []
+    check_mu = decorated._check_mu
+    monkeypatch.setattr(decorated, "_check_mu",
+                        lambda *args: calls.append("_check_mu") or check_mu(*args))
+    record_new = FlipRecord.__new__
+    monkeypatch.setattr(FlipRecord, "__new__",
+                        lambda *args: calls.append("FlipRecord.__new__") or record_new(*args))
+    flips = {True: 0, False: 0}
+    for _, state, e in lean_path_cases(RATIONAL):
+        if e is None:
+            continue
+        q = flip_quadrilateral(state.graph, e)
+        zero = state.mu[q.tail_vertex].is_zero() and state.mu[q.head_vertex].is_zero()
+        before = list(state.mu.items())
+        calls.clear()
+        flipped, _ = superflip(state, e)
+        assert (flipped.mu is state.mu) == zero
+        assert len(state.mu) == len(before)
+        assert all(v == u and x is y for (v, x), (u, y) in zip(state.mu.items(), before))
+        assert calls == ([] if zero else ["_check_mu", "_check_mu"])
+        flips[zero] += 1
+    assert min(flips.values()) > 100, flips
 
 
 # -- shear coordinates -----------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from superpenner.catalog import (GRAPHS, four_punctured_sphere, genus1_two_punctures,
                                  genus2_one_puncture, punctured_torus, theta_graph)
 from superpenner.fatgraph import (FatGraph, FatGraphError, FlipRecord, NonGenericFlipError,
-                                  boundary_cycles, find_isomorphisms,
+                                  _rotated, boundary_cycles, find_isomorphisms,
                                   flip_quadrilateral, graph_from_records,
                                   parse_fatgraph, render_fatgraph, scan_document,
                                   topology, whitehead_flip)
@@ -35,6 +35,48 @@ edge 2: 4 5
 
 
 # -- parsing -----------------------------------------------------------------
+
+TORUS_VERTICES = [(0, 2, 4), (1, 3, 5)]
+TORUS_EDGES = [(0, 1), (2, 3), (4, 5)]
+
+
+@pytest.mark.parametrize("vertices, edges, message", [
+    ([(), (1, 3, 5)], TORUS_EDGES, "non-trivalent vertex ()"),
+    ([(0, 1, "a"), (2, 3, 5)], TORUS_EDGES, "non-trivalent vertex (0, 1, 'a')"),
+    ([(0, 2, 4.0), (1, 3, 5)], TORUS_EDGES, "non-trivalent vertex (0, 2, 4.0)"),
+    ([(0, 2), (1, 3, 5, 4)], TORUS_EDGES, "non-trivalent vertex (0, 2)"),
+    ([(0, 2, 4, 6), (1, 3, 5)], TORUS_EDGES, "non-trivalent vertex (0, 2, 4, 6)"),
+    ([7, (1, 3, 5)], TORUS_EDGES, "non-trivalent vertex 7"),
+    ([(0, 2, 2), (1, 3, 5)], TORUS_EDGES, "non-trivalent vertex (0, 2, 2)"),
+    (TORUS_VERTICES, [(0, 1), (2,), (4, 5)], "bad edge (2,)"),
+    (TORUS_VERTICES, [(0, 1), (2, 3, 4), (4, 5)], "bad edge (2, 3, 4)"),
+    (TORUS_VERTICES, [(0, "x"), (2, 3), (4, 5)], "bad edge (0, 'x')"),
+    (TORUS_VERTICES, [(0, None), (2, 3), (4, 5)], "bad edge (0, None)"),
+    (TORUS_VERTICES, [5, (2, 3), (4, 5)], "bad edge 5"),
+])
+def test_malformed_entries_are_fatgraph_errors(vertices, edges, message):
+    with pytest.raises(FatGraphError) as info:
+        FatGraph(vertices, edges)
+    assert str(info.value) == message
+
+
+def test_entries_that_convert_build_the_same_graph():
+    # a vertex holds ints in any cyclic rotation (bools are ints); an edge
+    # holds anything int() converts
+    g = FatGraph([(4, 0, 2), (True, 3, 5)], [("0", 1.0), (2, 3), (4, 5)])
+    assert g == FatGraph(TORUS_VERTICES, TORUS_EDGES)
+    assert g.vertices == tuple(TORUS_VERTICES) and g.edges == tuple(TORUS_EDGES)
+    assert all(type(h) is int for triple in g.vertices for h in triple)
+
+
+def test_rotation_puts_the_first_minimum_first():
+    for x in range(3):
+        for y in range(3):
+            for z in range(3):
+                triple = (x, y, z)
+                k = triple.index(min(triple))
+                assert _rotated(x, y, z) == triple[k:] + triple[:k], triple
+
 
 def test_parse_punctured_torus():
     g = parse_fatgraph(TORUS_FILE)
