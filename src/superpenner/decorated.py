@@ -119,21 +119,6 @@ class DecoratedState:
         state.mu = mu
         return state
 
-    def _after_flip(self, orientation, e, f, mu, changed):
-        """This state's lambda-lengths with f on edge e, and mu, on orientation.
-
-        Only f and the mu-invariants of the vertices in changed are
-        checked; every other entry was checked when self was built (a
-        reflection only negates a mu-invariant), so a flip does no work
-        per edge or vertex beyond copying the two maps.
-        """
-        _check_lambda(e, f)
-        for vi in changed:
-            _check_mu(vi, mu[vi])
-        lam = dict(self.lam)
-        lam[e] = f
-        return DecoratedState._unchecked(orientation, self.algebra, lam, mu)
-
     def __repr__(self):
         g, s, e, v = topology(self.graph)
         return ("DecoratedState(g=%d, s=%d, %d lambda-lengths, %d mu-invariants, %s)"
@@ -162,9 +147,9 @@ def superflip(state, e):
     docstring: quotients for chi and f, then roots of chi and 1 + chi.  A
     classical flip (theta = sigma = 0) computes only f = (ac + bd) / e, as
     one fraction when the algebra is rational and all five lambda-lengths
-    are one-term, and copies only the lambda map: the new state shares
-    the parent's mu map, which the flip leaves as it is.  A super flip
-    copies both maps and checks both new mu-invariants.
+    are one-term, and the new state shares the parent's mu map, which the
+    flip leaves as it is.  A super flip copies the mu map and checks both
+    new mu-invariants.  Both then check f and copy the lambda map once.
     """
     new_orientation, record = flip_orientation(state.orientation, e)
     _, a, b, c, d, u, w, reflections = record
@@ -181,30 +166,33 @@ def superflip(state, e):
             f = _ptolemy(la, lb, lc, ld, le)
         else:
             f = gdiv(la * lc + lb * ld, le)
-        _check_lambda(e, f)
-        lam = dict(lam)
-        lam[e] = f
         # nu and mu stay zero, and the only reflection is at the tail
         # vertex u, whose zero negates to itself: the parent's mu map is
         # already the new one, object for object
-        return DecoratedState._unchecked(new_orientation, state.algebra, lam, mu), record
-
-    mu = dict(mu)
-    for v in reflections:
-        mu[v] = -mu[v]
-    theta = mu[u]
-    sigma = mu[w]
-    ac = la * lc
-    bd = lb * ld
-    p = ac + bd
-    chi = gdiv(ac, bd)
-    sqrt_chi = gsqrt(chi)
-    r = ginvsqrt(1 + chi)
-    theta_root = theta * sqrt_chi
-    f = gdiv(p + sigma * theta_root * bd, le)
-    mu[u] = (sigma - theta_root) * r        # nu, at the (b,c)-vertex now
-    mu[w] = (theta + sigma * sqrt_chi) * r  # at the (a,d)-vertex now
-    return state._after_flip(new_orientation, e, f, mu, (u, w)), record
+    else:
+        mu = dict(mu)
+        for v in reflections:
+            mu[v] = -mu[v]
+        theta = mu[u]
+        sigma = mu[w]
+        ac = la * lc
+        bd = lb * ld
+        p = ac + bd
+        chi = gdiv(ac, bd)
+        sqrt_chi = gsqrt(chi)
+        r = ginvsqrt(1 + chi)
+        theta_root = theta * sqrt_chi
+        f = gdiv(p + sigma * theta_root * bd, le)
+        mu[u] = (sigma - theta_root) * r        # nu, at the (b,c)-vertex now
+        mu[w] = (theta + sigma * sqrt_chi) * r  # at the (a,d)-vertex now
+        _check_mu(u, mu[u])
+        _check_mu(w, mu[w])
+    # every other entry was checked when the parent was built (a
+    # reflection only negates a mu-invariant)
+    _check_lambda(e, f)
+    lam = dict(lam)
+    lam[e] = f
+    return DecoratedState._unchecked(new_orientation, state.algebra, lam, mu), record
 
 
 def shear_coordinates(state):

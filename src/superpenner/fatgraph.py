@@ -437,9 +437,10 @@ def parse_fatgraph(text):
 def graph_from_records(records):
     """(graph, {file edge id: dense edge id}) from scan_document records.
 
-    Half-edge tokens and edge ids may be arbitrary non-negative integers;
-    both are normalized to dense 0-based ranges (edges by increasing file
-    id, vertices in order of appearance).  Decoration records are ignored.
+    Half-edge tokens and edge ids may be arbitrary non-negative integers
+    (a negative one is a line-numbered FatGraphError); both are normalized
+    to dense 0-based ranges (edges by increasing file id, vertices in
+    order of appearance).  Decoration records are ignored.
     """
     raw_vertices = {}   # vertex name -> half-edge tokens, in order of appearance
     raw_edges = {}      # file edge id -> half-edge tokens
@@ -454,6 +455,9 @@ def graph_from_records(records):
             if len(halves) != 3:
                 raise FatGraphError("line %d: non-trivalent vertex %r (%d half-edges)"
                                     % (lineno, key, len(halves)))
+            if min(halves) < 0:
+                raise FatGraphError("line %d: negative half-edge token %d"
+                                    % (lineno, min(halves)))
             raw_vertices[key] = halves
         elif kind == "edge":
             try:
@@ -464,6 +468,9 @@ def graph_from_records(records):
             if eid < 0 or len(pair) != 2:
                 raise FatGraphError("line %d: edge needs a non-negative id and "
                                     "exactly two half-edges" % lineno)
+            if min(pair) < 0:
+                raise FatGraphError("line %d: negative half-edge token %d"
+                                    % (lineno, min(pair)))
             if eid in raw_edges:
                 raise FatGraphError("line %d: duplicate edge id %d" % (lineno, eid))
             raw_edges[eid] = pair

@@ -344,20 +344,20 @@ def flip_orientation(state, e):
     their orientations, b is reversed, and the new edge points from the
     (b,c)-vertex to the (a,d)-vertex, which is its new reference (+1).
 
-    The auto-reflection XORs the mask with the star of the tail vertex
-    (e, a, b, no loop among them on a generic flip), then b is toggled and
-    e cleared.  It is decided before the graph flip, so whitehead_flip
-    builds the one record with it.  The tail vertex and its star are read
-    straight from the graph's tables.
+    Composed, this is one XOR.  Loops are refused, so the tail vertex's
+    star is e, a and b, and the reflection toggles one bit per half-edge:
+    e, a and b (if a = b their toggles cancel, and toggling b then leaves
+    a toggled all the same).  Toggling b again and clearing e leaves a
+    toggled, so the new mask is the old one with a toggled after an
+    auto-reflection, b toggled otherwise, and e cleared.  The reflection
+    is decided before the graph flip, so whitehead_flip builds the one
+    record with it.
     """
     graph, mask = state.graph, state.mask
-    reflections = ()
     edges = graph.edges
-    if 0 <= e < len(edges) and not mask >> e & 1:   # whitehead_flip refuses any other e
-        u = graph._vertex_of[edges[e][0]]
-        reflections = (u,)
-        edge_of = graph._edge_of
-        for h in graph.vertices[u]:
-            mask ^= 1 << edge_of[h]
-    flipped, record = whitehead_flip(graph, e, reflections)
-    return OrientationState._unchecked(flipped, (mask ^ 1 << record.b) & ~(1 << e)), record
+    # an e out of range is left for whitehead_flip to refuse
+    reflected = 0 <= e < len(edges) and not mask >> e & 1
+    flipped, record = whitehead_flip(
+        graph, e, (graph._vertex_of[edges[e][0]],) if reflected else ())
+    toggled = record.a if reflected else record.b
+    return OrientationState._unchecked(flipped, (mask ^ 1 << toggled) & ~(1 << e)), record

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 from superpenner import checks
-from superpenner.decorated import DecoratedState, states_equal_mod_sign
+from superpenner.decorated import DecoratedState, _check_lambda, _check_mu, states_equal_mod_sign
 from superpenner.fatgraph import (FatGraph, boundary_cycles, find_isomorphisms,
                                   flip_quadrilateral, propagate_isomorphism)
 from superpenner.grassmann import (FLOAT, RATIONAL, _TERM_RE, GrassmannAlgebra,
@@ -391,10 +391,10 @@ def reference_superflip(state, e):
     """decorated.superflip composed as one path for every flip.
 
     flip_orientation, then a copy of the mu map with the auto-reflection's
-    negation, then the formulas (f alone when theta = sigma = 0), then
-    DecoratedState._after_flip, which checks f and both new mu-invariants
-    and copies the lambda map.  The oracle for the classical path, which
-    shares the parent's mu map and checks no mu-invariant.
+    negation, then the formulas (f alone when theta = sigma = 0), then a
+    check of f and of both new mu-invariants and a copy of the lambda map.
+    The oracle for the classical path, which shares the parent's mu map
+    and checks no mu-invariant.
     """
     new_orientation, record = flip_orientation(state.orientation, e)
     mu = dict(state.mu)
@@ -423,9 +423,12 @@ def reference_superflip(state, e):
         mu_new = (theta + sigma * sqrt_chi) * r
     mu[record.tail_vertex] = nu
     mu[record.head_vertex] = mu_new
-    new_state = state._after_flip(new_orientation, e, f, mu,
-                                  (record.tail_vertex, record.head_vertex))
-    return new_state, record
+    _check_lambda(e, f)
+    for v in (record.tail_vertex, record.head_vertex):
+        _check_mu(v, mu[v])
+    lam = dict(state.lam)
+    lam[e] = f
+    return DecoratedState._unchecked(new_orientation, state.algebra, lam, mu), record
 
 
 def reference_transport_state(final_state, phi, initial_graph):

@@ -220,6 +220,44 @@ def test_parse_failure_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    # half-edge -1 is consistent across its vertex and edge lines
+    ((DATA / "torus.fg").read_text().replace("vertex A: 0 2 4", "vertex A: -1 2 4")
+     .replace("edge 0: 0 1", "edge 0: -1 1"), "line 2: negative half-edge token -1"),
+    ("fatgraph v1\nedge 0: -1 1\nedge 1: 2 3\nedge 2: 4 5\n"
+     "vertex A: -1 2 4\nvertex B: 1 3 5\n", "line 2: negative half-edge token -1"),
+], ids=["vertex-line", "edge-line"])
+def test_negative_half_edge_token_is_bad_input_with_line(capsys, tmp_path, text, message):
+    bad = tmp_path / "negative.fg"
+    bad.write_text(text)
+    for argv in (["info"], ["flip", "--edges", "0"]):
+        code, out, err = run(capsys, *argv, str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == "error: %s\n" % message
+
+
+def test_a_flip_checks_its_own_lambda_length(capsys, tmp_path):
+    # every lambda 1e-200 and every mu 0: a float flip of edge 0 underflows
+    # ac + bd to 0, which the flip itself must refuse; exactly, f = 2e-200
+    tiny = tmp_path / "tiny.fg"
+    tiny.write_text((DATA / "sphere4.fg").read_text()
+                    + "".join("lambda %d: 1e-200\n" % e for e in range(6))
+                    + "".join("mu v%d: 0\n" % v for v in range(4)))
+    message = "lambda-length of edge 0 must be even with positive body, got 0"
+    state = load_state(tiny.read_text(), mode="float")
+    with pytest.raises(ValueError) as info:
+        superflip(state, 0)
+    assert type(info.value) is ValueError and str(info.value) == message
+    code, out, err = run(capsys, "flip", str(tiny), "--edges", "0", "--mode", "float")
+    assert code == 3
+    assert out == ""
+    assert err == "error: %s\n" % message
+    code, out, err = run(capsys, "flip", str(tiny), "--edges", "0", "--mode", "rational")
+    assert code == 0
+    assert err == ""
+
+
 @pytest.mark.parametrize("command", [["info"], ["check", "spincount"]])
 @pytest.mark.parametrize("target", ["missing-parent", "directory"])
 def test_unwritable_output_is_bad_input(capsys, tmp_path, command, target):

@@ -127,6 +127,15 @@ def test_parse_rejects_duplicate_lines(line, message):
         parse_fatgraph(TORUS_FILE + line + "\n")
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("vertex A: 0 2 4", "vertex A: -1 2 4", "line 3: negative half-edge token -1"),
+    ("edge 2: 4 5", "edge 2: 4 -5", "line 7: negative half-edge token -5"),
+], ids=["vertex-line", "edge-line"])
+def test_parse_rejects_negative_half_edge_tokens(old, new, message):
+    with pytest.raises(FatGraphError, match=message):
+        parse_fatgraph(TORUS_FILE.replace(old, new))
+
+
 def test_parse_normalizes_sparse_ids():
     sparse = """\
 fatgraph v1

@@ -9,7 +9,7 @@ from superpenner.catalog import (GRAPHS, four_punctured_sphere, genus1_two_punct
                                  genus2_one_puncture, punctured_torus, theta_graph)
 from superpenner import spin
 from superpenner.checks import generic_edges
-from superpenner.fatgraph import topology
+from superpenner.fatgraph import flip_quadrilateral, topology
 from superpenner.spin import (OrientationState, SpinError,
                               brute_force_spin_classes,
                               classify_punctures, enumerate_spin_classes,
@@ -371,6 +371,32 @@ def test_flip_records_auto_reflection():
                                           for e in range(g.num_edges)))
     _, record2 = flip_orientation(canonical, 0)
     assert record2.reflections_applied == ()
+
+
+SIGN_RULE_GRAPHS = dict(GRAPHS, **{"prism_%d" % n: (lambda n=n: prism(n)) for n in range(3, 13)})
+
+
+def test_flip_orientation_is_the_tail_reflection_then_b_reversed():
+    # the rule as stated: a +1 edge is first reflected at the tail vertex,
+    # then b is reversed and the new edge takes sign +1
+    branches = {1: 0, -1: 0}
+    for name in sorted(SIGN_RULE_GRAPHS):
+        graph = SIGN_RULE_GRAPHS[name]()
+        rng = random.Random(name)
+        for e in generic_edges(graph):
+            q = flip_quadrilateral(graph, e)
+            for sign in (1, -1):
+                signs = [rng.choice((1, -1)) for _ in range(graph.num_edges)]
+                signs[e] = sign
+                state = OrientationState(graph, signs)
+                flipped, record = flip_orientation(state, e)
+                expected = list((reflect(state, q.tail_vertex) if sign == 1 else state).signs)
+                expected[q.b] = -expected[q.b]
+                expected[e] = 1
+                assert flipped.signs == tuple(expected), (name, e, signs)
+                assert record.reflections_applied == ((q.tail_vertex,) if sign == 1 else ())
+                branches[sign] += 1
+    assert min(branches.values()) > 100, branches
 
 
 def test_flip_class_count_invariant():
