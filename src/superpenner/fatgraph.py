@@ -111,14 +111,15 @@ class FatGraph:
         if 3 * len(self.vertices) != n or None in self._vertex_of:
             raise FatGraphError("vertex half-edges are not exactly 0..%d "
                                 "(dangling or duplicated half-edge)" % (n - 1))
+        # likewise for the 2E slots of the edges: an edge that pairs a
+        # half-edge with itself fills one slot and leaves a hole
         if None in self._edge_of:
             raise FatGraphError("edge half-edges are not exactly 0..%d "
                                 "(dangling or duplicated half-edge)" % (n - 1))
-        for t, h in self.edges:
-            if t == h:
-                raise FatGraphError("edge pairs half-edge %d with itself" % t)
         if not self.edges:
             raise FatGraphError("empty fatgraph")
+        # now 3V = 2E >= 2, so V < E: the Euler characteristic
+        # 2 - 2g - s = V - E is negative without a test
         # connectivity under the group generated by sigma and alpha
         reach = [False] * n
         reach[0] = True
@@ -131,10 +132,6 @@ class FatGraph:
                     stack.append(nxt)
         if not all(reach):
             raise FatGraphError("disconnected fatgraph")
-        # negative Euler characteristic: 2 - 2g - s = V - E < 0
-        if len(self.vertices) >= len(self.edges):
-            raise FatGraphError("Euler characteristic >= 0: "
-                                "V=%d E=%d" % (len(self.vertices), len(self.edges)))
 
     # -- basic accessors ----------------------------------------------------
 
@@ -434,13 +431,26 @@ def parse_fatgraph(text):
     return graph_from_records(scan_document(text))[0]
 
 
+def _integer_tokens(text):
+    """The ints of text's whitespace-separated tokens, each an optional '-'
+    then ASCII digits; ValueError for any other token.
+
+    int() alone also takes a '+' sign, '_' between digits and non-ASCII
+    digits; one test of the whole text refuses them.
+    """
+    if not text.isascii() or "+" in text or "_" in text:
+        raise ValueError("not ASCII integer tokens: %r" % text)
+    return tuple(map(int, text.split()))
+
+
 def graph_from_records(records):
     """(graph, {file edge id: dense edge id}) from scan_document records.
 
     Half-edge tokens and edge ids may be arbitrary non-negative integers
-    (a negative one is a line-numbered FatGraphError); both are normalized
-    to dense 0-based ranges (edges by increasing file id, vertices in
-    order of appearance).  Decoration records are ignored.
+    in ASCII digits (a negative one, or any other spelling, is a
+    line-numbered FatGraphError); both are normalized to dense 0-based
+    ranges (edges by increasing file id, vertices in order of
+    appearance).  Decoration records are ignored.
     """
     raw_vertices = {}   # vertex name -> half-edge tokens, in order of appearance
     raw_edges = {}      # file edge id -> half-edge tokens
@@ -449,7 +459,7 @@ def graph_from_records(records):
             if key in raw_vertices:
                 raise FatGraphError("line %d: duplicate vertex %r" % (lineno, key))
             try:
-                halves = tuple(int(tok) for tok in rest.split())
+                halves = _integer_tokens(rest)
             except ValueError:
                 raise FatGraphError("line %d: bad half-edge token" % lineno) from None
             if len(halves) != 3:
@@ -461,8 +471,8 @@ def graph_from_records(records):
             raw_vertices[key] = halves
         elif kind == "edge":
             try:
-                eid = int(key)
-                pair = tuple(int(tok) for tok in rest.split())
+                (eid,) = _integer_tokens(key)
+                pair = _integer_tokens(rest)
             except ValueError:
                 raise FatGraphError("line %d: bad edge line" % lineno) from None
             if eid < 0 or len(pair) != 2:

@@ -19,7 +19,8 @@ values use the Grassmann text grammar, e.g. "3/4", "2.5", "t0", or
 from __future__ import annotations
 
 from .decorated import DecoratedState, is_lambda_length, is_mu_invariant
-from .fatgraph import FatGraphError, graph_from_records, render_fatgraph, scan_document
+from .fatgraph import (FatGraphError, _integer_tokens, graph_from_records, render_fatgraph,
+                       scan_document)
 from .grassmann import RATIONAL, GrassmannAlgebra, GrassmannError
 from .spin import OrientationState
 
@@ -80,7 +81,7 @@ def load_state(text, mode=RATIONAL):
 
 def _edge_key(key, id_map, lineno):
     try:
-        eid = int(key)
+        (eid,) = _integer_tokens(key)
     except ValueError:
         raise FatGraphError("line %d: edge id must be an integer, got %r"
                             % (lineno, key)) from None

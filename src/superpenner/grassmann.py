@@ -18,8 +18,8 @@ its result once, with one gcd over its numerators, instead of once per
 coefficient operation as Fraction does (Knuth, TAOCP Vol. 2, section
 4.5.1).  In float mode the numerators are the float coefficients and den
 is 1, so the same kernels run and nothing is ever reduced.  x.terms is
-the {bitmask: coefficient} map: num itself in float mode, and a map of
-Fractions built on each call in rational mode.
+the {bitmask: coefficient} map, built on each call: a copy of num in
+float mode, and a map of Fractions in rational mode.
 
 Sign rule: for disjoint S and T, e_S * e_T = (-1)**k e_{S | T}, where k
 counts the pairs i in S, j in T with i > j.  Bit i of the mask P(T) is the
@@ -48,18 +48,17 @@ skip those classes.  The classes of a product, grouped by output weight,
 are kept per pair of weight masks; this plan names classes and holds no
 pairs.
 
-Weights and cached views: an element's weight mask has bit k set iff it
-has a term of weight k.  The kernel that builds an element sets it at no
-extra cost (the dense product and the solve from the weights that kept a
-term, a scaling or a negation from its operand's), and any other element
+Weights: an element's weight mask has bit k set iff it has a term of
+weight k.  The kernel that builds an element sets it at no extra cost
+(the dense product and the solve from the weights that kept a term, a
+scaling or a negation from its operand's), and any other element
 computes it once, on first use.  Plans are keyed on the masks, and
-is_even, is_odd and parity read them.  An element also keeps, once built,
-the views the kernels read of it: its scan rows (t, y_t, P(t)) in the
-order of its terms, its soul rows grouped by weight for the scan solve,
-and its dense left vector X and right vector Y.  A state's lambda-lengths
-are operands again and again along a walk, and within one flip bd, sqrt(chi)
-and r are each a right operand twice.  Elements are immutable, so these
-caches never go stale.
+is_even, is_odd and parity read them.  Elements are immutable, so the
+mask never goes stale.  The views a kernel reads of an operand -- its
+scan rows (t, y_t, P(t)) in the order of its terms, its soul rows grouped
+by weight for the scan solve, and its dense left vector X and right
+vector Y -- are built by that kernel on each call and kept by none: an
+operand's view is seldom read twice.
 
 Dispatch: a product scales when one operand has a single term, on mask 0;
 that is read off the operand, and the scaled terms are bit for bit those
@@ -137,10 +136,11 @@ Memory: each disjoint pair on n generators sits in exactly one class, and
 all indices share one int object each, so the classes on n generators hold
 3**n pairs at most: 133 KiB at n = 8 and 1030 KiB at n = 10 with every
 class built, 43 KiB and 312 KiB for the even-by-even classes (tracemalloc,
-CPython 3.11).  Each element pays 8 B for each of its two cache slots.  A
-view costs only once it is built: at n = 8 and 10, X takes 2.1 and 8.1 KiB
-and Y 4.1 and 16.1 KiB, plus Y's negated coefficients (24 B per float
-term), and the scan rows about 100 B per term (sys.getsizeof, CPython 3.11).
+CPython 3.11).  Each element pays 8 B for its weight-mask slot.  A view
+lives only for the call that builds it: at n = 8 and 10, X takes 2.1 and
+8.1 KiB and Y 4.1 and 16.1 KiB, plus Y's negated coefficients (24 B per
+float term), and the scan rows about 100 B per term (sys.getsizeof,
+CPython 3.11).
 """
 
 from __future__ import annotations
@@ -317,16 +317,13 @@ class GrassmannElement:
     num / den from nonzero numerators and a positive denominator (1 in
     float mode), reduced.  All operations return new elements.
 
-    Two slots cache what the kernels read of an element: _w, its weight
+    One slot caches what the kernels read of an element: _w, its weight
     mask (bit k set iff it has a term of weight k), set by the kernel that
-    builds the element or computed on first use, and _c, a map from each
-    builder of a derived view (the scan rows, the soul rows of a solve, the
-    dense left and right vectors) to the view, filled on first use.  The
-    caches are only right while num and den never change: do not mutate
-    num, nor anything an element hands out (float x.terms is num itself).
+    builds the element or computed on first use.  It is only right while
+    num and den never change: do not mutate num.
     """
 
-    __slots__ = ("algebra", "num", "den", "_w", "_c")
+    __slots__ = ("algebra", "num", "den", "_w")
 
     def __init__(self, algebra, terms, den=None):
         x = algebra.element(terms) if den is None else _reduced(algebra, terms, den)
@@ -334,16 +331,15 @@ class GrassmannElement:
         self.num = x.num
         self.den = x.den
         self._w = None
-        self._c = None
 
     # -- structure --------------------------------------------------------
 
     @property
     def terms(self):
-        """The {bitmask: coefficient} map: num in float mode, and
-        Fractions num[m] / den, built on each call, in rational mode."""
+        """The {bitmask: coefficient} map, built on each call: a copy of
+        num in float mode, and Fractions num[m] / den in rational mode."""
         if self.algebra.mode == FLOAT:
-            return self.num
+            return dict(self.num)
         den = self.den
         return {m: Fraction(c, den) for m, c in self.num.items()}
 
@@ -474,7 +470,6 @@ def _element(algebra, num, den, w=None):
     x.num = num
     x.den = den
     x._w = w
-    x._c = None
     return x
 
 
@@ -498,17 +493,6 @@ def _weights(x):
             w |= 1 << k
         x._w = w
     return w
-
-
-def _cached(x, build):
-    """build(x), built once per element: x is immutable."""
-    c = x._c
-    if c is None:
-        c = x._c = {}
-    view = c.get(build)
-    if view is None:
-        view = c[build] = build(x)
-    return view
 
 
 def _add(x, y, sign):
@@ -725,7 +709,7 @@ def _dense_terms(x, y, plan):
     weight are added elementwise, and the weight is in w when one of its
     sums is nonzero.
     """
-    left, right = _cached(x, _left_vector), _cached(y, _right_vector)
+    left, right = _left_vector(x), _right_vector(y)
     terms = {}
     w = 0
     for weight, monomials, keys in plan[1]:
@@ -759,7 +743,7 @@ def _scan_pairs(left, right, terms):
 def _scan_terms(x, y):
     """The nonzero numerators of x * y over x.den * y.den, visiting every pair of terms."""
     terms = {}
-    _scan_pairs(x.num.items(), _cached(y, _rows), terms)
+    _scan_pairs(x.num.items(), _rows(y), terms)
     return {m: c for m, c in terms.items() if c}
 
 
@@ -936,11 +920,11 @@ def _solve(y, start, sden, wstart, alpha, what):
     if dense:
         zero = _zero(y)
         left = [zero] * ((1 << n) + 1)   # the solution's dense left vector
-        right = _cached(y, _right_vector)
+        right = _right_vector(y)
         groups = {w: (monomials, keys) for w, monomials, keys in plan[1]}
         pending = dict.fromkeys(groups, start)   # every weight the solution can have
     else:
-        souls = _cached(y, _soul_rows)
+        souls = _soul_rows(y)
         pending = {}   # weight -> its start terms, to which the scan adds its pairs
         for m, c in start.items():
             pending.setdefault(m.bit_count(), {})[m] = c
@@ -1166,8 +1150,8 @@ _TERM_RE = re.compile(r"""
     (?P<coeff>\d+/\d+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)?
     (?P<star>[ \t]*\*[ \t]*)?
     (?P<mono>t\d+(?:[ \t]*\^[ \t]*t\d+)*)?
-    """, re.VERBOSE)
-_GEN_RE = re.compile(r"t(\d+)")
+    """, re.VERBOSE | re.ASCII)
+_GEN_RE = re.compile(r"t(\d+)", re.ASCII)
 # the bytes a rendered element without fractions is made of, and an exponent
 # of three or more digits, which the term loop holds to
 # sys.get_int_max_str_digits() (640 at the least, when set)

@@ -237,6 +237,48 @@ def test_negative_half_edge_token_is_bad_input_with_line(capsys, tmp_path, text,
         assert err == "error: %s\n" % message
 
 
+TORUS = (DATA / "torus.fg").read_text()
+
+
+@pytest.mark.parametrize("text, message", [
+    (TORUS.replace("fatgraph v1\n", ""), "missing 'fatgraph v1' header line"),
+    (TORUS + "face 0: 1 2\n", "line 7: unknown record kind 'face'"),
+    (TORUS + "lambda: 2\n", "line 7: expected '<kind> <key>: ...', got 'lambda: 2'"),
+    (TORUS.replace("edge 2: 4 5", "edge 2: 4 6"),
+     "dangling half-edge 5 (in a vertex line but no edge line)"),
+    (TORUS + "edge 3: 5 6\n", "half-edge appears in more than one edge line"),
+    (TORUS + "orient 0: x\n", "line 7: orient value must be + or -, got 'x'"),
+    (TORUS + "lambda 9: 2\n", "line 7: unknown edge id 9"),
+    (TORUS + "lambda x: 2\n", "line 7: edge id must be an integer, got 'x'"),
+    ("fatgraph v1\nvertex A: 0 2 4\n", "document defines no vertices or no edges"),
+    # tokens and ids are an optional '-' then ASCII digits, which int() alone
+    # does not hold to: it also reads '+4', '0_2' and non-ASCII digits
+    (TORUS.replace("vertex A: 0 2 4", "vertex A: 0 2 +4"), "line 2: bad half-edge token"),
+    (TORUS.replace("edge 0: 0 1", "edge 0_2: 0 1"), "line 4: bad edge line"),
+    (TORUS.replace("vertex B: 1 3 5", "vertex B: 1 3 \u0665")
+     .replace("edge 2: 4 5", "edge 2: 4 \u0665"), "line 3: bad half-edge token"),
+    (TORUS.replace("edge 2: 4 5", "edge 2: 4 \u0665"), "line 6: bad edge line"),
+    (TORUS + "orient +0: -\n", "line 7: edge id must be an integer, got '+0'"),
+    (TORUS + "lambda 0_1: 2\n", "line 7: edge id must be an integer, got '0_1'"),
+    (TORUS + "lambda 1: \u0662\n",
+     "line 7: bad lambda value: expected term at position 0 of '\u0662'"),
+    (TORUS + "mu A: t\u0660\n", "line 7: bad mu value: expected term at position 0 of 't\u0660'"),
+    (TORUS + "lambda 1: 1/\u0662\n",
+     "line 7: bad lambda value: expected term at position 1 of '1/\u0662'"),
+], ids=["missing-header", "unknown-kind", "malformed-head", "dangling-half-edge",
+        "half-edge-in-two-edges", "bad-orient", "unknown-edge-id", "non-integer-edge-id",
+        "no-edges", "plus-token", "underscore-edge-id", "non-ascii-vertex-token",
+        "non-ascii-edge-token", "plus-edge-id", "underscore-edge-id-in-lambda",
+        "non-ascii-lambda", "non-ascii-generator", "non-ascii-denominator"])
+def test_loader_refusals_name_their_line(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.fg"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "info", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_a_flip_checks_its_own_lambda_length(capsys, tmp_path):
     # every lambda 1e-200 and every mu 0: a float flip of edge 0 underflows
     # ac + bd to 0, which the flip itself must refuse; exactly, f = 2e-200

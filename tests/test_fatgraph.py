@@ -60,6 +60,13 @@ def test_malformed_entries_are_fatgraph_errors(vertices, edges, message):
     assert str(info.value) == message
 
 
+def test_an_edge_pairing_a_half_edge_with_itself_leaves_a_hole():
+    with pytest.raises(FatGraphError) as info:
+        FatGraph([(0, 2, 4), (1, 3, 5)], [(0, 0), (2, 3), (4, 5)])
+    assert str(info.value) == ("edge half-edges are not exactly 0..5 "
+                               "(dangling or duplicated half-edge)")
+
+
 def test_entries_that_convert_build_the_same_graph():
     # a vertex holds ints in any cyclic rotation (bools are ints); an edge
     # holds anything int() converts
