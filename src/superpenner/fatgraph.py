@@ -101,8 +101,20 @@ class FatGraph:
         self._validate()
 
     def _validate(self):
-        if len(self.vertex_names) != len(self.vertices):
+        names = self.vertex_names
+        if len(names) != len(self.vertices):
             raise FatGraphError("vertex name count does not match vertex count")
+        # a document carries each name as a record key, which scan_document
+        # reads back unchanged only without whitespace, ':' or '#', and its
+        # mu lines name one vertex each
+        try:
+            joined = " ".join(names)
+        except TypeError:   # a name that is not a str
+            joined = ":"
+        if (":" in joined or "#" in joined or joined.split() != list(names)
+                or len(set(names)) != len(names)):
+            raise FatGraphError("vertex names must be distinct non-empty strings without "
+                                "whitespace, ':' or '#', got %r" % (names,))
         for triple in self.vertices:
             if len(set(triple)) != 3:
                 raise FatGraphError("non-trivalent vertex %r" % (triple,))

@@ -14,15 +14,34 @@ dense 0-based range by the parser); mu lines use vertex names.  Each edge
 or vertex takes at most one line of each decoration kind.  Element
 values use the Grassmann text grammar, e.g. "3/4", "2.5", "t0", or
 "1 + 2*t0^t1"; a plain scalar is the common case for lambda.
+
+Two readers, one result.  A document laid out as render_state writes it
+(ASCII, no comments or blank lines, the blocks in the order above with
+dense edge ids and half-edges, each decoration block whole or absent) is
+read in bulk: a fixed number of C-level passes per block, the graph built
+by FatGraph(...), which validates it, and all lambda and mu texts read as
+one batch by grassmann's bulk element reader.  Every other document, and
+every document with an error, goes through the line loop (scan_document,
+graph_from_records and one step per record), which reads anything the
+format allows and alone raises, each message naming its line.  So a
+hand-written document and a rendered one load to the same state as
+before, and every message is the line loop's.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .decorated import DecoratedState, is_lambda_length, is_mu_invariant
-from .fatgraph import (FatGraphError, _integer_tokens, graph_from_records, render_fatgraph,
-                       scan_document)
-from .grassmann import RATIONAL, GrassmannAlgebra, GrassmannError
+from .fatgraph import (FatGraph, FatGraphError, _integer_tokens, graph_from_records,
+                       render_fatgraph, scan_document)
+from .grassmann import RATIONAL, GrassmannAlgebra, GrassmannError, _parse_rendered
 from .spin import OrientationState
+
+# the record kinds in the order render_state writes their blocks, and the
+# orient signs as the bits of an orientation mask
+_BLOCKS = ("vertex", "edge", "orient", "lambda", "mu")
+_BITS = str.maketrans("+-", "01")
 
 
 def load_state(text, mode=RATIONAL):
@@ -32,9 +51,96 @@ def load_state(text, mode=RATIONAL):
     Missing decoration sections fall back to their defaults; a second line
     for the same edge or vertex is an error, and so is a lambda that is
     not even with positive body or a mu that is not odd.  Each loaded
-    value is checked once, here, with its line number; the defaults are
-    valid, so the state is built without checking its maps again.
+    value is checked once; the defaults are valid, so the state is built
+    without checking its maps again.
+
+    A document laid out as render_state writes it is read in bulk
+    (_load_rendered); every other document, and every document with an
+    error, goes through the line loop (_load_lines), which alone raises,
+    with the line number.  Both give the same state, float bits and dict
+    order included.
     """
+    state = _load_rendered(text, mode)
+    return _load_lines(text, mode) if state is None else state
+
+
+def _load_rendered(text, mode):
+    """The state of a document laid out as render_state writes it, read
+    in bulk; None for any other document and for every error, which the
+    line loop then reads or refuses.
+
+    The layout: ASCII without comments or blank lines, the header, then
+    the vertex, edge, orient, lambda and mu blocks in this order, each line
+    "<kind> <key>: <rest>", and each decoration block whole or absent; edge
+    ids and orient and lambda keys 0..E-1 in order, mu keys the vertex
+    names in order; half-edge tokens in ASCII digits, three on a vertex
+    line and two on an edge line, one space apart.  Each test is a fixed
+    number of C-level passes over the lines or a block, FatGraph(...)
+    validates the graph, and the lambda and mu texts are one batch for
+    grassmann._parse_rendered (each read alone by algebra.parse when it
+    refuses).  Lines are split by str.splitlines, as scan_document splits
+    them, so what is accepted here the line loop reads to the same records.
+    """
+    if not text.isascii() or "#" in text:
+        return None
+    lines = text.splitlines()
+    if lines[:1] != ["fatgraph v1"]:
+        return None
+    try:
+        heads, _, rests = zip(*map(str.partition, lines[1:], repeat(": ")))
+        kinds, _, keys = zip(*map(str.partition, heads, repeat(" ")))
+        counts = list(map(kinds.count, _BLOCKS))
+        v, e = counts[:2]
+        if sum(counts) != len(kinds):
+            return None
+        starts = [0]
+        for kind, count, size in zip(_BLOCKS, counts, (v, e, e, e, v)):
+            if count not in (0, size) or kinds[starts[-1]:starts[-1] + count].count(kind) != count:
+                return None
+            starts.append(starts[-1] + count)
+        _, at_edges, at_orient, at_lambda, at_mu, end = starts
+        ids = tuple(map(str, range(e)))
+        names = keys[:v]
+        if (keys[at_edges:at_orient] != ids
+                or keys[at_orient:at_lambda] != ids[:at_lambda - at_orient]
+                or keys[at_lambda:at_mu] != ids[:at_mu - at_lambda]
+                or keys[at_mu:] != names[:end - at_mu]):
+            return None
+        # one space between tokens on each line, and ASCII digits only: int()
+        # refuses an empty token
+        halves = rests[:at_orient]
+        if list(map(str.count, halves, repeat(" "))) != [2] * v + [1] * e:
+            return None
+        tokens = " ".join(halves).split(" ")
+        if not "".join(tokens).isdigit():
+            return None
+        tokens = list(map(int, tokens))
+        graph = FatGraph(list(zip(*[iter(tokens[:3 * v])] * 3)),
+                         list(zip(*[iter(tokens[3 * v:])] * 2)), names)
+        signs = rests[at_orient:at_lambda]
+        if signs.count("+") + signs.count("-") != len(signs):
+            return None
+        mask = int("0" + "".join(signs[::-1]).translate(_BITS), 2)
+        algebra = GrassmannAlgebra(v, mode)
+        texts = rests[at_lambda:]
+        values = _parse_rendered(algebra, texts)
+        if values is None:
+            values = list(map(algebra.parse, texts))
+    except ValueError:   # FatGraphError and GrassmannError are ValueErrors
+        return None
+    lam, mu = values[:at_mu - at_lambda], values[at_mu - at_lambda:]
+    if not (all(map(is_lambda_length, lam)) and all(map(is_mu_invariant, mu))):
+        return None
+    lam = lam or [algebra.one() for _ in range(e)]
+    mu = mu or list(map(algebra.gen, range(v)))
+    return DecoratedState._unchecked(OrientationState._unchecked(graph, mask), algebra,
+                                     dict(enumerate(lam)), dict(enumerate(mu)))
+
+
+def _load_lines(text, mode):
+    """load_state's line loop: any document the format allows, and every
+    error message with its line number.  Each loaded value is checked
+    here, with its line number."""
     records = scan_document(text)
     graph, id_map = graph_from_records(records)
     name_index = {name: i for i, name in enumerate(graph.vertex_names)}

@@ -132,6 +132,18 @@ entries, in either mode.  The len(y)**2 counts before the 2**n test:
 otherwise a power, whose start is one term, would always scan.  Any other
 solve (sparse) scans.
 
+Text: parse_element reads the spelling render_element writes without
+fractions (float mode's repr coefficients, in either mode) in bulk, and
+any other text term by term (_parse_terms), which alone raises.  The bulk
+reader (_parse_rendered) takes a batch of texts, one for parse_element
+and every lambda and mu text of a rendered document for
+fileio.load_state: it joins them by newlines, splits and converts all
+their terms with C-level string and map passes, and then builds one
+element per text.  In rational mode the batch's coefficients share one
+power of ten and each element is reduced by its own gcd, so every element
+is in normal form, the element the term loop gives.  A batch with one
+text it cannot read is refused whole.
+
 Memory: each disjoint pair on n generators sits in exactly one class, and
 all indices share one int object each, so the classes on n generators hold
 3**n pairs at most: 133 KiB at n = 8 and 1030 KiB at n = 10 with every
@@ -150,7 +162,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import combinations, compress, repeat
+from itertools import chain, combinations, compress, islice, repeat
 from math import gcd
 from operator import add, itemgetter, mul, sub, truediv
 
@@ -1095,7 +1107,8 @@ def glog(x):
 
 # ---------------------------------------------------------------------------
 # text format: terms sorted by bitmask, "coeff*t<i>^t<j>", e.g. "1 + 2*t0^t1".
-# parse_element reads that spelling in bulk (_parse_rendered) when its
+# parse_element reads that spelling in bulk (_parse_rendered, a batch of one
+# text; fileio.load_state passes a document's texts as one batch) when its
 # coefficients are integers, decimals or exponents of at most two digits (the
 # repr floats of float mode), with " + " and " - " between terms, generators
 # in increasing order and no monomial twice.  Every other text, fractions a/b,
@@ -1216,33 +1229,43 @@ def parse_element(algebra, text):
 
     Text spelled as render_element writes it, with integer, decimal or
     exponent coefficients (float mode's repr, read in either mode), is read
-    in bulk (_parse_rendered); any other text, fractions a/b and every
-    text with an error among them, goes through the term loop
+    in bulk (_parse_rendered, as a batch of one); any other text, fractions
+    a/b and every text with an error among them, goes through the term loop
     (_parse_terms), which alone raises.  The two give the same element,
     float bits and dict order included.
     """
-    x = _parse_rendered(algebra, text.strip())
-    return _parse_terms(algebra, text) if x is None else x
+    x = _parse_rendered(algebra, [text.strip()])
+    return _parse_terms(algebra, text) if x is None else x[0]
 
 
-def _parse_rendered(algebra, s):
-    """The element of s, read in bulk, when s is spelled as render_element
-    spells it; None otherwise.
+def _parse_rendered(algebra, texts):
+    """The elements of the texts, read in bulk as one batch, when every
+    text is spelled as render_element spells it; None otherwise.
 
     That spelling is an integer, decimal or exponent coefficient (no
     fraction) on every term, "*" before each monomial, monomials as
     "t<i>^t<j>..." with increasing distinct indices, terms joined by " + "
-    or " - ", and exponents of at most two digits.  The terms are split
-    and converted with C-level string and map operations, and no term is
+    or " - ", and exponents of at most two digits.  The texts are joined
+    by newlines, which no text may hold, and their terms are split and
+    converted with C-level string and map operations over the whole batch;
+    only the building of each element is a step per text.  No term is
     summed: a repeated monomial is refused, like every text _parse_terms
-    rejects, so what is read is _parse_terms's element, float bits and dict
-    order included.
+    rejects, so each element read is _parse_terms's element of its text,
+    float bits and dict order included.  In rational mode the batch's
+    coefficients share one power of ten, and each element is reduced by
+    its own gcd to its normal form.
     """
-    if not s.isascii() or s.encode().translate(None, _RENDERED) or (
+    if not texts:
+        return []
+    s = "\n".join(texts)
+    if not s.isascii() or s.encode().translate(None, _RENDERED) != b"\n" * (len(texts) - 1) or (
             "e" in s and _LONG_EXPONENT(s)):
         return None
-    terms = s.replace(" - ", " + -").split(" + ")
-    if s.count(" ") != 2 * len(terms) - 2:   # a space inside a term
+    split = list(map(str.split, s.replace(" - ", " + -").split("\n"), repeat(" + ")))
+    terms = list(chain.from_iterable(split))
+    # each " + " takes two spaces, so no text has a space inside a term
+    # exactly when the batch has two per term after the first of each text
+    if s.count(" ") != 2 * (len(terms) - len(texts)):
         return None
     coeffs, stars, monos = zip(*map(str.partition, terms, repeat("*")))
     try:
@@ -1260,12 +1283,13 @@ def _parse_rendered(algebra, s):
     if read is None:
         return None
     values, den = read
-    num = dict(zip(masks, values))
-    if len(num) != len(values):   # a repeated monomial: the loop adds
+    rows = zip(masks, values)
+    nums = list(map(dict, map(islice, repeat(rows), map(len, split))))
+    if sum(map(len, nums)) != len(values):   # a repeated monomial: the loop adds
         return None
     if not all(values):
-        num = {m: c for m, c in num.items() if c}
-    return _reduced(algebra, num, den)
+        nums = [{m: c for m, c in num.items() if c} for num in nums]
+    return list(map(_reduced, repeat(algebra), nums, repeat(den)))
 
 
 def _rational_coefficients(s, coeffs):

@@ -160,6 +160,24 @@ edge 12: 40 41
     assert graph_from_records(scan_document(sparse))[1] == {3: 0, 7: 1, 12: 2}
 
 
+@pytest.mark.parametrize("names", [
+    ["a b", "c"], ["A", "c#d"], ["A", "A"], ["", "B"], ["A:", "B"], ["A", "B\n"],
+    ["A", "B\x1c"], ["A", "B\u2028"], ["A", 1], ("A", b"B"),
+])
+def test_vertex_names_a_document_cannot_carry_are_rejected(names):
+    # a name is a record key in a document: render_fatgraph writes it as is
+    # and scan_document must read it back unchanged, once per vertex
+    with pytest.raises(FatGraphError, match="vertex names must be distinct"):
+        FatGraph([(0, 2, 4), (1, 3, 5)], [(0, 1), (2, 3), (4, 5)], names)
+
+
+@pytest.mark.parametrize("names", [None, ["A", "B"], ["v1", "v0"], ["x.y", "-+é"]])
+def test_vertex_names_a_document_carries_round_trip(names):
+    graph = FatGraph([(0, 2, 4), (1, 3, 5)], [(0, 1), (2, 3), (4, 5)], names)
+    again = parse_fatgraph(render_fatgraph(graph))
+    assert (again, again.vertex_names) == (graph, graph.vertex_names)
+
+
 def test_render_parse_roundtrip():
     for g in (punctured_torus(), theta_graph(), four_punctured_sphere()):
         assert parse_fatgraph(render_fatgraph(g)) == g

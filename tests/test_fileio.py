@@ -1,12 +1,15 @@
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from superpenner import grassmann
-from superpenner.catalog import punctured_torus
+from superpenner import fileio, grassmann
+from superpenner.catalog import (five_punctured_sphere, four_punctured_sphere,
+                                 genus1_two_punctures, genus2_one_puncture, punctured_torus,
+                                 theta_graph)
 from superpenner.checks import generic_edges, random_decorated_state
 from superpenner.decorated import superflip
 from superpenner.fatgraph import FatGraphError, render_fatgraph
@@ -234,3 +237,129 @@ def test_rendered_documents_are_read_in_bulk(monkeypatch):
             assert again.lam[0].den > 1
     whole = [v for x in exact for v in map(str, x.lam.values()) if "/" not in v]
     assert any(len(v.split()) > 1 for v in whole)   # integer text with terms, read in bulk
+
+
+def loaded(load, text, mode):
+    """What load(text, mode) gives: the graph tables, names and mask, and
+    each lambda and mu as its numerators (floats by repr, in dict order)
+    and denominator; or the type and message of the error it raised."""
+    try:
+        state = load(text, mode)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    graph = state.graph
+    return (graph.vertices, graph.edges, graph.vertex_names, state.orientation.mask,
+            [(k, [(m, repr(c)) for m, c in x.num.items()], x.den)
+             for values in (state.lam, state.mu) for k, x in values.items()])
+
+
+def sample_states():
+    """Decorated states on V = 2..10 in both modes, dense ones included."""
+    rng = random.Random(28)
+    graphs = [punctured_torus(), theta_graph(), four_punctured_sphere(),
+              genus1_two_punctures(), five_punctured_sphere(), prism(4), prism(5)]
+    states = [random_decorated_state(g, rng, mode) for g in graphs for mode in (RATIONAL, FLOAT)]
+    for graph in (prism(2), genus2_one_puncture()):
+        dense = random_decorated_state(graph, rng, FLOAT)
+        for _ in range(6):
+            dense, _ = superflip(dense, rng.choice(generic_edges(dense.graph)))
+        states.append(dense)
+    return states
+
+
+# what the line loop reads differently from a token or block count: a line
+# break inside a line, signs, underscores and non-ASCII digits that int()
+# and float() take, and values the element grammar refuses
+INSERTS = ["\x1c", "\r", "#", "+4", "1_0", "٢", "1/0", "1e400", "nan", " 7"]
+
+
+def mutated_document(rng, text):
+    """text with one or two lines deleted, duplicated, swapped, truncated
+    or given one of INSERTS."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(lines))
+        edit = rng.choice(["delete", "duplicate", "swap", "truncate", "insert", "insert"])
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "truncate":
+            lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+        else:
+            at = rng.randrange(len(lines[i]) + 1)
+            lines[i] = lines[i][:at] + rng.choice(INSERTS) + lines[i][at:]
+    return "\n".join(lines) + "\n"
+
+
+def test_bulk_read_and_line_loop_agree_on_mutated_documents():
+    # load_state reads a rendered document in bulk and falls back to the
+    # line loop for any other; on every document both must give the same
+    # state, float bits and dict order included, or the same error
+    rng = random.Random(2028)
+    texts = [render_state(state) for state in sample_states()]
+    graph_only = render_fatgraph(prism(3))
+    rendered = render_state(random_decorated_state(prism(3), rng, FLOAT))
+    # a line break inside a vertex line, tokens moved between two lines
+    # (a count per block would pass), a document with no lambda or mu line,
+    # whose batch of element texts is empty, a non-ASCII digit that int()
+    # reads, and orient values that are bits or nothing
+    cases = [graph_only.replace("0 1 2", "0 1\x1c2"),
+             graph_only.replace("0 1 2\n", "0 1\n").replace("3 4 5", "2 3 4 5"),
+             graph_only, graph_only + "".join("orient %d: -\n" % e for e in range(9)),
+             graph_only.replace("0 1 2", "0 1 \u0662"),
+             *(re.sub(r"orient 4: .", "orient 4: " + sign, rendered) for sign in "01_ ")]
+    cases += [mutated_document(rng, rng.choice(texts)) for _ in range(500)]
+    bulk = 0
+    for text in texts + cases:
+        for mode in (RATIONAL, FLOAT):
+            assert loaded(load_state, text, mode) == loaded(fileio._load_lines, text, mode), text
+            bulk += fileio._load_rendered(text, mode) is not None
+    # every rendered text and both valid graph-only documents, in both
+    # modes, and some mutated documents are read in bulk
+    assert bulk > 2 * len(texts) + 4
+
+
+def test_rendered_documents_take_the_bulk_read(monkeypatch):
+    # render_state output is read in bulk, without the line loop's
+    # scan_document; a hand-written document (a comment, a fraction,
+    # records out of order, sparse edge ids) still takes the line loop
+    scanned = []
+    scan = fileio.scan_document
+
+    def spy(text):
+        scanned.append(text)
+        return scan(text)
+
+    monkeypatch.setattr(fileio, "scan_document", spy)
+    rng = random.Random(9)
+    graphs = [punctured_torus(), theta_graph(), four_punctured_sphere(), genus1_two_punctures(),
+              genus2_one_puncture(), five_punctured_sphere(), *map(prism, range(3, 9))]
+    for graph in graphs:
+        for mode in (RATIONAL, FLOAT):
+            state = random_decorated_state(graph, rng, mode)
+            again = load_state(render_state(state), mode)
+            assert (again.graph, again.orientation, again.lam, again.mu) == (
+                state.graph, state.orientation, state.lam, state.mu)
+    assert scanned == []
+    text = """\
+fatgraph v1   # two vertices
+vertex B: 1 3 5
+vertex A: 0 2 4
+lambda 9: 3/4
+edge 9: 2 3
+mu A: -t1
+edge 5: 0 1
+edge 12: 4 5
+orient 12: -
+"""
+    state = load_state(text)
+    assert scanned == [text]
+    assert state.graph.vertex_names == ("B", "A")
+    assert state.graph.edges == ((0, 1), (2, 3), (4, 5))
+    assert state.orientation.signs == (1, 1, -1)
+    assert state.lam[1].body == Fraction(3, 4)
+    assert state.mu == {0: state.algebra.gen(0), 1: -state.algebra.gen(1)}

@@ -465,10 +465,14 @@ FLOAT_REPRS = [1e-05, -2.5e-07, 1e+16, 1.5e-300, -2e+200, 5e-324, 1.797693134862
 
 
 @st.composite
-def rendered_texts(draw):
-    """(algebra, text): a random element on n <= 10 generators, rendered."""
-    n = draw(st.integers(min_value=0, max_value=10))
-    mode = draw(st.sampled_from([RATIONAL, FLOAT]))
+def rendered_texts(draw, alg=None):
+    """(algebra, text): a random element on n <= 10 generators, rendered;
+    one of alg when it is given."""
+    if alg is not None:
+        n, mode = alg.num_generators, alg.mode
+    else:
+        n = draw(st.integers(min_value=0, max_value=10))
+        mode = draw(st.sampled_from([RATIONAL, FLOAT]))
     if mode == FLOAT:
         coeffs = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FLOAT_REPRS)
     else:
@@ -502,7 +506,7 @@ def test_rendered_text_is_read_in_bulk_as_the_loop_reads_it(case):
     assert_parses_as_the_loop(alg, text)
     # fractions a/b and 3-digit exponents are left to the loop
     if "/" not in text and not re.search(r"e[-+]?\d{3}", text):
-        assert grassmann._parse_rendered(alg, text) is not None
+        assert grassmann._parse_rendered(alg, [text]) is not None
 
 
 @settings(max_examples=200, deadline=None)
@@ -512,7 +516,7 @@ def test_decimal_text_is_read_in_bulk_in_rational_mode(case):
     exact = GrassmannAlgebra(alg.num_generators, RATIONAL)
     assert_parses_as_the_loop(exact, text)
     if not re.search(r"e[-+]?\d{3}", text):
-        assert grassmann._parse_rendered(exact, text) is not None
+        assert grassmann._parse_rendered(exact, [text]) is not None
 
 
 @settings(max_examples=500, deadline=None)
@@ -522,6 +526,37 @@ def test_mutated_rendered_text_parses_as_the_loop_parses_it(data):
     text = mutated(data.draw, text)
     assert_parses_as_the_loop(alg, text)
     assert_parses_as_the_loop(GrassmannAlgebra(alg.num_generators, RATIONAL), text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_batch_reads_each_text_as_it_is_read_alone(data):
+    # _parse_rendered splits and converts the terms of all its texts at
+    # once, in rational mode over one power of ten; each element must be the
+    # one its text gives alone, in normal form, float bits and dict order
+    # included, and a batch of texts each read alone is read, unless a float
+    # sum overflows.  Mutated texts make some batches refused.
+    alg, text = data.draw(rendered_texts())
+    texts = [text]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        other = data.draw(rendered_texts(alg))[1]
+        texts.append(mutated(data.draw, other) if data.draw(st.integers(0, 5)) == 0 else other)
+    for mode in (alg.mode, RATIONAL):
+        same = GrassmannAlgebra(alg.num_generators, mode)
+        batch = grassmann._parse_rendered(same, texts)
+        if batch is None:
+            assert mode == FLOAT or None in [grassmann._parse_rendered(same, [t]) for t in texts]
+            continue
+        assert len(batch) == len(texts)
+        for x, t in zip(batch, texts):
+            assert mode == FLOAT or is_normal(x)
+            assert parse_outcome(lambda *_: x, same, t) == parse_outcome(
+                grassmann._parse_terms, same, t)
+
+
+def test_an_empty_batch_reads_no_elements():
+    assert grassmann._parse_rendered(A4, []) == []
+    assert grassmann._parse_rendered(A4, ["1", "2*t0\n + 1"]) is None
 
 
 @pytest.mark.parametrize("text", [
