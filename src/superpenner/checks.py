@@ -1,10 +1,15 @@
 """Randomized property suites shared by the CLI `check` command and tests.
 
 All randomness flows from one seed; identical (graph, seed, mode) runs
-produce identical reports.  The flip suites compare states across flip
-sequences by transporting the final state back along the canonical graph
-isomorphism (the one fixing every half-edge of untouched edges) and then
-asking decorated.states_equal_mod_sign, which aligns the spin-class
+produce identical reports.  A suite draws, per case, its edge or pentagon
+and then its state, and random_decorated_state draws in a fixed order: a
+body per edge, the square-friendly ratio and weights, a soul per edge, a
+mu per vertex and a sign per edge.  randint(a, b) there is spelled
+randrange(a, b + 1), randint's own body, so the draws and a seed's cases
+are those of the randint spelling.  The flip suites compare states across
+flip sequences by transporting the final state back along the canonical
+graph isomorphism (the one fixing every half-edge of untouched edges) and
+then asking decorated.states_equal_mod_sign, which aligns the spin-class
 representatives by reflections and allows the global odd sign.
 """
 
@@ -14,12 +19,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from math import gcd
 from operator import itemgetter, ne
 
 from .decorated import DecoratedState, states_equal_mod_sign, superflip
 from .fatgraph import (NonGenericFlipError, _quadrilateral, find_isomorphisms,
                        flip_quadrilateral, topology)
-from .grassmann import FLOAT, RATIONAL, GrassmannAlgebra, _sort_sign
+from .grassmann import FLOAT, RATIONAL, GrassmannAlgebra, _element
 from .spin import (MAX_BRUTE_FORCE_EDGES, OrientationState, SpinError,
                    brute_force_spin_classes, enumerate_spin_classes, spin_class_count)
 
@@ -211,48 +217,12 @@ def aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
 def _pythagorean_ratio(rng):
     # chi = (m/n)^2 with m^2 + n^2 a perfect square, so that both sqrt(chi)
     # and sqrt(1 + chi) are rational
-    p = rng.randint(2, 6)
-    q = rng.randint(1, p - 1)
+    p = rng.randrange(2, 7)
+    q = rng.randrange(1, p)
     m, n = p * p - q * q, 2 * p * q
     if rng.random() < 0.5:
         m, n = n, m
     return m, n
-
-
-def _draws_element(algebra, draws, body=0):
-    """body plus the element of (indices, coefficient) draws, in one pass.
-
-    A repeated monomial sums its coefficients in draw order, and a
-    monomial whose sum is zero is dropped, as adding the draws one
-    monomial at a time would.  A nonzero body is the first term, so the
-    result is algebra.scalar(body) plus the draws' element, built with one
-    lcm and one reduce instead of an addition.
-    """
-    n = algebra.num_generators
-    terms = {0: body} if body else {}
-    for indices, c in draws:
-        mask, sign = _sort_sign(indices, n)
-        terms[mask] = terms.get(mask, 0) + sign * c
-    return algebra.element(terms)
-
-
-def _random_even_soul(algebra, rng, coeff, body=0):
-    """body plus a random soul of at most two weight-2 monomials."""
-    n = algebra.num_generators
-    draws = []
-    for _ in range(rng.randint(0, 2)):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            draws.append(((i, j), coeff(rng)))
-    return _draws_element(algebra, draws, body)
-
-
-def _random_odd(algebra, rng, coeff):
-    n = algebra.num_generators
-    draws = [((i,), coeff(rng)) for i in range(n)]
-    if n >= 3 and rng.random() < 0.2:
-        draws.append((rng.sample(range(n), 3), coeff(rng)))
-    return _draws_element(algebra, draws)
 
 
 def random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
@@ -262,39 +232,87 @@ def random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
     With square_friendly_edge set (rational mode), the quadrilateral of
     that edge gets lambda bodies making chi and 1+chi squares of
     rationals, so a superflip there stays exact.
+
+    Draws, in this order, which fixes the state of a seed:
+
+    1. a body per edge, in edge order: p/q with p and q each
+       randint(1, 9) (rational mode), or uniform(0.5, 4.0) (float mode);
+    2. with square_friendly_edge set, the Pythagorean ratio m, n (p =
+       randint(2, 6), randint(1, p - 1), and random() for the swap) and
+       two weights w1, w2 drawn as bodies, giving bodies m*w1, m*w2,
+       n*w1, n*w2 to the sides a, c, b, d;
+    3. a soul per edge, in edge order: randint(0, 2) pairs (i, j) of
+       randrange(V) each, and for each pair with i != j a coefficient,
+       randint(-3, 3) or uniform(-1.0, 1.0), on t_i t_j;
+    4. with odd set, a mu per vertex, in vertex order: a coefficient per
+       generator, and for V >= 3 a random() that, below 0.2, adds
+       sample(range(V), 3) with one more coefficient on their product;
+    5. a sign per edge, choice((1, -1)), in edge order.
+
+    randint(a, b) here is randrange(a, b + 1), randint's own body.  Each
+    element is built once, in normal form: a body p/q in lowest terms is
+    the map {0: p, mask: c*q, ...} over q, each mu a map over 1; a
+    repeated monomial sums its coefficients in draw order, zero sums are
+    dropped and the first draw of a monomial fixes its place.  The state
+    is valid by construction (bodies > 0, souls of weight 2, mus of
+    weight 1 and 3), so it is not checked again.
     """
-    algebra = GrassmannAlgebra(graph.num_vertices, mode)
-    if mode == RATIONAL:
-        def body(r):
-            return Fraction(r.randint(1, 9), r.randint(1, 9))
-
-        def coeff(r):
-            return r.randint(-3, 3)
+    num_edges, n = graph.num_edges, graph.num_vertices
+    algebra = GrassmannAlgebra(n, mode)
+    randrange, uniform = rng.randrange, rng.uniform
+    exact = mode == RATIONAL
+    if exact:
+        coeff, low, high = randrange, -3, 4
+        bodies = []
+        for _ in range(num_edges):
+            p, q = randrange(1, 10), randrange(1, 10)
+            g = gcd(p, q)
+            bodies.append((p // g, q // g))
     else:
-        def body(r):
-            return r.uniform(0.5, 4.0)
-
-        def coeff(r):
-            return r.uniform(-1.0, 1.0)
-
-    bodies = {e: body(rng) for e in range(graph.num_edges)}
+        coeff, low, high = uniform, -1.0, 1.0
+        bodies = [(uniform(0.5, 4.0), 1) for _ in range(num_edges)]
     if square_friendly_edge is not None:
         a, b, c, d = _quadrilateral(graph, square_friendly_edge)[8:]
-        m, n = _pythagorean_ratio(rng)
-        w1, w2 = body(rng), body(rng)
-        bodies[a] = m * w1
-        bodies[c] = m * w2
-        bodies[b] = n * w1
-        bodies[d] = n * w2
-    lam = {e: _random_even_soul(algebra, rng, coeff, bodies[e])
-           for e in range(graph.num_edges)}
+        m, k = _pythagorean_ratio(rng)
+        if exact:
+            w1 = Fraction(randrange(1, 10), randrange(1, 10))
+            w2 = Fraction(randrange(1, 10), randrange(1, 10))
+        else:
+            w1, w2 = uniform(0.5, 4.0), uniform(0.5, 4.0)
+        for e, r in ((a, m * w1), (c, m * w2), (b, k * w1), (d, k * w2)):
+            bodies[e] = (r.numerator, r.denominator) if exact else (r, 1)
+    lam = {}
+    for e, (p, q) in enumerate(bodies):
+        num = {0: p}
+        for _ in range(randrange(0, 3)):
+            i, j = randrange(n), randrange(n)
+            if i != j:
+                c = coeff(low, high) * q
+                mask = 1 << i | 1 << j
+                num[mask] = num.get(mask, 0) + (c if i < j else -c)
+        if not all(num.values()):
+            num = {mask: c for mask, c in num.items() if c}
+        lam[e] = _element(algebra, num, q)
     if odd:
-        mu = {v: _random_odd(algebra, rng, coeff)
-              for v in range(graph.num_vertices)}
+        bits = [1 << i for i in range(n)]
+        random_ = rng.random
+        mu = {}
+        for v in range(n):
+            num = {bit: c for bit in bits if (c := coeff(low, high))}
+            if n >= 3 and random_() < 0.2:
+                i, j, k = rng.sample(range(n), 3)
+                c = coeff(low, high)
+                if c:
+                    # t_i t_j t_k is e_mask times the sign of its inversions
+                    odd_order = (i > j) ^ (i > k) ^ (j > k)
+                    num[1 << i | 1 << j | 1 << k] = -c if odd_order else c
+            mu[v] = _element(algebra, num, 1)
     else:
-        mu = {v: algebra.zero() for v in range(graph.num_vertices)}
-    signs = [rng.choice((1, -1)) for _ in range(graph.num_edges)]
-    return DecoratedState(graph, OrientationState(graph, signs), algebra, lam, mu)
+        mu = dict.fromkeys(range(n), algebra.zero())
+    choice = rng.choice
+    mask = sum(1 << e for e in range(num_edges) if choice((1, -1)) < 0)
+    return DecoratedState._unchecked(OrientationState._unchecked(graph, mask),
+                                     algebra, lam, mu)
 
 
 def generic_edges(graph):

@@ -33,7 +33,7 @@ import sys
 
 from .checks import SUITES
 from .decorated import _puncture_residuals, shear_coordinates, superflip
-from .fatgraph import boundary_cycles, topology
+from .fatgraph import _integer_tokens, boundary_cycles, topology
 from .fileio import load_state, render_state
 from .grassmann import FLOAT, RATIONAL
 from .spin import classify_punctures, enumerate_spin_classes, spin_class_count
@@ -43,16 +43,34 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
+def _integer(text):
+    """The int of text spelled as a document spells one: an optional '-'
+    then ASCII digits, with whitespace around; ValueError otherwise."""
+    (value,) = _integer_tokens(text)
+    return value
+
+
+def _seed(text):
+    try:
+        return _integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+
+
 def _positive_int(text):
-    if not text.isdecimal() or int(text) == 0:
+    try:
+        value = _integer(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
         raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
-    return int(text)
+    return value
 
 
 def _edge_list(text):
     """The ints of a comma-separated list; blank items are skipped."""
     try:
-        edges = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        edges = [_integer(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(
             "expects comma-separated integers, got %r" % text) from None
@@ -91,7 +109,7 @@ def build_parser():
     p_check = sub.add_parser("check", help="run a randomized property suite")
     p_check.add_argument("suite", choices=sorted(SUITES))
     p_check.add_argument("input")
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=_seed, default=0)
     p_check.add_argument("--mode", choices=(RATIONAL, FLOAT), default=None)
     p_check.add_argument("--tol", type=float, default=None)
     p_check.add_argument("--cases", type=_positive_int, default=None)

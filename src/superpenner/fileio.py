@@ -16,16 +16,17 @@ values use the Grassmann text grammar, e.g. "3/4", "2.5", "t0", or
 "1 + 2*t0^t1"; a plain scalar is the common case for lambda.
 
 Two readers, one result.  A document laid out as render_state writes it
-(ASCII, no comments or blank lines, the blocks in the order above with
-dense edge ids and half-edges, each decoration block whole or absent) is
-read in bulk: a fixed number of C-level passes per block, the graph built
-by FatGraph(...), which validates it, and all lambda and mu texts read as
-one batch by grassmann's bulk element reader.  Every other document, and
-every document with an error, goes through the line loop (scan_document,
-graph_from_records and one step per record), which reads anything the
-format allows and alone raises, each message naming its line.  So a
-hand-written document and a rendered one load to the same state as
-before, and every message is the line loop's.
+(ASCII, no blank lines, no comments but whole lines opening with # before
+the header, such as the audit lines a CLI flip writes, the blocks in the
+order above with dense edge ids and half-edges, each decoration block
+whole or absent) is read in bulk: a fixed number of C-level passes per
+block, the graph built by FatGraph(...), which validates it, and all
+lambda and mu texts read as one batch by grassmann's bulk element reader.
+Every other document, and every document with an error, goes through the
+line loop (scan_document, graph_from_records and one step per record),
+which reads anything the format allows and alone raises, each message
+naming its line.  So a hand-written document and a rendered one load to
+the same state as before, and every message is the line loop's.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ def _load_rendered(text, mode):
     in bulk; None for any other document and for every error, which the
     line loop then reads or refuses.
 
-    The layout: ASCII without comments or blank lines, the header, then
+    The layout: ASCII without blank lines, any lines that open with # (a
+    whole-line comment, which the line loop skips too), the header, then
     the vertex, edge, orient, lambda and mu blocks in this order, each line
     "<kind> <key>: <rest>", and each decoration block whole or absent; edge
     ids and orient and lambda keys 0..E-1 in order, mu keys the vertex
@@ -81,13 +83,18 @@ def _load_rendered(text, mode):
     refuses).  Lines are split by str.splitlines, as scan_document splits
     them, so what is accepted here the line loop reads to the same records.
     """
-    if not text.isascii() or "#" in text:
+    if not text.isascii():
         return None
     lines = text.splitlines()
-    if lines[:1] != ["fatgraph v1"]:
+    # leading whole-line comments are skipped; any other # is refused
+    header = 0
+    while header < len(lines) and lines[header][:1] == "#":
+        header += 1
+    if (text.count("#") != sum(map(str.count, lines[:header], repeat("#")))
+            or lines[header:header + 1] != ["fatgraph v1"]):
         return None
     try:
-        heads, _, rests = zip(*map(str.partition, lines[1:], repeat(": ")))
+        heads, _, rests = zip(*map(str.partition, lines[header + 1:], repeat(": ")))
         kinds, _, keys = zip(*map(str.partition, heads, repeat(" ")))
         counts = list(map(kinds.count, _BLOCKS))
         v, e = counts[:2]

@@ -6,7 +6,6 @@ from collections import deque
 from fractions import Fraction
 from math import gcd
 
-from superpenner import checks
 from superpenner.decorated import DecoratedState, _check_lambda, _check_mu, states_equal_mod_sign
 from superpenner.fatgraph import (FatGraph, boundary_cycles, find_isomorphisms,
                                   flip_quadrilateral, propagate_isomorphism)
@@ -312,11 +311,11 @@ def is_normal(x):
             and math.gcd(x.den, *nums) == 1)
 
 
-def reference_random_even_soul(algebra, rng, coeff, body=0):
-    """checks._random_even_soul as built one monomial addition at a time:
-    the oracle for the one-pass construction, drawing from rng alike."""
+def reference_random_even_soul(algebra, rng, coeff):
+    """The soul of a lambda-length of checks.random_decorated_state, drawn
+    as it draws it and built one monomial addition at a time."""
     n = algebra.num_generators
-    x = algebra.scalar(body)
+    x = algebra.zero()
     for _ in range(rng.randint(0, 2)):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
@@ -325,7 +324,8 @@ def reference_random_even_soul(algebra, rng, coeff, body=0):
 
 
 def reference_random_odd(algebra, rng, coeff):
-    """checks._random_odd as built one monomial addition at a time."""
+    """A mu-invariant of checks.random_decorated_state, drawn as it draws
+    it and built one monomial addition at a time."""
     n = algebra.num_generators
     x = algebra.zero()
     for i in range(n):
@@ -340,10 +340,12 @@ def reference_random_odd(algebra, rng, coeff):
 
 def reference_random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
                                      square_friendly_edge=None):
-    """checks.random_decorated_state with each lambda-length composed as
-    algebra.scalar(body) plus a separately built soul, and the
-    square-friendly quadrilateral read from a Quadrilateral: the oracle
-    for the one-element build, drawing from rng alike."""
+    """checks.random_decorated_state drawn with rng.randint, each
+    lambda-length composed as algebra.scalar(body) plus a soul built one
+    monomial at a time, each mu-invariant likewise, the square-friendly
+    quadrilateral read from a Quadrilateral, and the state checked by
+    DecoratedState(...): the oracle for the one-pass build, drawing from
+    rng alike and sharing none of its code."""
     algebra = GrassmannAlgebra(graph.num_vertices, mode)
     if mode == RATIONAL:
         def body(r):
@@ -361,16 +363,20 @@ def reference_random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
     bodies = {e: body(rng) for e in range(graph.num_edges)}
     if square_friendly_edge is not None:
         q = flip_quadrilateral(graph, square_friendly_edge)
-        m, n = checks._pythagorean_ratio(rng)
+        p = rng.randint(2, 6)
+        r = rng.randint(1, p - 1)
+        m, n = p * p - r * r, 2 * p * r
+        if rng.random() < 0.5:
+            m, n = n, m
         w1, w2 = body(rng), body(rng)
         bodies[q.a] = m * w1
         bodies[q.c] = m * w2
         bodies[q.b] = n * w1
         bodies[q.d] = n * w2
-    lam = {e: algebra.scalar(bodies[e]) + checks._random_even_soul(algebra, rng, coeff)
+    lam = {e: algebra.scalar(bodies[e]) + reference_random_even_soul(algebra, rng, coeff)
            for e in range(graph.num_edges)}
     if odd:
-        mu = {v: checks._random_odd(algebra, rng, coeff)
+        mu = {v: reference_random_odd(algebra, rng, coeff)
               for v in range(graph.num_vertices)}
     else:
         mu = {v: algebra.zero() for v in range(graph.num_vertices)}

@@ -1,24 +1,22 @@
 import random
 import time
-from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from superpenner import checks
 from superpenner.catalog import GRAPHS
 from superpenner.checks import (aligned_equal_mod_sign, check_spincount, generic_edges,
                                 pentagon_pairs, random_decorated_state, transport_state)
 from superpenner.decorated import DecoratedState, superflip
 from superpenner.fatgraph import (FatGraph, FatGraphError, find_isomorphisms,
                                   propagate_isomorphism)
-from superpenner.grassmann import FLOAT, RATIONAL, GrassmannAlgebra
+from superpenner.grassmann import FLOAT, RATIONAL
 from superpenner.spin import (MAX_BRUTE_FORCE_EDGES, OrientationState, SpinError,
                               enumerate_spin_classes, reflect,
                               reflection_vertices_between, same_spin_class)
 
 from helpers import (dumbbell, prism, reference_aligned_equal_mod_sign,
-                     reference_random_decorated_state, reference_random_even_soul,
-                     reference_random_odd)
+                     reference_random_decorated_state)
 
 
 def involution_and_pentagon_sequences(graph, rng, mode):
@@ -306,48 +304,59 @@ def layout(x):
     return list(x.num.items()), x.den
 
 
+def state_layout(state):
+    """A state's orientation mask, and each element's key, numerators in
+    storage order and denominator, in the order of its maps."""
+    return (state.orientation.mask,
+            [(k, layout(x)) for k, x in state.lam.items()],
+            [(k, layout(x)) for k, x in state.mu.items()])
+
+
+def assert_drawn_as_reference(graph, seed, mode, odd=True, friendly=None):
+    """random_decorated_state and the reference give the same state, in
+    storage order, from the same draws, and the state passes the checked
+    DecoratedState(...)."""
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    state = random_decorated_state(graph, rng, mode, odd=odd, square_friendly_edge=friendly)
+    ref = reference_random_decorated_state(graph, ref_rng, mode, odd=odd,
+                                           square_friendly_edge=friendly)
+    assert state_layout(state) == state_layout(ref)
+    assert rng.getstate() == ref_rng.getstate()
+    DecoratedState(state.graph, state.orientation, state.algebra, state.lam, state.mu)
+
+
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 6])
 def test_random_elements_match_monomial_by_monomial_construction(mode, n):
-    # the same draws in the same order give the same element, in the same
-    # storage order; the few coefficients and n = 2 make repeated and
-    # cancelling monomials common
-    alg = GrassmannAlgebra(n, mode)
-    coeffs = {RATIONAL: (lambda r: Fraction(r.randint(-3, 3)),
-                         lambda r: Fraction(r.choice([-1, 1]), r.randint(1, 2))),
-              FLOAT: (lambda r: r.uniform(-1.0, 1.0), lambda r: r.choice([-0.5, 0.5]))}[mode]
+    # random_decorated_state reads only a graph's vertex and edge counts
+    # when no edge is square-friendly, so a stand-in with n vertices draws
+    # the elements of the algebra on n generators, n = 0, 1 and 3 included,
+    # which no trivalent graph has.  n = 2 makes repeated and cancelling
+    # monomials common (t0^t1 is the only one of weight 2), and n = 3 draws
+    # every triple.  With no vertex there is no draw at all
+    counts = SimpleNamespace(num_vertices=n, num_edges=3 * n // 2)
     for seed in range(60):
-        for coeff in coeffs:
-            for build, reference in ((checks._random_even_soul, reference_random_even_soul),
-                                     (checks._random_odd, reference_random_odd)):
-                if n == 0 and build is checks._random_even_soul:
-                    continue   # randrange(0) has no draw
-                rng, ref_rng = random.Random(seed), random.Random(seed)
-                assert layout(build(alg, rng, coeff)) == layout(reference(alg, ref_rng, coeff))
-                assert rng.getstate() == ref_rng.getstate()
+        for odd in (True, False):
+            assert_drawn_as_reference(counts, seed, mode, odd=odd)
+    if n == 0:
+        rng = random.Random(0)
+        before = rng.getstate()
+        random_decorated_state(counts, rng, mode)
+        assert rng.getstate() == before
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
-def test_random_states_match_monomial_by_monomial_construction(monkeypatch, mode):
-    graphs = [make() for make in GRAPHS.values()] + [prism(3), prism(5)]
-    built = []
-    for patched in (False, True):
-        if patched:
-            monkeypatch.setattr(checks, "_random_even_soul", reference_random_even_soul)
-            monkeypatch.setattr(checks, "_random_odd", reference_random_odd)
-        states = []
-        for graph in graphs:
-            edges = generic_edges(graph) if mode == RATIONAL else []
-            for seed in range(4):
-                rng = random.Random(seed)
-                friendly = edges[0] if edges and seed % 2 else None
-                states.append(random_decorated_state(graph, rng, mode,
-                                                     square_friendly_edge=friendly))
-                states.append(rng.random())
-        built.append([(s.orientation.signs,
-                       [layout(x) for x in (*s.lam.values(), *s.mu.values())])
-                      if isinstance(s, DecoratedState) else s for s in states])
-    assert built[0] == built[1]
+def test_random_states_match_monomial_by_monomial_construction(mode):
+    # square-friendly states on odd seeds, in float mode too; dumbbell()
+    # has no generic edge, so its states are never square-friendly
+    graphs = ([make() for make in GRAPHS.values()] + [prism(3), prism(5)]
+              + [prism(n) for n in range(9, 13)] + [dumbbell()])
+    for graph in graphs:
+        edges = generic_edges(graph)
+        for seed in range(4):
+            friendly = edges[0] if edges and seed % 2 else None
+            for odd in (True, False):
+                assert_drawn_as_reference(graph, seed, mode, odd=odd, friendly=friendly)
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
@@ -359,13 +368,4 @@ def test_random_states_match_the_composed_reference(mode):
     for graph in graphs:
         for odd in (True, False):
             for seed, friendly in enumerate([None, *generic_edges(graph)]):
-                rng, ref_rng = random.Random(seed), random.Random(seed)
-                state = random_decorated_state(graph, rng, mode, odd=odd,
-                                               square_friendly_edge=friendly)
-                ref = reference_random_decorated_state(graph, ref_rng, mode, odd=odd,
-                                                       square_friendly_edge=friendly)
-                assert state.orientation.signs == ref.orientation.signs
-                for mine, theirs in ((state.lam, ref.lam), (state.mu, ref.mu)):
-                    assert ([(k, layout(x)) for k, x in mine.items()]
-                            == [(k, layout(x)) for k, x in theirs.items()])
-                assert rng.getstate() == ref_rng.getstate()
+                assert_drawn_as_reference(graph, seed, mode, odd=odd, friendly=friendly)

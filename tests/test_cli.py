@@ -513,6 +513,40 @@ def test_check_rejects_non_positive_cases(capsys):
         assert "--cases: must be a positive integer" in out.err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--edges", "٥", "expects comma-separated integers, got '٥'"),
+    ("--edges", "1_0", "expects comma-separated integers, got '1_0'"),
+    ("--edges", "0,+4", "expects comma-separated integers, got '0,+4'"),
+    ("--edges", "0,４", "expects comma-separated integers, got '0,４'"),
+    ("--cases", "٣", "must be a positive integer, got '٣'"),
+    ("--cases", "1_0", "must be a positive integer, got '1_0'"),
+    ("--cases", "+3", "must be a positive integer, got '+3'"),
+    ("--seed", "٣", "invalid int value: '٣'"),
+    ("--seed", "1_0", "invalid int value: '1_0'"),
+    ("--seed", "+1", "invalid int value: '+1'"),
+])
+def test_integer_arguments_are_spelled_as_in_a_document(capsys, option, value, message):
+    # an optional '-' then ASCII digits, as fatgraph._integer_tokens reads a
+    # document's integers; int() alone takes '+', '_' and non-ASCII digits
+    if option == "--edges":
+        argv = ["flip", str(DATA / "sphere4.fg"), "--edges", value]
+    else:
+        argv = ["check", "ptolemy", str(DATA / "sphere4.fg"), "--cases", "1", option, value]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "%s: %s" % (option, message) in out.err
+
+
+def test_integer_arguments_take_a_minus_sign_and_surrounding_spaces(capsys):
+    sphere4 = str(DATA / "sphere4.fg")
+    assert run(capsys, "check", "ptolemy", sphere4, "--cases", " 02 ", "--seed", " -3") == \
+        run(capsys, "check", "ptolemy", sphere4, "--cases", "2", "--seed", "-3")
+    assert run(capsys, "flip", sphere4, "--edges", "-1")[0] == 3
+
+
 def test_explicit_cases_count_is_used(capsys):
     code, out, _ = run(capsys, "check", "ptolemy", str(DATA / "sphere4.fg"),
                        "--cases", "1")

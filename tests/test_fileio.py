@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from superpenner import fileio, grassmann
+from superpenner import cli, fileio, grassmann
 from superpenner.catalog import (five_punctured_sphere, four_punctured_sphere,
                                  genus1_two_punctures, genus2_one_puncture, punctured_torus,
                                  theta_graph)
@@ -363,3 +363,32 @@ orient 12: -
     assert state.orientation.signs == (1, 1, -1)
     assert state.lam[1].body == Fraction(3, 4)
     assert state.mu == {0: state.algebra.gen(0), 1: -state.algebra.gen(1)}
+
+
+def test_leading_comment_lines_keep_the_bulk_read(tmp_path):
+    # a CLI flip opens its document with one '# flip' line per flip: the
+    # bulk reader skips whole-line comments before the header, to the state
+    # the line loop reads, and leaves every other '#' to the line loop
+    out = tmp_path / "flipped.fg"
+    argv = ["flip", str(DATA / "genus2_1.fg"), "--edges", "0,4,7", "--output", str(out)]
+    assert cli.main(argv) == 0
+    flipped = out.read_text()
+    assert flipped.startswith("# flip edge=0: ")
+    texts = [flipped] + ["# one\n#\n#two # three\n" + render_state(s) for s in sample_states()]
+    for text in texts:
+        for mode in (RATIONAL, FLOAT):
+            assert fileio._load_rendered(text, mode) is not None
+            assert loaded(load_state, text, mode) == loaded(fileio._load_lines, text, mode)
+    late = [flipped.replace("fatgraph v1\n", "fatgraph v1\n# note\n"),
+            flipped.replace("fatgraph v1\n", "fatgraph v1  # note\n"),
+            flipped.replace("\norient 0: ", "\n# note\norient 0: "),
+            re.sub(r"(lambda 0: [^\n]*)", r"\1  # note", flipped),
+            flipped + "# note\n",
+            flipped.replace("# flip edge=4", " # flip edge=4"),
+            flipped.replace("# flip edge=4: a=2 b=0 c=7 d=6 reflections=3\n", "\n")]
+    for text in late:
+        assert text != flipped
+        for mode in (RATIONAL, FLOAT):
+            assert fileio._load_rendered(text, mode) is None
+            fileio._load_lines(text, mode)
+            assert loaded(load_state, text, mode) == loaded(fileio._load_lines, text, mode)
