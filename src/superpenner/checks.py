@@ -54,6 +54,19 @@ class CheckResult:
 
 _first = itemgetter(0)
 
+# range(m) as a list for the largest m asked so far (_identity_list); it is
+# replaced, never mutated, so a thread that reads it sees a whole one
+_identity = []
+
+
+def _identity_list(n):
+    """list(range(n)), as a C-level copy of a prefix of a cached list."""
+    global _identity
+    identity = _identity
+    if len(identity) < n:
+        identity = _identity = list(range(n))
+    return identity[:n]
+
 
 def _gather(table, indices):
     """The tuple of table[i] for i in indices, gathered in C.
@@ -93,7 +106,9 @@ def transport_state(final_state, phi, initial_graph):
 def _pulled_back(final_state, phi, gi, moved):
     """transport_state(final_state, phi, gi), given the final edge ids
     (increasing) outside which phi sends every tail to the tail of the
-    same edge id; moved may hold edges phi does not move."""
+    same edge id; moved may hold edges phi does not move.  The vertices
+    phi moves come from _vertex_homes, and a state in which none moves
+    shares final_state's mu map."""
     gf = final_state.graph
     lam_f, mask_f, mu_f = final_state.lam, final_state.orientation.mask, final_state.mu
     edges_f, edges_i = gf.edges, gi.edges
@@ -108,71 +123,120 @@ def _pulled_back(final_state, phi, gi, moved):
         reversed_ = mask_f >> ef & 1 ^ (edges_i[ei][0] != k)
         mask = mask & ~(1 << ei) | reversed_ << ei
     orientation = OrientationState._unchecked(gi, mask)
-    homes = _gather(gi._vertex_of, _gather(phi, map(_first, gf.vertices)))
-    moved = list(compress(range(len(homes)), map(ne, homes, range(gi.num_vertices))))
-    if len(homes) != gi.num_vertices or sorted(homes[v] for v in moved) != moved:
+    homes = _vertex_homes(gf, phi, gi, [h for ef in moved for h in edges_f[ef]])
+    if sorted(homes.values()) != sorted(homes):
         raise ValueError("phi misses a vertex of the initial graph")
-    mu = dict(mu_f)
-    for vf in moved:
-        mu[homes[vf]] = mu_f[vf]
+    mu = mu_f
+    if homes:
+        mu = dict(mu_f)
+        for vf, vi in homes.items():
+            mu[vi] = mu_f[vf]
     return DecoratedState._unchecked(orientation, final_state.algebra, lam, mu)
+
+
+def _vertex_homes(gf, phi, gi, halves):
+    """{vf: vi} for every vertex vf of gf whose first half-edge phi sends
+    into another vertex vi of gi; ValueError when gi has another vertex
+    count.
+
+    halves are the half-edges of the moved edges.  When phi fixes every
+    other half-edge (a list equal to the identity patched at halves) and
+    gf and gi hold the same triple at every vertex that holds none of
+    halves, as after flips of those edges only, each such vertex stays
+    where it is, and only the vertices holding one of halves are looked
+    up: Python work per moved half-edge, and per vertex and half-edge
+    only C-level copies and comparisons.  Otherwise every vertex's home
+    is gathered in C.
+    """
+    vertex_of_i = gi._vertex_of
+    near = {gf._vertex_of[h] for h in halves}
+    fixed = _identity_list(len(phi))
+    for h in halves:
+        fixed[h] = phi[h]
+    triples_f, triples_i = list(gf.vertices), list(gi.vertices)
+    if fixed == phi and len(triples_f) == len(triples_i):
+        for v in near:
+            triples_f[v] = triples_i[v] = None
+        if triples_f == triples_i:
+            homes = {v: vertex_of_i[phi[gf.vertices[v][0]]] for v in near}
+            return {vf: vi for vf, vi in homes.items() if vf != vi}
+    homes = _gather(vertex_of_i, _gather(phi, map(_first, gf.vertices)))
+    if len(homes) != gi.num_vertices:
+        raise ValueError("phi misses a vertex of the initial graph")
+    ids = range(len(homes))
+    return {vf: homes[vf] for vf in compress(ids, map(ne, homes, ids))}
 
 
 def _local_isomorphism(gf, gi, touched):
     """The half-edge isomorphism from gf to gi that is the identity on
     every half-edge outside the edges touched (ids of gi's edges, not all
-    of them), or None.
+    of them), as a list, or None.
 
-    phi starts as the identity, and only the touched half-edges are
-    filled, each from a known half-edge one sigma or alpha step of gf
-    before it, starting at their fixed neighbours.  The isomorphism that
-    fixes an untouched half-edge is unique (the graphs are connected), so
-    this phi is it whenever it exists.  It is checked over every
-    half-edge: phi o sigma_f and sigma_i o phi differ from sigma_f and
-    sigma_i only at the touched half-edges and their predecessors, so
-    each is a C-level copy of sigma_f or sigma_i patched there, and the
-    two copies must be equal; likewise for alpha.  phi is a bijection
-    exactly when it permutes the touched half-edges.  Python work is per
-    touched half-edge; per half-edge there are only C-level copies and
-    comparisons.
+    phi starts as a copy of the cached identity list, and only the
+    touched half-edges are filled, each from a known half-edge one sigma
+    or alpha step of gf before it, in passes that start at their fixed
+    neighbours.  The isomorphism that fixes an untouched half-edge is
+    unique (the graphs are connected), so this phi is it whenever it
+    exists.  phi is a bijection exactly when it permutes the touched
+    half-edges.
+
+    phi o sigma_f and sigma_i o phi differ from sigma_f and sigma_i only
+    at the touched half-edges and their predecessors, so each is a
+    C-level copy of sigma_f or sigma_i patched there, and the two copies
+    must be equal.  alpha is checked the same way unless both graphs hold
+    the same alpha list, as every flip descendant holds its ancestor's (a
+    flip never changes alpha): the touched half-edges are then closed
+    under alpha and phi fixes every other half-edge, so phi commutes with
+    alpha exactly when it does at the touched half-edges.  Python work is
+    per touched half-edge; per half-edge there are only C-level copies
+    and comparisons.
     """
     n = len(gi._sigma)
     if len(gf._sigma) != n:
         return None
     sigma_f, alpha_f = gf._sigma, gf._alpha
     sigma_i, alpha_i = gi._sigma, gi._alpha
-    phi = list(range(n))
+    phi = _identity_list(n)
     open_halves = [h for e in touched for h in gi.edges[e]]
     for h in open_halves:
         phi[h] = None
-    # fixed half-edges whose sigma or alpha step lands on a touched one
-    stack = [p for h in open_halves for p in (sigma_f[sigma_f[h]], alpha_f[h])
-             if phi[p] is not None]
-    while stack:
-        h = stack.pop()
-        k = phi[h]
-        nxt = sigma_f[h]
-        if phi[nxt] is None:
-            phi[nxt] = sigma_i[k]
-            stack.append(nxt)
-        nxt = alpha_f[h]
-        if phi[nxt] is None:
-            phi[nxt] = alpha_i[k]
-            stack.append(nxt)
-    images = [phi[h] for h in open_halves]
-    if None in images or sorted(images) != sorted(open_halves):
+    # each pass fills the touched half-edges whose sigma_f predecessor or
+    # alpha_f partner is known; a pass that fills none leaves phi partial
+    pending = open_halves
+    while pending:
+        left = []
+        for h in pending:
+            k = phi[sigma_f[sigma_f[h]]]
+            if k is not None:
+                phi[h] = sigma_i[k]
+            elif (k := phi[alpha_f[h]]) is not None:
+                phi[h] = alpha_i[k]
+            else:
+                left.append(h)
+        if len(left) == len(pending):
+            return None
+        pending = left
+    images = list(map(phi.__getitem__, open_halves))
+    if sorted(images) != sorted(open_halves):
         return None
-    # phi o sigma_f and sigma_i o phi, and the same for alpha
-    phi_sigma, sigma_phi = list(sigma_f), list(sigma_i)
-    phi_alpha, alpha_phi = list(alpha_f), list(alpha_i)
+    phi_sigma, sigma_phi = sigma_f.copy(), sigma_i.copy()
     for h, k in zip(open_halves, images):
         phi_sigma[sigma_f[sigma_f[h]]] = k   # at x = sigma_f^-1(h), phi(sigma_f(x)) = k
         sigma_phi[h] = sigma_i[k]
-        phi_alpha[alpha_f[h]] = k
-        alpha_phi[h] = alpha_i[k]
-    if phi_sigma != sigma_phi or phi_alpha != alpha_phi:
+    if phi_sigma != sigma_phi:
         return None
-    return tuple(phi)
+    if alpha_f is alpha_i:
+        if (list(map(phi.__getitem__, map(alpha_f.__getitem__, open_halves)))
+                != list(map(alpha_i.__getitem__, images))):
+            return None
+    else:
+        phi_alpha, alpha_phi = alpha_f.copy(), alpha_i.copy()
+        for h, k in zip(open_halves, images):
+            phi_alpha[alpha_f[h]] = k
+            alpha_phi[h] = alpha_i[k]
+        if phi_alpha != alpha_phi:
+            return None
+    return phi
 
 
 def aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
@@ -187,16 +251,25 @@ def aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
     every isomorphism is tried (find_isomorphisms).
 
     Otherwise finding and checking the isomorphism (_local_isomorphism)
-    does Python work per touched edge only, and so does the transport
-    when the two graphs list the same edges: phi then fixes the tail of
-    every untouched edge, so only the touched edges are transported.  Per
-    edge there are only C-level gathers, copies and comparisons, as in
-    the exact lambda-length comparison and in finding the edges whose
-    signs differ; deciding the spin class (reflection_vertices_between)
-    is Python work per differing edge and reflected vertex.
+    does Python work per touched half-edge only: phi is a copy of a cached
+    identity list filled at the touched half-edges, sigma is checked by
+    one patched C-level copy and comparison per side, and alpha, when
+    both graphs hold the same alpha list (every flip descendant of the
+    initial graph does), only at the touched half-edges.  So does the
+    transport when the two graphs list the same edges: phi then fixes the
+    tail of every untouched edge, so only the touched edges are
+    transported, and when the two graphs also hold the same triple at
+    every vertex off the touched edges, only the vertices on them are
+    (_vertex_homes).  Per edge, vertex and half-edge there are only
+    C-level copies and comparisons, as in the exact lambda-length
+    comparison and in finding the edges whose signs differ; deciding the
+    spin class (reflection_vertices_between) is Python work per differing
+    edge and reflected vertex.
     """
     gi, gf = initial.graph, final.graph
-    touched = set(touched_edges).intersection(range(gi.num_edges))
+    edge_ids = range(gi.num_edges)
+    # membership in a range is a comparison for an int, not a pass over it
+    touched = sorted({int(e) for e in touched_edges if e in edge_ids})
     if len(touched) == gi.num_edges:
         return any(states_equal_mod_sign(transport_state(final, phi, gi), initial, tol=tol)
                    for phi in find_isomorphisms(gf, gi))
@@ -204,7 +277,7 @@ def aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
     if phi is None:
         return False
     if gf.edges is gi.edges or gf.edges == gi.edges:
-        moved = _pulled_back(final, phi, gi, sorted(touched))
+        moved = _pulled_back(final, phi, gi, touched)
     else:
         moved = transport_state(final, phi, gi)
     return states_equal_mod_sign(moved, initial, tol=tol)

@@ -13,6 +13,13 @@ by the opposite diagonal of its quadrilateral, keeping ids stable.  It is
 a local move: the flipped graph is built from the parent by patching the
 two rewritten vertices in its tables, without rebuilding or revalidating
 the whole graph (see whitehead_flip).
+
+A graph's four half-edge tables (sigma, alpha, edge_of and vertex_of, one
+entry per half-edge) are lists, built once by the constructor and never
+mutated after the graph is returned: graphs share them, so nothing may
+write to them.  A flip copies the two it patches (sigma and vertex_of)
+once each with list.copy() and shares the other two.  vertices and edges
+stay tuples, as they are public and hashed.
 """
 
 from __future__ import annotations
@@ -48,6 +55,11 @@ class FatGraph:
     operator.index operand) and an edge entry two values that int()
     converts; any other entry is a FatGraphError, as is every other
     invalid graph.
+
+    _sigma, _alpha, _edge_of and _vertex_of are lists indexed by
+    half-edge, built once here and never mutated afterwards; flipped
+    graphs share them or hold patched copies (whitehead_flip), so they
+    are read-only to everyone.  vertices stays a tuple.
 
     _cuts caches the fundamental cuts of the spanning forest, which
     spin.reflection_vertices_between builds on first use (None until
@@ -93,10 +105,10 @@ class FatGraph:
             if 0 <= t < n and 0 <= h < n:
                 alpha[t], alpha[h] = h, t
                 edge_of[t] = edge_of[h] = ei
-        self._sigma = tuple(sigma)
-        self._alpha = tuple(alpha)
-        self._edge_of = tuple(edge_of)
-        self._vertex_of = tuple(vertex_of)
+        self._sigma = sigma
+        self._alpha = alpha
+        self._edge_of = edge_of
+        self._vertex_of = vertex_of
         self._cuts = None
         self._validate()
 
@@ -185,6 +197,8 @@ class FatGraph:
         return tuple(self._edge_of[h] for h in self.vertices[v])
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, FatGraph)
                 and self.vertices == other.vertices
                 and self.edges == other.edges)
@@ -290,39 +304,41 @@ def whitehead_flip(graph, e, reflections_applied=()):
     the tail vertex becomes (t, hb, hc) and the head vertex (h, hd, ha).
     Of the tables only six sigma entries (those six half-edges) and two
     vertex_of entries (ha and hc trade vertices) change, so they are
-    patched on copies of the parent's tuples; edges, vertex_names, alpha
-    and edge_of are the parent's own objects, and the cut cache starts
-    empty.  No revalidation is needed:
-    the flip keeps every half-edge and every edge, both new triples are
-    trivalent, V and E are unchanged, and edge e still joins the two
-    rewritten vertices, so the graph stays connected.
+    written into copies of the parent's sigma and vertex_of lists, one
+    list.copy() each; the parent's lists are never written.  edges,
+    vertex_names, alpha and edge_of are the parent's own objects, vertices
+    is a new tuple, and the cut cache starts empty.  No revalidation is
+    needed: the flip keeps every half-edge and every edge, both new
+    triples are trivalent, V and E are unchanged, and edge e still joins
+    the two rewritten vertices, so the graph stays connected.
 
     Python work is per touched entry: the quadrilateral is read from the
     tables as a plain tuple (no Quadrilateral is built), the two new
     triples are rotated by comparisons, eight entries are patched and the
     record is filled by tuple.__new__, without FlipRecord's generated
     __new__ (it is the same FlipRecord).  Per vertex and half-edge there
-    is only the C-level copying of the three patched tuples.
+    is only C-level copying: the vertices tuple (a list and back) and the
+    two patched lists.
     """
     u, w, t, h, ha, hb, hc, hd, a, b, c, d = _quadrilateral(graph, e)
     vertices = list(graph.vertices)
     # new tail vertex picks up b and c, new head vertex picks up d and a
     vertices[u] = _rotated(t, hb, hc)
     vertices[w] = _rotated(h, hd, ha)
-    sigma = list(graph._sigma)
+    sigma = graph._sigma.copy()
     sigma[t], sigma[hb], sigma[hc] = hb, hc, t
     sigma[h], sigma[hd], sigma[ha] = hd, ha, h
-    vertex_of = list(graph._vertex_of)
+    vertex_of = graph._vertex_of.copy()
     vertex_of[ha] = w
     vertex_of[hc] = u
     flipped = object.__new__(FatGraph)
     flipped.vertices = tuple(vertices)
     flipped.edges = graph.edges
     flipped.vertex_names = graph.vertex_names
-    flipped._sigma = tuple(sigma)
+    flipped._sigma = sigma
     flipped._alpha = graph._alpha
     flipped._edge_of = graph._edge_of
-    flipped._vertex_of = tuple(vertex_of)
+    flipped._vertex_of = vertex_of
     flipped._cuts = None
     return flipped, tuple.__new__(FlipRecord, (e, a, b, c, d, u, w, reflections_applied))
 

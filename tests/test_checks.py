@@ -1,19 +1,24 @@
+import os
 import random
+import sys
 import time
 from types import SimpleNamespace
 
 import pytest
 
+import superpenner
 from superpenner.catalog import GRAPHS
-from superpenner.checks import (aligned_equal_mod_sign, check_spincount, generic_edges,
-                                pentagon_pairs, random_decorated_state, transport_state)
-from superpenner.decorated import DecoratedState, superflip
-from superpenner.fatgraph import (FatGraph, FatGraphError, find_isomorphisms,
-                                  propagate_isomorphism)
+from superpenner.checks import (_local_isomorphism, aligned_equal_mod_sign, check_spincount,
+                                generic_edges, pentagon_pairs, random_decorated_state,
+                                transport_state)
+from superpenner.decorated import DecoratedState, classical_limit, default_state, superflip
+from superpenner.fatgraph import (FatGraph, FatGraphError, boundary_cycles, find_isomorphisms,
+                                  propagate_isomorphism, topology, whitehead_flip)
 from superpenner.grassmann import FLOAT, RATIONAL
 from superpenner.spin import (MAX_BRUTE_FORCE_EDGES, OrientationState, SpinError,
-                              enumerate_spin_classes, reflect,
-                              reflection_vertices_between, same_spin_class)
+                              brute_force_spin_classes, classify_punctures,
+                              enumerate_spin_classes, flip_orientation, reflect,
+                              reflection_vertices_between, same_spin_class, spin_class_count)
 
 from helpers import (dumbbell, prism, reference_aligned_equal_mod_sign,
                      reference_random_decorated_state)
@@ -242,6 +247,166 @@ def test_aligned_comparison_matches_the_whole_graph_oracle():
             got = aligned_equal_mod_sign(state, other, touched)
             assert got == reference_aligned_equal_mod_sign(state, other, touched)
             assert not got or touched == everything
+
+
+def heads_swapped(state):
+    """state's data on a graph with the same vertices whose edges 0 and 1
+    swap heads, or None when that graph is not connected."""
+    (t0, h0), (t1, h1), *rest = state.graph.edges
+    try:
+        swapped = FatGraph(state.graph.vertices, [(t0, h1), (t1, h0)] + rest)
+    except FatGraphError:
+        return None
+    return DecoratedState(swapped, OrientationState(swapped, state.orientation.signs),
+                          state.algebra, state.lam, state.mu)
+
+
+TABLES = ("vertices", "_sigma", "_alpha", "_edge_of", "_vertex_of")
+
+
+def tables(graph):
+    """Every half-edge table of graph and its vertices, as tuples."""
+    return [tuple(getattr(graph, name)) for name in TABLES]
+
+
+def test_no_operation_writes_a_graph_table():
+    # the tables are lists that flipped graphs share or copy: every graph
+    # of the flip walks, and the relabelled and edge-reversed finals, must
+    # hold the same tables after flips, comparisons, transports and every
+    # reader have run on them
+    rng = random.Random(23)
+    graphs, round_trips = [], []
+    for graph in ORACLE_GRAPHS:
+        state = initial = random_decorated_state(graph, rng, RATIONAL, odd=False)
+        graphs.append(graph)
+        walk = []
+        for _ in range(4 if generic_edges(graph) else 0):
+            walk.append(rng.choice(generic_edges(state.graph)))
+            state, _ = superflip(state, walk[-1])
+            graphs.append(state.graph)
+        for e in reversed(walk):
+            state, _ = superflip(state, e)
+            graphs.append(state.graph)
+        finals = [state, vertex_relabelled(state, rng),
+                  edge_reversed(state, rng.randrange(graph.num_edges))]
+        graphs += [final.graph for final in finals[1:]]
+        round_trips.append((initial, finals, set(walk)))
+    before = [tables(graph) for graph in graphs]
+    for initial, finals, touched in round_trips:
+        everything = set(range(initial.graph.num_edges))
+        for final in finals:
+            assert aligned_equal_mod_sign(initial, final, touched)
+            assert aligned_equal_mod_sign(initial, final, everything)
+            for phi in find_isomorphisms(final.graph, initial.graph):
+                transport_state(final, phi, initial.graph)
+    for graph in graphs:
+        for e in generic_edges(graph):
+            whitehead_flip(graph, e)
+            flip_orientation(OrientationState(graph, [1] * graph.num_edges), e)
+        boundary_cycles(graph)
+        topology(graph)
+        if spin_class_count(graph) <= 1 << 10:
+            enumerate_spin_classes(graph)
+        if graph.num_edges <= 12:
+            brute_force_spin_classes(graph)
+        one = OrientationState(graph, [rng.choice((1, -1)) for _ in range(graph.num_edges)])
+        other = reflect(one, rng.randrange(graph.num_vertices))
+        classify_punctures(one)
+        assert reflection_vertices_between(one, other) is not None
+    assert [tables(graph) for graph in graphs] == before
+
+
+def untouched_fixed(phi, gi, touched):
+    """phi as a list when it fixes every half-edge of gi's edges outside
+    touched, else None."""
+    if phi is None or any(phi[h] != h for e in range(gi.num_edges) if e not in touched
+                          for h in gi.edges[e]):
+        return None
+    return list(phi)
+
+
+def test_local_isomorphism_is_the_propagated_map_that_fixes_untouched_edges():
+    # _local_isomorphism against propagate_isomorphism from an untouched
+    # half-edge.  The inputs: the walk finals, touched sets that miss an
+    # edge, vertex-relabelled and edge-reversed finals (another alpha
+    # list, so the general branch), graphs whose edges 0 and 1 swap heads
+    # (another alpha), and graphs a few flips away with random touched
+    # sets, which share the initial graph's alpha list but often admit no
+    # isomorphism, or one that moves an untouched edge
+    rng = random.Random(29)
+    cases = []
+    for graph in ORACLE_GRAPHS:
+        for initial, final, touched in oracle_round_trips(graph, rng):
+            gi = initial.graph
+            finals = [final, vertex_relabelled(final, rng),
+                      edge_reversed(final, rng.randrange(gi.num_edges))]
+            swapped = heads_swapped(final)
+            finals += [swapped] if swapped is not None else []
+            subsets = [touched, {gi.num_edges - 1}] + [touched - {e} for e in sorted(touched)]
+            cases += [(state.graph, gi, subset) for state in finals for subset in subsets]
+        for _ in range(4 if generic_edges(graph) else 0):
+            flipped = graph
+            for _ in range(rng.randrange(1, 4)):
+                flipped, _ = whitehead_flip(flipped, rng.choice(generic_edges(flipped)))
+            assert flipped._alpha is graph._alpha
+            cases += [(flipped, graph, set(rng.sample(range(graph.num_edges), size)))
+                      for size in range(graph.num_edges)]
+    found = shared_alpha = 0
+    for gf, gi, subset in cases:
+        h = next(k for e in range(gi.num_edges) if e not in subset for k in gi.edges[e])
+        expected = untouched_fixed(propagate_isomorphism(gf, gi, h, h), gi, subset)
+        phi = _local_isomorphism(gf, gi, subset)
+        assert phi == expected, (gi, subset)
+        assert phi is None or type(phi) is list
+        found += phi is not None
+        shared_alpha += gf._alpha is gi._alpha
+    assert found > 100 and len(cases) - found > 100
+    assert 100 < shared_alpha < len(cases) - 100
+
+
+def package_line_events(call):
+    """call() and the number of line events it runs in package frames."""
+    package = os.path.dirname(superpenner.__file__) + os.sep
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def enter(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, count
+
+
+def test_flip_and_comparison_python_work_does_not_grow_with_the_graph():
+    # a classical flip and a round-trip comparison do Python work per
+    # touched entry only: a Python loop over the edges, vertices or
+    # half-edges of either path would change these counts between prisms
+    # of 32, 128 and 512 vertices
+    counts = []
+    for k in (16, 64, 256):
+        initial = classical_limit(default_state(prism(k)))
+        walk = (1, 2, 2 * k + 2, 3)
+        final = initial
+        for e in walk + walk[::-1]:
+            final, _ = superflip(final, e)
+        # builds the initial graph's cut table and the cached identity
+        assert aligned_equal_mod_sign(initial, final, set(walk))
+        _, flip = package_line_events(lambda: superflip(initial, 1))
+        same, compare = package_line_events(
+            lambda: aligned_equal_mod_sign(initial, final, set(walk)))
+        assert same
+        counts.append((flip, compare))
+    assert counts[0] == counts[1] == counts[2], counts
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))

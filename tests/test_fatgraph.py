@@ -369,3 +369,20 @@ def test_patched_flip_equals_a_rebuild(name):
         flips += 1
     # the torus and theta graphs have no generic flip; the others walk far
     assert flips == (0 if name in ("torus_1_1", "theta_0_3") else 60)
+
+
+def test_a_flip_copies_the_two_tables_it_patches_and_shares_the_rest():
+    # the alpha shortcut of the round-trip comparison relies on a flip
+    # descendant holding its ancestor's alpha list itself
+    for graph in [make() for make in GRAPHS.values()] + [prism(5), dumbbell()]:
+        tables = (graph._sigma, graph._alpha, graph._edge_of, graph._vertex_of)
+        assert all(type(table) is list for table in tables)
+        assert type(graph.vertices) is tuple
+        for e in generic_edges(graph):
+            flipped, _ = whitehead_flip(graph, e)
+            for name in ("_alpha", "_edge_of", "edges", "vertex_names"):
+                assert getattr(flipped, name) is getattr(graph, name), name
+            for name in ("_sigma", "_vertex_of"):
+                assert type(getattr(flipped, name)) is list
+                assert getattr(flipped, name) is not getattr(graph, name), name
+            assert type(flipped.vertices) is tuple
