@@ -4,13 +4,18 @@ All randomness flows from one seed; identical (graph, seed, mode) runs
 produce identical reports.  A suite draws, per case, its edge or pentagon
 and then its state, and random_decorated_state draws in a fixed order: a
 body per edge, the square-friendly ratio and weights, a soul per edge, a
-mu per vertex and a sign per edge.  randint(a, b) there is spelled
-randrange(a, b + 1), randint's own body, so the draws and a seed's cases
-are those of the randint spelling.  The flip suites compare states across
-flip sequences by transporting the final state back along the canonical
-graph isomorphism (the one fixing every half-edge of untouched edges) and
-then asking decorated.states_equal_mod_sign, which aligns the spin-class
-representatives by reflections and allows the global odd sign.
+mu per vertex and a sign per edge.  Every randrange(a, b), randint and
+choice of the suites and of random_decorated_state is drawn as CPython's
+Random._randbelow draws it (_below): getrandbits(k) for k the bit length
+of the range's width n, drawn again while it is n or more.  That reads
+the same Mersenne words in the same order as the library call, so the
+draws, the generator's state afterwards and a seed's cases are those of
+the randrange, randint and choice spelling.  The flip suites compare
+states across flip sequences by transporting the final state back along
+the canonical graph isomorphism (the one fixing every half-edge of
+untouched edges) and then asking decorated.states_equal_mod_sign, which
+aligns the spin-class representatives by reflections and allows the
+global odd sign.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import compress
 from math import gcd
 from operator import itemgetter, ne
@@ -287,11 +293,25 @@ def aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
 # random decorated states
 
 
+def _below(getrandbits, n):
+    """rng.randrange(n) for n >= 1, given rng.getrandbits, drawn as
+    CPython's Random._randbelow draws it: getrandbits(k) for k =
+    n.bit_length(), drawn again while it is n or more.  So it reads the
+    same Mersenne words as randrange(n), and randrange(a, b) is a +
+    _below(getrandbits, b - a), without randrange's argument checks."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _pythagorean_ratio(rng):
     # chi = (m/n)^2 with m^2 + n^2 a perfect square, so that both sqrt(chi)
     # and sqrt(1 + chi) are rational
-    p = rng.randrange(2, 7)
-    q = rng.randrange(1, p)
+    bits = rng.getrandbits
+    p = 2 + _below(bits, 5)       # randrange(2, 7)
+    q = 1 + _below(bits, p - 1)   # randrange(1, p)
     m, n = p * p - q * q, 2 * p * q
     if rng.random() < 0.5:
         m, n = n, m
@@ -322,34 +342,45 @@ def random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
        sample(range(V), 3) with one more coefficient on their product;
     5. a sign per edge, choice((1, -1)), in edge order.
 
-    randint(a, b) here is randrange(a, b + 1), randint's own body.  Each
-    element is built once, in normal form: a body p/q in lowest terms is
-    the map {0: p, mask: c*q, ...} over q, each mu a map over 1; a
-    repeated monomial sums its coefficients in draw order, zero sums are
-    dropped and the first draw of a monomial fixes its place.  The state
-    is valid by construction (bodies > 0, souls of weight 2, mus of
-    weight 1 and 3), so it is not checked again.
+    Each randint(a, b), randrange and choice is drawn from getrandbits as
+    CPython's Random._randbelow draws it (_below): randint(a, b) is a plus
+    getrandbits(k) for k the bit length of b - a + 1, drawn again while it
+    is above b - a, and choice((1, -1)) draws 2 bits, again while they are
+    2 or more.  That reads the same Mersenne words as the library calls,
+    so the state and the generator's state afterwards are theirs; uniform,
+    random and sample are the library's.  Each element is built once, in
+    normal form: a body p/q in lowest terms is the map {0: p, mask: c*q,
+    ...} over q, each mu a map over 1; a repeated monomial sums its
+    coefficients in draw order, zero sums are dropped and the first draw
+    of a monomial fixes its place.  The state is valid by construction
+    (bodies > 0, souls of weight 2, mus of weight 1 and 3), so it is not
+    checked again.
     """
     num_edges, n = graph.num_edges, graph.num_vertices
     algebra = GrassmannAlgebra(n, mode)
-    randrange, uniform = rng.randrange, rng.uniform
+    bits, uniform = rng.getrandbits, rng.uniform
     exact = mode == RATIONAL
     if exact:
-        coeff, low, high = randrange, -3, 4
+        def coeff():   # randint(-3, 3), _below(bits, 7) - 3 inlined
+            r = bits(3)
+            while r == 7:
+                r = bits(3)
+            return r - 3
+
         bodies = []
         for _ in range(num_edges):
-            p, q = randrange(1, 10), randrange(1, 10)
+            p, q = 1 + _below(bits, 9), 1 + _below(bits, 9)   # randint(1, 9) twice
             g = gcd(p, q)
             bodies.append((p // g, q // g))
     else:
-        coeff, low, high = uniform, -1.0, 1.0
+        coeff = partial(uniform, -1.0, 1.0)
         bodies = [(uniform(0.5, 4.0), 1) for _ in range(num_edges)]
     if square_friendly_edge is not None:
         a, b, c, d = _quadrilateral(graph, square_friendly_edge)[8:]
         m, k = _pythagorean_ratio(rng)
         if exact:
-            w1 = Fraction(randrange(1, 10), randrange(1, 10))
-            w2 = Fraction(randrange(1, 10), randrange(1, 10))
+            w1 = Fraction(1 + _below(bits, 9), 1 + _below(bits, 9))
+            w2 = Fraction(1 + _below(bits, 9), 1 + _below(bits, 9))
         else:
             w1, w2 = uniform(0.5, 4.0), uniform(0.5, 4.0)
         for e, r in ((a, m * w1), (c, m * w2), (b, k * w1), (d, k * w2)):
@@ -357,24 +388,24 @@ def random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
     lam = {}
     for e, (p, q) in enumerate(bodies):
         num = {0: p}
-        for _ in range(randrange(0, 3)):
-            i, j = randrange(n), randrange(n)
+        for _ in range(_below(bits, 3)):   # randint(0, 2)
+            i, j = _below(bits, n), _below(bits, n)
             if i != j:
-                c = coeff(low, high) * q
+                c = coeff() * q
                 mask = 1 << i | 1 << j
                 num[mask] = num.get(mask, 0) + (c if i < j else -c)
         if not all(num.values()):
             num = {mask: c for mask, c in num.items() if c}
         lam[e] = _element(algebra, num, q)
     if odd:
-        bits = [1 << i for i in range(n)]
+        gens = [1 << i for i in range(n)]
         random_ = rng.random
         mu = {}
         for v in range(n):
-            num = {bit: c for bit in bits if (c := coeff(low, high))}
+            num = {bit: c for bit in gens if (c := coeff())}
             if n >= 3 and random_() < 0.2:
                 i, j, k = rng.sample(range(n), 3)
-                c = coeff(low, high)
+                c = coeff()
                 if c:
                     # t_i t_j t_k is e_mask times the sign of its inversions
                     odd_order = (i > j) ^ (i > k) ^ (j > k)
@@ -382,8 +413,8 @@ def random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
             mu[v] = _element(algebra, num, 1)
     else:
         mu = dict.fromkeys(range(n), algebra.zero())
-    choice = rng.choice
-    mask = sum(1 << e for e in range(num_edges) if choice((1, -1)) < 0)
+    # choice((1, -1)) is -1 when _below(bits, 2) is 1
+    mask = sum(1 << e for e in range(num_edges) if _below(bits, 2))
     return DecoratedState._unchecked(OrientationState._unchecked(graph, mask),
                                      algebra, lam, mu)
 
@@ -446,7 +477,7 @@ def check_ptolemy(graph, seed=0, mode=RATIONAL, tol=1e-12, cases=1000):
     rng = random.Random(seed)
     failures = 0
     for _ in range(cases):
-        e = rng.choice(edges)
+        e = edges[_below(rng.getrandbits, len(edges))]   # rng.choice(edges)
         state = random_decorated_state(graph, rng, mode=mode, odd=False)
         flipped, record = superflip(state, e)
         lhs = state.lam[e] * flipped.lam[e]
@@ -477,7 +508,7 @@ def check_involution(graph, seed=0, mode=RATIONAL, tol=1e-9, cases=500):
     rng = random.Random(seed)
     failures = 0
     for _ in range(cases):
-        e = rng.choice(edges)
+        e = edges[_below(rng.getrandbits, len(edges))]   # rng.choice(edges)
         if mode == RATIONAL:
             state = random_decorated_state(graph, rng, mode=mode,
                                            square_friendly_edge=e)
@@ -504,7 +535,7 @@ def check_pentagon(graph, seed=0, mode=FLOAT, tol=1e-9, cases=100):
     rng = random.Random(seed)
     failures = 0
     for _ in range(cases):
-        e1, e2 = pairs[rng.randrange(len(pairs))]
+        e1, e2 = pairs[_below(rng.getrandbits, len(pairs))]   # rng.randrange(len(pairs))
         state = random_decorated_state(graph, rng, mode=mode)
         current = state
         for e in (e1, e2, e1, e2, e1):

@@ -34,7 +34,7 @@ import sys
 from .checks import SUITES
 from .decorated import _puncture_residuals, shear_coordinates, superflip
 from .fatgraph import _integer_tokens, boundary_cycles, topology
-from .fileio import load_state, render_state
+from .fileio import _load_orientation, load_state, render_state
 from .grassmann import FLOAT, RATIONAL
 from .spin import classify_punctures, enumerate_spin_classes, spin_class_count
 
@@ -154,18 +154,22 @@ def _emit(lines, output):
         raise _LoadError(str(exc)) from exc
 
 
-def _load(path, mode=RATIONAL):
+def _load(path, load, *args):
+    """load(text, *args) of the file's text; an unreadable or unparsable
+    file is a _LoadError with the error's message.  flip and shear load
+    the state with load_state; info, spin and check, which read only the
+    graph and its orientation, with fileio._load_orientation: the rational
+    load's checks and errors, without building a lambda or mu."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        return load_state(text, mode=mode)
+        return load(text, *args)
     except (OSError, ValueError) as exc:
         raise _LoadError(str(exc)) from exc
 
 
 def cmd_info(args):
-    state = _load(args.input)
-    graph = state.graph
+    graph = _load(args.input, _load_orientation).graph
     g, s, e, v = topology(graph)
     lines = ["g=%d s=%d E=%d V=%d even=%d odd=%d" % (g, s, e, v, e, v)]
     for i, cycle in enumerate(boundary_cycles(graph)):
@@ -175,8 +179,8 @@ def cmd_info(args):
 
 
 def cmd_spin(args):
-    state = _load(args.input)
-    graph = state.graph
+    orientation = _load(args.input, _load_orientation)
+    graph = orientation.graph
     lines = []
     if args.action == "enumerate":
         classes = enumerate_spin_classes(graph)
@@ -188,8 +192,8 @@ def cmd_spin(args):
         lines.append("classes: %d" % len(classes))
         lines.append("rank_formula: %d" % spin_class_count(graph))
     else:
-        tags = classify_punctures(state.orientation)
-        lines.append("orientation: %s" % state.orientation.sign_string())
+        tags = classify_punctures(orientation)
+        lines.append("orientation: %s" % orientation.sign_string())
         for i, tag in enumerate(tags):
             lines.append("puncture %d: %s" % (i, tag))
     _emit(lines, args.output)
@@ -197,7 +201,7 @@ def cmd_spin(args):
 
 
 def cmd_flip(args):
-    state = _load(args.input, mode=args.mode)
+    state = _load(args.input, load_state, args.mode)
     lines = []
     for e in args.edges:
         state, record = superflip(state, e)
@@ -210,7 +214,7 @@ def cmd_flip(args):
 
 
 def cmd_shear(args):
-    state = _load(args.input, mode=args.mode)
+    state = _load(args.input, load_state, args.mode)
     z = shear_coordinates(state)
     residuals = _puncture_residuals(state, z)
     lines = []
@@ -243,8 +247,8 @@ def cmd_check(args):
     if not (math.isfinite(tol) and tol > 0):
         raise _LoadError("%s must be finite and positive, got %r" % (source, tol))
     cases = args.cases if args.cases is not None else defaults["cases"]
-    state = _load(args.input)
-    result = suite(state.graph, seed=args.seed, mode=mode, tol=tol, cases=cases)
+    graph = _load(args.input, _load_orientation).graph
+    result = suite(graph, seed=args.seed, mode=mode, tol=tol, cases=cases)
     config = ("suite=%s seed=%d mode=%s tol=%s cases=%d"
               % (args.suite, args.seed, mode, repr(tol), cases))
     _emit([config, result.report()], args.output)

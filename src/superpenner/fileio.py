@@ -27,16 +27,25 @@ line loop (scan_document, graph_from_records and one step per record),
 which reads anything the format allows and alone raises, each message
 naming its line.  So a hand-written document and a rendered one load to
 the same state as before, and every message is the line loop's.
+
+The CLI commands that read only the graph and its orientation (info,
+spin, check) call _load_orientation, which gives the orientation of the
+rational-mode load_state after the same checks.  On a document read in
+bulk it classifies each lambda and mu term from its text (its weight,
+and whether it is zero; each body's sign) and builds no element; every
+other document, and every one that fails a check, goes to load_state.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
+from operator import and_
 
 from .decorated import DecoratedState, is_lambda_length, is_mu_invariant
 from .fatgraph import (FatGraph, FatGraphError, _integer_tokens, graph_from_records,
                        render_fatgraph, scan_document)
-from .grassmann import RATIONAL, GrassmannAlgebra, GrassmannError, _parse_rendered
+from .grassmann import (RATIONAL, GrassmannAlgebra, GrassmannError, _parse_rendered,
+                        _rendered_weights)
 from .spin import OrientationState
 
 # the record kinds in the order render_state writes their blocks, and the
@@ -70,6 +79,63 @@ def _load_rendered(text, mode):
     in bulk; None for any other document and for every error, which the
     line loop then reads or refuses.
 
+    The layout is read by _rendered_layout.  The lambda and mu texts are
+    one batch for grassmann._parse_rendered (each read alone by
+    algebra.parse when it refuses), and each value is checked once.
+    """
+    layout = _rendered_layout(text)
+    if layout is None:
+        return None
+    graph, mask, texts, lambdas = layout
+    algebra = GrassmannAlgebra(graph.num_vertices, mode)
+    try:
+        values = _parse_rendered(algebra, texts)
+        if values is None:
+            values = list(map(algebra.parse, texts))
+    except ValueError:   # GrassmannError is a ValueError
+        return None
+    lam, mu = values[:lambdas], values[lambdas:]
+    if not (all(map(is_lambda_length, lam)) and all(map(is_mu_invariant, mu))):
+        return None
+    lam = lam or [algebra.one() for _ in range(graph.num_edges)]
+    mu = mu or list(map(algebra.gen, range(graph.num_vertices)))
+    return DecoratedState._unchecked(OrientationState._unchecked(graph, mask), algebra,
+                                     dict(enumerate(lam)), dict(enumerate(mu)))
+
+
+def _load_orientation(text):
+    """load_state(text, RATIONAL).orientation, the graph and its spin
+    orientation, or the error load_state raises, with no lambda or mu
+    built when the document is read in bulk.
+
+    A document laid out as render_state writes it (_rendered_layout) whose
+    lambda and mu texts grassmann._rendered_weights classifies is checked
+    term by term as load_state checks the elements it reads: each lambda
+    even with positive body and each mu odd, by the weight masks of the
+    algebra on V generators, as is_even and is_odd test them.  Every other
+    document, and every document that fails a check, is read by
+    load_state, so every message is load_state's.
+    """
+    layout = _rendered_layout(text)
+    if layout is not None:
+        graph, mask, texts, lambdas = layout
+        read = _rendered_weights(texts, graph.num_vertices)
+        if read is not None:
+            weights, bodies = read
+            odd = GrassmannAlgebra(graph.num_vertices)._odd
+            if (not any(map(and_, weights[:lambdas], repeat(odd)))
+                    and all(body > 0 for body in bodies[:lambdas])
+                    and not any(map(and_, weights[lambdas:], repeat(odd >> 1)))):
+                return OrientationState._unchecked(graph, mask)
+    return load_state(text, RATIONAL).orientation
+
+
+def _rendered_layout(text):
+    """(graph, mask, texts, lambdas) of a document laid out as render_state
+    writes it: its graph, its orientation mask, its lambda and then its mu
+    texts, and the number of lambda texts (0 or E, and V or no mu texts);
+    None for any other document, and for a graph FatGraph(...) refuses.
+
     The layout: ASCII without blank lines, any lines that open with # (a
     whole-line comment, which the line loop skips too), the header, then
     the vertex, edge, orient, lambda and mu blocks in this order, each line
@@ -77,11 +143,10 @@ def _load_rendered(text, mode):
     ids and orient and lambda keys 0..E-1 in order, mu keys the vertex
     names in order; half-edge tokens in ASCII digits, three on a vertex
     line and two on an edge line, one space apart.  Each test is a fixed
-    number of C-level passes over the lines or a block, FatGraph(...)
-    validates the graph, and the lambda and mu texts are one batch for
-    grassmann._parse_rendered (each read alone by algebra.parse when it
-    refuses).  Lines are split by str.splitlines, as scan_document splits
-    them, so what is accepted here the line loop reads to the same records.
+    number of C-level passes over the lines or a block, and FatGraph(...)
+    validates the graph.  Lines are split by str.splitlines, as
+    scan_document splits them, so what is accepted here the line loop
+    reads to the same records.
     """
     if not text.isascii():
         return None
@@ -124,24 +189,13 @@ def _load_rendered(text, mode):
         tokens = list(map(int, tokens))
         graph = FatGraph(list(zip(*[iter(tokens[:3 * v])] * 3)),
                          list(zip(*[iter(tokens[3 * v:])] * 2)), names)
-        signs = rests[at_orient:at_lambda]
-        if signs.count("+") + signs.count("-") != len(signs):
-            return None
-        mask = int("0" + "".join(signs[::-1]).translate(_BITS), 2)
-        algebra = GrassmannAlgebra(v, mode)
-        texts = rests[at_lambda:]
-        values = _parse_rendered(algebra, texts)
-        if values is None:
-            values = list(map(algebra.parse, texts))
-    except ValueError:   # FatGraphError and GrassmannError are ValueErrors
+    except ValueError:   # FatGraphError is a ValueError
         return None
-    lam, mu = values[:at_mu - at_lambda], values[at_mu - at_lambda:]
-    if not (all(map(is_lambda_length, lam)) and all(map(is_mu_invariant, mu))):
+    signs = rests[at_orient:at_lambda]
+    if signs.count("+") + signs.count("-") != len(signs):
         return None
-    lam = lam or [algebra.one() for _ in range(e)]
-    mu = mu or list(map(algebra.gen, range(v)))
-    return DecoratedState._unchecked(OrientationState._unchecked(graph, mask), algebra,
-                                     dict(enumerate(lam)), dict(enumerate(mu)))
+    mask = int("0" + "".join(signs[::-1]).translate(_BITS), 2)
+    return graph, mask, rests[at_lambda:], at_mu - at_lambda
 
 
 def _load_lines(text, mode):

@@ -142,7 +142,10 @@ their terms with C-level string and map passes, and then builds one
 element per text.  In rational mode the batch's coefficients share one
 power of ten and each element is reduced by its own gcd, so every element
 is in normal form, the element the term loop gives.  A batch with one
-text it cannot read is refused whole.
+text it cannot read is refused whole.  _rendered_weights shares the bulk
+reader's split pass (_split_rendered) but converts no coefficient: for
+plain ones it reads from the text whether each is zero and its sign, and
+gives each text's weight mask and body sign as rational mode would.
 
 Memory: each disjoint pair on n generators sits in exactly one class, and
 all indices share one int object each, so the classes on n generators hold
@@ -164,7 +167,7 @@ import sys
 from fractions import Fraction
 from itertools import chain, combinations, compress, islice, repeat
 from math import gcd
-from operator import add, itemgetter, mul, sub, truediv
+from operator import add, itemgetter, mul, not_, sub, truediv
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -1172,6 +1175,12 @@ _RENDERED = b"0123456789.e+-*t^ "
 _LONG_EXPONENT = re.compile(r"e[-+]?\d\d\d").search
 # the text of an absent exponent
 _ZERO = {"": "0"}
+# a coefficient _rendered_weights classifies: an optional '-', digits,
+# optional decimals and an optional signed two-digit exponent.  Its value
+# is nonzero exactly when its mantissa has a nonzero digit, which the
+# lookahead of _NONZERO_PLAIN asks for ([0.]* stops at the exponent)
+_PLAIN = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]\d\d)?", re.ASCII).fullmatch
+_NONZERO_PLAIN = re.compile(r"-?(?=[0.]*[1-9])\d+(?:\.\d+)?(?:e[-+]\d\d)?", re.ASCII).fullmatch
 
 
 @functools.lru_cache(maxsize=1024)
@@ -1246,17 +1255,49 @@ def _parse_rendered(algebra, texts):
     fraction) on every term, "*" before each monomial, monomials as
     "t<i>^t<j>..." with increasing distinct indices, terms joined by " + "
     or " - ", and exponents of at most two digits.  The texts are joined
-    by newlines, which no text may hold, and their terms are split and
-    converted with C-level string and map operations over the whole batch;
-    only the building of each element is a step per text.  No term is
-    summed: a repeated monomial is refused, like every text _parse_terms
-    rejects, so each element read is _parse_terms's element of its text,
-    float bits and dict order included.  In rational mode the batch's
-    coefficients share one power of ten, and each element is reduced by
-    its own gcd to its normal form.
+    by newlines, which no text may hold, and their terms are split
+    (_split_rendered) and converted with C-level string and map operations
+    over the whole batch; only the building of each element is a step per
+    text.  No term is summed: a repeated monomial is refused, like every
+    text _parse_terms rejects, so each element read is _parse_terms's
+    element of its text, float bits and dict order included.  In rational
+    mode the batch's coefficients share one power of ten, and each element
+    is reduced by its own gcd to its normal form.
     """
     if not texts:
         return []
+    split = _split_rendered(texts, algebra.num_generators)
+    if split is None:
+        return None
+    s, sizes, coeffs, masks = split
+    try:
+        if algebra.mode == FLOAT:
+            values = list(map(float, coeffs))
+            # inf and nan propagate through the sum
+            read = (values, 1) if math.isfinite(sum(values)) else None
+        else:
+            read = _rational_coefficients(s, coeffs)
+    except ValueError:
+        return None
+    if read is None:
+        return None
+    values, den = read
+    rows = zip(masks, values)
+    nums = list(map(dict, map(islice, repeat(rows), sizes)))
+    if sum(map(len, nums)) != len(values):   # a repeated monomial: the loop adds
+        return None
+    if not all(values):
+        nums = [{m: c for m, c in num.items() if c} for num in nums]
+    return list(map(_reduced, repeat(algebra), nums, repeat(den)))
+
+
+def _split_rendered(texts, num_generators):
+    """The split pass of the bulk reader over a nonempty batch of texts:
+    (s, sizes, coeffs, masks), the texts joined by newlines, the number of
+    terms of each text, and each term's coefficient text and monomial
+    mask, in batch order; None when a text is not spelled as
+    render_element spells it (see _parse_rendered), a monomial included.
+    The coefficient texts are not read here."""
     s = "\n".join(texts)
     if not s.isascii() or s.encode().translate(None, _RENDERED) != b"\n" * (len(texts) - 1) or (
             "e" in s and _LONG_EXPONENT(s)):
@@ -1269,27 +1310,12 @@ def _parse_rendered(algebra, texts):
         return None
     coeffs, stars, monos = zip(*map(str.partition, terms, repeat("*")))
     try:
-        masks, _, rendered = zip(*map(_monomial, monos, repeat(algebra.num_generators)))
-        if not all(rendered) or masks.count(0) != stars.count(""):   # "5*" has no monomial
-            return None
-        if algebra.mode == FLOAT:
-            values = list(map(float, coeffs))
-            # inf and nan propagate through the sum
-            read = (values, 1) if math.isfinite(sum(values)) else None
-        else:
-            read = _rational_coefficients(s, coeffs)
+        masks, _, rendered = zip(*map(_monomial, monos, repeat(num_generators)))
     except ValueError:   # GrassmannError is a ValueError
         return None
-    if read is None:
+    if not all(rendered) or masks.count(0) != stars.count(""):   # "5*" has no monomial
         return None
-    values, den = read
-    rows = zip(masks, values)
-    nums = list(map(dict, map(islice, repeat(rows), map(len, split))))
-    if sum(map(len, nums)) != len(values):   # a repeated monomial: the loop adds
-        return None
-    if not all(values):
-        nums = [{m: c for m, c in num.items() if c} for num in nums]
-    return list(map(_reduced, repeat(algebra), nums, repeat(den)))
+    return s, list(map(len, split)), coeffs, masks
 
 
 def _rational_coefficients(s, coeffs):
@@ -1298,7 +1324,7 @@ def _rational_coefficients(s, coeffs):
 
     Integers, decimals and exponents d.ddde+k are ints times powers of ten,
     put over the largest power.  A ValueError means the text is not a
-    rendered one.
+    rendered one, or a digit run is longer than int() converts.
     """
     if "." not in s and "e" not in s:
         return list(map(int, coeffs)), 1
@@ -1313,14 +1339,64 @@ def _rational_coefficients(s, coeffs):
         mantissas, powers = coeffs, repeat(0)
     wholes, _, decimals = zip(*map(str.partition, mantissas, repeat(".")))
     digits = list(map(add, wholes, decimals))
-    if "" in digits or "-" in digits or "+" in digits:   # "e1", "-.": zeros would pass
+    if "" in digits or "-" in digits or "+" in digits:   # "e1", "-.": int() refuses them
         return None
     # each value is its digits times 10**shift; over 10**-low, its digits
-    # gain shift - low zeros
+    # are scaled by 10**(shift - low)
     shifts = list(map(sub, powers, map(len, decimals)))
     low = min(0, *shifts)
-    zeros = map(mul, repeat("0"), map(sub, shifts, repeat(low)))
-    return list(map(int, map(add, digits, zeros))), 10 ** -low
+    scales = map(_power_of_ten, map(sub, shifts, repeat(low)))
+    return list(map(mul, map(int, digits), scales)), 10 ** -low
+
+
+@functools.lru_cache(maxsize=256)
+def _power_of_ten(k):
+    """10**k, kept per k: the coefficients of a batch share few shifts."""
+    return 10 ** k
+
+
+def _rendered_weights(texts, num_generators):
+    """(weights, bodies): per text, the weight mask of the element rational
+    mode reads from it (bit k set iff it has a nonzero term of weight k)
+    and the sign of its body (-1, 0 or 1), with no element built; None
+    when the texts must be read in full.
+
+    That is any batch _split_rendered refuses, a coefficient not spelled
+    as _PLAIN spells it or longer than the interpreter converts to an int,
+    and a text that repeats a monomial, whose terms the term loop adds.
+    A plain coefficient is zero exactly when its mantissa has no nonzero
+    digit (_NONZERO_PLAIN), and negative when it is nonzero and opens with
+    '-', as rational mode reads it.  Per term there are only C-level
+    passes; per text, a set of its masks and one of its nonzero terms'
+    weights.
+    """
+    if not texts:
+        return [], []
+    split = _split_rendered(texts, num_generators)
+    if split is None:
+        return None
+    _, sizes, coeffs, masks = split
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < max(map(len, coeffs)):
+        return None
+    nonzero = list(map(bool, map(_NONZERO_PLAIN, coeffs)))
+    if not all(nonzero) and not all(map(_PLAIN, compress(coeffs, map(not_, nonzero)))):
+        return None
+    weights, bodies = [], []
+    end = 0
+    for size in sizes:
+        at, end = end, end + size
+        own = masks[at:end]
+        if len(set(own)) != size:
+            return None
+        w = 0
+        for k in set(map(int.bit_count, compress(own, nonzero[at:end]))):
+            w |= 1 << k
+        weights.append(w)
+        body = at + own.index(0) if 0 in own else None
+        bodies.append(0 if body is None or not nonzero[body]
+                      else -1 if coeffs[body][0] == "-" else 1)
+    return weights, bodies
 
 
 def _parse_terms(algebra, text):

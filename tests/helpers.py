@@ -7,11 +7,11 @@ from fractions import Fraction
 from math import gcd
 
 from superpenner.decorated import DecoratedState, _check_lambda, _check_mu, states_equal_mod_sign
-from superpenner.fatgraph import (FatGraph, boundary_cycles, find_isomorphisms,
+from superpenner.fatgraph import (FatGraph, _quadrilateral, boundary_cycles, find_isomorphisms,
                                   flip_quadrilateral, propagate_isomorphism)
 from superpenner.grassmann import (FLOAT, RATIONAL, _TERM_RE, GrassmannAlgebra,
-                                   GrassmannError, _below_parity, _finish, _join, _monomial,
-                                   _ptolemy, _reduced, _rules, gdiv, ginvsqrt, gsqrt)
+                                   GrassmannError, _below_parity, _element, _finish, _join,
+                                   _monomial, _ptolemy, _reduced, _rules, gdiv, ginvsqrt, gsqrt)
 from superpenner.spin import OrientationState, SpinError, flip_orientation, reflection_mask
 
 
@@ -338,8 +338,8 @@ def reference_random_odd(algebra, rng, coeff):
     return x
 
 
-def reference_random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
-                                     square_friendly_edge=None):
+def composed_random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
+                                    square_friendly_edge=None):
     """checks.random_decorated_state drawn with rng.randint, each
     lambda-length composed as algebra.scalar(body) plus a soul built one
     monomial at a time, each mu-invariant likewise, the square-friendly
@@ -382,6 +382,83 @@ def reference_random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
         mu = {v: algebra.zero() for v in range(graph.num_vertices)}
     signs = [rng.choice((1, -1)) for _ in range(graph.num_edges)]
     return DecoratedState(graph, OrientationState(graph, signs), algebra, lam, mu)
+
+
+def reference_pythagorean_ratio(rng):
+    """checks._pythagorean_ratio drawn with rng.randrange."""
+    # chi = (m/n)^2 with m^2 + n^2 a perfect square, so that both sqrt(chi)
+    # and sqrt(1 + chi) are rational
+    p = rng.randrange(2, 7)
+    q = rng.randrange(1, p)
+    m, n = p * p - q * q, 2 * p * q
+    if rng.random() < 0.5:
+        m, n = n, m
+    return m, n
+
+
+def reference_random_decorated_state(graph, rng, mode=RATIONAL, odd=True,
+                                     square_friendly_edge=None):
+    """checks.random_decorated_state as it was written with the library's
+    draws: randint(a, b) spelled rng.randrange(a, b + 1), and
+    rng.choice((1, -1)) for the signs.  The oracle that the getrandbits
+    draws read the same words: same elements, dict order and generator
+    state afterwards."""
+    num_edges, n = graph.num_edges, graph.num_vertices
+    algebra = GrassmannAlgebra(n, mode)
+    randrange, uniform = rng.randrange, rng.uniform
+    exact = mode == RATIONAL
+    if exact:
+        coeff, low, high = randrange, -3, 4
+        bodies = []
+        for _ in range(num_edges):
+            p, q = randrange(1, 10), randrange(1, 10)
+            g = gcd(p, q)
+            bodies.append((p // g, q // g))
+    else:
+        coeff, low, high = uniform, -1.0, 1.0
+        bodies = [(uniform(0.5, 4.0), 1) for _ in range(num_edges)]
+    if square_friendly_edge is not None:
+        a, b, c, d = _quadrilateral(graph, square_friendly_edge)[8:]
+        m, k = reference_pythagorean_ratio(rng)
+        if exact:
+            w1 = Fraction(randrange(1, 10), randrange(1, 10))
+            w2 = Fraction(randrange(1, 10), randrange(1, 10))
+        else:
+            w1, w2 = uniform(0.5, 4.0), uniform(0.5, 4.0)
+        for e, r in ((a, m * w1), (c, m * w2), (b, k * w1), (d, k * w2)):
+            bodies[e] = (r.numerator, r.denominator) if exact else (r, 1)
+    lam = {}
+    for e, (p, q) in enumerate(bodies):
+        num = {0: p}
+        for _ in range(randrange(0, 3)):
+            i, j = randrange(n), randrange(n)
+            if i != j:
+                c = coeff(low, high) * q
+                mask = 1 << i | 1 << j
+                num[mask] = num.get(mask, 0) + (c if i < j else -c)
+        if not all(num.values()):
+            num = {mask: c for mask, c in num.items() if c}
+        lam[e] = _element(algebra, num, q)
+    if odd:
+        bits = [1 << i for i in range(n)]
+        random_ = rng.random
+        mu = {}
+        for v in range(n):
+            num = {bit: c for bit in bits if (c := coeff(low, high))}
+            if n >= 3 and random_() < 0.2:
+                i, j, k = rng.sample(range(n), 3)
+                c = coeff(low, high)
+                if c:
+                    # t_i t_j t_k is e_mask times the sign of its inversions
+                    odd_order = (i > j) ^ (i > k) ^ (j > k)
+                    num[1 << i | 1 << j | 1 << k] = -c if odd_order else c
+            mu[v] = _element(algebra, num, 1)
+    else:
+        mu = dict.fromkeys(range(n), algebra.zero())
+    choice = rng.choice
+    mask = sum(1 << e for e in range(num_edges) if choice((1, -1)) < 0)
+    return DecoratedState._unchecked(OrientationState._unchecked(graph, mask),
+                                     algebra, lam, mu)
 
 
 def reference_classical_limit(state):

@@ -8,20 +8,21 @@ import pytest
 
 import superpenner
 from superpenner.catalog import GRAPHS
-from superpenner.checks import (_local_isomorphism, aligned_equal_mod_sign, check_spincount,
-                                generic_edges, pentagon_pairs, random_decorated_state,
-                                transport_state)
+from superpenner.checks import (_below, _local_isomorphism, aligned_equal_mod_sign,
+                                check_spincount, generic_edges, pentagon_pairs,
+                                random_decorated_state, transport_state)
 from superpenner.decorated import DecoratedState, classical_limit, default_state, superflip
 from superpenner.fatgraph import (FatGraph, FatGraphError, boundary_cycles, find_isomorphisms,
                                   propagate_isomorphism, topology, whitehead_flip)
+from superpenner.fileio import render_state
 from superpenner.grassmann import FLOAT, RATIONAL
 from superpenner.spin import (MAX_BRUTE_FORCE_EDGES, OrientationState, SpinError,
                               brute_force_spin_classes, classify_punctures,
                               enumerate_spin_classes, flip_orientation, reflect,
                               reflection_vertices_between, same_spin_class, spin_class_count)
 
-from helpers import (dumbbell, prism, reference_aligned_equal_mod_sign,
-                     reference_random_decorated_state)
+from helpers import (composed_random_decorated_state, dumbbell, prism,
+                     reference_aligned_equal_mod_sign, reference_random_decorated_state)
 
 
 def involution_and_pentagon_sequences(graph, rng, mode):
@@ -483,8 +484,8 @@ def assert_drawn_as_reference(graph, seed, mode, odd=True, friendly=None):
     DecoratedState(...)."""
     rng, ref_rng = random.Random(seed), random.Random(seed)
     state = random_decorated_state(graph, rng, mode, odd=odd, square_friendly_edge=friendly)
-    ref = reference_random_decorated_state(graph, ref_rng, mode, odd=odd,
-                                           square_friendly_edge=friendly)
+    ref = composed_random_decorated_state(graph, ref_rng, mode, odd=odd,
+                                          square_friendly_edge=friendly)
     assert state_layout(state) == state_layout(ref)
     assert rng.getstate() == ref_rng.getstate()
     DecoratedState(state.graph, state.orientation, state.algebra, state.lam, state.mu)
@@ -534,3 +535,36 @@ def test_random_states_match_the_composed_reference(mode):
         for odd in (True, False):
             for seed, friendly in enumerate([None, *generic_edges(graph)]):
                 assert_drawn_as_reference(graph, seed, mode, odd=odd, friendly=friendly)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_draws_read_the_words_of_the_randrange_spelling(mode):
+    # random_decorated_state draws each randrange and choice from
+    # getrandbits as CPython's Random._randbelow does; the body that called
+    # rng.randrange and rng.choice must give the same rendered state, dict
+    # order and generator state afterwards, on every supported CPython
+    graphs = [make() for make in GRAPHS.values()] + [prism(n) for n in range(3, 13)]
+    for graph in graphs:
+        edges = generic_edges(graph)
+        for seed, friendly in enumerate([None, *edges[:1]]):
+            for odd in (True, False):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                state = random_decorated_state(graph, rng, mode, odd=odd,
+                                               square_friendly_edge=friendly)
+                ref = reference_random_decorated_state(graph, ref_rng, mode, odd=odd,
+                                                       square_friendly_edge=friendly)
+                assert render_state(state) == render_state(ref)
+                assert state_layout(state) == state_layout(ref)
+                assert rng.getstate() == ref_rng.getstate()
+
+
+def test_below_draws_as_randrange():
+    # the suites' edge and pentagon draws: _below(getrandbits, n) is
+    # randrange(n) and choice of a sequence of n, word for word, n = 1 and
+    # powers of two included
+    for seed in range(3):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for n in [*range(1, 70), 127, 128, 129, 1 << 31, (1 << 32) + 1, 10 ** 12]:
+            assert _below(rng.getrandbits, n) == ref_rng.randrange(n)
+            assert _below(rng.getrandbits, n) == ref_rng.choice(range(n))
+        assert rng.getstate() == ref_rng.getstate()

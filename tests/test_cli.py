@@ -16,6 +16,7 @@ from superpenner import cli, decorated, fatgraph, spin
 from superpenner.checks import CheckResult
 from superpenner.decorated import default_state, superflip
 from superpenner.fileio import load_state, render_state
+from superpenner.grassmann import RATIONAL
 from superpenner.spin import enumerate_spin_classes
 
 from helpers import prism
@@ -733,10 +734,21 @@ def fuzz_path(tmp_path_factory):
 @settings(max_examples=300, deadline=timedelta(seconds=2))
 @given(doc=mutated_documents())
 def test_mutated_documents_load_or_exit_cleanly(fuzz_path, doc):
+    # the graph-only commands (info, spin, check) build no lambda or mu, yet
+    # each must exit 0 exactly when the document loads in rational mode
     fuzz_path.write_text(doc)
-    for argv in (["info", str(fuzz_path)], ["flip", str(fuzz_path), "--edges", "0"]):
+    try:
+        load_state(fuzz_path.read_text(encoding="utf-8"), RATIONAL)
+        loads = True
+    except ValueError:
+        loads = False
+    path = str(fuzz_path)
+    for argv in (["info", path], ["spin", "classify", path],
+                 ["check", "spincount", path, "--cases", "1"], ["flip", path, "--edges", "0"]):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = cli.main(argv)
         assert code in (0, 2, 3), (argv[0], doc)
         assert (code == 0) == (err.getvalue() == ""), (argv[0], doc, err.getvalue())
+        if argv[0] != "flip":
+            assert (code == 0) == loads, (argv[0], doc, err.getvalue())

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -295,10 +296,25 @@ def mutated_document(rng, text):
     return "\n".join(lines) + "\n"
 
 
-def test_bulk_read_and_line_loop_agree_on_mutated_documents():
+def orientation_loaded(load, text):
+    """What load(text) gives: the graph tables, names and orientation mask
+    of the orientation it returns, or the type and message of the error it
+    raised."""
+    try:
+        orientation = load(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    graph = orientation.graph
+    return graph.vertices, graph.edges, graph.vertex_names, orientation.mask
+
+
+def test_bulk_read_and_line_loop_agree_on_mutated_documents(monkeypatch):
     # load_state reads a rendered document in bulk and falls back to the
     # line loop for any other; on every document both must give the same
-    # state, float bits and dict order included, or the same error
+    # state, float bits and dict order included, or the same error.  The
+    # graph-only read (fileio._load_orientation) must give the rational
+    # load's orientation, or its error, and read every document it does not
+    # hand to load_state without building an element
     rng = random.Random(2028)
     texts = [render_state(state) for state in sample_states()]
     graph_only = render_fatgraph(prism(3))
@@ -312,15 +328,41 @@ def test_bulk_read_and_line_loop_agree_on_mutated_documents():
              graph_only, graph_only + "".join("orient %d: -\n" % e for e in range(9)),
              graph_only.replace("0 1 2", "0 1 \u0662"),
              *(re.sub(r"orient 4: .", "orient 4: " + sign, rendered) for sign in "01_ ")]
+    # values the graph-only read classifies or hands on: an odd term below
+    # the float range, which rational mode keeps (an invalid lambda) and
+    # float mode drops; zero, negative and zero-term bodies; a repeated and
+    # cancelling monomial, spelled with and without coefficients; a
+    # generator index >= V; a fraction; a digit run longer than int()
+    # converts; zero and even terms in a mu
+    lambdas = ["1 + 0." + "0" * 330 + "1e-99*t0^t1^t2", "-0.0", "0e+00", "-1.5",
+               "2 + 0.0*t0^t1^t2", "1 + 1*t0^t1 - 1*t0^t1", "1 + t0^t1 - t0^t1",
+               "1 + 2*t0^t6", "3/4", "1" * (max(sys.get_int_max_str_digits(), 640) + 1)]
+    mus = ["0", "0.0*t0 + 1*t1", "1*t0 + 0e+00", "1*t0 + 2.5", "1*t6", "-3/5*t0"]
+    cases += [re.sub(r"lambda 0: .*", "lambda 0: " + value, rendered) for value in lambdas]
+    cases += [re.sub(r"mu v5: .*", "mu v5: " + value, rendered) for value in mus]
     cases += [mutated_document(rng, rng.choice(texts)) for _ in range(500)]
+    handed = []
+    monkeypatch.setattr(fileio, "load_state",
+                        lambda text, mode: handed.append(text) or load_state(text, mode))
     bulk = 0
     for text in texts + cases:
         for mode in (RATIONAL, FLOAT):
             assert loaded(load_state, text, mode) == loaded(fileio._load_lines, text, mode), text
             bulk += fileio._load_rendered(text, mode) is not None
+        exact = loaded(load_state, text, RATIONAL)
+        assert orientation_loaded(fileio._load_orientation, text) == (
+            exact if len(exact) == 2 else exact[:4]), text
     # every rendered text and both valid graph-only documents, in both
     # modes, and some mutated documents are read in bulk
     assert bulk > 2 * len(texts) + 4
+    # the graph-only read takes every rendered text without the full load
+    # but those with a fraction, and hands on every value it does not
+    # classify or finds invalid: the lambdas above but the even one with a
+    # zero term, and the mus but the zero mu and the two with a zero term
+    assert [text in handed for text in texts] == ["/" in text for text in texts]
+    classified = cases[-500 - len(lambdas) - len(mus):-500]
+    assert [text in handed for text in classified] == [True] * 4 + [False] + [True] * 5 + [
+        False, False, False, True, True, True]
 
 
 def test_rendered_documents_take_the_bulk_read(monkeypatch):
