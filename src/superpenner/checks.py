@@ -435,7 +435,9 @@ def pentagon_pairs(graph):
 
     e1 and e2 share exactly one vertex, their far endpoints are distinct,
     and the five outer sides are five distinct further edges.  On such a
-    pair the alternating 5-flip sequence returns the triangulation.
+    pair the alternating 5-flip sequence returns the triangulation.  The
+    far endpoints need no test of their own: equal ones would make both
+    edges' endpoint sets equal, so they would share two vertices.
     """
     pairs = []
     for e1 in range(graph.num_edges):
@@ -450,8 +452,6 @@ def pentagon_pairs(graph):
             v = shared.pop()
             u = (end1 - {v}).pop()
             w = (end2 - {v}).pop()
-            if u == w:
-                continue
             sides = set(graph.edges_at(v)) - {e1, e2}
             sides |= set(graph.edges_at(u)) - {e1}
             sides |= set(graph.edges_at(w)) - {e2}

@@ -31,21 +31,20 @@ the same state as before, and every message is the line loop's.
 The CLI commands that read only the graph and its orientation (info,
 spin, check) call _load_orientation, which gives the orientation of the
 rational-mode load_state after the same checks.  On a document read in
-bulk it classifies each lambda and mu term from its text (its weight,
-and whether it is zero; each body's sign) and builds no element; every
-other document, and every one that fails a check, goes to load_state.
+bulk it checks each lambda and mu as read in one float batch, which the
+bulk element reader accepts only when the exact reading has the same
+nonzero terms and body signs; every other document, and every one that
+is refused or fails a check, goes to load_state.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from operator import and_
 
 from .decorated import DecoratedState, is_lambda_length, is_mu_invariant
 from .fatgraph import (FatGraph, FatGraphError, _integer_tokens, graph_from_records,
                        render_fatgraph, scan_document)
-from .grassmann import (RATIONAL, GrassmannAlgebra, GrassmannError, _parse_rendered,
-                        _rendered_weights)
+from .grassmann import FLOAT, RATIONAL, GrassmannAlgebra, GrassmannError, _parse_rendered
 from .spin import OrientationState
 
 # the record kinds in the order render_state writes their blocks, and the
@@ -105,28 +104,24 @@ def _load_rendered(text, mode):
 
 def _load_orientation(text):
     """load_state(text, RATIONAL).orientation, the graph and its spin
-    orientation, or the error load_state raises, with no lambda or mu
-    built when the document is read in bulk.
+    orientation, or the error load_state raises, with no exact lambda or
+    mu built when the document is read in bulk.
 
-    A document laid out as render_state writes it (_rendered_layout) whose
-    lambda and mu texts grassmann._rendered_weights classifies is checked
-    term by term as load_state checks the elements it reads: each lambda
-    even with positive body and each mu odd, by the weight masks of the
-    algebra on V generators, as is_even and is_odd test them.  Every other
-    document, and every document that fails a check, is read by
-    load_state, so every message is load_state's.
+    A document laid out as render_state writes it (_rendered_layout) has
+    its lambda and mu texts read as one float batch by
+    grassmann._parse_rendered, which refuses any batch whose rational
+    reading could have other nonzero terms, body signs, or an error; each
+    lambda and mu read is then checked as load_state checks it.  Every
+    other document, and every one that is refused or fails a check, is
+    read by load_state, so every message is load_state's.
     """
     layout = _rendered_layout(text)
     if layout is not None:
         graph, mask, texts, lambdas = layout
-        read = _rendered_weights(texts, graph.num_vertices)
-        if read is not None:
-            weights, bodies = read
-            odd = GrassmannAlgebra(graph.num_vertices)._odd
-            if (not any(map(and_, weights[:lambdas], repeat(odd)))
-                    and all(body > 0 for body in bodies[:lambdas])
-                    and not any(map(and_, weights[lambdas:], repeat(odd >> 1)))):
-                return OrientationState._unchecked(graph, mask)
+        values = _parse_rendered(GrassmannAlgebra(graph.num_vertices, FLOAT), texts)
+        if (values is not None and all(map(is_lambda_length, values[:lambdas]))
+                and all(map(is_mu_invariant, values[lambdas:]))):
+            return OrientationState._unchecked(graph, mask)
     return load_state(text, RATIONAL).orientation
 
 

@@ -137,15 +137,17 @@ fractions (float mode's repr coefficients, in either mode) in bulk, and
 any other text term by term (_parse_terms), which alone raises.  The bulk
 reader (_parse_rendered) takes a batch of texts, one for parse_element
 and every lambda and mu text of a rendered document for
-fileio.load_state: it joins them by newlines, splits and converts all
-their terms with C-level string and map passes, and then builds one
-element per text.  In rational mode the batch's coefficients share one
-power of ten and each element is reduced by its own gcd, so every element
-is in normal form, the element the term loop gives.  A batch with one
-text it cannot read is refused whole.  _rendered_weights shares the bulk
-reader's split pass (_split_rendered) but converts no coefficient: for
-plain ones it reads from the text whether each is zero and its sign, and
-gives each text's weight mask and body sign as rational mode would.
+fileio.load_state and fileio._load_orientation: it joins them by
+newlines, splits and converts all their terms with C-level string and
+map passes, and then builds one element per text.  In rational mode the
+batch's coefficients share one power of ten and each element is reduced
+by its own gcd, so every element is in normal form, the element the term
+loop gives.  A batch with one text it cannot read is refused whole.  In
+float mode it also refuses a batch whose exact reading could have other
+terms or fail: a coefficient that reads 0.0 but is not spelled "0", and
+one longer than the interpreter's limit on integer digit strings.  So a
+float batch it reads has its nonzero terms and body signs where rational
+mode has them, and _load_orientation checks lambda and mu on it.
 
 Memory: each disjoint pair on n generators sits in exactly one class, and
 all indices share one int object each, so the classes on n generators hold
@@ -167,7 +169,7 @@ import sys
 from fractions import Fraction
 from itertools import chain, combinations, compress, islice, repeat
 from math import gcd
-from operator import add, itemgetter, mul, not_, sub, truediv
+from operator import add, itemgetter, mul, sub, truediv
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -1175,12 +1177,6 @@ _RENDERED = b"0123456789.e+-*t^ "
 _LONG_EXPONENT = re.compile(r"e[-+]?\d\d\d").search
 # the text of an absent exponent
 _ZERO = {"": "0"}
-# a coefficient _rendered_weights classifies: an optional '-', digits,
-# optional decimals and an optional signed two-digit exponent.  Its value
-# is nonzero exactly when its mantissa has a nonzero digit, which the
-# lookahead of _NONZERO_PLAIN asks for ([0.]* stops at the exponent)
-_PLAIN = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]\d\d)?", re.ASCII).fullmatch
-_NONZERO_PLAIN = re.compile(r"-?(?=[0.]*[1-9])\d+(?:\.\d+)?(?:e[-+]\d\d)?", re.ASCII).fullmatch
 
 
 @functools.lru_cache(maxsize=1024)
@@ -1255,49 +1251,25 @@ def _parse_rendered(algebra, texts):
     fraction) on every term, "*" before each monomial, monomials as
     "t<i>^t<j>..." with increasing distinct indices, terms joined by " + "
     or " - ", and exponents of at most two digits.  The texts are joined
-    by newlines, which no text may hold, and their terms are split
-    (_split_rendered) and converted with C-level string and map operations
-    over the whole batch; only the building of each element is a step per
-    text.  No term is summed: a repeated monomial is refused, like every
-    text _parse_terms rejects, so each element read is _parse_terms's
-    element of its text, float bits and dict order included.  In rational
-    mode the batch's coefficients share one power of ten, and each element
-    is reduced by its own gcd to its normal form.
+    by newlines, which no text may hold, and their terms are split and
+    converted with C-level string and map operations over the whole batch;
+    only the building of each element is a step per text.  No term is
+    summed: a repeated monomial is refused, like every text _parse_terms
+    rejects, so each element read is _parse_terms's element of its text,
+    float bits and dict order included.  In rational mode the batch's
+    coefficients share one power of ten, and each element is reduced by
+    its own gcd to its normal form.
+
+    Float mode also refuses a batch whose coefficient sum is not finite,
+    that has a coefficient reading 0.0 not spelled "0" (the zero element's
+    text; render_element writes no other), or a coefficient text longer
+    than sys.get_int_max_str_digits() when that limit is set.  So a float
+    element read here has a term exactly where rational mode reads one,
+    with the same sign, and rational mode reads every text without error:
+    the weight masks and body signs are rational mode's.
     """
     if not texts:
         return []
-    split = _split_rendered(texts, algebra.num_generators)
-    if split is None:
-        return None
-    s, sizes, coeffs, masks = split
-    try:
-        if algebra.mode == FLOAT:
-            values = list(map(float, coeffs))
-            # inf and nan propagate through the sum
-            read = (values, 1) if math.isfinite(sum(values)) else None
-        else:
-            read = _rational_coefficients(s, coeffs)
-    except ValueError:
-        return None
-    if read is None:
-        return None
-    values, den = read
-    rows = zip(masks, values)
-    nums = list(map(dict, map(islice, repeat(rows), sizes)))
-    if sum(map(len, nums)) != len(values):   # a repeated monomial: the loop adds
-        return None
-    if not all(values):
-        nums = [{m: c for m, c in num.items() if c} for num in nums]
-    return list(map(_reduced, repeat(algebra), nums, repeat(den)))
-
-
-def _split_rendered(texts, num_generators):
-    """The split pass of the bulk reader over a nonempty batch of texts:
-    (s, sizes, coeffs, masks), the texts joined by newlines, the number of
-    terms of each text, and each term's coefficient text and monomial
-    mask, in batch order; None when a text is not spelled as
-    render_element spells it (see _parse_rendered), a monomial included.
-    The coefficient texts are not read here."""
     s = "\n".join(texts)
     if not s.isascii() or s.encode().translate(None, _RENDERED) != b"\n" * (len(texts) - 1) or (
             "e" in s and _LONG_EXPONENT(s)):
@@ -1310,12 +1282,31 @@ def _split_rendered(texts, num_generators):
         return None
     coeffs, stars, monos = zip(*map(str.partition, terms, repeat("*")))
     try:
-        masks, _, rendered = zip(*map(_monomial, monos, repeat(num_generators)))
+        masks, _, rendered = zip(*map(_monomial, monos, repeat(algebra.num_generators)))
+        if not all(rendered) or masks.count(0) != stars.count(""):   # "5*" has no monomial
+            return None
+        if algebra.mode == FLOAT:
+            limit = sys.get_int_max_str_digits()
+            if 0 < limit < len(s) and limit < max(map(len, coeffs)):
+                return None
+            values = list(map(float, coeffs))
+            # inf and nan propagate through the sum
+            read = (values, 1) if (math.isfinite(sum(values))
+                                   and values.count(0.0) == coeffs.count("0")) else None
+        else:
+            read = _rational_coefficients(s, coeffs)
     except ValueError:   # GrassmannError is a ValueError
         return None
-    if not all(rendered) or masks.count(0) != stars.count(""):   # "5*" has no monomial
+    if read is None:
         return None
-    return s, list(map(len, split)), coeffs, masks
+    values, den = read
+    rows = zip(masks, values)
+    nums = list(map(dict, map(islice, repeat(rows), map(len, split))))
+    if sum(map(len, nums)) != len(values):   # a repeated monomial: the loop adds
+        return None
+    if not all(values):
+        nums = [{m: c for m, c in num.items() if c} for num in nums]
+    return list(map(_reduced, repeat(algebra), nums, repeat(den)))
 
 
 def _rational_coefficients(s, coeffs):
@@ -1353,50 +1344,6 @@ def _rational_coefficients(s, coeffs):
 def _power_of_ten(k):
     """10**k, kept per k: the coefficients of a batch share few shifts."""
     return 10 ** k
-
-
-def _rendered_weights(texts, num_generators):
-    """(weights, bodies): per text, the weight mask of the element rational
-    mode reads from it (bit k set iff it has a nonzero term of weight k)
-    and the sign of its body (-1, 0 or 1), with no element built; None
-    when the texts must be read in full.
-
-    That is any batch _split_rendered refuses, a coefficient not spelled
-    as _PLAIN spells it or longer than the interpreter converts to an int,
-    and a text that repeats a monomial, whose terms the term loop adds.
-    A plain coefficient is zero exactly when its mantissa has no nonzero
-    digit (_NONZERO_PLAIN), and negative when it is nonzero and opens with
-    '-', as rational mode reads it.  Per term there are only C-level
-    passes; per text, a set of its masks and one of its nonzero terms'
-    weights.
-    """
-    if not texts:
-        return [], []
-    split = _split_rendered(texts, num_generators)
-    if split is None:
-        return None
-    _, sizes, coeffs, masks = split
-    limit = sys.get_int_max_str_digits()
-    if 0 < limit < max(map(len, coeffs)):
-        return None
-    nonzero = list(map(bool, map(_NONZERO_PLAIN, coeffs)))
-    if not all(nonzero) and not all(map(_PLAIN, compress(coeffs, map(not_, nonzero)))):
-        return None
-    weights, bodies = [], []
-    end = 0
-    for size in sizes:
-        at, end = end, end + size
-        own = masks[at:end]
-        if len(set(own)) != size:
-            return None
-        w = 0
-        for k in set(map(int.bit_count, compress(own, nonzero[at:end]))):
-            w |= 1 << k
-        weights.append(w)
-        body = at + own.index(0) if 0 in own else None
-        bodies.append(0 if body is None or not nonzero[body]
-                      else -1 if coeffs[body][0] == "-" else 1)
-    return weights, bodies
 
 
 def _parse_terms(algebra, text):

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import superpenner
+from superpenner import checks, cli
 from superpenner.catalog import GRAPHS
 from superpenner.checks import (_below, _local_isomorphism, aligned_equal_mod_sign,
                                 check_spincount, generic_edges, pentagon_pairs,
@@ -449,6 +450,67 @@ def test_reflection_vertices_between_none_across_classes(name):
             for v in verts:
                 moved = reflect(moved, v)
             assert moved == mate
+
+
+def lambda_plus_one(state, e):
+    """superflip with 1 added to the flipped lambda-length."""
+    flipped, record = superflip(state, e)
+    lam = dict(flipped.lam)
+    lam[e] = lam[e] + 1
+    return DecoratedState(flipped.graph, flipped.orientation, flipped.algebra, lam,
+                          flipped.mu), record
+
+
+def nu_negated(state, e):
+    """superflip with the new mu-invariant nu (at the tail vertex) negated."""
+    flipped, record = superflip(state, e)
+    mu = dict(flipped.mu)
+    mu[record.tail_vertex] = -mu[record.tail_vertex]
+    return DecoratedState(flipped.graph, flipped.orientation, flipped.algebra, flipped.lam,
+                          mu), record
+
+
+SUITE_RUNS = [(checks.check_ptolemy, RATIONAL, 20), (checks.check_ptolemy, FLOAT, 20),
+              (checks.check_involution, RATIONAL, 10), (checks.check_involution, FLOAT, 10),
+              (checks.check_pentagon, FLOAT, 5)]
+
+
+@pytest.mark.parametrize("suite, mode, cases", SUITE_RUNS)
+def test_suites_count_every_failed_case(monkeypatch, suite, mode, cases):
+    # a flip that is wrong on every case must fail every case of each
+    # suite; one that negates nu fails the suites whose states have odd mu,
+    # and ptolemy, whose states have mu = 0, still passes
+    graph = GRAPHS["genus2_2_1"]()
+    assert suite(graph, seed=3, mode=mode, cases=cases).passed
+    monkeypatch.setattr(checks, "superflip", lambda_plus_one)
+    result = suite(graph, seed=3, mode=mode, cases=cases)
+    assert not result.passed
+    assert result.detail.endswith(" failures=%d" % cases)
+    monkeypatch.setattr(checks, "superflip", nu_negated)
+    assert suite(graph, seed=3, mode=mode, cases=cases).passed == (suite is checks.check_ptolemy)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_ptolemy_counts_a_flipped_lambda_without_positive_body(monkeypatch, mode):
+    # superflip refuses such a lambda, so the mutant builds its state unchecked
+    def negated(state, e):
+        flipped, record = superflip(state, e)
+        lam = dict(flipped.lam)
+        lam[e] = -lam[e]
+        return DecoratedState._unchecked(flipped.orientation, flipped.algebra, lam,
+                                         flipped.mu), record
+
+    monkeypatch.setattr(checks, "superflip", negated)
+    result = checks.check_ptolemy(GRAPHS["genus2_2_1"](), seed=3, mode=mode, cases=7)
+    assert not result.passed
+    assert result.detail.endswith(" failures=7")
+
+
+def test_check_command_exits_1_on_a_wrong_flip(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "superflip", lambda_plus_one)
+    path = os.path.join(os.path.dirname(__file__), "data", "genus2_1.fg")
+    assert cli.main(["check", "ptolemy", path, "--cases", "3"]) == 1
+    assert "failures=3" in capsys.readouterr().out
 
 
 def test_spincount_skips_the_brute_force_oracle_above_the_edge_limit():

@@ -909,3 +909,49 @@ def test_flips_of_vertex_disjoint_edges_commute(name):
                 else:
                     assert getattr(one_two.graph, slot) == getattr(two_one.graph, slot), slot
             assert states_equal_mod_sign(one_two, two_one, tol=tol)
+
+
+def torus_state():
+    return default_state(punctured_torus())
+
+
+def with_maps(lam=None, mu=None, orientation=None):
+    """DecoratedState(...) on the punctured torus's default state, with the
+    given maps or orientation in place of its own."""
+    state = torus_state()
+    return DecoratedState(state.graph, orientation or state.orientation, state.algebra,
+                          state.lam if lam is None else lam, state.mu if mu is None else mu)
+
+
+FOREIGN = GrassmannAlgebra(2, FLOAT)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: with_maps(orientation=OrientationState.all_plus(GRAPHS["theta_0_3"]())),
+     spin.SpinError, "orientation lives on a different graph"),
+    (lambda: with_maps(mu={0: torus_state().mu[0]}),
+     ValueError, "need a mu-invariant for each of the 2 vertices"),
+    (lambda: with_maps(lam={**torus_state().lam, 0: FOREIGN.one()}),
+     GrassmannError, "lambda-length of edge 0 uses a foreign algebra"),
+    (lambda: with_maps(mu={**torus_state().mu, 1: FOREIGN.gen(1)}),
+     GrassmannError, "mu-invariant of vertex 1 uses a foreign algebra"),
+    (lambda: states_equal_mod_sign(torus_state(), default_state(GRAPHS["theta_0_3"]())),
+     ValueError, "decorated states live on different graphs"),
+    (lambda: states_equal_mod_sign(torus_state(), default_state(torus_state().graph, FLOAT)),
+     GrassmannError, "decorated states use different algebras"),
+    (lambda: GrassmannAlgebra(-1), GrassmannError, "number of generators must be >= 0"),
+    (lambda: GrassmannAlgebra(2, "decimal"), GrassmannError, "unknown scalar mode 'decimal'"),
+    (lambda: GrassmannAlgebra(2).element({4: 1}),
+     GrassmannError, "monomial 4 outside algebra on 2 generators"),
+    (lambda: GrassmannAlgebra(2).gen(0) ** -1, GrassmannError, "only non-negative integer powers"),
+    (lambda: OrientationState(punctured_torus(), [1, 0, 1]),
+     spin.SpinError, "need one sign +1/-1 per edge, got (1, 0, 1)"),
+    (lambda: FatGraph([(0, 2, 4), (1, 3, 5)], [(0, 1), (2, 3), (4, 5)], ["A"]),
+     fatgraph.FatGraphError, "vertex name count does not match vertex count"),
+    (lambda: FatGraph([], []), fatgraph.FatGraphError, "empty fatgraph"),
+])
+def test_public_constructors_refuse_bad_input(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error
+    assert str(caught.value) == message

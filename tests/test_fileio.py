@@ -314,7 +314,7 @@ def test_bulk_read_and_line_loop_agree_on_mutated_documents(monkeypatch):
     # state, float bits and dict order included, or the same error.  The
     # graph-only read (fileio._load_orientation) must give the rational
     # load's orientation, or its error, and read every document it does not
-    # hand to load_state without building an element
+    # hand to load_state without the rational load
     rng = random.Random(2028)
     texts = [render_state(state) for state in sample_states()]
     graph_only = render_fatgraph(prism(3))
@@ -328,15 +328,17 @@ def test_bulk_read_and_line_loop_agree_on_mutated_documents(monkeypatch):
              graph_only, graph_only + "".join("orient %d: -\n" % e for e in range(9)),
              graph_only.replace("0 1 2", "0 1 \u0662"),
              *(re.sub(r"orient 4: .", "orient 4: " + sign, rendered) for sign in "01_ ")]
-    # values the graph-only read classifies or hands on: an odd term below
-    # the float range, which rational mode keeps (an invalid lambda) and
-    # float mode drops; zero, negative and zero-term bodies; a repeated and
+    # values the graph-only read checks or hands on: an odd term below the
+    # float range, which rational mode keeps (an invalid lambda) and float
+    # mode drops; zero, negative and zero-term bodies; a repeated and
     # cancelling monomial, spelled with and without coefficients; a
-    # generator index >= V; a fraction; a digit run longer than int()
-    # converts; zero and even terms in a mu
+    # generator index >= V; a fraction; two digit runs longer than int()
+    # converts, one infinite as a float and one finite; zero and even terms
+    # in a mu
+    limit = max(sys.get_int_max_str_digits(), 640)
     lambdas = ["1 + 0." + "0" * 330 + "1e-99*t0^t1^t2", "-0.0", "0e+00", "-1.5",
                "2 + 0.0*t0^t1^t2", "1 + 1*t0^t1 - 1*t0^t1", "1 + t0^t1 - t0^t1",
-               "1 + 2*t0^t6", "3/4", "1" * (max(sys.get_int_max_str_digits(), 640) + 1)]
+               "1 + 2*t0^t6", "3/4", "1" * (limit + 1), "1." + "0" * (limit + 1)]
     mus = ["0", "0.0*t0 + 1*t1", "1*t0 + 0e+00", "1*t0 + 2.5", "1*t6", "-3/5*t0"]
     cases += [re.sub(r"lambda 0: .*", "lambda 0: " + value, rendered) for value in lambdas]
     cases += [re.sub(r"mu v5: .*", "mu v5: " + value, rendered) for value in mus]
@@ -356,13 +358,14 @@ def test_bulk_read_and_line_loop_agree_on_mutated_documents(monkeypatch):
     # modes, and some mutated documents are read in bulk
     assert bulk > 2 * len(texts) + 4
     # the graph-only read takes every rendered text without the full load
-    # but those with a fraction, and hands on every value it does not
-    # classify or finds invalid: the lambdas above but the even one with a
-    # zero term, and the mus but the zero mu and the two with a zero term
+    # but those with a fraction, and hands on every value that its float
+    # batch refuses or finds invalid: all of the values above but the zero mu
     assert [text in handed for text in texts] == ["/" in text for text in texts]
-    classified = cases[-500 - len(lambdas) - len(mus):-500]
-    assert [text in handed for text in classified] == [True] * 4 + [False] + [True] * 5 + [
-        False, False, False, True, True, True]
+    checked = cases[-500 - len(lambdas) - len(mus):-500]
+    assert [text in handed for text in checked] == [True] * len(lambdas) + [False] + [
+        True] * (len(mus) - 1)
+    # float reads the long finite digit run as 1.0; rational mode refuses it
+    assert "digit run longer than" in loaded(load_state, checked[len(lambdas) - 1], RATIONAL)[1]
 
 
 def test_rendered_documents_take_the_bulk_read(monkeypatch):
