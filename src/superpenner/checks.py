@@ -464,6 +464,12 @@ def pentagon_pairs(graph):
 # the suites
 
 
+def _require_cases(cases):
+    """A suite of random cases runs at least one: zero would pass vacuously."""
+    if cases < 1:
+        raise CheckSetupError("need at least 1 case, got %d" % cases)
+
+
 def check_ptolemy(graph, seed=0, mode=RATIONAL, tol=1e-12, cases=1000):
     """e*f = ac + bd after every flip of a mu = 0 state.
 
@@ -471,6 +477,7 @@ def check_ptolemy(graph, seed=0, mode=RATIONAL, tol=1e-12, cases=1000):
     is checked in the whole algebra; body-only states with mu = 0 are
     the classical limit (decorated.classical_limit).
     """
+    _require_cases(cases)
     edges = generic_edges(graph)
     if not edges:
         raise CheckSetupError("graph has no generically flippable edge")
@@ -502,6 +509,7 @@ def check_involution(graph, seed=0, mode=RATIONAL, tol=1e-9, cases=500):
     Exact in rational mode (chi engineered square-friendly), within tol
     coefficientwise in float mode.
     """
+    _require_cases(cases)
     edges = generic_edges(graph)
     if not edges:
         raise CheckSetupError("graph has no generically flippable edge")
@@ -526,6 +534,7 @@ def check_involution(graph, seed=0, mode=RATIONAL, tol=1e-9, cases=500):
 
 def check_pentagon(graph, seed=0, mode=FLOAT, tol=1e-9, cases=100):
     """The alternating 5-flip sequence on pentagon diagonals is the identity."""
+    _require_cases(cases)
     if mode != FLOAT:
         raise CheckSetupError("pentagon check needs float mode (square roots "
                               "along the sequence are irrational)")

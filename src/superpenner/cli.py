@@ -159,8 +159,9 @@ def _load(path, load, *args):
     file is a _LoadError with the error's message.  flip and shear load
     the state with load_state; info, spin and check, which read only the
     graph and its orientation, with fileio._load_orientation: the rational
-    load's checks and errors, made on one float batch of the lambda and
-    mu texts when the document is laid out as render_state writes it."""
+    load's checks and errors, made on the float bulk read
+    (fileio._load_rendered) when the document is laid out as render_state
+    writes it."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

@@ -15,23 +15,25 @@ or vertex takes at most one line of each decoration kind.  Element
 values use the Grassmann text grammar, e.g. "3/4", "2.5", "t0", or
 "1 + 2*t0^t1"; a plain scalar is the common case for lambda.
 
-Two readers, one result.  A document laid out as render_state writes it
-(ASCII, no blank lines, no comments but whole lines opening with # before
-the header, such as the audit lines a CLI flip writes, the blocks in the
-order above with dense edge ids and half-edges, each decoration block
-whole or absent) is read in bulk: a fixed number of C-level passes per
-block, the graph built by FatGraph(...), which validates it, and all
-lambda and mu texts read as one batch by grassmann's bulk element reader.
-Every other document, and every document with an error, goes through the
-line loop (scan_document, graph_from_records and one step per record),
-which reads anything the format allows and alone raises, each message
-naming its line.  So a hand-written document and a rendered one load to
-the same state as before, and every message is the line loop's.
+Two readers, one result.  A float-mode document laid out as render_state
+writes it (ASCII, no blank lines, no comments but whole lines opening
+with # before the header, such as the audit lines a CLI flip writes, the
+blocks in the order above with dense edge ids and half-edges, each
+decoration block whole or absent) is read in bulk: a fixed number of
+C-level passes per block, the graph built by FatGraph(...), which
+validates it, and all lambda and mu texts read as one float batch by
+grassmann's bulk element reader.  Every other document, every
+rational-mode load, and every document with an error, goes through the
+line loop (scan_document, graph_from_records and one step per record,
+each value read by the term loop), which reads anything the format
+allows and alone raises, each message naming its line.  So a
+hand-written document and a rendered one load to the same state as
+before, and every message is the line loop's.
 
 The CLI commands that read only the graph and its orientation (info,
 spin, check) call _load_orientation, which gives the orientation of the
 rational-mode load_state after the same checks.  On a document read in
-bulk it checks each lambda and mu as read in one float batch, which the
+bulk it takes the orientation of the float bulk read, whose batch the
 bulk element reader accepts only when the exact reading has the same
 nonzero terms and body signs; every other document, and every one that
 is refused or fails a check, goes to load_state.
@@ -63,35 +65,32 @@ def load_state(text, mode=RATIONAL):
     value is checked once; the defaults are valid, so the state is built
     without checking its maps again.
 
-    A document laid out as render_state writes it is read in bulk
-    (_load_rendered); every other document, and every document with an
-    error, goes through the line loop (_load_lines), which alone raises,
-    with the line number.  Both give the same state, float bits and dict
-    order included.
+    A float-mode document laid out as render_state writes it is read in
+    bulk (_load_rendered); every other document, every rational-mode
+    load, and every document with an error, goes through the line loop
+    (_load_lines), which alone raises, with the line number.  Both give
+    the same state, float bits and dict order included.
     """
-    state = _load_rendered(text, mode)
+    state = _load_rendered(text) if mode == FLOAT else None
     return _load_lines(text, mode) if state is None else state
 
 
-def _load_rendered(text, mode):
-    """The state of a document laid out as render_state writes it, read
-    in bulk; None for any other document and for every error, which the
-    line loop then reads or refuses.
+def _load_rendered(text):
+    """The float-mode state of a document laid out as render_state writes
+    it, read in bulk; None for any other document and for every error,
+    which the line loop then reads or refuses.
 
     The layout is read by _rendered_layout.  The lambda and mu texts are
-    one batch for grassmann._parse_rendered (each read alone by
-    algebra.parse when it refuses), and each value is checked once.
+    one batch for grassmann._parse_rendered, and each value is checked
+    once.  A batch it refuses is None here too: no text is read alone.
     """
     layout = _rendered_layout(text)
     if layout is None:
         return None
     graph, mask, texts, lambdas = layout
-    algebra = GrassmannAlgebra(graph.num_vertices, mode)
-    try:
-        values = _parse_rendered(algebra, texts)
-        if values is None:
-            values = list(map(algebra.parse, texts))
-    except ValueError:   # GrassmannError is a ValueError
+    algebra = GrassmannAlgebra(graph.num_vertices, FLOAT)
+    values = _parse_rendered(algebra, texts)
+    if values is None:
         return None
     lam, mu = values[:lambdas], values[lambdas:]
     if not (all(map(is_lambda_length, lam)) and all(map(is_mu_invariant, mu))):
@@ -107,22 +106,15 @@ def _load_orientation(text):
     orientation, or the error load_state raises, with no exact lambda or
     mu built when the document is read in bulk.
 
-    A document laid out as render_state writes it (_rendered_layout) has
-    its lambda and mu texts read as one float batch by
-    grassmann._parse_rendered, which refuses any batch whose rational
-    reading could have other nonzero terms, body signs, or an error; each
-    lambda and mu read is then checked as load_state checks it.  Every
-    other document, and every one that is refused or fails a check, is
-    read by load_state, so every message is load_state's.
+    A document _load_rendered reads gives its orientation: its float
+    batch is accepted only when the rational reading has the same nonzero
+    terms and body signs and no error, so the lambda and mu checks it
+    passes are the rational load's.  Every other document, and every one
+    that is refused or fails a check, is read by load_state, so every
+    message is load_state's.
     """
-    layout = _rendered_layout(text)
-    if layout is not None:
-        graph, mask, texts, lambdas = layout
-        values = _parse_rendered(GrassmannAlgebra(graph.num_vertices, FLOAT), texts)
-        if (values is not None and all(map(is_lambda_length, values[:lambdas]))
-                and all(map(is_mu_invariant, values[lambdas:]))):
-            return OrientationState._unchecked(graph, mask)
-    return load_state(text, RATIONAL).orientation
+    state = _load_rendered(text)
+    return (load_state(text, RATIONAL) if state is None else state).orientation
 
 
 def _rendered_layout(text):

@@ -132,22 +132,20 @@ entries, in either mode.  The len(y)**2 counts before the 2**n test:
 otherwise a power, whose start is one term, would always scan.  Any other
 solve (sparse) scans.
 
-Text: parse_element reads the spelling render_element writes without
-fractions (float mode's repr coefficients, in either mode) in bulk, and
-any other text term by term (_parse_terms), which alone raises.  The bulk
-reader (_parse_rendered) takes a batch of texts, one for parse_element
-and every lambda and mu text of a rendered document for
-fileio.load_state and fileio._load_orientation: it joins them by
-newlines, splits and converts all their terms with C-level string and
-map passes, and then builds one element per text.  In rational mode the
-batch's coefficients share one power of ten and each element is reduced
-by its own gcd, so every element is in normal form, the element the term
-loop gives.  A batch with one text it cannot read is refused whole.  In
-float mode it also refuses a batch whose exact reading could have other
-terms or fail: a coefficient that reads 0.0 but is not spelled "0", and
-one longer than the interpreter's limit on integer digit strings.  So a
-float batch it reads has its nonzero terms and body signs where rational
-mode has them, and _load_orientation checks lambda and mu on it.
+Text: parse_element reads every text term by term (_parse_terms), which
+alone raises.  The bulk reader (_parse_rendered) reads the spelling
+render_element writes in float mode, and only in a float algebra: it
+takes every lambda and mu text of a rendered document as one batch for
+fileio._load_rendered, joins them by newlines, splits and converts all
+their terms with C-level string and map passes, and then builds one
+element per text.  A batch with one text it cannot read is refused whole.
+It also refuses a batch whose exact reading could have other terms or
+fail: a coefficient that reads 0.0 but is not spelled "0", and one longer
+than the interpreter's limit on integer digit strings.  So a batch it
+reads has its nonzero terms and body signs where rational mode has them,
+and fileio._load_orientation checks lambda and mu on it.  Rational loads
+take the term loop: a dense V = 8 document loads in about 13 ms in
+rational mode and 2 ms through the float batch (CPython 3.11.7).
 
 Memory: each disjoint pair on n generators sits in exactly one class, and
 all indices share one int object each, so the classes on n generators hold
@@ -264,7 +262,10 @@ class GrassmannAlgebra:
     def coerce_scalar(self, value):
         """Convert value to this algebra's coefficient type."""
         if self.mode == FLOAT:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:   # no repr: an int's may be too long to print
+                raise GrassmannError("scalar out of the float range") from None
             if not math.isfinite(value):
                 raise GrassmannError("non-finite scalar %r" % (value,))
             return value
@@ -1112,13 +1113,12 @@ def glog(x):
 
 # ---------------------------------------------------------------------------
 # text format: terms sorted by bitmask, "coeff*t<i>^t<j>", e.g. "1 + 2*t0^t1".
-# parse_element reads that spelling in bulk (_parse_rendered, a batch of one
-# text; fileio.load_state passes a document's texts as one batch) when its
+# parse_element reads every text with the term loop (_parse_terms), which is
+# the only path that raises.  fileio.load_state reads a float document's
+# texts in bulk (_parse_rendered, one batch per document) when their
 # coefficients are integers, decimals or exponents of at most two digits (the
 # repr floats of float mode), with " + " and " - " between terms, generators
-# in increasing order and no monomial twice.  Every other text, fractions a/b,
-# bare monomials, free spacing and sign runs among them, goes through the
-# term loop (_parse_terms), which is the only path that raises.
+# in increasing order and no monomial twice.
 
 
 @functools.lru_cache(maxsize=1024)
@@ -1170,13 +1170,11 @@ _TERM_RE = re.compile(r"""
     (?P<mono>t\d+(?:[ \t]*\^[ \t]*t\d+)*)?
     """, re.VERBOSE | re.ASCII)
 _GEN_RE = re.compile(r"t(\d+)", re.ASCII)
-# the bytes a rendered element without fractions is made of, and an exponent
-# of three or more digits, which the term loop holds to
+# the bytes a float-mode rendered element is made of, and an exponent of
+# three or more digits, which the term loop holds to
 # sys.get_int_max_str_digits() (640 at the least, when set)
 _RENDERED = b"0123456789.e+-*t^ "
 _LONG_EXPONENT = re.compile(r"e[-+]?\d\d\d").search
-# the text of an absent exponent
-_ZERO = {"": "0"}
 
 
 @functools.lru_cache(maxsize=1024)
@@ -1232,20 +1230,17 @@ def parse_element(algebra, text):
     sums the terms' numerators over the lcm of their denominators and
     reduces the element once.
 
-    Text spelled as render_element writes it, with integer, decimal or
-    exponent coefficients (float mode's repr, read in either mode), is read
-    in bulk (_parse_rendered, as a batch of one); any other text, fractions
-    a/b and every text with an error among them, goes through the term loop
-    (_parse_terms), which alone raises.  The two give the same element,
-    float bits and dict order included.
+    Every text goes through the term loop (_parse_terms), which alone
+    raises.  Only a whole float document is read in bulk
+    (_parse_rendered, called by fileio._load_rendered).
     """
-    x = _parse_rendered(algebra, [text.strip()])
-    return _parse_terms(algebra, text) if x is None else x[0]
+    return _parse_terms(algebra, text)
 
 
 def _parse_rendered(algebra, texts):
-    """The elements of the texts, read in bulk as one batch, when every
-    text is spelled as render_element spells it; None otherwise.
+    """The elements of the texts in algebra, a float-mode algebra, read in
+    bulk as one batch, when every text is spelled as render_element
+    spells it in float mode; None otherwise.
 
     That spelling is an integer, decimal or exponent coefficient (no
     fraction) on every term, "*" before each monomial, monomials as
@@ -1256,17 +1251,15 @@ def _parse_rendered(algebra, texts):
     only the building of each element is a step per text.  No term is
     summed: a repeated monomial is refused, like every text _parse_terms
     rejects, so each element read is _parse_terms's element of its text,
-    float bits and dict order included.  In rational mode the batch's
-    coefficients share one power of ten, and each element is reduced by
-    its own gcd to its normal form.
+    float bits and dict order included.
 
-    Float mode also refuses a batch whose coefficient sum is not finite,
-    that has a coefficient reading 0.0 not spelled "0" (the zero element's
-    text; render_element writes no other), or a coefficient text longer
-    than sys.get_int_max_str_digits() when that limit is set.  So a float
-    element read here has a term exactly where rational mode reads one,
-    with the same sign, and rational mode reads every text without error:
-    the weight masks and body signs are rational mode's.
+    It also refuses a batch whose coefficient sum is not finite, that has
+    a coefficient reading 0.0 not spelled "0" (the zero element's text;
+    render_element writes no other), or a coefficient text longer than
+    sys.get_int_max_str_digits() when that limit is set.  So an element
+    read here has a term exactly where rational mode reads one, with the
+    same sign, and rational mode reads every text without error: the
+    weight masks and body signs are rational mode's.
     """
     if not texts:
         return []
@@ -1281,69 +1274,25 @@ def _parse_rendered(algebra, texts):
     if s.count(" ") != 2 * (len(terms) - len(texts)):
         return None
     coeffs, stars, monos = zip(*map(str.partition, terms, repeat("*")))
+    limit = sys.get_int_max_str_digits()
     try:
         masks, _, rendered = zip(*map(_monomial, monos, repeat(algebra.num_generators)))
-        if not all(rendered) or masks.count(0) != stars.count(""):   # "5*" has no monomial
+        if (not all(rendered) or masks.count(0) != stars.count("")   # "5*" has no monomial
+                or 0 < limit < len(s) and limit < max(map(len, coeffs))):
             return None
-        if algebra.mode == FLOAT:
-            limit = sys.get_int_max_str_digits()
-            if 0 < limit < len(s) and limit < max(map(len, coeffs)):
-                return None
-            values = list(map(float, coeffs))
-            # inf and nan propagate through the sum
-            read = (values, 1) if (math.isfinite(sum(values))
-                                   and values.count(0.0) == coeffs.count("0")) else None
-        else:
-            read = _rational_coefficients(s, coeffs)
+        values = list(map(float, coeffs))
     except ValueError:   # GrassmannError is a ValueError
         return None
-    if read is None:
+    # inf and nan propagate through the sum
+    if not math.isfinite(sum(values)) or values.count(0.0) != coeffs.count("0"):
         return None
-    values, den = read
     rows = zip(masks, values)
     nums = list(map(dict, map(islice, repeat(rows), map(len, split))))
     if sum(map(len, nums)) != len(values):   # a repeated monomial: the loop adds
         return None
     if not all(values):
         nums = [{m: c for m, c in num.items() if c} for num in nums]
-    return list(map(_reduced, repeat(algebra), nums, repeat(den)))
-
-
-def _rational_coefficients(s, coeffs):
-    """(numerators, den) of the coefficient texts over one denominator, or
-    None for a spelling the term loop reads differently.
-
-    Integers, decimals and exponents d.ddde+k are ints times powers of ten,
-    put over the largest power.  A ValueError means the text is not a
-    rendered one, or a digit run is longer than int() converts.
-    """
-    if "." not in s and "e" not in s:
-        return list(map(int, coeffs)), 1
-    if ".-" in s or ".+" in s:   # int() would read ".-5" as -5
-        return None
-    if "e" in s:
-        mantissas, es, exponents = zip(*map(str.partition, coeffs, repeat("e")))
-        if exponents.count("") != es.count(""):   # "1e"
-            return None
-        powers = map(int, map(_ZERO.get, exponents, exponents))
-    else:
-        mantissas, powers = coeffs, repeat(0)
-    wholes, _, decimals = zip(*map(str.partition, mantissas, repeat(".")))
-    digits = list(map(add, wholes, decimals))
-    if "" in digits or "-" in digits or "+" in digits:   # "e1", "-.": int() refuses them
-        return None
-    # each value is its digits times 10**shift; over 10**-low, its digits
-    # are scaled by 10**(shift - low)
-    shifts = list(map(sub, powers, map(len, decimals)))
-    low = min(0, *shifts)
-    scales = map(_power_of_ten, map(sub, shifts, repeat(low)))
-    return list(map(mul, map(int, digits), scales)), 10 ** -low
-
-
-@functools.lru_cache(maxsize=256)
-def _power_of_ten(k):
-    """10**k, kept per k: the coefficients of a batch share few shifts."""
-    return 10 ** k
+    return list(map(_element, repeat(algebra), nums, repeat(1)))
 
 
 def _parse_terms(algebra, text):

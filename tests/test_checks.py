@@ -490,6 +490,16 @@ def test_suites_count_every_failed_case(monkeypatch, suite, mode, cases):
     assert suite(graph, seed=3, mode=mode, cases=cases).passed == (suite is checks.check_ptolemy)
 
 
+@pytest.mark.parametrize("suite, mode", [run[:2] for run in SUITE_RUNS])
+def test_suites_refuse_fewer_than_one_case(suite, mode):
+    # zero or negative cases would report a vacuous pass
+    graph = GRAPHS["genus2_2_1"]()
+    for few in (0, -3):
+        with pytest.raises(checks.CheckSetupError, match="need at least 1 case, got %d" % few):
+            suite(graph, seed=3, mode=mode, cases=few)
+    assert suite(graph, seed=3, mode=mode, cases=1).cases == 1
+
+
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 def test_ptolemy_counts_a_flipped_lambda_without_positive_body(monkeypatch, mode):
     # superflip refuses such a lambda, so the mutant builds its state unchecked

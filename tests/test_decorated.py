@@ -944,6 +944,7 @@ FOREIGN = GrassmannAlgebra(2, FLOAT)
     (lambda: GrassmannAlgebra(2).element({4: 1}),
      GrassmannError, "monomial 4 outside algebra on 2 generators"),
     (lambda: GrassmannAlgebra(2).gen(0) ** -1, GrassmannError, "only non-negative integer powers"),
+    (lambda: FOREIGN.scalar(10 ** 400), GrassmannError, "scalar out of the float range"),
     (lambda: OrientationState(punctured_torus(), [1, 0, 1]),
      spin.SpinError, "need one sign +1/-1 per edge, got (1, 0, 1)"),
     (lambda: FatGraph([(0, 2, 4), (1, 3, 5)], [(0, 1), (2, 3), (4, 5)], ["A"]),
@@ -955,3 +956,12 @@ def test_public_constructors_refuse_bad_input(build, error, message):
         build()
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def test_float_scalars_beyond_the_float_range_compare_unequal():
+    # an int or fraction too large for a float is no float element's value
+    for value in (10 ** 400, Fraction(10 ** 400, 3), -10 ** 5000):
+        assert (FOREIGN.one() == value) is False
+        assert FOREIGN.one() != value
+        with pytest.raises(GrassmannError, match="scalar out of the float range"):
+            FOREIGN.gen(0) * value

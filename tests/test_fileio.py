@@ -207,37 +207,49 @@ def test_float_written_dense_document_loads_to_the_fraction_parse():
     assert compared > 1000
 
 
+def spy_calls(monkeypatch, *targets):
+    """Wrap each (module, name) function so that every call appends (name,
+    its last argument) to the list returned."""
+    calls = []
+    for module, name in targets:
+        def spy(*args, _real=getattr(module, name), _name=name):
+            calls.append((_name, args[-1]))
+            return _real(*args)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+READERS = [(fileio, "scan_document"), (fileio, "_parse_rendered"), (grassmann, "_parse_terms")]
+
+
 def test_rendered_documents_are_read_in_bulk(monkeypatch):
-    # every value render_state writes without a fraction a/b is read back
-    # without the term loop, a float-written document in rational mode too;
-    # fractions go through the loop
-    looped = []
-    loop = grassmann._parse_terms
-
-    def counted(algebra, text):
-        looped.append(text)
-        return loop(algebra, text)
-
+    # a float load of a document render_state writes without a fraction a/b
+    # reads all its values as one float batch, with neither scan_document
+    # nor the term loop; a rational load scans the document once and reads
+    # every value with the term loop, in document order, a float-written
+    # document too, and never calls the bulk element reader
     rng = random.Random(8)
     dense = random_decorated_state(prism(4), rng, FLOAT)
     for _ in range(10):
         dense, _ = superflip(dense, rng.choice(generic_edges(dense.graph)))
     assert max(len(x.num) for x in dense.lam.values()) == 128
     exact = [random_decorated_state(prism(n), rng, RATIONAL) for n in (2, 3, 4)]
-    monkeypatch.setattr(grassmann, "_parse_terms", counted)
+    calls = spy_calls(monkeypatch, *READERS)
     for state, mode in [(dense, FLOAT), (dense, RATIONAL), *((x, RATIONAL) for x in exact)]:
+        text = render_state(state)
         values = [*map(str, state.lam.values()), *map(str, state.mu.values())]
-        looped.clear()
-        again = load_state(render_state(state), mode=mode)
-        assert looped == [v for v in values if "/" in v]
+        calls.clear()
+        again = load_state(text, mode=mode)
+        if mode == FLOAT:
+            assert [(name, list(texts)) for name, texts in calls] == [("_parse_rendered", values)]
+        else:
+            assert calls == [("scan_document", text)] + [("_parse_terms", v) for v in values]
         if mode == state.algebra.mode:
             for x, y in [*zip(again.lam.values(), state.lam.values()),
                          *zip(again.mu.values(), state.mu.values())]:
                 assert x.num == y.num and x.den == y.den
-        elif mode == RATIONAL:
+        else:
             assert again.lam[0].den > 1
-    whole = [v for x in exact for v in map(str, x.lam.values()) if "/" not in v]
-    assert any(len(v.split()) > 1 for v in whole)   # integer text with terms, read in bulk
 
 
 def loaded(load, text, mode):
@@ -309,8 +321,9 @@ def orientation_loaded(load, text):
 
 
 def test_bulk_read_and_line_loop_agree_on_mutated_documents(monkeypatch):
-    # load_state reads a rendered document in bulk and falls back to the
-    # line loop for any other; on every document both must give the same
+    # load_state reads a rendered float document in bulk and reads every
+    # other document, and every rational load, with the line loop; on every
+    # document, in both modes, the two must give the same
     # state, float bits and dict order included, or the same error.  The
     # graph-only read (fileio._load_orientation) must give the rational
     # load's orientation, or its error, and read every document it does not
@@ -350,13 +363,13 @@ def test_bulk_read_and_line_loop_agree_on_mutated_documents(monkeypatch):
     for text in texts + cases:
         for mode in (RATIONAL, FLOAT):
             assert loaded(load_state, text, mode) == loaded(fileio._load_lines, text, mode), text
-            bulk += fileio._load_rendered(text, mode) is not None
+        bulk += fileio._load_rendered(text) is not None
         exact = loaded(load_state, text, RATIONAL)
         assert orientation_loaded(fileio._load_orientation, text) == (
             exact if len(exact) == 2 else exact[:4]), text
-    # every rendered text and both valid graph-only documents, in both
-    # modes, and some mutated documents are read in bulk
-    assert bulk > 2 * len(texts) + 4
+    # every rendered text without a fraction, both valid graph-only
+    # documents and some mutated documents are read in bulk
+    assert bulk > sum("/" not in text for text in texts) + 2
     # the graph-only read takes every rendered text without the full load
     # but those with a fraction, and hands on every value that its float
     # batch refuses or finds invalid: all of the values above but the zero mu
@@ -369,27 +382,29 @@ def test_bulk_read_and_line_loop_agree_on_mutated_documents(monkeypatch):
 
 
 def test_rendered_documents_take_the_bulk_read(monkeypatch):
-    # render_state output is read in bulk, without the line loop's
-    # scan_document; a hand-written document (a comment, a fraction,
-    # records out of order, sparse edge ids) still takes the line loop
-    scanned = []
-    scan = fileio.scan_document
-
-    def spy(text):
-        scanned.append(text)
-        return scan(text)
-
-    monkeypatch.setattr(fileio, "scan_document", spy)
+    # float render_state output is read in bulk, with neither the line
+    # loop's scan_document nor the term loop; a rational load scans once
+    # and never calls the bulk element reader; a hand-written document (a
+    # comment, a fraction, records out of order, sparse edge ids) takes the
+    # line loop
+    calls = spy_calls(monkeypatch, *READERS)
     rng = random.Random(9)
     graphs = [punctured_torus(), theta_graph(), four_punctured_sphere(), genus1_two_punctures(),
               genus2_one_puncture(), five_punctured_sphere(), *map(prism, range(3, 9))]
     for graph in graphs:
         for mode in (RATIONAL, FLOAT):
             state = random_decorated_state(graph, rng, mode)
-            again = load_state(render_state(state), mode)
+            rendered = render_state(state)
+            calls.clear()
+            again = load_state(rendered, mode)
             assert (again.graph, again.orientation, again.lam, again.mu) == (
                 state.graph, state.orientation, state.lam, state.mu)
-    assert scanned == []
+            names = [name for name, _ in calls]
+            if mode == FLOAT:
+                assert names == ["_parse_rendered"]
+            else:
+                assert names.count("scan_document") == 1 and "_parse_rendered" not in names
+    calls.clear()
     text = """\
 fatgraph v1   # two vertices
 vertex B: 1 3 5
@@ -402,7 +417,7 @@ edge 12: 4 5
 orient 12: -
 """
     state = load_state(text)
-    assert scanned == [text]
+    assert calls == [("scan_document", text), ("_parse_terms", "3/4"), ("_parse_terms", "-t1")]
     assert state.graph.vertex_names == ("B", "A")
     assert state.graph.edges == ((0, 1), (2, 3), (4, 5))
     assert state.orientation.signs == (1, 1, -1)
@@ -412,8 +427,9 @@ orient 12: -
 
 def test_leading_comment_lines_keep_the_bulk_read(tmp_path):
     # a CLI flip opens its document with one '# flip' line per flip: the
-    # bulk reader skips whole-line comments before the header, to the state
-    # the line loop reads, and leaves every other '#' to the line loop
+    # float bulk reader skips whole-line comments before the header, to the
+    # state the line loop reads, and leaves every other '#' to the line
+    # loop; it refuses every document with a fraction
     out = tmp_path / "flipped.fg"
     argv = ["flip", str(DATA / "genus2_1.fg"), "--edges", "0,4,7", "--output", str(out)]
     assert cli.main(argv) == 0
@@ -421,8 +437,8 @@ def test_leading_comment_lines_keep_the_bulk_read(tmp_path):
     assert flipped.startswith("# flip edge=0: ")
     texts = [flipped] + ["# one\n#\n#two # three\n" + render_state(s) for s in sample_states()]
     for text in texts:
+        assert (fileio._load_rendered(text) is None) == ("/" in text)
         for mode in (RATIONAL, FLOAT):
-            assert fileio._load_rendered(text, mode) is not None
             assert loaded(load_state, text, mode) == loaded(fileio._load_lines, text, mode)
     late = [flipped.replace("fatgraph v1\n", "fatgraph v1\n# note\n"),
             flipped.replace("fatgraph v1\n", "fatgraph v1  # note\n"),
@@ -433,7 +449,7 @@ def test_leading_comment_lines_keep_the_bulk_read(tmp_path):
             flipped.replace("# flip edge=4: a=2 b=0 c=7 d=6 reflections=3\n", "\n")]
     for text in late:
         assert text != flipped
+        assert fileio._load_rendered(text) is None
         for mode in (RATIONAL, FLOAT):
-            assert fileio._load_rendered(text, mode) is None
             fileio._load_lines(text, mode)
             assert loaded(load_state, text, mode) == loaded(fileio._load_lines, text, mode)

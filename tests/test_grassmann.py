@@ -412,7 +412,7 @@ def test_parse_reads_only_ascii_digits(text, position):
 @given(st.sampled_from([A6, F6]), st.text(alphabet="t0123456789+-*^/.eE \t", max_size=40))
 def test_parse_accepts_or_raises_grassmann_error(alg, text):
     # default deadline: a slow exponent or index path fails here instead of stalling
-    assert_parses_as_the_loop(alg, text)
+    assert_bulk_reads_as_the_loop(alg.num_generators, text)
     try:
         x = alg.parse(text)
     except GrassmannError:
@@ -431,8 +431,10 @@ def test_parse_bounds_numerals_and_indices(text):
 
 
 # -- bulk reading against the term loop ------------------------------------------
-# parse_element reads rendered text in bulk and hands every other text to the
-# term loop _parse_terms; the two must agree exactly, errors included.
+# parse_element is the term loop _parse_terms.  The float bulk reader
+# _parse_rendered reads rendered text as the term loop reads it, and refuses
+# every other text; what it reads has its nonzero terms and their signs
+# where rational mode's term loop has them.
 
 
 def parse_outcome(parse, alg, text):
@@ -443,13 +445,29 @@ def parse_outcome(parse, alg, text):
     except GrassmannError as exc:
         return "error: %s" % exc
     if alg.mode == FLOAT:
-        return [(m, c.hex()) for m, c in x.num.items()], x.den
+        return float_bits(x)
     return [(m, type(c), c) for m, c in x.num.items()], x.den
 
 
-def assert_parses_as_the_loop(alg, text):
-    assert parse_outcome(grassmann.parse_element, alg, text) == parse_outcome(
+def float_bits(x):
+    """A float element's numerators by float bits, in dict order, and den."""
+    return [(m, c.hex()) for m, c in x.num.items()], x.den
+
+
+def assert_bulk_reads_as_the_loop(n, text):
+    """The float bulk read of text on n generators: None, or the element
+    the float term loop gives, whose terms and term signs are those of the
+    rational term loop's element, which it reads without error."""
+    alg = GrassmannAlgebra(n, FLOAT)
+    batch = grassmann._parse_rendered(alg, [text])
+    if batch is None:
+        return None
+    (x,) = batch
+    assert parse_outcome(lambda *_: x, alg, text) == parse_outcome(
         grassmann._parse_terms, alg, text)
+    exact = grassmann._parse_terms(GrassmannAlgebra(n, RATIONAL), text)
+    assert [(m, c > 0) for m, c in x.num.items()] == [(m, c > 0) for m, c in exact.num.items()]
+    return x
 
 
 # helpers.reference_parse_terms is the term loop with its own decimal reader
@@ -503,60 +521,78 @@ def mutated(draw, text):
 @given(rendered_texts())
 def test_rendered_text_is_read_in_bulk_as_the_loop_reads_it(case):
     alg, text = case
-    assert_parses_as_the_loop(alg, text)
+    x = assert_bulk_reads_as_the_loop(alg.num_generators, text)
     # fractions a/b and 3-digit exponents are left to the loop
-    if "/" not in text and not re.search(r"e[-+]?\d{3}", text):
-        assert grassmann._parse_rendered(alg, [text]) is not None
+    if "/" in text or re.search(r"e[-+]?\d{3}", text):
+        assert x is None
+    elif alg.mode == FLOAT:
+        assert x is not None
 
 
 @settings(max_examples=200, deadline=None)
-@given(rendered_texts().filter(lambda case: case[0].mode == FLOAT))
-def test_decimal_text_is_read_in_bulk_in_rational_mode(case):
+@given(rendered_texts(GrassmannAlgebra(8, FLOAT)) | rendered_texts(GrassmannAlgebra(3, FLOAT)))
+def test_float_bulk_read_keeps_the_exact_terms_and_signs(case):
+    # the float text of an element on 3 or 8 generators is read in bulk
+    # unless it has a 3-digit exponent, with its terms and their signs where
+    # the rational term loop reads them
     alg, text = case
-    exact = GrassmannAlgebra(alg.num_generators, RATIONAL)
-    assert_parses_as_the_loop(exact, text)
-    if not re.search(r"e[-+]?\d{3}", text):
-        assert grassmann._parse_rendered(exact, [text]) is not None
+    x = assert_bulk_reads_as_the_loop(alg.num_generators, text)
+    assert x is not None or re.search(r"e[-+]?\d{3}", text)
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_mutated_rendered_text_parses_as_the_loop_parses_it(data):
     alg, text = data.draw(rendered_texts())
-    text = mutated(data.draw, text)
-    assert_parses_as_the_loop(alg, text)
-    assert_parses_as_the_loop(GrassmannAlgebra(alg.num_generators, RATIONAL), text)
+    assert_bulk_reads_as_the_loop(alg.num_generators, mutated(data.draw, text))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_a_batch_reads_each_text_as_it_is_read_alone(data):
     # _parse_rendered splits and converts the terms of all its texts at
-    # once, in rational mode over one power of ten; each element must be the
-    # one its text gives alone, in normal form, float bits and dict order
-    # included, and a batch of texts each read alone is read, unless a float
-    # sum overflows.  Mutated texts make some batches refused.
+    # once; each element must be the one its text gives alone, float bits
+    # and dict order included, and a batch is refused if any of its texts
+    # is refused alone or its coefficient sum overflows.  Mutated texts
+    # make some batches refused.
     alg, text = data.draw(rendered_texts())
+    n = alg.num_generators
     texts = [text]
     for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
         other = data.draw(rendered_texts(alg))[1]
         texts.append(mutated(data.draw, other) if data.draw(st.integers(0, 5)) == 0 else other)
-    for mode in (alg.mode, RATIONAL):
-        same = GrassmannAlgebra(alg.num_generators, mode)
-        batch = grassmann._parse_rendered(same, texts)
-        if batch is None:
-            assert mode == FLOAT or None in [grassmann._parse_rendered(same, [t]) for t in texts]
-            continue
-        assert len(batch) == len(texts)
-        for x, t in zip(batch, texts):
-            assert mode == FLOAT or is_normal(x)
-            assert parse_outcome(lambda *_: x, same, t) == parse_outcome(
-                grassmann._parse_terms, same, t)
+    alone = [assert_bulk_reads_as_the_loop(n, t) for t in texts]
+    batch = grassmann._parse_rendered(GrassmannAlgebra(n, FLOAT), texts)
+    if batch is None:
+        assert None in alone or not math.isfinite(
+            sum(c for x in alone for c in x.num.values()))
+        return
+    assert list(map(float_bits, batch)) == list(map(float_bits, alone))
 
 
 def test_an_empty_batch_reads_no_elements():
-    assert grassmann._parse_rendered(A4, []) == []
-    assert grassmann._parse_rendered(A4, ["1", "2*t0\n + 1"]) is None
+    assert grassmann._parse_rendered(F4, []) == []
+    assert grassmann._parse_rendered(F4, ["1", "2*t0\n + 1"]) is None
+
+
+def test_parse_element_is_the_term_loop(monkeypatch):
+    # parse_element never takes the bulk reader, in either mode
+    def refuse(*args):
+        raise AssertionError("parse_element called _parse_rendered")
+
+    monkeypatch.setattr(grassmann, "_parse_rendered", refuse)
+    looped = []
+    loop = grassmann._parse_terms
+    monkeypatch.setattr(grassmann, "_parse_terms",
+                        lambda algebra, text: looped.append(text) or loop(algebra, text))
+    rng = random.Random(34)
+    for alg in (A4, F4):
+        texts = [str(alg.element({m: Fraction(rng.randint(-9, 9), 4) for m in range(16)}))
+                 for _ in range(10)] + ["0", "1", "2.5*t0 - t1^t2"]
+        looped.clear()
+        for text in texts:
+            assert alg.parse(text) == loop(alg, text)
+        assert looped == texts
 
 
 @pytest.mark.parametrize("text", [
@@ -569,8 +605,8 @@ def test_an_empty_batch_reads_no_elements():
     "1e400*t0 + 1e-400", "9" * 20 + "/7", "3/0", "1e99999", "t2^t2 + 1/2", "1 + -2/3",
     "2.50*t0 + 0.5e1*t0", "1e308*t0 + 1e308*t0", "0/5*t0 + 1"])
 def test_edge_spellings_parse_as_the_loop_parses_them(text):
+    assert_bulk_reads_as_the_loop(4, text)
     for alg in (A4, F4):
-        assert_parses_as_the_loop(alg, text)
         assert_loop_parses_as_the_reference(alg, text)
 
 
