@@ -433,30 +433,30 @@ def generic_edges(graph):
 def pentagon_pairs(graph):
     """Edge pairs (e1, e2) that are the diagonals of an embedded pentagon.
 
-    e1 and e2 share exactly one vertex, their far endpoints are distinct,
-    and the five outer sides are five distinct further edges.  On such a
-    pair the alternating 5-flip sequence returns the triangulation.  The
-    far endpoints need no test of their own: equal ones would make both
-    edges' endpoint sets equal, so they would share two vertices.
+    e1 and e2 share exactly one vertex v, their far endpoints u and w are
+    distinct, and the five outer sides are five distinct further edges.
+    On such a pair the alternating 5-flip sequence returns the
+    triangulation.  The candidates are, vertex by vertex, the ordered
+    pairs of distinct non-loop edges at v with distinct far ends (equal
+    ones would make the edges share two vertices); the pairs are returned
+    sorted, in the order of a loop over all (e1, e2).
     """
+    stars = [set(graph.edges_at(v)) for v in range(graph.num_vertices)]
     pairs = []
-    for e1 in range(graph.num_edges):
-        for e2 in range(graph.num_edges):
-            if e1 == e2 or graph.is_loop(e1) or graph.is_loop(e2):
-                continue
-            end1 = {graph.tail_vertex(e1), graph.head_vertex(e1)}
-            end2 = {graph.tail_vertex(e2), graph.head_vertex(e2)}
-            shared = end1 & end2
-            if len(shared) != 1:
-                continue
-            v = shared.pop()
-            u = (end1 - {v}).pop()
-            w = (end2 - {v}).pop()
-            sides = set(graph.edges_at(v)) - {e1, e2}
-            sides |= set(graph.edges_at(u)) - {e1}
-            sides |= set(graph.edges_at(w)) - {e2}
-            if len(sides) == 5 and not sides & {e1, e2}:
-                pairs.append((e1, e2))
+    for v, star in enumerate(stars):
+        far = {}   # the far end of each non-loop edge at v
+        for e in star:
+            tail, head = graph.tail_vertex(e), graph.head_vertex(e)
+            if tail != head:
+                far[e] = head if tail == v else tail
+        for e1, u in far.items():
+            for e2, w in far.items():
+                if e1 == e2 or u == w:   # u == w: both edges join v and u
+                    continue
+                sides = (star - {e1, e2}) | (stars[u] - {e1}) | (stars[w] - {e2})
+                if len(sides) == 5 and not sides & {e1, e2}:
+                    pairs.append((e1, e2))
+    pairs.sort()
     return pairs
 
 

@@ -33,10 +33,11 @@ import sys
 
 from .checks import SUITES
 from .decorated import _puncture_residuals, shear_coordinates, superflip
-from .fatgraph import _integer_tokens, boundary_cycles, topology
+from .fatgraph import _genus, _integer_tokens, boundary_cycles
 from .fileio import _load_orientation, load_state, render_state
 from .grassmann import FLOAT, RATIONAL
-from .spin import classify_punctures, enumerate_spin_classes, spin_class_count
+from .spin import (_cycle_parities, _puncture_types, classify_punctures, enumerate_spin_classes,
+                   spin_class_count)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -172,9 +173,12 @@ def _load(path, load, *args):
 
 def cmd_info(args):
     graph = _load(args.input, _load_orientation).graph
-    g, s, e, v = topology(graph)
-    lines = ["g=%d s=%d E=%d V=%d even=%d odd=%d" % (g, s, e, v, e, v)]
-    for i, cycle in enumerate(boundary_cycles(graph)):
+    # one walk of the cycles gives the report's lines and, through the
+    # Euler relation topology uses, its genus
+    cycles = boundary_cycles(graph)
+    s, e, v = len(cycles), graph.num_edges, graph.num_vertices
+    lines = ["g=%d s=%d E=%d V=%d even=%d odd=%d" % (_genus(graph, s), s, e, v, e, v)]
+    for i, cycle in enumerate(cycles):
         lines.append("cycle %d: %s" % (i, " ".join(str(h) for h in cycle)))
     _emit(lines, args.output)
     return EXIT_OK
@@ -186,9 +190,10 @@ def cmd_spin(args):
     lines = []
     if args.action == "enumerate":
         classes = enumerate_spin_classes(graph)
-        cycles = boundary_cycles(graph)
+        # every class's types from one (k0, C) table of the graph's cycles
+        parities = _cycle_parities(graph, boundary_cycles(graph))
         for i, rep in enumerate(classes):
-            tags = classify_punctures(rep, cycles)
+            tags = _puncture_types(parities, rep.mask)
             lines.append("class %d: %s punctures: %s"
                          % (i, rep.sign_string(), " ".join(tags)))
         lines.append("classes: %d" % len(classes))

@@ -30,6 +30,17 @@ classical_limit states) that value is one fraction with one gcd
 (grassmann._ptolemy); lambda-lengths with souls, and float ones, take two
 products, a sum and a quotient.
 
+Shear coordinates z_e = log(ac/bd) (shear_coordinates) come from their
+closed form.  Lambda-lengths are even, hence central, so the logarithm is
+additive on them: z_e is the scalar log of the body ratio plus
+l_a + l_c - l_b - l_d, with l_x = log(x / b_x) taken once per lambda-length
+x that has a soul.  The float body is math.log((b_a*b_c)/(b_b*b_d)): on
+bodies, the products, the quotient and the logarithm of ac/bd evaluate
+exactly these float operations, so each body is bit-identical to
+glog(gdiv(ac, bd))'s.  The log of a rational body is rational only at 1,
+so rational mode needs every body ratio to be 1 and refuses the first
+edge whose ratio is not, as glog would.
+
 The formulas apply in the arrow configuration where e points from the
 (c,d)-vertex to the (a,b)-vertex; the auto-reflection that produces it
 also negates the mu-invariant at the reflected vertex, which is what makes
@@ -48,10 +59,13 @@ does, and still differs from it.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .grassmann import (RATIONAL, GrassmannAlgebra, GrassmannError, _ptolemy, _reduced, gdiv,
                         ginvsqrt, glog, gsqrt)
 from .fatgraph import _quadrilateral, boundary_cycles, topology
-from .spin import OrientationState, SpinError, flip_orientation, reflection_vertices_between
+from .spin import OrientationState, SpinError, _bits, _reflection_side, flip_orientation
 
 
 def is_lambda_length(x):
@@ -200,12 +214,57 @@ def shear_coordinates(state):
 
     Label coincidences among a, b, c, d are fine; loops are not.  Needs
     float mode unless every ratio has body 1.
+
+    Lambda-lengths are even, hence central, so the logarithm is additive
+    on them: with l_x = log(x / b_x) for a lambda-length x of body b_x,
+    z_e = log(b_a b_c / (b_b b_d)) + l_a + l_c - l_b - l_d.  Each
+    lambda-length with a soul takes one glog, a body-only one none, and
+    each edge one scalar log of its body ratio.  In float mode that log is
+    math.log((b_a*b_c)/(b_b*b_d)), the expression the body of
+    glog(gdiv(ac, bd)) evaluates, so every body is the same float; the
+    souls agree up to rounding.  In rational mode every body ratio is
+    checked, in edge order, before any glog: the first that is not 1
+    raises glog's error for its irrational log.  Otherwise each z is a sum
+    of exact logs, and the normal form makes it the same element.  A float
+    body ratio or coordinate that overflows or underflows is a
+    GrassmannError.
     """
+    graph, lam, algebra = state.graph, state.lam, state.algebra
+    exact = algebra.mode == RATIONAL
+    quads = []
+    body_logs = []
+    for e in range(graph.num_edges):
+        a, b, c, d = _quadrilateral(graph, e, require_generic=False)[8:]
+        quads.append((a, c, b, d))
+        # a lambda-length's body is its positive numerator num[0] over den
+        xa, xb, xc, xd = lam[a], lam[b], lam[c], lam[d]
+        num = xa.num[0] * xc.num[0]
+        den = xb.num[0] * xd.num[0]
+        if exact:
+            num, den = num * xb.den * xd.den, den * xa.den * xc.den
+            if num != den:
+                raise GrassmannError("log of body %s is irrational; use float mode "
+                                     "(rational mode needs body 1)" % (Fraction(num, den),))
+        elif den and 0 < num / den < math.inf:
+            body_logs.append(math.log(num / den))
+        else:
+            raise GrassmannError("float overflow or underflow in the body ratio of edge %d"
+                                 % e)
+    logs = {x: glog(gdiv(y, y.body)) for x, y in lam.items() if len(y.num) > 1}
     out = {}
-    lam = state.lam
-    for e in range(state.graph.num_edges):
-        a, b, c, d = _quadrilateral(state.graph, e, require_generic=False)[8:]
-        out[e] = glog(gdiv(lam[a] * lam[c], lam[b] * lam[d]))
+    for e, (a, c, b, d) in enumerate(quads):
+        z = algebra.zero() if exact else algebra.scalar(body_logs[e])
+        for x in a, c:
+            if x in logs:
+                z = z + logs[x]
+        for x in b, d:
+            if x in logs:
+                z = z - logs[x]
+        # four finite logs can still sum past the float range
+        values = z.num.values()
+        if not exact and not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+            raise GrassmannError("float overflow in the shear coordinate of edge %d" % e)
+        out[e] = z
     return out
 
 
@@ -264,9 +323,14 @@ def states_equal_mod_sign(state1, state2, tol=None):
         raise ValueError("decorated states live on different graphs")
     if state1.algebra != state2.algebra:
         raise GrassmannError("decorated states use different algebras")
-    reflected = reflection_vertices_between(state1.orientation, state2.orientation)
-    if reflected is None:
+    side = _reflection_side(state1.orientation, state2.orientation)
+    if side is None:
         return False
+    # the complement reflects the same way up to the global odd sign,
+    # which the comparison allows, so the smaller side is negated
+    num_vertices = state1.graph.num_vertices
+    if 2 * side.bit_count() > num_vertices:
+        side ^= (1 << num_vertices) - 1
 
     if tol is None:
         if state1.lam != state2.lam:
@@ -274,9 +338,9 @@ def states_equal_mod_sign(state1, state2, tol=None):
     elif not all(state1.lam[e].isclose(state2.lam[e], tol) for e in state1.lam):
         return False
     mu1, mu2 = state1.mu, state2.mu
-    if reflected:
+    if side:
         mu1 = dict(mu1)
-        for v in reflected:
+        for v in _bits(side):
             mu1[v] = -mu1[v]
     if tol is None:
         return mu1 == mu2 or mu1 == {v: -x for v, x in mu2.items()}

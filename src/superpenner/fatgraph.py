@@ -349,9 +349,10 @@ def boundary_cycles(graph):
     Cycles are returned sorted by starting half-edge; together they cover
     every half-edge exactly once.
     """
-    seen = [False] * graph.num_half_edges
+    sigma, alpha = graph._sigma, graph._alpha
+    seen = [False] * len(sigma)
     cycles = []
-    for start in range(graph.num_half_edges):
+    for start in range(len(sigma)):
         if seen[start]:
             continue
         cycle = []
@@ -359,7 +360,7 @@ def boundary_cycles(graph):
         while not seen[h]:
             seen[h] = True
             cycle.append(h)
-            h = graph.sigma(graph.alpha(h))
+            h = sigma[alpha[h]]
         cycles.append(tuple(cycle))
     return tuple(cycles)
 
@@ -373,10 +374,13 @@ def topology(graph):
     Euler relation give an integer g >= 0, E = 6g - 6 + 3s and
     V = 4g - 4 + 2s.
     """
-    e = graph.num_edges
-    v = graph.num_vertices
     s = len(boundary_cycles(graph))
-    return (2 - v + e - s) // 2, s, e, v
+    return _genus(graph, s), s, graph.num_edges, graph.num_vertices
+
+
+def _genus(graph, punctures):
+    """The genus g of graph with that many boundary cycles: V - E + s = 2 - 2g."""
+    return (2 - graph.num_vertices + graph.num_edges - punctures) // 2
 
 
 def propagate_isomorphism(graph1, graph2, source, target):

@@ -25,6 +25,11 @@ of the sides of the forest edges in its cut, so the forest edges whose
 signs differ name the only candidate set, which works when its cut is
 exactly the differing edges.
 
+The R/NS type of a puncture is affine over GF(2) in the mask: each
+boundary cycle has a parity k0 and an edge mask C, and the type is R
+exactly when k0 + popcount(mask & C) is even (classify_punctures), so
+typing every class of a graph takes one popcount per cycle and class.
+
 A brute-force orbit search is kept alongside as an independent oracle.
 The reflections form a group acting by translation: orbit(start) =
 start ^ orbit(0).  The oracle finds orbit(0) once, by breadth-first
@@ -76,7 +81,9 @@ class OrientationState:
         return -1 if self.mask >> range(self.graph.num_edges)[e] & 1 else 1
 
     def sign_string(self):
-        return "".join("-" if self.mask >> e & 1 else "+" for e in range(self.graph.num_edges))
+        """The signs as one '+' or '-' per edge, edge 0 first: the mask's
+        binary digits, reversed, as one format and one translate."""
+        return format(self.mask, "0%db" % self.graph.num_edges)[::-1].translate(_SIGN_CHARS)
 
     def __eq__(self, other):
         return (isinstance(other, OrientationState)
@@ -87,6 +94,9 @@ class OrientationState:
 
     def __repr__(self):
         return "OrientationState(%s)" % self.sign_string()
+
+
+_SIGN_CHARS = str.maketrans("01", "+-")
 
 
 def _mask_to_signs(mask, num_edges):
@@ -147,7 +157,7 @@ def reflect(state, v):
 
 def same_spin_class(state1, state2):
     """True iff the two orientations differ by fatgraph reflections."""
-    return reflection_vertices_between(state1, state2) is not None
+    return _reflection_side(state1, state2) is not None
 
 
 def _fundamental_cuts(graph):
@@ -192,17 +202,28 @@ def reflection_vertices_between(state1, state2):
 
     The answer is unique up to complementation (reflecting at every
     vertex of a connected graph is the identity); the set returned is the
-    one without vertex 0, in increasing order.  Reflecting at a set X
-    reverses edge e exactly when one end of e is in X (a loop never): the
-    cut of X.  A vertex is in X exactly when its forest path from vertex
-    0 crosses that cut an odd number of times, so X is the XOR of the
-    sides of the forest edges in its cut, which must be those whose signs
-    differ.  X exists exactly when the XOR of their cuts is the set D of
-    differing edges (a differing loop edge lies in no cut).
+    one without vertex 0, in increasing order: the bits of
+    _reflection_side.
+    """
+    side = _reflection_side(state1, state2)
+    return None if side is None else tuple(_bits(side))
+
+
+def _reflection_side(state1, state2):
+    """The vertex mask of the reflection set without vertex 0 that carries
+    state1 to state2 (see reflection_vertices_between), or None.
+
+    Reflecting at a set X reverses edge e exactly when one end of e is in
+    X (a loop never): the cut of X.  A vertex is in X exactly when its
+    forest path from vertex 0 crosses that cut an odd number of times, so
+    X is the XOR of the sides of the forest edges in its cut, which must
+    be those whose signs differ.  X exists exactly when the XOR of their
+    cuts is the set D of differing edges (a differing loop edge lies in
+    no cut).
 
     The fundamental cuts are built once per graph, on first use, into the
     graph's _cuts slot.  D is the XOR of the two masks, so a call's
-    Python work is per differing edge and per vertex of X.
+    Python work is per differing edge.
     """
     graph = state1.graph
     if state2.graph is not graph and state2.graph != graph:
@@ -216,9 +237,7 @@ def reflection_vertices_between(state1, state2):
     for e in _bits(differing):
         inside ^= sides[e]
         cut ^= cuts[e]
-    if cut != differing:
-        return None
-    return tuple(_bits(inside))
+    return inside if cut == differing else None
 
 
 def spin_class_count(graph):
@@ -316,22 +335,44 @@ def classify_punctures(state, cycles=None):
     half of an edge that is not reversed, or from the tail half of one
     that is.  An even count of opposing traversals gives R, odd gives NS.
 
+    That count is affine over GF(2) in the orientation mask: a traversal
+    from h opposes edge e exactly when (h is e's head half) XOR (e is
+    reversed), so mod 2 the count is k0 + popcount(mask & C), with k0 the
+    parity of the cycle's head-half traversals and C the XOR of 1 << e
+    over its half-edges (_cycle_parities).  An edge the cycle traverses
+    from both halves cancels from C: exactly one of the two traversals
+    opposes it, whatever its sign, and its head half counts in k0.  Once
+    (k0, C) is known a type is one popcount (_puncture_types).
+
     cycles, when given, must be boundary_cycles(state.graph); the
     orientations of one graph can then share one walk of its cycles.
     """
-    graph, mask = state.graph, state.mask
+    graph = state.graph
     if cycles is None:
         cycles = boundary_cycles(graph)
-    tags = []
+    return _puncture_types(_cycle_parities(graph, cycles), state.mask)
+
+
+def _cycle_parities(graph, cycles):
+    """(k0, C) of each of the boundary cycles of graph (see classify_punctures)."""
+    edges, edge_of = graph.edges, graph._edge_of
+    table = []
     for cycle in cycles:
-        k = 0
+        k0 = mask = 0
         for h in cycle:
-            e = graph.edge_of(h)
-            along_reference = graph.edges[e][0] == h
-            if along_reference == bool(mask >> e & 1):
-                k += 1
-        tags.append("R" if k % 2 == 0 else "NS")
-    return tuple(tags)
+            e = edge_of[h]
+            k0 ^= edges[e][1] == h
+            mask ^= 1 << e
+        table.append((k0, mask))
+    return table
+
+
+_TYPES = ("R", "NS")
+
+
+def _puncture_types(parities, mask):
+    """The R/NS tags of the orientation mask, from _cycle_parities' table."""
+    return tuple(_TYPES[(k0 + (mask & cycle).bit_count()) & 1] for k0, cycle in parities)
 
 
 def flip_orientation(state, e):

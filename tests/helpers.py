@@ -6,13 +6,16 @@ from collections import deque
 from fractions import Fraction
 from math import gcd
 
+from superpenner.checks import generic_edges
 from superpenner.decorated import DecoratedState, _check_lambda, _check_mu, states_equal_mod_sign
 from superpenner.fatgraph import (FatGraph, _quadrilateral, boundary_cycles, find_isomorphisms,
-                                  flip_quadrilateral, propagate_isomorphism)
+                                  flip_quadrilateral, propagate_isomorphism, whitehead_flip)
 from superpenner.grassmann import (FLOAT, RATIONAL, _TERM_RE, GrassmannAlgebra,
                                    GrassmannError, _below_parity, _element, _finish, _join,
-                                   _monomial, _ptolemy, _reduced, _rules, gdiv, ginvsqrt, gsqrt)
-from superpenner.spin import OrientationState, SpinError, flip_orientation, reflection_mask
+                                   _monomial, _ptolemy, _reduced, _rules, gdiv, ginvsqrt, glog,
+                                   gsqrt)
+from superpenner.spin import (OrientationState, SpinError, flip_orientation, reflection_mask,
+                              reflection_vertices_between)
 
 
 def boundary_correspondence(graph1, graph2, skip_halves=()):
@@ -51,6 +54,18 @@ def prism(n):
 def dumbbell():
     """A loop at each end of a bridge; genus 0, three punctures."""
     return FatGraph([(0, 1, 2), (3, 4, 5)], [(0, 1), (2, 3), (4, 5)])
+
+
+def flip_descendants(graph, rng, flips):
+    """graph and up to flips graphs after it, each a Whitehead flip of the
+    one before at a random generic edge (fewer when none is generic)."""
+    out = [graph]
+    for _ in range(flips):
+        edges = generic_edges(out[-1])
+        if not edges:
+            break
+        out.append(whitehead_flip(out[-1], rng.choice(edges))[0])
+    return out
 
 
 def reference_spin_classes(graph):
@@ -563,6 +578,98 @@ def reference_aligned_equal_mod_sign(initial, final, touched_edges, tol=None):
         if states_equal_mod_sign(moved, initial, tol=tol):
             return True
     return False
+
+
+# -- the loops that closed forms replace ----------------------------------------
+
+
+def reference_shear_coordinates(state):
+    """decorated.shear_coordinates by two products, a quotient and a glog
+    per edge: z_e = glog(gdiv(ac, bd)), with no closed form."""
+    graph, lam = state.graph, state.lam
+    out = {}
+    for e in range(graph.num_edges):
+        a, b, c, d = _quadrilateral(graph, e, require_generic=False)[8:]
+        out[e] = glog(gdiv(lam[a] * lam[c], lam[b] * lam[d]))
+    return out
+
+
+def reference_classify_punctures(state):
+    """spin.classify_punctures by counting the opposing traversals of
+    every half-edge of every boundary cycle."""
+    graph, mask = state.graph, state.mask
+    tags = []
+    for cycle in boundary_cycles(graph):
+        k = 0
+        for h in cycle:
+            e = graph.edge_of(h)
+            along_reference = graph.edges[e][0] == h
+            if along_reference == bool(mask >> e & 1):
+                k += 1
+        tags.append("R" if k % 2 == 0 else "NS")
+    return tuple(tags)
+
+
+def reference_pentagon_pairs(graph):
+    """checks.pentagon_pairs by testing all E^2 ordered edge pairs."""
+    pairs = []
+    for e1 in range(graph.num_edges):
+        for e2 in range(graph.num_edges):
+            if e1 == e2 or graph.is_loop(e1) or graph.is_loop(e2):
+                continue
+            end1 = {graph.tail_vertex(e1), graph.head_vertex(e1)}
+            end2 = {graph.tail_vertex(e2), graph.head_vertex(e2)}
+            shared = end1 & end2
+            if len(shared) != 1:
+                continue
+            v = shared.pop()
+            u = (end1 - {v}).pop()
+            w = (end2 - {v}).pop()
+            sides = set(graph.edges_at(v)) - {e1, e2}
+            sides |= set(graph.edges_at(u)) - {e1}
+            sides |= set(graph.edges_at(w)) - {e2}
+            if len(sides) == 5 and not sides & {e1, e2}:
+                pairs.append((e1, e2))
+    return pairs
+
+
+def reference_states_equal_mod_sign(state1, state2, tol=None):
+    """decorated.states_equal_mod_sign negating the mu-invariants at
+    reflection_vertices_between, the side without vertex 0, however large."""
+    if state1.graph != state2.graph:
+        raise ValueError("decorated states live on different graphs")
+    if state1.algebra != state2.algebra:
+        raise GrassmannError("decorated states use different algebras")
+    reflected = reflection_vertices_between(state1.orientation, state2.orientation)
+    if reflected is None:
+        return False
+    if tol is None:
+        if state1.lam != state2.lam:
+            return False
+    elif not all(state1.lam[e].isclose(state2.lam[e], tol) for e in state1.lam):
+        return False
+    mu1, mu2 = dict(state1.mu), state2.mu
+    for v in reflected:
+        mu1[v] = -mu1[v]
+    if tol is None:
+        return mu1 == mu2 or mu1 == {v: -x for v, x in mu2.items()}
+    return (all(mu1[v].isclose(mu2[v], tol) for v in mu1)
+            or all(mu1[v].isclose(-mu2[v], tol) for v in mu1))
+
+
+def horocycle_rescaled(state, factors):
+    """state with the horocycle at each puncture moved by its factor u_p
+    (one per boundary cycle, in boundary_cycles order): lambda_e times u_p
+    once per half-edge of e on p's cycle.  Each corner of a quadrilateral
+    is an end of one of a and c and of one of b and d, so every ratio
+    ac/bd keeps its value."""
+    graph = state.graph
+    scale = [1] * graph.num_edges
+    for u, cycle in zip(factors, boundary_cycles(graph)):
+        for h in cycle:
+            scale[graph.edge_of(h)] *= u
+    lam = {e: x * scale[e] for e, x in state.lam.items()}
+    return DecoratedState(graph, state.orientation, state.algebra, lam, state.mu)
 
 
 # -- the term loop with its own decimal reader and running lcm ---------------

@@ -12,7 +12,8 @@ from superpenner.catalog import GRAPHS
 from superpenner.checks import (_below, _local_isomorphism, aligned_equal_mod_sign,
                                 check_spincount, generic_edges, pentagon_pairs,
                                 random_decorated_state, transport_state)
-from superpenner.decorated import DecoratedState, classical_limit, default_state, superflip
+from superpenner.decorated import (DecoratedState, classical_limit, default_state,
+                                   states_equal_mod_sign, superflip)
 from superpenner.fatgraph import (FatGraph, FatGraphError, boundary_cycles, find_isomorphisms,
                                   propagate_isomorphism, topology, whitehead_flip)
 from superpenner.fileio import render_state
@@ -22,8 +23,9 @@ from superpenner.spin import (MAX_BRUTE_FORCE_EDGES, OrientationState, SpinError
                               enumerate_spin_classes, flip_orientation, reflect,
                               reflection_vertices_between, same_spin_class, spin_class_count)
 
-from helpers import (composed_random_decorated_state, dumbbell, prism,
-                     reference_aligned_equal_mod_sign, reference_random_decorated_state)
+from helpers import (composed_random_decorated_state, dumbbell, flip_descendants, prism,
+                     reference_aligned_equal_mod_sign, reference_pentagon_pairs,
+                     reference_random_decorated_state, reference_states_equal_mod_sign)
 
 
 def involution_and_pentagon_sequences(graph, rng, mode):
@@ -204,6 +206,73 @@ def oracle_variants(final, touched, rng):
     if touched:
         out.append((final, touched - {rng.choice(sorted(touched))}))
     return out
+
+
+def test_pentagon_pairs_match_the_double_loop():
+    rng = random.Random(35)
+    graphs = [make() for make in GRAPHS.values()] + [prism(n) for n in range(3, 13)] + [dumbbell()]
+    found = 0
+    for base in graphs:
+        for graph in flip_descendants(base, rng, 4):
+            pairs = pentagon_pairs(graph)
+            assert pairs == reference_pentagon_pairs(graph)
+            found += bool(pairs)
+    assert found > 40
+
+
+def reflected_at(state, vertices, negated):
+    """state with its orientation reflected at vertices and its
+    mu-invariants negated at negated."""
+    orientation = state.orientation
+    for v in vertices:
+        orientation = reflect(orientation, v)
+    mu = dict(state.mu)
+    for v in negated:
+        mu[v] = -mu[v]
+    return DecoratedState(state.graph, orientation, state.algebra, state.lam, mu)
+
+
+def test_states_equal_mod_sign_matches_the_reference_on_either_side(monkeypatch):
+    # states_equal_mod_sign negates the smaller of the reflection set and
+    # its complement; the reference always negates the side without
+    # vertex 0.  Round trips reach both through the round-trip comparison
+    compared = []
+
+    def both(state1, state2, tol=None):
+        got = states_equal_mod_sign(state1, state2, tol)
+        assert got == reference_states_equal_mod_sign(state1, state2, tol)
+        side = reflection_vertices_between(state1.orientation, state2.orientation)
+        compared.append((got, side is not None and 2 * len(side) > state1.graph.num_vertices))
+        return got
+
+    monkeypatch.setattr(checks, "states_equal_mod_sign", both)
+    rng = random.Random(35)
+    graphs = [make() for make in GRAPHS.values()] + [prism(n) for n in range(3, 9)] + [dumbbell()]
+    for graph in graphs:
+        for initial, final, touched in oracle_round_trips(graph, rng):
+            for variant, variant_touched in oracle_variants(final, touched, rng):
+                for tol in (None, 1e-9):
+                    aligned_equal_mod_sign(initial, variant, variant_touched, tol)
+    assert {(True, True), (True, False), (False, True), (False, False)} <= set(compared)
+    # reflections at random large vertex sets, every vertex but one among them
+    large = 0
+    for graph in [make() for make in GRAPHS.values()] + [prism(n) for n in (4, 8, 16)]:
+        num_vertices = graph.num_vertices
+        for mode, tol in ((RATIONAL, None), (FLOAT, None), (FLOAT, 1e-9)):
+            state = random_decorated_state(graph, rng, mode, odd=num_vertices <= 8)
+            if num_vertices > 8:   # one generator per mu-invariant
+                state = DecoratedState(graph, state.orientation, state.algebra, state.lam,
+                                       {v: state.algebra.gen(v) for v in range(num_vertices)})
+            for size in range(num_vertices // 2, num_vertices + 1):
+                vertices = rng.sample(range(num_vertices), size)
+                for negated in (vertices, vertices[1:], range(num_vertices), ()):
+                    other = reflected_at(state, vertices, negated)
+                    got = states_equal_mod_sign(state, other, tol)
+                    assert got == reference_states_equal_mod_sign(state, other, tol)
+                    assert got == states_equal_mod_sign(other, state, tol)
+                    large += 2 * len(reflection_vertices_between(
+                        state.orientation, other.orientation)) > num_vertices
+    assert large > 100
 
 
 def test_aligned_comparison_matches_the_whole_graph_oracle():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import re
 import stat
 import subprocess
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superpenner import cli, decorated, fatgraph, spin
-from superpenner.checks import CheckResult
+from superpenner.checks import CheckResult, random_decorated_state
 from superpenner.decorated import default_state, superflip
 from superpenner.fileio import load_state, render_state
-from superpenner.grassmann import RATIONAL
+from superpenner.grassmann import FLOAT, RATIONAL
 from superpenner.spin import enumerate_spin_classes
 
 from helpers import prism
@@ -70,6 +71,26 @@ def test_spin_enumerate_walks_the_boundary_cycles_once(capsys, monkeypatch):
         assert [line.split("punctures: ")[1] for line in out.splitlines()
                 if line.startswith("class ")] == [" ".join(spin.classify_punctures(rep))
                                                   for rep in classes]
+
+
+def test_info_walks_the_boundary_cycles_once(capsys, monkeypatch):
+    # the genus comes from the cycle count by the Euler relation
+    calls = []
+    cycles = fatgraph.boundary_cycles
+
+    def counted(graph):
+        calls.append(graph)
+        return cycles(graph)
+
+    for module in (fatgraph, spin, cli):
+        monkeypatch.setattr(module, "boundary_cycles", counted)
+    for name in ("torus.fg", "genus2_1.fg", "genus1_2.fg", "sphere5.fg"):
+        calls.clear()
+        code, out, _ = run(capsys, "info", str(DATA / name))
+        assert code == 0
+        assert len(calls) == 1
+        graph = load_state((DATA / name).read_text()).graph
+        assert out.splitlines()[0].startswith("g=%d s=%d " % fatgraph.topology(graph)[:2])
 
 
 def test_spin_classify(capsys):
@@ -195,20 +216,32 @@ def test_shear_reports_residuals(capsys):
     assert any(l.startswith("residual 0: body=") for l in lines)
 
 
-def test_shear_takes_one_log_per_edge(capsys, monkeypatch):
-    # the residuals sum the reported coordinates instead of computing them again
+def test_shear_takes_one_log_per_lambda_length_with_a_soul(capsys, monkeypatch, tmp_path):
+    # z_e is the scalar log of its body ratio plus the soul logs of its four
+    # lambda-lengths, each taken once, and the residuals sum the reported
+    # coordinates instead of computing them again
     logs = []
     glog = decorated.glog
     monkeypatch.setattr(decorated, "glog", lambda x: logs.append(1) or glog(x))
-    for name in ("torus_345.fg", "sphere5.fg", "genus2_1.fg"):
+    rng = random.Random(35)
+    flipped = tmp_path / "flipped.fg"
+    state = random_decorated_state(load_state((DATA / "genus2_1.fg").read_text()).graph, rng,
+                                   mode=FLOAT)
+    for e in (0, 4, 7):
+        state, _ = superflip(state, e)
+    flipped.write_text(render_state(state))
+    souled = []
+    for path in [DATA / name for name in ("torus_345.fg", "sphere5.fg", "genus2_1.fg")] + [flipped]:
         logs.clear()
-        code, out, _ = run(capsys, "shear", str(DATA / name))
+        code, out, _ = run(capsys, "shear", str(path))
         assert code == 0
-        assert len(logs) == sum(line.startswith("z ") for line in out.splitlines())
-        state = load_state((DATA / name).read_text(), mode="float")
+        state = load_state(path.read_text(), mode=FLOAT)
+        souled.append(sum(len(x.num) > 1 for x in state.lam.values()))
+        assert len(logs) == souled[-1]
         assert [line for line in out.splitlines() if line.startswith("residual")] == [
             "residual %d: body=%s soul=%s" % (i, r.body, r.soul)
             for i, r in enumerate(decorated.check_puncture_relation(state))]
+    assert souled == [0, 0, 0, 8]   # eight of the flipped document's nine lambda-lengths
 
 
 def test_parse_failure_exit_code(capsys, tmp_path):

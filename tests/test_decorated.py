@@ -21,7 +21,8 @@ from superpenner.grassmann import (FLOAT, RATIONAL, GrassmannAlgebra, GrassmannE
                                    GrassmannError, gdiv, ginv, gmul, gsqrt)
 from superpenner.spin import OrientationState, reflect, reflection_vertices_between
 
-from helpers import prism, reference_classical_limit, reference_superflip
+from helpers import (dumbbell, horocycle_rescaled, prism, reference_classical_limit,
+                     reference_shear_coordinates, reference_superflip)
 
 
 def ptolemy_example_state():
@@ -553,6 +554,128 @@ def test_shear_and_square_friendly_states_build_no_quadrilateral(monkeypatch):
     assert built == []
     flip_quadrilateral(g, 0, require_generic=False)
     assert len(built) == 1
+
+
+# loop-free graphs up to V = 8, and their flip descendants
+SHEAR_GRAPHS = [make() for make in GRAPHS.values()] + [prism(3), prism(4)]
+# the float closed form's soul coefficients may differ from glog(gdiv(ac, bd))'s
+# by this much times the larger of 1 and the coordinate's largest coefficient
+SHEAR_SOUL_BOUND = 1e-13
+
+
+def unit_bodies(state):
+    """state with every lambda-length divided by its body."""
+    lam = {e: gdiv(x, x.body) for e, x in state.lam.items()}
+    return DecoratedState(state.graph, state.orientation, state.algebra, lam, state.mu)
+
+
+def shear_outcome(function, state):
+    """The coordinates, or the class and message of the error raised."""
+    try:
+        return function(state)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_rational_shear_is_the_reference_loop_exactly():
+    # every ratio has body 1, also after moving the horocycles, which
+    # gives bodies other than 1; the coordinates do not move with them
+    rng = random.Random(35)
+    souls = 0
+    for graph in SHEAR_GRAPHS:
+        punctures = len(fatgraph.boundary_cycles(graph))
+        for odd in (True, False):
+            state = unit_bodies(random_decorated_state(graph, rng, RATIONAL, odd=odd))
+            z = shear_coordinates(state)
+            assert z == reference_shear_coordinates(state)
+            souls += sum(not x.is_zero() for x in z.values())
+            factors = [Fraction(k, k + 1) for k in (rng.randint(1, 9) for _ in range(punctures))]
+            moved = horocycle_rescaled(state, factors)
+            assert all(x.body != 1 for x in moved.lam.values())
+            assert shear_coordinates(moved) == reference_shear_coordinates(moved) == z
+            assert [str(x) for x in shear_coordinates(moved).values()] == [
+                str(x) for x in z.values()]
+    assert souls > 100
+
+
+def test_rational_shear_refuses_the_edge_the_reference_refuses():
+    # drawn bodies give ratios other than 1 except where labels coincide
+    # (on the theta graph every ratio is 1)
+    rng = random.Random(36)
+    refused = []
+    for graph in SHEAR_GRAPHS:
+        for _ in range(3):
+            drawn = random_decorated_state(graph, rng, RATIONAL)
+            assert shear_outcome(shear_coordinates, drawn) == shear_outcome(
+                reference_shear_coordinates, drawn)
+            # two lambda-lengths scaled apart: the message's body names
+            # the first edge whose quadrilateral holds either
+            state = unit_bodies(drawn)
+            lam = dict(state.lam)
+            for x, k in zip(rng.sample(range(graph.num_edges), 2), (2, 3)):
+                lam[x] = lam[x] * k
+            state = DecoratedState(graph, state.orientation, state.algebra, lam, state.mu)
+            outcome = shear_outcome(reference_shear_coordinates, state)
+            assert shear_outcome(shear_coordinates, state) == outcome
+            if type(outcome) is tuple:
+                assert outcome[0] is GrassmannError
+                refused.append(outcome[1])
+    assert len(refused) > 20 and len(set(refused)) > 5
+    # a loop has no quadrilateral, in either
+    state = default_state(dumbbell(), RATIONAL)
+    outcome = shear_outcome(reference_shear_coordinates, state)
+    assert type(outcome) is tuple and shear_outcome(shear_coordinates, state) == outcome
+
+
+def test_float_shear_bodies_are_the_reference_bits_and_souls_within_bound():
+    rng = random.Random(37)
+    dense = 0
+    for graph in SHEAR_GRAPHS:
+        state = random_decorated_state(graph, rng, FLOAT)
+        for _ in range(7):
+            z, ref = shear_coordinates(state), reference_shear_coordinates(state)
+            for e in ref:
+                assert z[e].body.hex() == ref[e].body.hex()
+                scale = max(1.0, max(map(abs, ref[e].num.values()), default=0.0))
+                for m in z[e].num.keys() | ref[e].num.keys():
+                    deviation = abs(z[e].num.get(m, 0.0) - ref[e].num.get(m, 0.0))
+                    assert deviation <= SHEAR_SOUL_BOUND * scale
+            # the residuals sum the coordinates in cycle order, so their
+            # bodies are the same floats
+            assert [r.body.hex() for r in check_puncture_relation(state)] == [
+                r.body.hex() for r in decorated._puncture_residuals(state, ref)]
+            dense = max(dense, max(len(x.num) for x in state.lam.values()))
+            edges = generic_edges(state.graph)
+            if not edges:
+                break
+            state, _ = superflip(state, rng.choice(edges))
+    assert dense > 32
+
+
+def test_float_shear_refuses_overflow_and_underflow():
+    # on the torus every edge's quadrilateral is a = c and b = d
+    g = punctured_torus()
+    alg = GrassmannAlgebra(g.num_vertices, FLOAT)
+    mu = {v: alg.zero() for v in range(2)}
+    t01 = alg.monomial([0, 1])
+
+    def state(x, y):
+        lam = {0: alg.one(), 1: alg.one() * x, 2: alg.one() * y}
+        return DecoratedState(g, OrientationState.all_plus(g), alg, lam, mu)
+
+    cases = [(1e200, 1.0),                  # a c overflows
+             (1e-200, 1.0),                 # a c underflows
+             (1e154, 1e-154),               # the ratio overflows
+             (1e-154, 1e154),               # the ratio underflows
+             (1 + 6e307 * t01, 1 - 6e307 * t01)]   # l_a + l_c - l_b - l_d overflows
+    for x, y in cases:
+        for function in (shear_coordinates, reference_shear_coordinates):
+            with pytest.raises(GrassmannError):
+                function(state(x, y))
+    # a subnormal ratio is still a finite log
+    z = shear_coordinates(state(1e-154, 1e1))
+    assert z[1].body.hex() == reference_shear_coordinates(state(1e-154, 1e1))[1].body.hex()
+    assert all(math.isfinite(c) for x in z.values() for c in x.num.values())
 
 
 def test_puncture_relation_random_classical():

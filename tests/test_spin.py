@@ -9,14 +9,15 @@ from superpenner.catalog import (GRAPHS, four_punctured_sphere, genus1_two_punct
                                  genus2_one_puncture, punctured_torus, theta_graph)
 from superpenner import spin
 from superpenner.checks import generic_edges
-from superpenner.fatgraph import flip_quadrilateral, topology
+from superpenner.fatgraph import boundary_cycles, flip_quadrilateral, topology
 from superpenner.spin import (OrientationState, SpinError,
                               brute_force_spin_classes,
                               classify_punctures, enumerate_spin_classes,
                               flip_orientation, reflect, same_spin_class,
                               reflection_vertices_between, spin_class_count)
 
-from helpers import (boundary_correspondence, canonical_representative, dumbbell, prism,
+from helpers import (boundary_correspondence, canonical_representative, dumbbell,
+                     flip_descendants, prism, reference_classify_punctures,
                      reference_reflection_vertices_between, reference_spin_classes, rref,
                      star_matrix)
 
@@ -344,6 +345,26 @@ def test_classification_constant_on_classes():
         rep = canonical_representative(state)
         tags = classify_punctures(state)
         assert table.setdefault(rep.signs, tags) == tags
+
+
+def test_classify_punctures_matches_the_reference_walk():
+    # random masks, on graphs with cycles that traverse an edge from both
+    # halves (the torus, genus 2 with one puncture, the dumbbell's bridge)
+    rng = random.Random(35)
+    graphs = [make() for make in GRAPHS.values()] + [prism(n) for n in range(3, 17)] + [dumbbell()]
+    twice = 0
+    for base in graphs:
+        for graph in flip_descendants(base, rng, 3):
+            cycles = boundary_cycles(graph)
+            twice += any(len({graph.edge_of(h) for h in cycle}) < len(cycle) for cycle in cycles)
+            for mask in [0, (1 << graph.num_edges) - 1] + [
+                    rng.getrandbits(graph.num_edges) for _ in range(20)]:
+                state = OrientationState(graph, [-1 if mask >> e & 1 else 1
+                                                 for e in range(graph.num_edges)])
+                want = reference_classify_punctures(state)
+                assert classify_punctures(state) == want
+                assert classify_punctures(state, cycles) == want
+    assert twice >= 3
 
 
 # -- flips --------------------------------------------------------------------
