@@ -25,7 +25,6 @@ from .fatgraph import (
     NonGenericFlipError,
     boundary_cycles,
     find_isomorphisms,
-    parse_fatgraph,
     topology,
     whitehead_flip,
 )
@@ -49,6 +48,7 @@ from .decorated import (
     states_equal_mod_sign,
     superflip,
 )
+from .fileio import parse_fatgraph
 
 __all__ = [
     "FLOAT",

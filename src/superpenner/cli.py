@@ -33,8 +33,8 @@ import sys
 
 from .checks import SUITES
 from .decorated import _puncture_residuals, shear_coordinates, superflip
-from .fatgraph import _genus, _integer_tokens, boundary_cycles
-from .fileio import _load_orientation, load_state, render_state
+from .fatgraph import _genus, boundary_cycles
+from .fileio import _integer_tokens, _load_orientation, load_state, render_state
 from .grassmann import FLOAT, RATIONAL
 from .spin import (_cycle_parities, _puncture_types, classify_punctures, enumerate_spin_classes,
                    spin_class_count)

@@ -139,14 +139,13 @@ class DecoratedState:
                 % (g, s, e, v, self.algebra.mode))
 
 
-def default_state(graph, mode=RATIONAL, orientation=None):
-    """All lambda-lengths 1, mu-invariant of vertex i its own generator t<i>."""
+def default_state(graph, mode=RATIONAL):
+    """All edges +, all lambda-lengths 1, mu-invariant of vertex i its own
+    generator t<i>."""
     algebra = GrassmannAlgebra(graph.num_vertices, mode)
-    if orientation is None:
-        orientation = OrientationState.all_plus(graph)
     lam = {e: algebra.one() for e in range(graph.num_edges)}
     mu = {v: algebra.gen(v) for v in range(graph.num_vertices)}
-    return DecoratedState(graph, orientation, algebra, lam, mu)
+    return DecoratedState(graph, OrientationState.all_plus(graph), algebra, lam, mu)
 
 
 def superflip(state, e):

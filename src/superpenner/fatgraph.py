@@ -20,6 +20,9 @@ mutated after the graph is returned: graphs share them, so nothing may
 write to them.  A flip copies the two it patches (sigma and vertex_of)
 once each with list.copy() and shares the other two.  vertices and edges
 stay tuples, as they are public and hashed.
+
+This module knows the combinatorics only: the text documents that carry
+a graph and its decorations are read and written by fileio.
 """
 
 from __future__ import annotations
@@ -116,9 +119,9 @@ class FatGraph:
         names = self.vertex_names
         if len(names) != len(self.vertices):
             raise FatGraphError("vertex name count does not match vertex count")
-        # a document carries each name as a record key, which scan_document
-        # reads back unchanged only without whitespace, ':' or '#', and its
-        # mu lines name one vertex each
+        # a document carries each name as a record key, which
+        # fileio.scan_document reads back unchanged only without whitespace,
+        # ':' or '#', and its mu lines name one vertex each
         try:
             joined = " ".join(names)
         except TypeError:   # a name that is not a str
@@ -419,127 +422,3 @@ def find_isomorphisms(graph1, graph2):
     isos = (propagate_isomorphism(graph1, graph2, 0, target)
             for target in range(graph1.num_half_edges))
     return [phi for phi in isos if phi is not None]
-
-
-# ---------------------------------------------------------------------------
-# text format
-#
-#   fatgraph v1
-#   vertex <name>: <h> <h> <h>     # counterclockwise cyclic order
-#   edge <id>: <tail_h> <head_h>   # reference direction tail->head
-#
-# plus optional decoration lines (orient/lambda/mu) that are handled by
-# the file loader and skipped here.
-
-
-def _strip_comment(line):
-    k = line.find("#")
-    if k >= 0:
-        line = line[:k]
-    return line.strip()
-
-
-def scan_document(text):
-    """Split a fatgraph document into (kind, payload, lineno) records."""
-    lines = [(_strip_comment(raw), i + 1) for i, raw in enumerate(text.splitlines())]
-    lines = [(s, i) for s, i in lines if s]
-    if not lines or lines[0][0] != "fatgraph v1":
-        raise FatGraphError("missing 'fatgraph v1' header line")
-    records = []
-    for s, i in lines[1:]:
-        head, sep, rest = s.partition(":")
-        parts = head.split()
-        if not sep or len(parts) != 2:
-            raise FatGraphError("line %d: expected '<kind> <key>: ...', got %r" % (i, s))
-        kind, key = parts
-        if kind not in ("vertex", "edge", "orient", "lambda", "mu"):
-            raise FatGraphError("line %d: unknown record kind %r" % (i, kind))
-        records.append((kind, key, rest.strip(), i))
-    return records
-
-
-def parse_fatgraph(text):
-    """Parse the graph sections of a fatgraph document."""
-    return graph_from_records(scan_document(text))[0]
-
-
-def _integer_tokens(text):
-    """The ints of text's whitespace-separated tokens, each an optional '-'
-    then ASCII digits; ValueError for any other token.
-
-    int() alone also takes a '+' sign, '_' between digits and non-ASCII
-    digits; one test of the whole text refuses them.
-    """
-    if not text.isascii() or "+" in text or "_" in text:
-        raise ValueError("not ASCII integer tokens: %r" % text)
-    return tuple(map(int, text.split()))
-
-
-def graph_from_records(records):
-    """(graph, {file edge id: dense edge id}) from scan_document records.
-
-    Half-edge tokens and edge ids may be arbitrary non-negative integers
-    in ASCII digits (a negative one, or any other spelling, is a
-    line-numbered FatGraphError); both are normalized to dense 0-based
-    ranges (edges by increasing file id, vertices in order of
-    appearance).  Decoration records are ignored.
-    """
-    raw_vertices = {}   # vertex name -> half-edge tokens, in order of appearance
-    raw_edges = {}      # file edge id -> half-edge tokens
-    for kind, key, rest, lineno in records:
-        if kind == "vertex":
-            if key in raw_vertices:
-                raise FatGraphError("line %d: duplicate vertex %r" % (lineno, key))
-            try:
-                halves = _integer_tokens(rest)
-            except ValueError:
-                raise FatGraphError("line %d: bad half-edge token" % lineno) from None
-            if len(halves) != 3:
-                raise FatGraphError("line %d: non-trivalent vertex %r (%d half-edges)"
-                                    % (lineno, key, len(halves)))
-            if min(halves) < 0:
-                raise FatGraphError("line %d: negative half-edge token %d"
-                                    % (lineno, min(halves)))
-            raw_vertices[key] = halves
-        elif kind == "edge":
-            try:
-                (eid,) = _integer_tokens(key)
-                pair = _integer_tokens(rest)
-            except ValueError:
-                raise FatGraphError("line %d: bad edge line" % lineno) from None
-            if eid < 0 or len(pair) != 2:
-                raise FatGraphError("line %d: edge needs a non-negative id and "
-                                    "exactly two half-edges" % lineno)
-            if min(pair) < 0:
-                raise FatGraphError("line %d: negative half-edge token %d"
-                                    % (lineno, min(pair)))
-            if eid in raw_edges:
-                raise FatGraphError("line %d: duplicate edge id %d" % (lineno, eid))
-            raw_edges[eid] = pair
-    if not raw_vertices or not raw_edges:
-        raise FatGraphError("document defines no vertices or no edges")
-    raw_edges = sorted(raw_edges.items())
-    all_halves = sorted(h for _, pair in raw_edges for h in pair)
-    dense = {h: i for i, h in enumerate(all_halves)}
-    if len(dense) != len(all_halves):
-        raise FatGraphError("half-edge appears in more than one edge line")
-    vertices = []
-    for halves in raw_vertices.values():
-        try:
-            vertices.append(tuple(dense[h] for h in halves))
-        except KeyError as exc:
-            raise FatGraphError("dangling half-edge %s (in a vertex line but "
-                                "no edge line)" % exc.args[0]) from None
-    edges = [tuple(dense[h] for h in pair) for _, pair in raw_edges]
-    id_map = {eid: i for i, (eid, _) in enumerate(raw_edges)}
-    return FatGraph(vertices, edges, list(raw_vertices)), id_map
-
-
-def render_fatgraph(graph):
-    """Serialize the graph sections of a fatgraph document."""
-    out = ["fatgraph v1"]
-    for name, triple in zip(graph.vertex_names, graph.vertices):
-        out.append("vertex %s: %d %d %d" % (name, *triple))
-    for eid, (t, h) in enumerate(graph.edges):
-        out.append("edge %d: %d %d" % (eid, t, h))
-    return "\n".join(out) + "\n"

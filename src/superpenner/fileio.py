@@ -1,6 +1,9 @@
-"""Loading and saving decorated fatgraph documents.
+"""Reading and writing fatgraph documents.
 
-The text format is line-based (# starts a comment):
+This module alone knows the document format (grassmann knows the
+element grammar): parse_fatgraph and render_fatgraph read and write a
+document's graph sections, load_state and render_state a whole decorated
+document.  The format is line-based (# starts a comment):
 
     fatgraph v1
     vertex <name>: <h> <h> <h>     # counterclockwise cyclic order
@@ -44,15 +47,112 @@ from __future__ import annotations
 from itertools import repeat
 
 from .decorated import DecoratedState, is_lambda_length, is_mu_invariant
-from .fatgraph import (FatGraph, FatGraphError, _integer_tokens, graph_from_records,
-                       render_fatgraph, scan_document)
+from .fatgraph import FatGraph, FatGraphError
 from .grassmann import FLOAT, RATIONAL, GrassmannAlgebra, GrassmannError, _parse_rendered
 from .spin import OrientationState
 
-# the record kinds in the order render_state writes their blocks, and the
-# orient signs as the bits of an orientation mask
+# the first line of every document; the record kinds, in the order
+# render_state writes their blocks; and the orient signs as the bits of an
+# orientation mask
+_HEADER = "fatgraph v1"
 _BLOCKS = ("vertex", "edge", "orient", "lambda", "mu")
 _BITS = str.maketrans("+-", "01")
+
+
+def scan_document(text):
+    """Split a fatgraph document into (kind, key, rest, lineno) records."""
+    lines = [(raw.partition("#")[0].strip(), i + 1) for i, raw in enumerate(text.splitlines())]
+    lines = [(s, i) for s, i in lines if s]
+    if not lines or lines[0][0] != _HEADER:
+        raise FatGraphError("missing %r header line" % _HEADER)
+    records = []
+    for s, i in lines[1:]:
+        head, sep, rest = s.partition(":")
+        parts = head.split()
+        if not sep or len(parts) != 2:
+            raise FatGraphError("line %d: expected '<kind> <key>: ...', got %r" % (i, s))
+        kind, key = parts
+        if kind not in _BLOCKS:
+            raise FatGraphError("line %d: unknown record kind %r" % (i, kind))
+        records.append((kind, key, rest.strip(), i))
+    return records
+
+
+def parse_fatgraph(text):
+    """Parse the graph sections of a fatgraph document."""
+    return graph_from_records(scan_document(text))[0]
+
+
+def _integer_tokens(text):
+    """The ints of text's whitespace-separated tokens, each an optional '-'
+    then ASCII digits; ValueError for any other token.
+
+    int() alone also takes a '+' sign, '_' between digits and non-ASCII
+    digits; one test of the whole text refuses them.
+    """
+    if not text.isascii() or "+" in text or "_" in text:
+        raise ValueError("not ASCII integer tokens: %r" % text)
+    return tuple(map(int, text.split()))
+
+
+def graph_from_records(records):
+    """(graph, {file edge id: dense edge id}) from scan_document records.
+
+    Half-edge tokens and edge ids may be arbitrary non-negative integers
+    in ASCII digits (a negative one, or any other spelling, is a
+    line-numbered FatGraphError); both are normalized to dense 0-based
+    ranges (edges by increasing file id, vertices in order of
+    appearance).  Decoration records are ignored.
+    """
+    raw_vertices = {}   # vertex name -> half-edge tokens, in order of appearance
+    raw_edges = {}      # file edge id -> half-edge tokens
+    for kind, key, rest, lineno in records:
+        if kind == "vertex":
+            if key in raw_vertices:
+                raise FatGraphError("line %d: duplicate vertex %r" % (lineno, key))
+            try:
+                halves = _integer_tokens(rest)
+            except ValueError:
+                raise FatGraphError("line %d: bad half-edge token" % lineno) from None
+            if len(halves) != 3:
+                raise FatGraphError("line %d: non-trivalent vertex %r (%d half-edges)"
+                                    % (lineno, key, len(halves)))
+            if min(halves) < 0:
+                raise FatGraphError("line %d: negative half-edge token %d"
+                                    % (lineno, min(halves)))
+            raw_vertices[key] = halves
+        elif kind == "edge":
+            try:
+                (eid,) = _integer_tokens(key)
+                pair = _integer_tokens(rest)
+            except ValueError:
+                raise FatGraphError("line %d: bad edge line" % lineno) from None
+            if eid < 0 or len(pair) != 2:
+                raise FatGraphError("line %d: edge needs a non-negative id and "
+                                    "exactly two half-edges" % lineno)
+            if min(pair) < 0:
+                raise FatGraphError("line %d: negative half-edge token %d"
+                                    % (lineno, min(pair)))
+            if eid in raw_edges:
+                raise FatGraphError("line %d: duplicate edge id %d" % (lineno, eid))
+            raw_edges[eid] = pair
+    if not raw_vertices or not raw_edges:
+        raise FatGraphError("document defines no vertices or no edges")
+    raw_edges = sorted(raw_edges.items())
+    all_halves = sorted(h for _, pair in raw_edges for h in pair)
+    dense = {h: i for i, h in enumerate(all_halves)}
+    if len(dense) != len(all_halves):
+        raise FatGraphError("half-edge appears in more than one edge line")
+    vertices = []
+    for halves in raw_vertices.values():
+        try:
+            vertices.append(tuple(dense[h] for h in halves))
+        except KeyError as exc:
+            raise FatGraphError("dangling half-edge %s (in a vertex line but "
+                                "no edge line)" % exc.args[0]) from None
+    edges = [tuple(dense[h] for h in pair) for _, pair in raw_edges]
+    id_map = {eid: i for i, (eid, _) in enumerate(raw_edges)}
+    return FatGraph(vertices, edges, list(raw_vertices)), id_map
 
 
 def load_state(text, mode=RATIONAL):
@@ -143,7 +243,7 @@ def _rendered_layout(text):
     while header < len(lines) and lines[header][:1] == "#":
         header += 1
     if (text.count("#") != sum(map(str.count, lines[:header], repeat("#")))
-            or lines[header:header + 1] != ["fatgraph v1"]):
+            or lines[header:header + 1] != [_HEADER]):
         return None
     try:
         heads, _, rests = zip(*map(str.partition, lines[header + 1:], repeat(": ")))
@@ -244,9 +344,22 @@ def _edge_key(key, id_map, lineno):
     return id_map[eid]
 
 
+def _graph_lines(graph):
+    """The header, vertex and edge lines of graph's document."""
+    return ([_HEADER]
+            + ["vertex %s: %d %d %d" % (name, *triple)
+               for name, triple in zip(graph.vertex_names, graph.vertices)]
+            + ["edge %d: %d %d" % (eid, t, h) for eid, (t, h) in enumerate(graph.edges)])
+
+
+def render_fatgraph(graph):
+    """Serialize the graph sections of a fatgraph document."""
+    return "\n".join(_graph_lines(graph)) + "\n"
+
+
 def render_state(state):
     """Serialize a decorated state as a loadable document."""
-    out = [render_fatgraph(state.graph).rstrip("\n")]
+    out = _graph_lines(state.graph)
     for e, sign in enumerate(state.orientation.sign_string()):
         out.append("orient %d: %s" % (e, sign))
     for e in range(state.graph.num_edges):

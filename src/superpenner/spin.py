@@ -327,7 +327,7 @@ def brute_force_spin_classes(graph):
     return tuple(OrientationState._unchecked(graph, m) for m in reps)
 
 
-def classify_punctures(state, cycles=None):
+def classify_punctures(state):
     """R/NS type of every boundary cycle, in boundary_cycles order.
 
     Walking a cycle traverses each half-edge h along h -> alpha(h); the
@@ -343,14 +343,9 @@ def classify_punctures(state, cycles=None):
     from both halves cancels from C: exactly one of the two traversals
     opposes it, whatever its sign, and its head half counts in k0.  Once
     (k0, C) is known a type is one popcount (_puncture_types).
-
-    cycles, when given, must be boundary_cycles(state.graph); the
-    orientations of one graph can then share one walk of its cycles.
     """
     graph = state.graph
-    if cycles is None:
-        cycles = boundary_cycles(graph)
-    return _puncture_types(_cycle_parities(graph, cycles), state.mask)
+    return _puncture_types(_cycle_parities(graph, boundary_cycles(graph)), state.mask)
 
 
 def _cycle_parities(graph, cycles):

@@ -560,7 +560,7 @@ def test_check_rejects_non_positive_cases(capsys):
     ("--seed", "+1", "invalid int value: '+1'"),
 ])
 def test_integer_arguments_are_spelled_as_in_a_document(capsys, option, value, message):
-    # an optional '-' then ASCII digits, as fatgraph._integer_tokens reads a
+    # an optional '-' then ASCII digits, as fileio._integer_tokens reads a
     # document's integers; int() alone takes '+', '_' and non-ASCII digits
     if option == "--edges":
         argv = ["flip", str(DATA / "sphere4.fg"), "--edges", value]

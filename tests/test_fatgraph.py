@@ -6,9 +6,8 @@ from superpenner.catalog import (GRAPHS, four_punctured_sphere, genus1_two_punct
                                  genus2_one_puncture, punctured_torus, theta_graph)
 from superpenner.fatgraph import (FatGraph, FatGraphError, FlipRecord, NonGenericFlipError,
                                   _rotated, boundary_cycles, find_isomorphisms,
-                                  flip_quadrilateral, graph_from_records,
-                                  parse_fatgraph, render_fatgraph, scan_document,
-                                  topology, whitehead_flip)
+                                  flip_quadrilateral, topology, whitehead_flip)
+from superpenner.fileio import graph_from_records, parse_fatgraph, render_fatgraph, scan_document
 from superpenner.checks import generic_edges
 from superpenner.spin import OrientationState, flip_orientation, reflection_vertices_between
 

@@ -13,8 +13,8 @@ from superpenner.catalog import (five_punctured_sphere, four_punctured_sphere,
                                  theta_graph)
 from superpenner.checks import generic_edges, random_decorated_state
 from superpenner.decorated import superflip
-from superpenner.fatgraph import FatGraphError, render_fatgraph
-from superpenner.fileio import load_state, render_state
+from superpenner.fatgraph import FatGraphError
+from superpenner.fileio import load_state, render_fatgraph, render_state
 from superpenner.grassmann import FLOAT, RATIONAL, GrassmannElement
 
 from helpers import prism
