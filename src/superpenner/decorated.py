@@ -278,13 +278,29 @@ def check_puncture_relation(state):
 
 def _puncture_residuals(state, z):
     """The sums of the shear coordinates z (edge -> element) over each
-    boundary cycle's traversals, for a caller that already holds z."""
+    boundary cycle's traversals, for a caller that already holds z.
+
+    Each cycle's coordinates are added term by term, in half-edge order,
+    into one map over the lcm of their denominators, which is reduced
+    once: the numerators, float sums and term order that adding them one
+    by one as elements gives.
+    """
+    graph = state.graph
     residuals = []
-    for cycle in boundary_cycles(state.graph):
-        total = state.algebra.zero()
-        for h in cycle:
-            total = total + z[state.graph.edge_of(h)]
-        residuals.append(total)
+    for cycle in boundary_cycles(graph):
+        coordinates = [z[graph.edge_of(h)] for h in cycle]
+        den = math.lcm(*[x.den for x in coordinates])
+        num = {}
+        get = num.get
+        for x in coordinates:
+            scale = den // x.den
+            for m, c in x.num.items():
+                total = get(m, 0) + c * scale
+                if total:
+                    num[m] = total
+                else:
+                    num.pop(m, None)
+        residuals.append(_reduced(state.algebra, num, den))
     return tuple(residuals)
 
 

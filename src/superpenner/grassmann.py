@@ -35,18 +35,22 @@ once, and in float mode every term is v * c, the operation the scan runs
 on it.  The scan visits all len(x) * len(y) pairs of terms, skips those
 that meet and signs the rest with one popcount.  The dense path walks
 weight classes, one per (n, a, b), cached for the life of the process.
-Class (a, b) lists every monomial m of weight a + b, in increasing order,
-with its k = C(a + b, a) submasks s of weight a, as two
-operator.itemgetters: one over a dense left vector X with X[s] = x_s (0
-where x has no term), one over a right vector Y with Y[t] = y_t and
-Y[t + 2**n] = -y_t, so that the index carries the sign of e_s * e_t for
-t = m ^ s.  A product uses the classes (a, b) where x has a term of
-weight a and y one of weight b.  Each class gathers, multiplies and sums
-its runs of k pairs in C, and the classes of one output weight are added
+Class (a, b) holds one index row per monomial m of weight a + b, in
+increasing order: its k = C(a + b, a) submasks s of weight a, then for
+each s an index u into a right vector Y with Y[t] = y_t and Y[t + 2**n] =
+-y_t, for t = m ^ s, so that u = t or t + 2**n carries the sign of e_s *
+e_t.  A dense left vector X holds X[s] = x_s (0 where x has no term).  A
+run function, compiled once per run length k and shared by every class,
+n and mode, reads each row as X[s_1]*Y[u_1] + ... + X[s_k]*Y[u_k]:
+specialized bytecode with no call per pair, adding the products left to
+right.  A product uses the classes (a, b) where x has a term of weight a
+and y one of weight b, and the classes of one output weight are added
 elementwise.  Souls and powers of souls have no low-weight terms, so they
 skip those classes.  The classes of a product, grouped by output weight,
 are kept per pair of weight masks; this plan names classes and holds no
-pairs.
+pairs.  From CPython 3.12 on, sum() compensates float sums; the runs add
+with +, as sum() did before, so a dense float result has the same bits on
+every interpreter, as a scanned one does.
 
 Weights: an element's weight mask has bit k set iff it has a term of
 weight k.  The kernel that builds an element sets it at no extra cost
@@ -67,7 +71,7 @@ it to 0.  Otherwise a product takes the dense path when
 2**n < len(x) * len(y) and 2**n plus the pairs of the used classes is at
 most len(x) * len(y), so that it touches no more entries than the scan
 would visit.  The rule is the same in both modes: on int numerators, as
-on floats, the dense path gathers, multiplies and sums in C, and its
+on floats, a run makes one multiply and one add per pair, and its
 multiplies of absent entries are multiplies by 0.  One-term scalars
 therefore never build a class, however many generators the algebra has.
 The scan and the dense path add a monomial's contributions in different
@@ -149,13 +153,14 @@ rational mode and 2 ms through the float batch (CPython 3.11.7).
 
 Memory: each disjoint pair on n generators sits in exactly one class, and
 all indices share one int object each, so the classes on n generators hold
-3**n pairs at most: 133 KiB at n = 8 and 1030 KiB at n = 10 with every
-class built, 43 KiB and 312 KiB for the even-by-even classes (tracemalloc,
-CPython 3.11).  Each element pays 8 B for its weight-mask slot.  A view
-lives only for the call that builds it: at n = 8 and 10, X takes 2.1 and
-8.1 KiB and Y 4.1 and 16.1 KiB, plus Y's negated coefficients (24 B per
-float term), and the scan rows about 100 B per term (sys.getsizeof,
-CPython 3.11).
+3**n pairs at most, in one tuple per row: 160 KiB at n = 8 and 1232 KiB
+at n = 10 with every class built, against 119 and 950 KiB as two
+itemgetters per class (tracemalloc, CPython 3.11).  The run functions for
+every class take another 50 KiB at n = 8 and 183 KiB at n = 10.  Each
+element pays 8 B for its weight-mask slot.  A view lives only for the
+call that builds it: at n = 8 and 10, X takes 2.1 and 8.1 KiB and Y 4.1
+and 16.1 KiB, plus Y's negated coefficients (24 B per float term), and
+the scan rows about 100 B per term (sys.getsizeof, CPython 3.11).
 """
 
 from __future__ import annotations
@@ -167,7 +172,7 @@ import sys
 from fractions import Fraction
 from itertools import chain, combinations, compress, islice, repeat
 from math import gcd
-from operator import add, itemgetter, mul, sub, truediv
+from operator import add, mul, sub, truediv
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -542,11 +547,17 @@ def _add(x, y, sign):
 # core operations
 
 
-# (n, a, b) -> (k, left, right): the weight class of every disjoint pair
-# (s, t) on n generators with |s| = a and |t| = b, as itemgetters over the
-# dense vectors of _dense_terms (see the module docstring).
+# (n, a, b) -> (k, rows): the weight class of every disjoint pair (s, t) on
+# n generators with |s| = a and |t| = b, as index rows into the dense vectors
+# of _dense_terms (see the module docstring)
 _CLASSES = {}
-# n -> tuple(range(2**(n+1) + 1)): the one int object of each index
+# k -> the run function of _run, shared by every class with runs of k pairs
+_RUNS = {}
+# the most products one expression of a run adds: the compiler recurses once
+# per operator of an expression, and class (7, 7) on 14 generators has runs
+# of 3432 pairs
+_CHUNK = 128
+# n -> tuple(range(2**(n+1))): the one int object of each index
 _INDICES = {}
 # (n, left weights, right weights, solve) -> the plan of _dense_plan, or
 # (entries, None) while every caller has refused it
@@ -566,32 +577,59 @@ def _weight_monomials(n, w):
 def _indices(n):
     indices = _INDICES.get(n)
     if indices is None:
-        indices = _INDICES[n] = tuple(range((2 << n) + 1))
+        indices = _INDICES[n] = tuple(range(2 << n))
     return indices
 
 
 def _weight_class(n, a, b):
-    """Build and keep class (a, b) on n generators.
+    """Build and keep class (a, b) on n generators, as (k, rows).
 
-    For each monomial m of weight a + b, in increasing order, it lists the
-    k = C(a + b, a) submasks s of weight a, with t = m ^ s: the left
-    getter reads X[s], the right getter Y[t] or, when e_s * e_t = -e_m,
-    Y[t + 2**n].
+    Each monomial m of weight a + b, in increasing order, has one row
+    (s_1, ..., s_k, u_1, ..., u_k): its k = C(a + b, a) submasks s of
+    weight a, then for each s, with t = m ^ s, u = t or, when e_s * e_t =
+    -e_m, u = t + 2**n, so that the right vector's Y[u] carries the sign.
     """
     indices = _indices(n)
     full = 1 << n
-    left, right = [], []
+    rows = []
     for m in _weight_monomials(n, a + b):
+        left, right = [], []
         for chosen in combinations([1 << i for i in range(n) if m >> i & 1], a):
             s = sum(chosen)
             t = m ^ s
             left.append(indices[s])
             right.append(indices[t + full if (s & _below_parity(t)).bit_count() & 1 else t])
-    if len(left) == 1:   # a one-key itemgetter returns a scalar, not a tuple
-        left.append(indices[full])
-        right.append(indices[2 * full])
-    entry = _CLASSES[n, a, b] = (math.comb(a + b, a), itemgetter(*left), itemgetter(*right))
+        rows.append(tuple(left + right))
+    entry = _CLASSES[n, a, b] = (math.comb(a + b, a), rows)
     return entry
+
+
+def _run(k):
+    """Compile and keep the run function for runs of k pairs.
+
+    run(rows, X, Y) is [X[s_1]*Y[u_1] + ... + X[s_k]*Y[u_k] for each row
+    (s_1, ..., s_k, u_1, ..., u_k) of rows]: specialized bytecode, with no
+    call per pair.  The products of a row are added left to right, as
+    sum() adds them on CPython 3.10 and 3.11, in statements v = v + ... of
+    at most _CHUNK products each, which keeps every expression shallow
+    enough for the compiler.
+    """
+    products = ["X[s%d]*Y[u%d]" % (i, i) for i in range(k)]
+    chunks = [" + ".join(products[i:i + _CHUNK]) for i in range(0, k, _CHUNK)]
+    source = "\n".join([
+        "def run(rows, X, Y):",
+        "    out = []",
+        "    append = out.append",
+        "    for %s in rows:" % ", ".join(["s%d" % i for i in range(k)]
+                                         + ["u%d" % i for i in range(k)]),
+        "        v = " + chunks[0],
+        *["        v = v + " + chunk for chunk in chunks[1:]],
+        "        append(v)",
+        "    return out\n"])
+    namespace = {}
+    exec(compile(source, "<run of %d pairs>" % k, "exec"), namespace)
+    run = _RUNS[k] = namespace["run"]
+    return run
 
 
 def _plan(n, classes, weights=()):
@@ -669,18 +707,18 @@ def _zero(x):
 
 
 def _left_vector(x):
-    """[x_s at s, zero elsewhere], 2**n + 1 long: x's dense left vector."""
-    left = [_zero(x)] * ((1 << x.algebra.num_generators) + 1)
+    """[x_s at s, zero elsewhere], 2**n long: x's dense left vector."""
+    left = [_zero(x)] * (1 << x.algebra.num_generators)
     for s, c in x.num.items():
         left[s] = c
     return left
 
 
 def _right_vector(y):
-    """[y_t at t, -y_t at t + 2**n, zero elsewhere], 2**(n+1) + 1 long:
+    """[y_t at t, -y_t at t + 2**n, zero elsewhere], 2**(n+1) long:
     y's dense right vector."""
     full = 1 << y.algebra.num_generators
-    right = [_zero(y)] * (2 * full + 1)
+    right = [_zero(y)] * (2 * full)
     for t, c in y.num.items():
         right[t] = c
         right[t + full] = -c
@@ -703,14 +741,17 @@ def _soul_rows(y):
 
 
 def _class_sums(keys, left, right, factor=None):
-    """For each monomial of one output weight, the sum of its signed pairs
-    over the classes keys, each class's sum times factor(a, b) when
-    factor is given, as an iterator; a padding pair appends a 0."""
+    """For each monomial of one output weight, in increasing order, the sum
+    of its signed pairs over the classes keys, each class's sums times
+    factor(a, b) when factor is given.
+
+    Each class is one call of the run function for its run length over
+    its rows; the classes are then added elementwise, in the order of keys.
+    """
     total = None
     for key in keys:
-        k, gx, gy = _CLASSES.get(key) or _weight_class(*key)
-        products = map(mul, gx(left), gy(right))
-        part = map(sum, zip(*[products] * k)) if k > 1 else products
+        k, rows = _CLASSES.get(key) or _weight_class(*key)
+        part = (_RUNS.get(k) or _run(k))(rows, left, right)
         if factor is not None:
             part = map(mul, part, repeat(factor(key[1], key[2])))
         total = part if total is None else map(add, total, part)
@@ -722,16 +763,15 @@ def _dense_terms(x, y, plan):
     summed class by class, and their weight mask.
 
     x's left vector holds x densely and y's right vector holds y and -y,
-    so each class gathers its pairs and their signs with two itemgetters
-    and sums every run of k products in C; the classes of one output
-    weight are added elementwise, and the weight is in w when one of its
-    sums is nonzero.
+    so each row of a class reads its pairs and their signs by index; the
+    classes of one output weight are added elementwise, and the weight is
+    in w when one of its sums is nonzero.
     """
     left, right = _left_vector(x), _right_vector(y)
     terms = {}
     w = 0
     for weight, monomials, keys in plan[1]:
-        values = list(_class_sums(keys, left, right))   # filter drops a padding 0
+        values = list(_class_sums(keys, left, right))
         size = len(terms)
         terms.update(zip(compress(monomials, values), filter(None, values)))
         if len(terms) > size:
@@ -937,7 +977,7 @@ def _solve(y, start, sden, wstart, alpha, what):
     dense = plan is not None
     if dense:
         zero = _zero(y)
-        left = [zero] * ((1 << n) + 1)   # the solution's dense left vector
+        left = [zero] * (1 << n)   # the solution's dense left vector
         right = _right_vector(y)
         groups = {w: (monomials, keys) for w, monomials, keys in plan[1]}
         pending = dict.fromkeys(groups, start)   # every weight the solution can have

@@ -3,6 +3,7 @@
 import math
 import sys
 from collections import deque
+from itertools import combinations
 from fractions import Fraction
 from math import gcd
 
@@ -174,6 +175,31 @@ def reference_sign(s, t):
         count += (s >> (j + 1)).bit_count()
         t &= t - 1
     return -1 if count & 1 else 1
+
+
+def reference_class_sums(n, a, b, x, y):
+    """The sums of weight class (a, b) on n generators, for coefficient
+    lists x and y of length 2**n.
+
+    For each monomial m of weight a + b, in increasing order, the signed
+    products x_s y_t over the submasks s of m of weight a, in lexicographic
+    order of their bits, with t = m ^ s, added one by one from the first
+    product: the order and grouping of a dense product's runs.
+    """
+    sums = []
+    for m in range(1 << n):
+        if m.bit_count() != a + b:
+            continue
+        total = None
+        for chosen in combinations([i for i in range(n) if m >> i & 1], a):
+            s = sum(1 << i for i in chosen)
+            t = m ^ s
+            p = x[s] * y[t]
+            if reference_sign(s, t) < 0:
+                p = -p
+            total = p if total is None else total + p
+        sums.append(total)
+    return sums
 
 
 def reference_solve(y, start, factor, divisor):
@@ -592,6 +618,18 @@ def reference_shear_coordinates(state):
         a, b, c, d = _quadrilateral(graph, e, require_generic=False)[8:]
         out[e] = glog(gdiv(lam[a] * lam[c], lam[b] * lam[d]))
     return out
+
+
+def reference_puncture_residuals(state, z):
+    """decorated._puncture_residuals by adding the coordinates one by one,
+    each sum an element reduced on its own."""
+    residuals = []
+    for cycle in boundary_cycles(state.graph):
+        total = state.algebra.zero()
+        for h in cycle:
+            total = total + z[state.graph.edge_of(h)]
+        residuals.append(total)
+    return tuple(residuals)
 
 
 def reference_classify_punctures(state):

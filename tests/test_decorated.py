@@ -22,7 +22,8 @@ from superpenner.grassmann import (FLOAT, RATIONAL, GrassmannAlgebra, GrassmannE
 from superpenner.spin import OrientationState, reflect, reflection_vertices_between
 
 from helpers import (dumbbell, horocycle_rescaled, prism, reference_classical_limit,
-                     reference_shear_coordinates, reference_superflip)
+                     reference_puncture_residuals, reference_shear_coordinates,
+                     reference_superflip)
 
 
 def ptolemy_example_state():
@@ -650,6 +651,49 @@ def test_float_shear_bodies_are_the_reference_bits_and_souls_within_bound():
                 break
             state, _ = superflip(state, rng.choice(edges))
     assert dense > 32
+
+
+def element_layout(x):
+    """x's numerators in dict order (floats by their bits) and denominator."""
+    return [(m, c.hex() if isinstance(c, float) else c) for m, c in x.num.items()], x.den
+
+
+def test_puncture_residuals_are_the_reference_sums_bit_for_bit():
+    # one accumulation per cycle over the lcm of the denominators gives the
+    # numerators, float bits and term order of adding coordinate by
+    # coordinate.  Random coordinates with their own denominators and
+    # shared monomials, some of which cancel, and float shear coordinates
+    # of dense states after superflips
+    rng = random.Random(84)
+    cancelled = rescaled = 0
+    for graph in SHEAR_GRAPHS:
+        for mode in (RATIONAL, FLOAT):
+            alg = GrassmannAlgebra(graph.num_vertices, mode)
+            state = random_decorated_state(graph, rng, mode)
+            monomials = [m for m in range(1 << min(graph.num_vertices, 4))
+                         if m.bit_count() % 2 == 0]
+            z = {}
+            for e in range(graph.num_edges):
+                terms = {m: Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 4, 6]))
+                         for m in rng.sample(monomials, rng.randint(0, len(monomials)))}
+                z[e] = alg.element({m: c if mode == RATIONAL else float(c)
+                                    for m, c in terms.items() if c})
+            got = decorated._puncture_residuals(state, z)
+            want = reference_puncture_residuals(state, z)
+            assert list(map(element_layout, got)) == list(map(element_layout, want))
+            cancelled += sum(len(r.num) < len(set().union(*[z[graph.edge_of(h)].num for h in c]))
+                             for r, c in zip(got, fatgraph.boundary_cycles(graph)))
+            rescaled += len({x.den for x in z.values()}) > 1
+        state = random_decorated_state(graph, rng, FLOAT)
+        for _ in range(4):
+            edges = generic_edges(state.graph)
+            if not edges:
+                break
+            state, _ = superflip(state, rng.choice(edges))
+        z = shear_coordinates(state)
+        assert list(map(element_layout, decorated._puncture_residuals(state, z))) == list(
+            map(element_layout, reference_puncture_residuals(state, z)))
+    assert cancelled > 5 and rescaled > 5
 
 
 def test_float_shear_refuses_overflow_and_underflow():

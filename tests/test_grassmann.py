@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import math
 import random
 import re
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from superpenner.grassmann import (_CLASSES, _INDICES, FLOAT, RATIONAL, Grassman
                                    gmul, gsqrt)
 
 from helpers import (fraction_log, fraction_power, fraction_quotient, is_normal,
-                     reference_parse_terms, reference_scan_solve, reference_sign, weight_mask)
+                     reference_class_sums, reference_parse_terms, reference_scan_solve, reference_sign, weight_mask)
 
 
 A4 = GrassmannAlgebra(4, RATIONAL)
@@ -862,6 +864,162 @@ def test_scalar_product_in_large_algebra_builds_no_class():
         assert time.perf_counter() - start < 1
         assert len(_CLASSES) == classes
         assert 128 not in _INDICES
+
+
+# -- the run functions of the dense path --------------------------------------------
+
+# float entries for the class sums: signed zeros, subnormals and products that
+# underflow to subnormals or to zero
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -3.3e-318, 1e-160, -1e-160, 1.0, -1.0]
+
+
+def class_entries(rng, n, mode):
+    """Random coefficient lists x and y of length 2**n: ints, some of them
+    0 or past 64 bits, or floats, some of them special."""
+    def entry():
+        if mode == RATIONAL:
+            return rng.choice([0, 1, -1, rng.randint(-10 ** 6, 10 ** 6),
+                               rng.randint(-10 ** 30, 10 ** 30)])
+        if rng.random() < 0.3:
+            return rng.choice(SPECIAL_FLOATS)
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3)
+    return [entry() for _ in range(1 << n)], [entry() for _ in range(1 << n)]
+
+
+def exact_bits(c):
+    """c's type and value, a float by its bits (so that -0.0 is not 0.0)."""
+    return type(c), c.hex() if isinstance(c, float) else c
+
+
+def run_mismatches(run_of, n_max, seed):
+    """The classes (n, a, b, mode) on n <= n_max generators where the run
+    function run_of(k) over the class rows gives other sums than
+    reference_class_sums."""
+    rng = random.Random(seed)
+    mismatches = []
+    for n in range(n_max + 1):
+        for mode in (RATIONAL, FLOAT):
+            x, y = class_entries(rng, n, mode)
+            right = y + [-c for c in y]   # the dense right vector
+            for a in range(n + 1):
+                for b in range(n + 1 - a):
+                    k, rows = grassmann._weight_class(n, a, b)
+                    got = run_of(k)(rows, x, right)
+                    want = reference_class_sums(n, a, b, x, y)
+                    if list(map(exact_bits, got)) != list(map(exact_bits, want)):
+                        mismatches.append((n, a, b, mode))
+    return mismatches
+
+
+def mutant_run(k, grouped=False, unsigned=False):
+    """A run function with one fault: grouped adds a row as p1 + (p2 + p3) +
+    ..., unsigned reads the last pair's entry of y without its sign."""
+    def run(rows, X, Y):
+        sums = []
+        for row in rows:
+            left, right = list(row[:k]), list(row[k:])
+            if unsigned:
+                right[-1] %= len(Y) // 2
+            products = [X[s] * Y[u] for s, u in zip(left, right)]
+            if grouped and k >= 3:
+                products[:3] = [products[0] + (products[1] + products[2])]
+            total = products[0]
+            for p in products[1:]:
+                total = total + p
+            sums.append(total)
+        return sums
+    return run
+
+
+def test_runs_add_every_class_left_to_right():
+    assert run_mismatches(grassmann._run, 8, 37) == []
+
+
+def test_a_regrouped_or_unsigned_run_fails_the_class_check():
+    # ints add exactly in any grouping, so only float classes catch a
+    # regrouped run; a sign lost on the last pair shows in both modes
+    grouped = run_mismatches(lambda k: mutant_run(k, grouped=True), 8, 37)
+    unsigned = run_mismatches(lambda k: mutant_run(k, unsigned=True), 8, 37)
+    assert grouped and {mode for *_, mode in grouped} == {FLOAT}
+    assert {mode for *_, mode in unsigned} == {RATIONAL, FLOAT}
+
+
+def test_runs_past_one_expression_compile_in_chunks(monkeypatch):
+    # class (7, 7) on 14 generators is one run of 3432 pairs, which as one
+    # expression is past the compiler's recursion limit.  It must build and
+    # sum under the default limit and under a limit of 100, set on a new
+    # thread so that the test's own stack is not counted
+    for name in ("_CLASSES", "_RUNS", "_INDICES", "_WEIGHT_MONOMIALS"):
+        monkeypatch.setattr(grassmann, name, {})
+    rng = random.Random(14)
+    cases = [class_entries(rng, 14, mode) for mode in (RATIONAL, FLOAT)]
+    wants = [list(map(exact_bits, reference_class_sums(14, 7, 7, x, y))) for x, y in cases]
+
+    def build():
+        grassmann._CLASSES.clear()
+        grassmann._RUNS.clear()
+        k, rows = grassmann._weight_class(14, 7, 7)
+        assert (k, len(rows), len(rows[0])) == (3432, 1, 6864)
+        run = grassmann._run(k)
+        return [list(map(exact_bits, run(rows, x, y + [-c for c in y]))) for x, y in cases]
+
+    assert build() == wants
+    results = []
+
+    def at_low_limit():
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            results.append(build())
+        except RecursionError as exc:
+            results.append(exc)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    thread = threading.Thread(target=at_low_limit)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert results == [wants]
+
+
+def dense_chain_results():
+    """A seeded chain of dense float products, quotients, square roots and
+    inverse square roots on 8 generators, every result in order."""
+    rng = random.Random(2024)
+    alg = GrassmannAlgebra(8, FLOAT)
+
+    def dense(parity, body=0.0):
+        return alg.element({m: rng.uniform(-1, 1) + (body if m == 0 else 0.0)
+                            for m in range(256) if m.bit_count() % 2 == parity})
+
+    z = dense(0, 2.0)
+    results = []
+    for _ in range(4):
+        y, w, odd = dense(0, 2.0), dense(0, 2.0), dense(1)
+        p = gmul(z, y)
+        q = gmul(odd, p)
+        r = gdiv(q, w)
+        root = gsqrt(p)
+        inverse = ginvsqrt(gdiv(p, w))
+        z = gmul(root, inverse)
+        results += [p, q, r, root, inverse, z, gmul(r, odd)]
+    return results
+
+
+# sha256 over the float bits and term order of dense_chain_results, recorded on
+# CPython 3.11.7.  sum() compensates float sums from CPython 3.12 on; the runs
+# add their products with +, so every interpreter must give these bits
+DENSE_CHAIN_DIGEST = "cfd891d9941071ccd27674a4459b93c2c9e21310703ace59d9d9bf4a2583b956"
+
+
+def test_dense_float_bits_are_the_same_on_every_interpreter(monkeypatch):
+    # glog is left out: math.log comes from the platform's libm
+    monkeypatch.setattr(grassmann, "_scan_pairs", forbidden)   # every step is dense
+    digest = hashlib.sha256()
+    for z in dense_chain_results():
+        digest.update(repr([(m, c.hex()) for m, c in z.num.items()]).encode())
+    assert digest.hexdigest() == DENSE_CHAIN_DIGEST
 
 
 def test_refused_plan_builds_no_table(monkeypatch):
